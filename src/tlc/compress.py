@@ -202,6 +202,8 @@ def weighted_graph_parse(text: str) -> CompressedConfig:
         k, d = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError("header must be two integers", line=1) from None
+    if k < 1 or d < 1:
+        raise ParseError("header needs k >= 1 and d >= 1", line=1)
     if len(lines) < 1 + k + k + 1:
         raise ParseError(f"expected {1 + 2 * k + 1} lines", line=len(lines))
     gen_rows = []

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from . import linalg
@@ -32,9 +33,6 @@ from .linalg import Vec, frac, vec
 
 SIDE_A = "A"
 SIDE_B = "B"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -152,20 +150,18 @@ class Configuration:
     def __post_init__(self):
         if self.d < 1:
             raise DimensionMismatch("dimension must be at least 1")
-        a = tuple(sorted(set(vec(v) for v in self.A)))
-        b = tuple(sorted(set(vec(v) for v in self.B)))
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        for side, name in ((a, "A"), (b, "B")):
-            if any(len(v) != self.d for v in side):
+        sides = []
+        for vectors, name in ((self.A, "A"), (self.B, "B")):
+            keyed, scale = _scaled(vectors)
+            keyed = {k: vec(keyed[k]) for k in sorted(keyed)}
+            object.__setattr__(self, name, tuple(keyed.values()))
+            sides.append((keyed, scale))
+        for (keyed, _), name in zip(sides, ("A", "B")):
+            if any(len(v) != self.d for v in keyed):
                 raise DimensionMismatch(f"side {name} has vectors of wrong dimension")
-            if not spans(side, self.d):
+            if not keyed or linalg.rank(list(keyed)) != self.d:
                 raise NotSpanning(f"side {name} does not span R^{self.d}")
-        for av in a:
-            for bv in b:
-                p = linalg.dot(av, bv)
-                if p != _ZERO and p != _ONE:
-                    raise NonBinarySlack(f"product {p} of {av} and {bv}")
+        _slack_bits(*sides[0], *sides[1])
 
     def is_maximal(self) -> bool:
         """Whether A and B are each other's closures.  Cached; fill is idempotent."""
@@ -179,74 +175,97 @@ def spans(vectors, d: int) -> bool:
     return bool(vectors) and linalg.rank([list(v) for v in vectors]) == d
 
 
+def _scaled(vectors) -> tuple[dict[tuple[int, ...], tuple], int]:
+    """The distinct vectors keyed by L v, L the least common denominator of
+    all their entries; the keys sort as the vectors do.  Vectors of ints are
+    their own keys and build no Fractions."""
+    vs = []
+    scale = 1
+    ints = True
+    for v in map(tuple, vectors):
+        for x in v:
+            if type(x) is not int:
+                v = vec(v)
+                scale = lcm(scale, *(x.denominator for x in v))
+                ints = False
+                break
+        vs.append(v)
+    if ints:
+        return {v: v for v in vs}, 1
+    return {tuple(x.numerator * (scale // x.denominator) for x in v): v for v in vs}, scale
+
+
+def _slack_bits(a: dict, la: int, b: dict, lb: int) -> list[int]:
+    """Row-major products of two sides given as _scaled keys, checked 0/1.
+
+    With A scaled by L_A and B by L_B, each product is an integer that must
+    be 0 or L_A L_B.
+    """
+    target = la * lb
+    bits = []
+    for ai, av in a.items():
+        for bi, bv in b.items():
+            p = sum(map(mul, ai, bi))
+            if p == 0:
+                bits.append(0)
+            elif p == target:
+                bits.append(1)
+            else:
+                raise NonBinarySlack(f"product {Fraction(p, target)} of {vec(av)} and {vec(bv)}")
+    return bits
+
+
 def closure(vectors, d: int) -> tuple[Vec, ...]:
     """All y with <y, x> in {0,1} for every x in the spanning family.
 
-    Picks the first d independent vectors (in sorted order) as a basis, solves
-    the 2^d sign patterns for y, and keeps the solutions whose products with
-    the remaining vectors are 0/1.  The computation is integerized: with all
-    inputs scaled by a common denominator L and the basis adjugate taken over
-    the integers, every filter test is an integer comparison.
+    Any basis b_1..b_d of the family fixes y by its products s in {0,1}^d,
+    so the closure is the set of the 2^d solutions of <y, b_k> = s_k whose
+    products with every other family vector are 0/1.  The computation is
+    over the integers: with the family scaled by its common denominator L to
+    the columns of X, one fraction-free elimination of [X | I] picks the
+    basis (its pivot columns), turns each other column into D times its
+    coordinates w over the basis, and turns I into G with <g_k, L b_j> =
+    D [k = j] (D the last pivot).  Pattern s is kept exactly when
+    sum_{k in s} w_k is 0 or D for every other column, and its y is
+    L sum_{k in s} g_k / D.
     """
-    vs = sorted(set(vec(v) for v in vectors))
-    if not vs:
+    keyed, scale = _scaled(vectors)
+    if not keyed:
         raise NotSpanning("empty family")
-    if any(len(v) != d for v in vs):
+    if any(len(v) != d for v in keyed):
         raise DimensionMismatch("vectors of wrong dimension")
-
-    scale = 1
-    for v in vs:
-        for x in v:
-            scale = scale // gcd(scale, x.denominator) * x.denominator
-    ints = [tuple(int(x * scale) for x in v) for v in vs]
-
-    basis_idx = linalg.first_independent(ints, d)
-    if basis_idx is None:
+    xs = list(keyed)
+    m = len(xs)
+    rows = [list(col) + [0] * d for col in zip(*xs)]
+    for r in range(d):
+        rows[r][m + r] = 1
+    rows, piv_rows, piv_cols, det = linalg._bareiss(rows, m)
+    if len(piv_cols) < d:
         raise NotSpanning(f"family does not span R^{d}")
-    basis_set = set(basis_idx)
-    mhat = [list(ints[i]) for i in basis_idx]
-    inv_det = linalg.inverse_and_det(mhat)
-    assert inv_det is not None
-    inv, det = inv_det
-    delta = int(det)
-    # adjugate columns: adj = inv * det, integral for an integer matrix
-    adj_cols = []
-    for i in range(d):
-        col = []
-        for r in range(d):
-            e = inv[r][i] * det
-            assert e.denominator == 1
-            col.append(int(e))
-        adj_cols.append(col)
+    if det < 0:
+        det = -det
+        rows = [[-x for x in row] for row in rows]
+    pivots = [rows[r] for r in piv_rows]
 
-    rest = [ints[j] for j in range(len(ints)) if j not in basis_set]
-    target = delta * scale
-    out: list[Vec] = []
-    for mask in range(1 << d):
-        yhat = [0] * d
-        mm = mask
-        i = 0
-        while mm:
-            if mm & 1:
-                col = adj_cols[i]
-                for r in range(d):
-                    yhat[r] += col[r]
-            mm >>= 1
-            i += 1
-        if mask:
-            yhat = [scale * x for x in yhat]
-        ok = True
-        for x in rest:
-            s = 0
-            for a, b in zip(yhat, x):
-                if a and b:
-                    s += a * b
-            if s != 0 and s != target:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(Fraction(y, delta) for y in yhat))
-    return tuple(sorted(out))
+    alive = range(1 << d)
+    basis = set(piv_cols)
+    for j in range(m):
+        if j not in basis:
+            sums = _subset_sums([row[j] for row in pivots])
+            alive = [s for s in alive if sums[s] == 0 or sums[s] == det]
+    coords = [_subset_sums([scale * row[m + r] for row in pivots]) for r in range(d)]
+    ys = list(zip(*coords))
+    nums = sorted(ys[s] for s in alive)
+    fracs = {a: Fraction(a, det) for a in set().union(*nums)}
+    return tuple(tuple(fracs[a] for a in y) for y in nums)
+
+
+def _subset_sums(values: list[int]) -> list[int]:
+    """sums[s] = the sum of values[k] over the set bits k of s."""
+    sums = [0]
+    for v in values:
+        sums += [t + v for t in sums]
+    return sums
 
 
 def maximal_completion(seed, d: int) -> Configuration:
@@ -267,16 +286,7 @@ def maximal_completion(seed, d: int) -> Configuration:
 
 def slack_matrix(cfg: Configuration) -> SlackMatrix:
     """Matrix of all pairwise products, lines ordered by the sorted vectors."""
-    bits = []
-    for a in cfg.A:
-        for b in cfg.B:
-            p = linalg.dot(a, b)
-            if p == _ZERO:
-                bits.append(0)
-            elif p == _ONE:
-                bits.append(1)
-            else:
-                raise NonBinarySlack(f"product {p} of {a} and {b}")
+    bits = _slack_bits(*_scaled(cfg.A), *_scaled(cfg.B))
     m = BinaryMatrix(len(cfg.A), len(cfg.B), tuple(bits))
     return SlackMatrix(m, cfg.A, cfg.B)
 
@@ -297,11 +307,11 @@ def from_slack_matrix(m: BinaryMatrix) -> Configuration:
     basis_idx = linalg.first_independent(rows, d)
     assert basis_idx is not None
     r = [rows[i] for i in basis_idx]
-    rt = [[Fraction(r[i][j]) for i in range(d)] for j in range(m.cols)]
+    rt = [[r[i][j] for i in range(d)] for j in range(m.cols)]
     b_side = [vec(col) for col in zip(*r)]
     a_side = []
     for i in range(m.rows):
-        coeff = linalg.solve(rt, [Fraction(x) for x in rows[i]])
+        coeff = linalg.solve(rt, rows[i])
         assert coeff is not None
         a_side.append(coeff)
     return Configuration(d, tuple(a_side), tuple(b_side))
@@ -371,7 +381,11 @@ def _rat_to_str(x: Fraction) -> str:
     return str(x)
 
 
-def _rat_from_str(s: str) -> Fraction:
+def _rat_from_str(s) -> Fraction:
+    if type(s) is int:
+        return Fraction(s)
+    if not isinstance(s, str):
+        raise ParseError(f"rational {s!r} must be an integer or a p/q string")
     s = s.strip()
     if any(ch in s for ch in ".eE"):
         raise ParseError(f"rational {s!r} must be a decimal-free p/q string")
@@ -399,7 +413,7 @@ def configuration_from_json(text: str) -> Configuration:
         d = int(payload["d"])
         a = [vec(_rat_from_str(x) for x in v) for v in payload["A"]]
         b = [vec(_rat_from_str(x) for x in v) for v in payload["B"]]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"configuration JSON needs d, A, B: {e}") from None
     return Configuration(d, tuple(a), tuple(b))
 

@@ -146,24 +146,8 @@ def certificate_encode(d: int, points) -> FaceCertificate:
     pts = sorted(set(tuple(int(v) for v in p) for p in points))
     if not is_face(d, pts):
         raise NotAFace(f"{pts} is not the point set of a face")
-    chosen: list[tuple[int, ...]] = []
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for x in pts:
-        if not any(x):
-            continue
-        row = [Fraction(v) for v in lift_raw(x)]
-        for b, c in zip(echelon, pivots):
-            if row[c]:
-                f = row[c]
-                row = [u - f * w for u, w in zip(row, b)]
-        c = next((j for j, u in enumerate(row) if u), None)
-        if c is None:
-            continue
-        pv = row[c]
-        echelon.append([u / pv for u in row])
-        pivots.append(c)
-        chosen.append(lift_raw(x))
+    lifts = [lift_raw(x) for x in pts if any(x)]
+    chosen = [lifts[i] for i in linalg.first_independent(lifts, linalg.rank(lifts))]
     dim = d * d + d
     s = [0] * dim
     for z in chosen:

@@ -1,10 +1,14 @@
 """Exact rational and integer linear algebra.
 
 All arithmetic is over ``fractions.Fraction`` and Python integers, so every
-answer is a decision, not a numerical verdict.  Rank and forward elimination
-use fraction-free (Bareiss) pivoting on integerized rows to keep intermediate
-values small; the feasibility solver is a plain phase-1 simplex with Bland's
-rule, which terminates on every input.
+answer is a decision, not a numerical verdict.  Elimination runs in one
+integer kernel, ``_bareiss``: fraction-free Gauss-Jordan (Bareiss) on rows
+scaled to integers, with optional augmented columns.  ``rank``, ``solve``,
+``first_independent`` and ``inverse_and_det`` are thin wrappers over it; rows
+that are already ``int`` are used as they are, and ``Fraction`` objects are
+built only for the values these functions return.  The lattice functions
+work on integers throughout; the feasibility solver is a plain phase-1
+simplex over ``Fraction`` with Bland's rule, which terminates on every input.
 
 All values are immutable once constructed and safe to share across threads.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NotFullRank
@@ -88,158 +92,133 @@ def _rows_of(m) -> list[list[Fraction]]:
     return [[frac(x) for x in r] for r in m]
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def _row_list(m) -> list:
+    return m.to_rows() if isinstance(m, RatMatrix) else list(m)
 
 
-def _integerize_rows(rows) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank/solution-set preserving)."""
-    out = []
-    for r in rows:
-        scale = 1
-        for x in r:
-            f = frac(x)
-            scale = _lcm(scale, f.denominator)
-        out.append([int(frac(x) * scale) for x in r])
-    return out
-
-
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free echelon form; returns (rows, pivot column list)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    piv_cols: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
+def _integer_row(r) -> tuple[list[int], int]:
+    """(L r, L) with L the lcm of the row's denominators; int rows pass as is."""
+    r = list(r)
+    for x in r:
+        if type(x) is not int:
             break
-        p = next((i for i in range(r, m) if rows[i][c]), None)
+    else:
+        return r, 1
+    r = [frac(x) for x in r]
+    scale = lcm(*(x.denominator for x in r))
+    return [x.numerator * (scale // x.denominator) for x in r], scale
+
+
+def _integer_rows(m) -> list[list[int]]:
+    """Rows scaled to integers one by one (rank and solution-set preserving)."""
+    return [_integer_row(r)[0] for r in _row_list(m)]
+
+
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination on integer rows, in place.
+
+    Pivots on the first ncols columns; any further columns are augmented and
+    only carried along.  Column c pivots on the first row, in row order, that
+    is not yet a pivot row and is nonzero at c, so the pivot rows are the
+    earliest maximal independent subset of the rows.  No row is moved.  Each
+    step sets every other row to (p row - row[c] pivot_row) / p_prev, a
+    division that is exact by Sylvester's identity (Bareiss 1968).
+
+    Returns (rows, pivot rows, pivot columns, D), D the last pivot.  Each
+    pivot row ends with D on its own pivot column and 0 on the others; every
+    other row is 0 on the first ncols columns.  D is the determinant of the
+    pivot submatrix with its rows in pivot order, so for a nonsingular square
+    M augmented by I, the augmented part of the k-th pivot row is row k of
+    D M^-1, an integer matrix equal to +-adj(M).
+    """
+    free = list(range(len(rows)))
+    piv_rows: list[int] = []
+    piv_cols: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        if not free:
+            break
+        p = next((i for i in free if rows[i][c]), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, m):
-            fi = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(n):
-                row_i[j] = (row_i[j] * pv - fi * row_r[j]) // prev
+        free.remove(p)
+        prow = rows[p]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != p:
+                rows[i] = [(x * pv - f * y) // prev for x, y in zip(row, prow)]
+            elif not f and pv != prev:
+                rows[i] = [x * pv // prev for x in row]
         prev = pv
+        piv_rows.append(p)
         piv_cols.append(c)
-        r += 1
-    return rows, piv_cols
+    return rows, piv_rows, piv_cols, prev
+
+
+def _sign(perm: list[int]) -> int:
+    """Sign of the permutation k -> perm[k]."""
+    inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+    return -1 if inversions & 1 else 1
 
 
 def rank(m) -> int:
     """Rank over the rationals, computed by fraction-free elimination."""
-    rows = _rows_of(m)
-    if not rows or not rows[0]:
-        return 0
-    _, piv = _bareiss_echelon(_integerize_rows(rows))
-    return len(piv)
+    rows = _integer_rows(m)
+    return len(_bareiss(rows, len(rows[0]))[1]) if rows else 0
 
 
 def solve(m, y) -> Optional[Vec]:
     """Some x with Mx = y, or None when the system is inconsistent.
 
-    Forward pass is fraction-free on the integerized augmented matrix; free
-    variables are fixed to zero, so the solution is unique exactly when M has
-    full column rank.
+    Eliminates the integerized augmented matrix [M | y]; free variables are
+    fixed to zero, so the solution is unique exactly when M has full column
+    rank.
     """
-    rows = _rows_of(m)
-    y = [frac(v) for v in y]
+    rows = _row_list(m)
+    y = list(y)
     if len(rows) != len(y):
         raise DimensionMismatch(f"{len(rows)} rows vs {len(y)} right-hand sides")
     if not rows:
         return ()
     n = len(rows[0])
-    aug = _integerize_rows([r + [v] for r, v in zip(rows, y)])
-    m_cnt = len(aug)
-    piv_cols: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m_cnt:
-            break
-        p = next((i for i in range(r, m_cnt) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        pv = aug[r][c]
-        for i in range(r + 1, m_cnt):
-            fi = aug[i][c]
-            row_i, row_r = aug[i], aug[r]
-            for j in range(n + 1):
-                row_i[j] = (row_i[j] * pv - fi * row_r[j]) // prev
-        prev = pv
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, m_cnt):
-        if aug[i][n]:
-            return None
+    aug = [_integer_row(list(r) + [v])[0] for r, v in zip(rows, y)]
+    aug, piv_rows, piv_cols, det = _bareiss(aug, n)
+    pivots = set(piv_rows)
+    if any(row[n] for i, row in enumerate(aug) if i not in pivots):
+        return None
     x = [ZERO] * n
-    for k in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[k]
-        row = aug[k]
-        s = Fraction(row[n])
-        for j in range(c + 1, n):
-            if row[j]:
-                s -= row[j] * x[j]
-        x[c] = s / row[c]
+    for r, c in zip(piv_rows, piv_cols):
+        x[c] = Fraction(aug[r][n], det)
     return tuple(x)
 
 
 def inverse_and_det(rows) -> Optional[tuple[list[list[Fraction]], Fraction]]:
-    """(M^-1, det M) for square M, or None when singular."""
-    a = _rows_of(rows)
+    """(M^-1, det M) for square M, or None when singular.
+
+    Each row is scaled to integers, S M with S = diag(s_i), and [S M | S] is
+    eliminated: its k-th pivot row ends as [D e_k | D (M^-1)_k].
+    """
+    a = [_integer_row(r) for r in _row_list(rows)]
     n = len(a)
-    if any(len(r) != n for r in a):
+    if any(len(r) != n for r, _ in a):
         raise DimensionMismatch("inverse of a non-square matrix")
-    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    det = ONE
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c]), None)
-        if p is None:
-            return None
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            inv[c], inv[p] = inv[p], inv[c]
-            det = -det
-        pv = a[c][c]
-        det *= pv
-        if pv != 1:
-            a[c] = [x / pv for x in a[c]]
-            inv[c] = [x / pv for x in inv[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[c])]
-    return inv, det
+    aug = [r + [s if j == i else 0 for j in range(n)] for i, (r, s) in enumerate(a)]
+    aug, piv_rows, _, det = _bareiss(aug, n)
+    if len(piv_rows) < n:
+        return None
+    scale = 1
+    for _, s in a:
+        scale *= s
+    inv = [[Fraction(x, det) for x in aug[r][n:]] for r in piv_rows]
+    return inv, Fraction(_sign(piv_rows) * det, scale)
 
 
 def first_independent(vectors, d) -> Optional[list[int]]:
     """Indices of the first d linearly independent vectors, in given order."""
-    basis_rows: list[list[Fraction]] = []
-    piv: list[int] = []
-    chosen: list[int] = []
-    for idx, v in enumerate(vectors):
-        if len(chosen) == d:
-            break
-        row = [frac(x) for x in v]
-        for b, c in zip(basis_rows, piv):
-            if row[c]:
-                f = row[c]
-                row = [x - f * y for x, y in zip(row, b)]
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            continue
-        pv = row[c]
-        row = [x / pv for x in row]
-        basis_rows.append(row)
-        piv.append(c)
-        chosen.append(idx)
-    return chosen if len(chosen) == d else None
+    rows = _integer_rows(vectors)
+    chosen = sorted(_bareiss(rows, len(rows[0]))[1]) if rows else []
+    return chosen[:d] if len(chosen) >= d else None
 
 
 # --- integer lattices ----------------------------------------------------

@@ -67,6 +67,8 @@ class BipartiteGraph:
         for u, v in edges:
             if u == v:
                 raise ParseError(f"loop at node {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"edge ({u},{v}) out of range")
         coloring = _two_color(n, edges)
         if coloring is None:
             raise NotBipartite("graph has an odd cycle")

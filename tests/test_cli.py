@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from tlc import cli
 
@@ -138,3 +142,38 @@ def test_jobs_do_not_change_output(tmp_path):
     code2, out2, _ = run_cli(["--jobs", "2", "enum", "--dim", "3"], store=tmp_path / "s2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_stab_slack_out_of_range_edge(tmp_path):
+    g = write(tmp_path, "bad.txt", "2\n0 5\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tlc.cli", "stab-slack", g], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "out of range" in proc.stderr
+
+
+def test_configuration_json_integer_entries(tmp_path):
+    as_strings = write(tmp_path, "s.json", '{"d": 2, "B": [["1", "0"], ["0", "1"]]}')
+    as_ints = write(tmp_path, "i.json", '{"d": 2, "B": [[1, 0], [0, 1]]}')
+    assert run_cli(["complete", as_ints]) == run_cli(["complete", as_strings])
+    full = write(tmp_path, "full.json", '{"d": 1, "A": [[0], [1]], "B": [[0], [1]]}')
+    code, out, err = run_cli(["compress", full], store=tmp_path / "store")
+    assert code == 0, err
+
+
+def test_configuration_json_rejects_bad_entries(tmp_path):
+    for text in (
+        '{"d": 1, "A": [[0], [1.0]], "B": [[0], [1]]}',
+        '{"d": 1, "A": [[0], [true]], "B": [[0], [1]]}',
+        '{"d": "a", "A": [[0], [1]], "B": [[0], [1]]}',
+    ):
+        cfg = write(tmp_path, "bad.json", text)
+        code, _, err = run_cli(["compress", cfg], store=tmp_path / "store")
+        assert code == 2, (text, err)
+        assert err.startswith("parse error")
+    cfg = write(tmp_path, "bad_b.json", '{"d": 2, "B": [[1, 0], [0, 1.5]]}')
+    code, _, err = run_cli(["complete", cfg])
+    assert code == 2 and err.startswith("parse error")

@@ -19,7 +19,7 @@ from tlc.configuration import (
     parse_matrix,
     slack_matrix,
 )
-from tlc.errors import NonBinaryProduct, NotInLattice, NotSpanning
+from tlc.errors import NonBinaryProduct, NotInLattice, NotSpanning, ParseError
 
 F = Fraction
 
@@ -178,3 +178,10 @@ def test_serialized_weights_bounded():
 def test_generator_bound_enforced():
     with pytest.raises(Exception):
         GeneratorSet(1, ((1,), (1,)), (1, 1))
+
+
+def test_weighted_graph_header_needs_positive_sizes():
+    for header in ("-1 2", "0 2", "2 0", "1 -3"):
+        with pytest.raises(ParseError) as e:
+            weighted_graph_parse(header + "\n")
+        assert e.value.line == 1
