@@ -17,12 +17,14 @@ from . import canon, compress as compress_mod, corrcone, enumeration, geometry, 
 from .configuration import (
     configuration_from_json,
     configuration_to_json,
+    dim_from_json,
     emit_matrix,
     is_maximal_in_md,
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
     slack_matrix,
+    vectors_from_json_field,
 )
 from .errors import ParseError, TlcError
 from .linalg import rank
@@ -107,11 +109,9 @@ def _cmd_complete(args, out) -> int:
     # a completion seed only needs d and the B side
     try:
         payload = json.loads(_read(args.config))
-        d = int(payload["d"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"configuration JSON needs d and B: {e}") from None
-    from .configuration import vectors_from_json_field
-
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad JSON: {e}") from None
+    d = dim_from_json(payload)
     seed = vectors_from_json_field(payload, "B", d)
     completed = maximal_completion(seed, d)
     out.write(configuration_to_json(completed) + "\n")

@@ -123,27 +123,13 @@ def phi(b, gens: GeneratorSet) -> tuple[int, ...]:
     bt = tuple(int(x) for x in b)
     if len(bt) != gens.d:
         raise DimensionMismatch("vector of wrong dimension")
-    k = gens.k
     for i, g in enumerate(gens.gens):
         if bt == g:
-            return tuple(1 if j == i else 0 for j in range(k))
-    h, u = linalg.hnf([list(g) for g in gens.gens])
-    mu = [0] * k
-    res = list(bt)
-    for i in range(k):
-        c = next((j for j, x in enumerate(h[i]) if x), None)
-        if c is None:
-            break
-        if res[c]:
-            q, rem = divmod(res[c], h[i][c])
-            if rem:
-                raise NotInLattice(f"{b} is not in the generator lattice")
-            mu[i] = q
-            res = [a - q * hb for a, hb in zip(res, h[i])]
-    if any(res):
+            return tuple(1 if j == i else 0 for j in range(gens.k))
+    coords = linalg.lattice_coords(gens.gens, bt)
+    if coords is None:
         raise NotInLattice(f"{b} is not in the generator lattice")
-    lam = [sum(mu[i] * u[i][j] for i in range(k)) for j in range(k)]
-    return tuple(lam)
+    return coords
 
 
 def compress(cfg: Configuration) -> CompressedConfig:

@@ -358,16 +358,12 @@ def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
     assert inv_det is not None
     t_inv, _ = inv_det
     tt_rows = [list(b) for b in basis]  # rows of T^T
-
-    def apply(rows, v):
-        return linalg.mat_vec(rows, v)
-
     if side == SIDE_A:
-        new_a = [apply(tt_rows, a) for a in cfg.A]
-        new_b = [apply(t_inv, b) for b in cfg.B]
+        new_a = [linalg.mat_vec(tt_rows, a) for a in cfg.A]
+        new_b = [linalg.mat_vec(t_inv, b) for b in cfg.B]
     else:
-        new_a = [apply(t_inv, a) for a in cfg.A]
-        new_b = [apply(tt_rows, b) for b in cfg.B]
+        new_a = [linalg.mat_vec(t_inv, a) for a in cfg.A]
+        new_b = [linalg.mat_vec(tt_rows, b) for b in cfg.B]
     out = Configuration(cfg.d, tuple(new_a), tuple(new_b))
     if cfg._maximal is not None:
         object.__setattr__(out, "_maximal", cfg._maximal)
@@ -404,13 +400,24 @@ def configuration_to_json(cfg: Configuration) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def dim_from_json(payload) -> int:
+    """The field "d" of a JSON object; only a JSON integer is accepted."""
+    try:
+        d = payload["d"]
+    except (KeyError, TypeError):
+        raise ParseError("JSON object needs the field 'd'") from None
+    if type(d) is not int:
+        raise ParseError(f"field 'd' must be an integer, not {json.dumps(d)}")
+    return d
+
+
 def configuration_from_json(text: str) -> Configuration:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e}") from None
+    d = dim_from_json(payload)
     try:
-        d = int(payload["d"])
         a = [vec(_rat_from_str(x) for x in v) for v in payload["A"]]
         b = [vec(_rat_from_str(x) for x in v) for v in payload["B"]]
     except (KeyError, TypeError, ValueError) as e:

@@ -23,33 +23,12 @@ from .errors import (
     NonBinary,
     NotAFace,
     NotInCone,
+    ParseError,
 )
 
 Bit = tuple[int, ...]
 
 _FACE_ENUM_LIMIT = 3
-
-
-@dataclass(frozen=True)
-class LiftedVector:
-    """(x x^T, x) for a 0/1 vector x; the block diagonal repeats the tail."""
-
-    d: int
-    z: tuple[int, ...]
-
-    def __post_init__(self):
-        d = self.d
-        z = tuple(int(v) for v in self.z)
-        object.__setattr__(self, "z", z)
-        if len(z) != d * d + d:
-            raise DimensionMismatch(f"lifted vector needs {d * d + d} entries")
-        tail = z[d * d:]
-        if any(b not in (0, 1) for b in tail):
-            raise NonBinary("tail is not 0/1")
-        for i in range(d):
-            for j in range(d):
-                if z[i * d + j] != tail[i] * tail[j]:
-                    raise NonBinary("block is not the outer product of the tail")
 
 
 def lift_raw(x) -> tuple[int, ...]:
@@ -58,11 +37,6 @@ def lift_raw(x) -> tuple[int, ...]:
         raise NonBinary(f"lift of non-binary vector {x}")
     d = len(x)
     return tuple(x[i] * x[j] for i in range(d) for j in range(d)) + x
-
-
-def lift(x) -> LiftedVector:
-    z = lift_raw(x)
-    return LiftedVector(len(x), z)
 
 
 def all_points(d: int) -> list[Bit]:
@@ -133,11 +107,18 @@ class FaceCertificate:
 
     @classmethod
     def from_text(cls, text: str) -> "FaceCertificate":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if len(lines) != 2:
             raise NotInCone("certificate text needs a dimension line and an entry line")
-        d = int(lines[0])
-        s = tuple(int(v) for v in lines[1].split())
+        (i, head), (j, body) = lines
+        try:
+            d = int(head)
+        except ValueError:
+            raise ParseError("dimension must be an integer", line=i) from None
+        try:
+            s = tuple(int(v) for v in body.split())
+        except ValueError:
+            raise ParseError("certificate entries must be integers", line=j) from None
         return cls(d, s)
 
 

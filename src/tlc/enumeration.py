@@ -19,9 +19,10 @@ from typing import Optional
 
 from . import canon
 from .canon import CanonicalForm
-from .configuration import BinaryMatrix, parse_matrix, slack_matrix
+from .configuration import BinaryMatrix, _scaled, _slack_bits, closure, parse_matrix, spans
 from .errors import DimensionTooLarge
 from .linalg import rank
+from .parallel import chunked_map
 
 _FULL_SCAN_LIMIT = 4
 _SAMPLED_DIM = 5
@@ -66,8 +67,6 @@ def _enum_worker(args):
     spanning = completions = degenerate = 0
     # seeds sharing a first closure share the whole completion
     memo: dict = {}
-    from .configuration import Configuration, closure, spans
-
     for m in masks:
         vectors = [_bit_vector(j, d) for j in range(1 << d) if (m >> j) & 1]
         if rank(vectors) != d:
@@ -80,10 +79,11 @@ def _enum_worker(args):
                 memo[a] = "degenerate"
                 degenerate += 1
                 continue
+            # (a, b) is a closure fixed point with both sides sorted and
+            # distinct, so its products are the slack matrix as they stand
             b = closure(a, d)
-            cfg = Configuration(d, a, b)
-            object.__setattr__(cfg, "_maximal", True)
-            cached = canon.canonical_form(slack_matrix(cfg).matrix)
+            bits = _slack_bits(*_scaled(a), *_scaled(b))
+            cached = canon.canonical_form(BinaryMatrix(len(a), len(b), tuple(bits)))
             memo[a] = cached
         elif cached == "degenerate":
             degenerate += 1
@@ -128,23 +128,14 @@ def enumerate_maximal(
     if reverse_seeds:
         masks = list(reversed(masks))
 
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(masks) < 256:
-        forms, spanning, completions, degenerate = _enum_worker((d, masks))
-    else:
-        import multiprocessing
-
-        chunk = (len(masks) + jobs - 1) // jobs
-        parts_args = [(d, masks[i:i + chunk]) for i in range(0, len(masks), chunk)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_enum_worker, parts_args)
-        forms = {}
-        spanning = completions = degenerate = 0
-        for f, s, c, g in parts:
-            forms.update(f)
-            spanning += s
-            completions += c
-            degenerate += g
+    parts = chunked_map(_enum_worker, len(masks), jobs if len(masks) >= 256 else 1, lambda lo, hi: (d, masks[lo:hi]))
+    forms = {}
+    spanning = completions = degenerate = 0
+    for f, s, c, g in parts:
+        forms.update(f)
+        spanning += s
+        completions += c
+        degenerate += g
 
     classes = tuple(forms[k] for k in sorted(forms))
     if store is not None:

@@ -23,6 +23,7 @@ from .configuration import (
     SlackMatrix,
     slack_matrix,
     closure,
+    dim_from_json,
     spans,
     vectors_from_json_field,
     _rat_to_str,
@@ -360,10 +361,7 @@ def polytope_from_json(text: str) -> PolytopeDescription:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e}") from None
-    try:
-        d = int(payload["d"])
-    except (KeyError, TypeError):
-        raise ParseError("polytope JSON needs d") from None
+    d = dim_from_json(payload)
     rows = vectors_from_json_field(payload, "ineqs", d + 1)
     verts = vectors_from_json_field(payload, "verts", d)
     ineqs = tuple((r[:d], r[d]) for r in rows)
@@ -384,10 +382,7 @@ def cone_from_json(text: str) -> ConeDescription:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e}") from None
-    try:
-        d = int(payload["d"])
-    except (KeyError, TypeError):
-        raise ParseError("cone JSON needs d") from None
+    d = dim_from_json(payload)
     ineqs = vectors_from_json_field(payload, "ineqs", d)
     gens = vectors_from_json_field(payload, "gens", d)
     return ConeDescription(d, ineqs, gens)

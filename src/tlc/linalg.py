@@ -9,13 +9,11 @@ that are already ``int`` are used as they are, and ``Fraction`` objects are
 built only for the values these functions return.  The lattice functions
 work on integers throughout; the feasibility solver is a plain phase-1
 simplex over ``Fraction`` with Bland's rule, which terminates on every input.
-
-All values are immutable once constructed and safe to share across threads.
+Matrices are lists of rows, and lattices are lists of integer rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -46,56 +44,6 @@ def mat_vec(rows, v):
     return tuple(dot(r, v) for r in rows)
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense rational matrix, row-major entries, immutable."""
-
-    rows: int
-    cols: int
-    entries: Vec
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatch("negative shape")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        object.__setattr__(self, "entries", vec(self.entries))
-
-    @classmethod
-    def from_rows(cls, rows) -> "RatMatrix":
-        rows = [list(r) for r in rows]
-        m = len(rows)
-        n = len(rows[0]) if rows else 0
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatch("ragged rows")
-        return cls(m, n, tuple(frac(x) for r in rows for x in r))
-
-    def row(self, i) -> Vec:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix.from_rows(transpose(self.to_rows())) if self.rows and self.cols else RatMatrix(self.cols, self.rows, ())
-
-
-def _rows_of(m) -> list[list[Fraction]]:
-    if isinstance(m, RatMatrix):
-        return m.to_rows()
-    return [[frac(x) for x in r] for r in m]
-
-
-def _row_list(m) -> list:
-    return m.to_rows() if isinstance(m, RatMatrix) else list(m)
-
-
 def _integer_row(r) -> tuple[list[int], int]:
     """(L r, L) with L the lcm of the row's denominators; int rows pass as is."""
     r = list(r)
@@ -111,7 +59,7 @@ def _integer_row(r) -> tuple[list[int], int]:
 
 def _integer_rows(m) -> list[list[int]]:
     """Rows scaled to integers one by one (rank and solution-set preserving)."""
-    return [_integer_row(r)[0] for r in _row_list(m)]
+    return [_integer_row(r)[0] for r in m]
 
 
 def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], list[int], int]:
@@ -175,7 +123,7 @@ def solve(m, y) -> Optional[Vec]:
     fixed to zero, so the solution is unique exactly when M has full column
     rank.
     """
-    rows = _row_list(m)
+    rows = list(m)
     y = list(y)
     if len(rows) != len(y):
         raise DimensionMismatch(f"{len(rows)} rows vs {len(y)} right-hand sides")
@@ -199,7 +147,7 @@ def inverse_and_det(rows) -> Optional[tuple[list[list[Fraction]], Fraction]]:
     Each row is scaled to integers, S M with S = diag(s_i), and [S M | S] is
     eliminated: its k-th pivot row ends as [D e_k | D (M^-1)_k].
     """
-    a = [_integer_row(r) for r in _row_list(rows)]
+    a = [_integer_row(r) for r in rows]
     n = len(a)
     if any(len(r) != n for r, _ in a):
         raise DimensionMismatch("inverse of a non-square matrix")
@@ -245,7 +193,7 @@ def hnf(m) -> tuple[list[list[int]], list[list[int]]]:
     H is upper echelon with positive pivots; entries above each pivot are
     reduced into [0, pivot).  Zero rows sink to the bottom.
     """
-    h = _check_int_matrix(_rows_of(m) if isinstance(m, RatMatrix) else m)
+    h = _check_int_matrix(m)
     rows_n = len(h)
     cols_n = len(h[0]) if h else 0
     u = [[1 if i == j else 0 for j in range(rows_n)] for i in range(rows_n)]
@@ -284,73 +232,44 @@ def hnf(m) -> tuple[list[list[int]], list[list[int]]]:
     return h, u
 
 
-@dataclass(frozen=True)
-class IntLatticeBasis:
-    """Linearly independent integer vectors generating a lattice."""
+def lattice_coords(gens, v) -> Optional[tuple[int, ...]]:
+    """Integer coordinates of v over the generator rows, or None when v is
+    not an integer combination of them.
 
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        vs = tuple(tuple(int(x) for x in v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vs)
-        if vs:
-            d = len(vs[0])
-            if any(len(v) != d for v in vs):
-                raise DimensionMismatch("basis vectors of mixed dimension")
-            if rank(vs) != len(vs):
-                raise NotFullRank("basis vectors are linearly dependent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
-
-
-def _as_basis_rows(basis) -> list[list[int]]:
-    if isinstance(basis, IntLatticeBasis):
-        return [list(v) for v in basis.vectors]
-    return _check_int_matrix(basis)
-
-
-def lattice_member(basis, v) -> bool:
-    """Whether v is an integer combination of the basis vectors."""
-    rows = _as_basis_rows(basis)
+    Reduces v against the Hermite form H = U G row by row; the quotients mu
+    satisfy v = mu H = (mu U) G, so mu U is a coordinate vector.
+    """
+    rows = _check_int_matrix(gens)
     v = [int(x) for x in v]
     if not rows:
-        return not any(v)
+        return None if any(v) else ()
     if len(v) != len(rows[0]):
-        raise DimensionMismatch(f"vector of length {len(v)} vs basis dimension {len(rows[0])}")
-    h, _ = hnf(rows)
-    res = list(v)
-    for row in h:
+        raise DimensionMismatch(f"vector of length {len(v)} vs generator dimension {len(rows[0])}")
+    h, u = hnf(rows)
+    mu = [0] * len(rows)
+    for i, row in enumerate(h):
         c = next((j for j, x in enumerate(row) if x), None)
         if c is None:
             break
-        if res[c]:
-            q, rem = divmod(res[c], row[c])
+        if v[c]:
+            q, rem = divmod(v[c], row[c])
             if rem:
-                return False
-            res = [a - q * b for a, b in zip(res, row)]
-    return not any(res)
+                return None
+            mu[i] = q
+            v = [a - q * b for a, b in zip(v, row)]
+    if any(v):
+        return None
+    return tuple(sum(m * r[j] for m, r in zip(mu, u)) for j in range(len(rows)))
 
 
-def lattice_determinant(basis) -> int:
-    """|det| of a square basis (d vectors in dimension d)."""
-    rows = _as_basis_rows(basis)
-    if not rows or len(rows) != len(rows[0]):
-        raise NotFullRank("determinant needs d independent vectors in dimension d")
-    h, _ = hnf(rows)
-    det = 1
-    for i in range(len(rows)):
-        p = next((x for x in h[i] if x), 0)
-        if p == 0:
-            raise NotFullRank("basis vectors are linearly dependent")
-        det *= p
-    return abs(det)
+def lattice_member(gens, v) -> bool:
+    """Whether v is an integer combination of the generator rows."""
+    return lattice_coords(gens, v) is not None
 
 
 def lattice_determinant_rect(gens) -> int:
     """Determinant of the lattice spanned by full-column-rank generators (k >= d)."""
-    rows = _as_basis_rows(gens)
+    rows = _check_int_matrix(gens)
     if not rows:
         raise NotFullRank("empty generator list")
     d = len(rows[0])
@@ -374,7 +293,7 @@ def lp_feasible(aeq, beq, nonneg: Sequence[bool]) -> Optional[Vec]:
     with negative reduced cost; leaving: least basic index among tied
     ratios), so the search cannot cycle and the answer is exact.
     """
-    rows = _rows_of(aeq)
+    rows = [[frac(x) for x in r] for r in aeq]
     b = [frac(v) for v in beq]
     if len(rows) != len(b):
         raise DimensionMismatch(f"{len(rows)} rows vs {len(b)} right-hand sides")

@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import Vec, vec
+from .parallel import chunked_map
 
 _CENSUS_LIMIT = 7
 _CLASS_LIMIT = 6
@@ -378,19 +379,10 @@ def census(n: int, jobs: int = 1, include_classes: Optional[bool] = None) -> Cen
         raise DimensionTooLarge(f"class counts are limited to n <= {_CLASS_LIMIT}")
     ne = len(_edge_list(n))
     total = 1 << ne
-    jobs = max(1, int(jobs))
-    if jobs == 1 or total < 4096:
-        bip, deg2, kept = _scan_masks(n, 0, total, include)
-    else:
-        import multiprocessing
-
-        chunk = (total + jobs - 1) // jobs
-        spans = [(n, i, min(i + chunk, total), include) for i in range(0, total, chunk)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_scan_worker, spans)
-        bip = sum(p[0] for p in parts)
-        deg2 = sum(p[1] for p in parts)
-        kept = sorted(x for p in parts for x in (p[2] or [])) if include else None
+    parts = chunked_map(_scan_worker, total, jobs if total >= 4096 else 1, lambda lo, hi: (n, lo, hi, include))
+    bip = sum(p[0] for p in parts)
+    deg2 = sum(p[1] for p in parts)
+    kept = sorted(x for p in parts for x in (p[2] or [])) if include else None
 
     iso_classes = None
     slack_forms = None

@@ -14,9 +14,6 @@ from pathlib import Path
 
 from .errors import StoreConflict
 
-NAMESPACES = ("md", "faces", "census", "compressed")
-
-
 class Store:
     def __init__(self, root):
         self.root = Path(root)

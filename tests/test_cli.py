@@ -144,12 +144,15 @@ def test_jobs_do_not_change_output(tmp_path):
     assert out1 == out2
 
 
+def run_process(args):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "tlc.cli"] + args, capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_stab_slack_out_of_range_edge(tmp_path):
     g = write(tmp_path, "bad.txt", "2\n0 5\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tlc.cli", "stab-slack", g], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_process(["stab-slack", g])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "out of range" in proc.stderr
@@ -177,3 +180,53 @@ def test_configuration_json_rejects_bad_entries(tmp_path):
     cfg = write(tmp_path, "bad_b.json", '{"d": 2, "B": [[1, 0], [0, 1.5]]}')
     code, _, err = run_cli(["complete", cfg])
     assert code == 2 and err.startswith("parse error")
+
+
+def test_json_dimension_must_be_an_integer(tmp_path):
+    seg = '"ineqs": [["1", "0"], ["-1", "-1"]], "verts": [["0"], ["1"]]'
+    cases = [
+        ("complete", '{"d": 1.7, "B": [["1"]]}'),
+        ("complete", '{"d": true, "B": [["1"]]}'),
+        ("complete", '{"B": [["1"]]}'),
+        ("complete", '[1]'),
+        ("compress", '{"d": 1.0, "A": [[0], [1]], "B": [[0], [1]]}'),
+        ("core", '{"d": "a", %s}' % seg),
+        ("core", '{"d": true, %s}' % seg),
+        ("core", '{"d": 1.5, %s}' % seg),
+    ]
+    for command, text in cases:
+        path = write(tmp_path, "in.json", text)
+        proc = run_process(["--store", str(tmp_path / "store"), command, path])
+        assert proc.returncode == 2, (command, text, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("parse error")
+
+
+def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):
+    import multiprocessing.pool
+
+    asked = []
+
+    class RecordingPool:
+        """Stands in for every process pool: records its size, maps serially."""
+
+        def __init__(self, processes, *args, **kwargs):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _, serial, _ = run_cli(["stab-census", "--nodes", "6"], store=tmp_path / "s1")
+    for jobs, size in (("1000000", 3), ("2", 2)):
+        code, out, _ = run_cli(["--jobs", jobs, "stab-census", "--nodes", "6"], store=tmp_path / "s2")
+        assert code == 0 and out == serial
+        assert asked.pop() == size
+    assert asked == []

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from tlc import canon, compress, corrcone
+from tlc import canon, compress, corrcone, linalg
 from tlc.compress import (
     GeneratorSet,
     decompress,
@@ -94,6 +96,31 @@ def test_phi_rejects_outside_lattice():
     g2 = select_generators([(1, 1, 0), (1, 0, 1), (0, 1, 1)], 3)
     with pytest.raises(NotInLattice):
         phi((1, 1, 1), g2)
+
+
+def test_phi_exists_exactly_on_the_lattice():
+    rng = random.Random(11)
+    point_sets = [[(1, 1, 0), (1, 0, 1), (0, 1, 1)], [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]]
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        point_sets.append([tuple(rng.randint(0, 1) for _ in range(d)) for _ in range(rng.randint(d, 2 * d + 2))])
+    seen = set()
+    for pts in point_sets:
+        d = len(pts[0])
+        try:
+            gens = select_generators(pts, d)
+        except NotSpanning:
+            continue
+        for b in product(range(-1, 3), repeat=d):
+            member = linalg.lattice_member(gens.gens, b)
+            seen.add(member)
+            if member:
+                lam = phi(b, gens)
+                assert tuple(sum(x * g[j] for x, g in zip(lam, gens.gens)) for j in range(d)) == b
+            else:
+                with pytest.raises(NotInLattice):
+                    phi(b, gens)
+    assert seen == {True, False}
 
 
 def test_compress_d1():

@@ -12,11 +12,10 @@ from tlc.corrcone import (
     enumerate_faces,
     face_points,
     is_face,
-    lift,
     lift_raw,
     lifted_rank,
 )
-from tlc.errors import DimensionTooLarge, NonBinary, NotAFace, NotInCone
+from tlc.errors import DimensionTooLarge, NonBinary, NotAFace, NotInCone, ParseError
 
 # face counts fixed by two independent methods (subset scan with LP, and
 # closing the single-cut faces under intersection)
@@ -32,8 +31,12 @@ def test_lift_examples():
 def test_lift_validates():
     with pytest.raises(NonBinary):
         lift_raw((2, 0))
-    v = lift((1, 0, 1))
-    assert v.d == 3 and v.z == lift_raw((1, 0, 1))
+    with pytest.raises(NonBinary):
+        lift_raw((0, -1, 1))
+    # the block is the outer product and the tail the vector itself
+    z = lift_raw((1, 0, 1))
+    assert len(z) == 3 * 3 + 3
+    assert z[:9] == (1, 0, 1, 0, 0, 0, 1, 0, 1) and z[9:] == (1, 0, 1)
 
 
 def test_face_points_examples():
@@ -142,3 +145,10 @@ def test_face_points_matches_closure_bridge():
 def test_certificate_text_roundtrip():
     cert = certificate_encode(2, [(0, 0), (1, 0), (1, 1)])
     assert FaceCertificate.from_text(cert.to_text()) == cert
+
+
+def test_certificate_text_rejects_non_integers():
+    for text, line in (("x\n1 2 3\n", 1), ("1\n\n1 y\n", 3), ("1 1\n1 1\n", 1)):
+        with pytest.raises(ParseError) as exc:
+            FaceCertificate.from_text(text)
+        assert exc.value.line == line

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,8 @@ from tlc.errors import DimensionTooLarge
 # reruns (reversed seed order, pre/post memoization); artifacts of this
 # computation, not published values
 CLASS_COUNTS = {1: 1, 2: 2, 3: 6, 4: 31}
+# sha256 of the sorted canonical bytes of all d = 4 classes, concatenated
+D4_CLASS_SET_SHA256 = "a57cb77326b3a2d1a1991a1b969ba1aa4d2c21e5123c9396e49ec289dfb4eace"
 
 
 def test_enumerate_d1(enum_results):
@@ -96,6 +99,14 @@ def test_polytope_classes_appear_d4(enum_d4):
         cfg = geometry.polytope_to_configuration(desc)
         f = canon.canonical_form(slack_matrix(cfg).matrix)
         assert f.bytes in byte_set, name
+
+
+def test_d4_class_set_pinned(enum_d4):
+    # the fixture runs with jobs=4, so on a multi-core machine the scan is
+    # split across a process pool
+    assert enum_d4.stats.seeds_total == 64839 and enum_d4.stats.seeds_spanning == 62924
+    digest = hashlib.sha256(b"".join(sorted(f.bytes for f in enum_d4.classes))).hexdigest()
+    assert digest == D4_CLASS_SET_SHA256
 
 
 def test_oracle_maximal_d1():

@@ -4,7 +4,7 @@ import pytest
 
 from tlc import canon, geometry, linalg
 from tlc.configuration import BinaryMatrix, SlackMatrix, slack_matrix
-from tlc.errors import NoCore, NotSpanning
+from tlc.errors import NoCore, NotSpanning, ParseError
 from tlc.geometry import (
     PolytopeDescription,
     complete_maximal_pair,
@@ -223,3 +223,11 @@ def test_cone_json_roundtrip():
     k = geometry.complete_maximal_cone_pair([(F(1), F(0)), (F(0), F(1))])
     back = cone_from_json(cone_to_json(k))
     assert back == k
+
+
+def test_json_dimension_accepts_only_integers():
+    for d in ("true", "1.0", '"1"', "null"):
+        with pytest.raises(ParseError):
+            polytope_from_json('{"d": %s, "ineqs": [["1", "0"]], "verts": [["0"]]}' % d)
+        with pytest.raises(ParseError):
+            cone_from_json('{"d": %s, "ineqs": [["1"]], "gens": [["1"]]}' % d)

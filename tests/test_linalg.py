@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from tlc import linalg
 from tlc.errors import DimensionMismatch, NotFullRank
 from tlc.linalg import (
-    IntLatticeBasis,
-    RatMatrix,
     hnf,
-    lattice_determinant,
+    lattice_coords,
+    lattice_determinant_rect,
     lattice_member,
     lp_feasible,
     rank,
@@ -37,18 +36,6 @@ def test_rank_slack_rows():
 
 def test_rank_rational_entries():
     assert rank([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]]) == 1
-
-
-def test_rank_ratmatrix_surface():
-    m = RatMatrix.from_rows([[1, 2], [2, 4]])
-    assert m.rows == 2 and m.cols == 2
-    assert rank(m) == 1
-    assert rank(m.transpose()) == 1
-
-
-def test_ratmatrix_validates_shape():
-    with pytest.raises(DimensionMismatch):
-        RatMatrix(2, 2, (F(1),))
 
 
 def test_solve_identity():
@@ -176,11 +163,6 @@ def test_lattice_member_empty_basis():
     assert lattice_member([], (0, 0))
 
 
-def test_lattice_basis_rejects_dependent():
-    with pytest.raises(NotFullRank):
-        IntLatticeBasis(((1, 2), (2, 4)))
-
-
 def test_lattice_member_brute_force_agreement():
     rng = random.Random(7)
     tried = 0
@@ -189,7 +171,7 @@ def test_lattice_member_brute_force_agreement():
         if rank(vecs) != 3:
             continue
         tried += 1
-        basis = IntLatticeBasis(tuple(vecs))
+        basis = [list(v) for v in vecs]
         combos = set()
         for c in product(range(-3, 4), repeat=3):
             combos.add(tuple(sum(c[i] * vecs[i][j] for i in range(3)) for j in range(3)))
@@ -203,17 +185,22 @@ def test_lattice_member_brute_force_agreement():
         for c in product(range(-3, 4), repeat=3):
             v = tuple(sum(c[i] * vecs[i][j] for i in range(3)) for j in range(3))
             assert lattice_member(basis, v)
+            # the basis is independent, so the coordinates are c itself
+            assert lattice_coords(basis, v) == c
 
 
 def test_lattice_determinant_examples():
-    assert lattice_determinant([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
-    assert lattice_determinant([(2, 0), (0, 3)]) == 6
-    assert lattice_determinant([(1, 1, 0), (1, 0, 1), (0, 1, 1)]) == 2
+    assert lattice_determinant_rect([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
+    assert lattice_determinant_rect([(2, 0), (0, 3)]) == 6
+    assert lattice_determinant_rect([(1, 1, 0), (1, 0, 1), (0, 1, 1)]) == 2
+    # extra generators refine the lattice: (1,1,1) halves the last one
+    assert lattice_determinant_rect([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]) == 1
 
 
-def test_lattice_determinant_requires_square():
-    with pytest.raises(NotFullRank):
-        lattice_determinant([(1, 0, 0), (0, 1, 0)])
+def test_lattice_determinant_rect_requires_spanning():
+    for gens in ([(1, 0, 0), (0, 1, 0)], [(1, 2), (2, 4)], []):
+        with pytest.raises(NotFullRank):
+            lattice_determinant_rect(gens)
 
 
 # --- LP feasibility ---------------------------------------------------------
