@@ -1,8 +1,9 @@
 """Command-line frontend.
 
-Exit codes: 1 for usage errors, 2 for input parse errors, 3 for domain
-errors.  Every subcommand is deterministic given identical inputs; --jobs
-only changes how work is partitioned.
+Exit codes: 1 for usage errors and for a standard output closed before
+everything was written, 2 for input parse errors, 3 for domain errors.
+Every subcommand is deterministic given identical inputs; --jobs only
+changes how work is partitioned.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from .configuration import (
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
-    slack_matrix,
     vectors_from_json_field,
 )
-from .errors import ParseError, TlcError
+from .errors import ParseError, StoreConflict, TlcError
 from .linalg import rank
 from .store import Store
 
@@ -213,10 +213,7 @@ def _cmd_face_enum(args, out) -> int:
 def _cmd_core(args, out) -> int:
     poly = geometry.polytope_from_json(_read(args.polytope))
     desc = geometry.complete_maximal_pair(poly.verts)
-    cfg = geometry.polytope_to_configuration(desc)
-    s = slack_matrix(cfg)
-    core = geometry.find_triangular_core(s, desc.d + 1)
-    result = geometry.to_binary_integral_configuration(desc)
+    core, result = geometry.to_binary_integral_configuration(desc)
     payload = {
         "core": {"rows": list(core.row_indices), "cols": list(core.col_indices)},
         "configuration": json.loads(configuration_to_json(result)),
@@ -250,7 +247,10 @@ def _cmd_report(args, out) -> int:
             d = int(sub.name)
             forms = []
             for path in sorted(sub.iterdir()):
-                m = parse_matrix(path.read_text())
+                payload = path.read_bytes()
+                if store.path_for(f"md/{sub.name}", payload, path.suffix) != path:
+                    raise StoreConflict(f"{path} is not named by the sha256 of its content")
+                m = parse_matrix(payload.decode())
                 forms.append(canon.canonical_form(m))
             forms.sort(key=lambda f: f.bytes)
             stats = enumeration.EnumStats(0, 0, 0, 0, len(forms))
@@ -298,7 +298,14 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

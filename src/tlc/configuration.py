@@ -430,6 +430,8 @@ def vectors_from_json_field(payload, key: str, d: int) -> tuple[Vec, ...]:
         vs = payload[key]
     except (KeyError, TypeError):
         raise ParseError(f"missing field {key!r}") from None
+    if not isinstance(vs, list) or not all(isinstance(v, list) for v in vs):
+        raise ParseError(f"field {key!r} must be a list of vectors")
     out = []
     for v in vs:
         w = vec(_rat_from_str(x) for x in v)

@@ -27,12 +27,13 @@ from .configuration import (
     spans,
     vectors_from_json_field,
     _rat_to_str,
+    _scaled,
+    _slack_bits,
 )
 from .errors import (
     DimensionMismatch,
     InvalidGeometry,
     NoCore,
-    NonBinarySlack,
     NotSpanning,
     ParseError,
 )
@@ -41,11 +42,6 @@ from .linalg import Vec, frac, vec
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
-
-
-def _check_binary(p: Fraction, what: str):
-    if p != _ZERO and p != _ONE:
-        raise NonBinarySlack(f"{what} is {p}, not 0/1")
 
 
 @dataclass(frozen=True)
@@ -57,21 +53,9 @@ class ConeDescription:
     gens: tuple[Vec, ...]
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DimensionMismatch("dimension must be at least 1")
-        ineqs = tuple(sorted(set(vec(v) for v in self.ineqs)))
-        gens = tuple(sorted(set(vec(v) for v in self.gens)))
-        object.__setattr__(self, "ineqs", ineqs)
-        object.__setattr__(self, "gens", gens)
-        if any(len(v) != self.d for v in ineqs + gens):
-            raise DimensionMismatch("vectors of wrong dimension")
-        if not spans(ineqs, self.d):
-            raise NotSpanning("inequality rows do not span")
-        if not spans(gens, self.d):
-            raise NotSpanning("generators do not span")
-        for a in ineqs:
-            for g in gens:
-                _check_binary(linalg.dot(a, g), "cone slack")
+        cfg = Configuration(self.d, self.ineqs, self.gens)
+        object.__setattr__(self, "ineqs", cfg.A)
+        object.__setattr__(self, "gens", cfg.B)
 
 
 @dataclass(frozen=True)
@@ -79,7 +63,8 @@ class PolytopeDescription:
     """Inequalities a.x >= b and points with every slack in {0,1}.
 
     Rows flagged in non_facet_rows are valid two-level inequalities that are
-    not witnessed as facets by d affinely independent tight points.
+    not witnessed as facets by d affinely independent tight points.  The rows
+    are kept with repeats and need not span.
     """
 
     d: int
@@ -97,39 +82,29 @@ class PolytopeDescription:
         object.__setattr__(self, "non_facet_rows", tuple(self.non_facet_rows))
         if any(len(a) != self.d for a, _ in ineqs) or any(len(v) != self.d for v in verts):
             raise DimensionMismatch("vectors of wrong dimension")
-        if not _affinely_spans(verts, self.d):
+        rows_h, points_h = _homogenized(self.d, ineqs, verts)
+        if not spans(points_h, self.d + 1):
             raise NotSpanning("points do not affinely span")
-        for a, b in ineqs:
-            for v in verts:
-                _check_binary(linalg.dot(a, v) - b, "polytope slack")
+        _slack_bits(*_scaled(rows_h), *_scaled(points_h))
 
 
-def _affinely_spans(points, d: int) -> bool:
-    return bool(points) and linalg.rank([list(p) + [_MINUS_ONE] for p in points]) == d + 1
-
-
-def _homog_vert(v: Vec) -> Vec:
-    return tuple(v) + (_MINUS_ONE,)
-
-
-def _homog_row(a: Vec, b: Fraction) -> Vec:
-    return tuple(a) + (b,)
+def _homogenized(d: int, ineqs, verts) -> tuple[list[Vec], list[Vec]]:
+    """Rows (a, b) and points (v, -1) in R^(d+1), the apex 0 last among the
+    points; each product is the slack a.v - b."""
+    rows = [tuple(a) + (b,) for a, b in ineqs]
+    points = [tuple(v) + (_MINUS_ONE,) for v in verts]
+    points.append((_ZERO,) * (d + 1))
+    return rows, points
 
 
 def homogenize(p: PolytopeDescription) -> ConeDescription:
     """The (d+1)-cone over p at height -1, apex included as a generator."""
-    rows = [_homog_row(a, b) for a, b in p.ineqs]
-    gens = [_homog_vert(v) for v in p.verts]
-    gens.append(tuple([_ZERO] * (p.d + 1)))
-    return ConeDescription(p.d + 1, tuple(rows), tuple(gens))
+    return ConeDescription(p.d + 1, *_homogenized(p.d, p.ineqs, p.verts))
 
 
 def polytope_to_configuration(p: PolytopeDescription) -> Configuration:
     """Homogenized rows against lifted points plus the origin."""
-    a_side = [_homog_row(a, b) for a, b in p.ineqs]
-    b_side = [_homog_vert(v) for v in p.verts]
-    b_side.append(tuple([_ZERO] * (p.d + 1)))
-    return Configuration(p.d + 1, tuple(a_side), tuple(b_side))
+    return Configuration(p.d + 1, *_homogenized(p.d, p.ineqs, p.verts))
 
 
 def cone_to_configuration(k: ConeDescription) -> Configuration:
@@ -148,8 +123,7 @@ def complete_maximal_pair(verts) -> PolytopeDescription:
     if not verts:
         raise NotSpanning("empty point set")
     d = len(verts[0])
-    seed = [_homog_vert(v) for v in verts]
-    seed.append(tuple([_ZERO] * (d + 1)))
+    _, seed = _homogenized(d, (), verts)
     if not spans(seed, d + 1):
         raise NotSpanning("points do not affinely span")
     rows_h = closure(seed, d + 1)
@@ -163,23 +137,18 @@ def complete_maximal_pair(verts) -> PolytopeDescription:
         elif any(x != _ZERO for x in u):
             raise InvalidGeometry(f"unbounded direction {u[:d]} in the completed point set")
 
-    ineqs = tuple((r[:d], r[d]) for r in rows_h)
+    # a row is a facet when its tight seed points, the apex among them, have
+    # rank d, i.e. contain d affinely independent input points
+    seed_keys, seed_scale = _scaled(seed)
+    bits = _slack_bits(*_scaled(rows_h), seed_keys, seed_scale)
+    n = len(seed_keys)
     non_facet = []
-    for i, (a, b) in enumerate(ineqs):
-        if all(x == _ZERO for x in a):
-            continue
-        tight = [v for v in verts if linalg.dot(a, v) == b]
-        if len(tight) < d or not _affine_rank_at_least(tight, d):
+    for i, r in enumerate(rows_h):
+        tight = [k for k, b in zip(seed_keys, bits[i * n:(i + 1) * n]) if not b]
+        if any(r[:d]) and linalg.rank(tight) < d:
             non_facet.append(i)
+    ineqs = tuple((r[:d], r[d]) for r in rows_h)
     return PolytopeDescription(d, ineqs, tuple(max_verts), tuple(non_facet))
-
-
-def _affine_rank_at_least(points, d: int) -> bool:
-    """Whether the points contain d affinely independent members."""
-    if len(points) < d:
-        return False
-    rows = [list(p) + [_ONE] for p in points]
-    return linalg.rank(rows) >= d
 
 
 def complete_maximal_cone_pair(gens) -> ConeDescription:
@@ -250,14 +219,19 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
     return TriangularCore(tuple(reversed(chosen_rows)), tuple(reversed(chosen_cols)))
 
 
-def to_binary_integral_configuration(x: Union[PolytopeDescription, ConeDescription]) -> Configuration:
-    """Rewrite a maximal pair with a 0/1 side C and an integral side D.
+def to_binary_integral_configuration(
+    x: Union[PolytopeDescription, ConeDescription],
+) -> tuple[TriangularCore, Configuration]:
+    """A triangular core of a maximal pair and its rewrite with a 0/1 side C
+    and an integral side D.
 
     Two changes of basis: first the independent core rows map the point side
     into slack coordinates (0/1 vectors); then the unimodular lower
     triangular matrix of core columns maps back so that all standard basis
     vectors land in D, which makes the row side C binary.  The slack matrix
-    is preserved entry for entry under the label correspondence.
+    is preserved entry for entry under the label correspondence.  Each
+    coordinate of a C vector is its product with a basis vector in D, so the
+    Configuration's product check also checks that C is binary.
     """
     if isinstance(x, PolytopeDescription):
         cfg = polytope_to_configuration(x)
@@ -277,9 +251,6 @@ def to_binary_integral_configuration(x: Union[PolytopeDescription, ConeDescripti
 
     a2 = [linalg.mat_vec(m_inv_t, a) for a in s.row_labels]
     b2 = [linalg.mat_vec(m_rows, b) for b in s.col_labels]
-    for v in b2:
-        for e in v:
-            _check_binary(e, "transformed point coordinate")
 
     l_cols = [b2[j] for j in core.col_indices]
     l_rows = [list(col) for col in zip(*l_cols)]
@@ -298,16 +269,13 @@ def to_binary_integral_configuration(x: Union[PolytopeDescription, ConeDescripti
 
     c_side = [linalg.mat_vec(l_t, a) for a in a2]
     d_side = [linalg.mat_vec(l_inv, b) for b in b2]
-    for v in c_side:
-        for e in v:
-            _check_binary(e, "binary-side coordinate")
     for v in d_side:
         if any(e.denominator != 1 for e in v):
             raise InvalidGeometry("integral side has a fractional coordinate")
     out = Configuration(size, tuple(c_side), tuple(d_side))
     if cfg.is_maximal():
         object.__setattr__(out, "_maximal", True)
-    return out
+    return core, out
 
 
 # --- built-in examples ----------------------------------------------------

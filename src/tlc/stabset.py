@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from . import canon, geometry
-from .configuration import BinaryMatrix, SlackMatrix, slack_matrix
+from .configuration import BinaryMatrix, SlackMatrix, _scaled, _slack_bits, slack_matrix
 from .errors import (
     DimensionTooLarge,
     IsolatedNode,
@@ -43,14 +43,7 @@ class BipartiteGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ParseError("graphs need at least one node")
-        edges = []
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ParseError(f"loop at node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ParseError(f"edge ({u},{v}) out of range")
-            edges.append((min(u, v), max(u, v)))
+        edges = _checked_edges(self.n, self.edges)
         if len(set(edges)) != len(edges):
             raise ParseError("parallel edge")
         object.__setattr__(self, "edges", tuple(sorted(set(edges))))
@@ -64,12 +57,7 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "BipartiteGraph":
-        edges = [(int(u), int(v)) for u, v in edges]
-        for u, v in edges:
-            if u == v:
-                raise ParseError(f"loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"edge ({u},{v}) out of range")
+        edges = _checked_edges(n, edges)
         coloring = _two_color(n, edges)
         if coloring is None:
             raise NotBipartite("graph has an odd cycle")
@@ -83,6 +71,20 @@ class BipartiteGraph:
 
     def min_degree(self) -> int:
         return min(self.degree(v) for v in range(self.n))
+
+
+def _checked_edges(n: int, edges) -> list[tuple[int, int]]:
+    """The edges as (low, high) node pairs, each checked to join two distinct
+    nodes in range."""
+    out = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ParseError(f"loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"edge ({u},{v}) out of range")
+        out.append((min(u, v), max(u, v)))
+    return out
 
 
 def _two_color(n: int, edges) -> Optional[tuple[int, ...]]:
@@ -163,36 +165,28 @@ def _char_vec(s, n: int) -> Vec:
     return vec([1 if v in members else 0 for v in range(n)])
 
 
-def _basic_rows(g: BipartiteGraph, pad_isolated: bool) -> list[tuple[Vec, Fraction]]:
-    rows: list[tuple[Vec, Fraction]] = []
-    for v in range(g.n):
-        rows.append((vec([1 if i == v else 0 for i in range(g.n)]), Fraction(0)))
-    for u, v in g.edges:
-        rows.append((vec([-1 if i in (u, v) else 0 for i in range(g.n)]), Fraction(-1)))
-    if pad_isolated:
-        for v in range(g.n):
-            if g.degree(v) == 0:
-                rows.append((vec([-1 if i == v else 0 for i in range(g.n)]), Fraction(-1)))
-    return rows
+def _basic_slack(g: BipartiteGraph):
+    """The basic rows (a, b) of x.a >= b, the stable sets, their points
+    (x, -1), and the row-major slack bits of the rows against the points.
+
+    The rows are x_v >= 0, x_u + x_v <= 1 for every edge, and x_v <= 1 for
+    every isolated node v, which keeps the description bounded.
+    """
+    n = g.n
+    rows = [vec([1 if i == v else 0 for i in range(n)] + [0]) for v in range(n)]
+    rows += [vec([-1 if i in (u, v) else 0 for i in range(n)] + [-1]) for u, v in g.edges]
+    rows += [vec([-1 if i == v else 0 for i in range(n)] + [-1]) for v in range(n) if g.degree(v) == 0]
+    cols = stable_sets(g)
+    points = tuple(_char_vec(s, n) + (Fraction(-1),) for s in cols)
+    return tuple(rows), cols, points, _slack_bits(*_scaled(rows), *_scaled(points))
 
 
 def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:
     """Slack of every stable set against the nonnegativity and edge rows."""
     if any(g.degree(v) == 0 for v in range(g.n)):
         raise IsolatedNode("the row description requires minimum degree 1")
-    rows = _basic_rows(g, pad_isolated=False)
-    cols = stable_sets(g)
-    bits = []
-    for a, b in rows:
-        for s in cols:
-            x = _char_vec(s, g.n)
-            slack = sum(ai * xi for ai, xi in zip(a, x)) - b
-            assert slack in (0, 1)
-            bits.append(int(slack))
-    m = BinaryMatrix(len(rows), len(cols), tuple(bits))
-    row_labels = tuple(tuple(a) + (b,) for a, b in rows)
-    col_labels = tuple(_char_vec(s, g.n) + (Fraction(-1),) for s in cols)
-    return SlackMatrix(m, row_labels, col_labels)
+    rows, _, points, bits = _basic_slack(g)
+    return SlackMatrix(BinaryMatrix(len(rows), len(points), tuple(bits)), rows, points)
 
 
 def stab_maximal_slack(g: BipartiteGraph) -> SlackMatrix:
@@ -224,16 +218,11 @@ def zero_vertex_neighbors(g: BipartiteGraph) -> list[tuple[int, ...]]:
     vertices are adjacent exactly when no third vertex is tight on every row
     tight at both.
     """
-    rows = _basic_rows(g, pad_isolated=True)
-    cols = stable_sets(g)
-    tight_sets = []
-    for s in cols:
-        x = _char_vec(s, g.n)
-        tight = frozenset(
-            i for i, (a, b) in enumerate(rows)
-            if sum(ai * xi for ai, xi in zip(a, x)) == b
-        )
-        tight_sets.append(tight)
+    rows, cols, _, bits = _basic_slack(g)
+    tight_sets = [
+        frozenset(i for i in range(len(rows)) if not bits[i * len(cols) + j])
+        for j in range(len(cols))
+    ]
     empty_idx = cols.index(())
     out = []
     for j, s in enumerate(cols):
@@ -289,7 +278,6 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
 def _scan_masks(n: int, lo: int, hi: int, keep_masks: bool):
     """Count bipartite / min-degree-2 bipartite edge masks in [lo, hi)."""
     edges = _edge_list(n)
-    ne = len(edges)
     bip = 0
     deg2 = 0
     kept = [] if keep_masks else None
@@ -342,8 +330,7 @@ def _scan_worker(args):
     return _scan_masks(*args)
 
 
-def _canonical_mask(n: int, mask: int, edge_index: dict, perms) -> int:
-    edges = _edge_list(n)
+def _canonical_mask(mask: int, edges: list, edge_index: dict, perms) -> int:
     best = None
     for p in perms:
         out = 0
@@ -377,8 +364,8 @@ def census(n: int, jobs: int = 1, include_classes: Optional[bool] = None) -> Cen
     include = (n <= _CLASS_LIMIT) if include_classes is None else include_classes
     if include and n > _CLASS_LIMIT:
         raise DimensionTooLarge(f"class counts are limited to n <= {_CLASS_LIMIT}")
-    ne = len(_edge_list(n))
-    total = 1 << ne
+    edges = _edge_list(n)
+    total = 1 << len(edges)
     parts = chunked_map(_scan_worker, total, jobs if total >= 4096 else 1, lambda lo, hi: (n, lo, hi, include))
     bip = sum(p[0] for p in parts)
     deg2 = sum(p[1] for p in parts)
@@ -387,9 +374,9 @@ def census(n: int, jobs: int = 1, include_classes: Optional[bool] = None) -> Cen
     iso_classes = None
     slack_forms = None
     if include:
-        edge_index = {e: i for i, e in enumerate(_edge_list(n))}
+        edge_index = {e: i for i, e in enumerate(edges)}
         perms = list(permutations(range(n)))
-        reps = sorted({_canonical_mask(n, mask, edge_index, perms) for mask in kept})
+        reps = sorted({_canonical_mask(mask, edges, edge_index, perms) for mask in kept})
         iso_classes = len(reps)
         forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes
                  for m in reps}

@@ -283,7 +283,8 @@ def test_criterion_09_geometry_adapters():
             assert s.matrix.row_bits(core.row_indices[i])[core.col_indices[i]] == 1
             for j in range(i + 1, d + 1):
                 assert s.matrix.row_bits(core.row_indices[i])[core.col_indices[j]] == 0
-        out = geometry.to_binary_integral_configuration(desc)
+        core_out, out = geometry.to_binary_integral_configuration(desc)
+        assert core_out == core
         assert all(x in (0, 1) for v in out.A for x in v)
         assert all(x.denominator == 1 for v in out.B for x in v)
         basis = {

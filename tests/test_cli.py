@@ -144,10 +144,11 @@ def test_jobs_do_not_change_output(tmp_path):
     assert out1 == out2
 
 
-def run_process(args):
+def run_process(args, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, so a traceback would reach stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "tlc.cli"] + args, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "tlc.cli"] + args, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=60)
 
 
 def test_stab_slack_out_of_range_edge(tmp_path):
@@ -230,3 +231,40 @@ def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):
         assert code == 0 and out == serial
         assert asked.pop() == size
     assert asked == []
+
+
+def test_json_vector_fields_must_be_lists_of_vectors(tmp_path):
+    cases = [
+        ("complete", '{"d": 2, "B": 5}'),
+        ("complete", '{"d": 2, "B": [5]}'),
+        ("complete", '{"d": 2, "B": "10"}'),
+        ("core", '{"d": 1, "ineqs": [], "verts": 5}'),
+        ("core", '{"d": 1, "ineqs": [5], "verts": [[0], [1]]}'),
+    ]
+    for command, text in cases:
+        path = write(tmp_path, "in.json", text)
+        proc = run_process([command, path])
+        assert proc.returncode == 2, (command, text, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("parse error")
+
+
+def test_closed_stdout_exits_1(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process(["--store", str(tmp_path / "store"), "face-enum", "--dim", "2"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+def test_report_rejects_tampered_store_file(tmp_path):
+    store = tmp_path / "store"
+    assert run_cli(["enum", "--dim", "2"], store=store)[0] == 0
+    path = sorted((store / "md" / "2").iterdir())[0]
+    path.write_text("1 1\n1\n")
+    code, out, err = run_cli(["report"], store=store)
+    assert code == 3 and out == ""
+    assert "StoreConflict" in err and path.name in err

@@ -158,19 +158,19 @@ def test_no_core_in_zero_matrix():
 def test_binary_integral_configuration(name):
     desc = _completed(name)
     dim = desc.d + 1
-    out = to_binary_integral_configuration(desc)
+    s_in = slack_matrix(polytope_to_configuration(desc))
+    core, out = to_binary_integral_configuration(desc)
+    assert core == find_triangular_core(s_in, dim)
     assert all(x in (0, 1) for v in out.A for x in v)
     assert all(x.denominator == 1 for v in out.B for x in v)
     basis = {tuple(F(1) if j == i else F(0) for j in range(dim)) for i in range(dim)}
     assert basis <= set(out.B)
-    s_in = slack_matrix(polytope_to_configuration(desc)).matrix
-    s_out = slack_matrix(out).matrix
-    assert canon.equivalent(s_in, s_out)
+    assert canon.equivalent(s_in.matrix, slack_matrix(out).matrix)
 
 
 def test_binary_integral_configuration_cone():
     k = geometry.complete_maximal_cone_pair([(F(1), F(0)), (F(0), F(1))])
-    out = to_binary_integral_configuration(k)
+    _, out = to_binary_integral_configuration(k)
     assert all(x in (0, 1) for v in out.A for x in v)
     assert all(x.denominator == 1 for v in out.B for x in v)
 
