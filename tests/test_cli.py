@@ -144,11 +144,11 @@ def test_jobs_do_not_change_output(tmp_path):
     assert out1 == out2
 
 
-def run_process(args, stdout=subprocess.PIPE):
+def run_process(args, stdout=subprocess.PIPE, timeout=60):
     """The CLI in a fresh interpreter, so a traceback would reach stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "tlc.cli"] + args, stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env, timeout=60)
+                          text=True, env=env, timeout=timeout)
 
 
 def test_stab_slack_out_of_range_edge(tmp_path):
@@ -157,6 +157,24 @@ def test_stab_slack_out_of_range_edge(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "out of range" in proc.stderr
+
+
+def test_corrcone_dimension_budget(tmp_path):
+    # k = 12 identity generators: decoding would run up to 2^12 LPs
+    k = 12
+    gens = ["".join("1" if j == i else "0" for j in range(k)) for i in range(k)]
+    block = [" ".join("1" if j == i else "0" for j in range(i, k)) for i in range(k)]
+    graph = write(tmp_path, "k12.txt", "\n".join([f"{k} {k}"] + gens + block + [" ".join(["1"] * k)]) + "\n")
+    cube = {"d": 6, "B": [[str(int(i == j)) for j in range(6)] for i in range(6)]}
+    code, completed, _ = run_cli(["complete", write(tmp_path, "cube.json", json.dumps(cube))])
+    assert code == 0
+    cfg = write(tmp_path, "cube_full.json", completed)
+    for args in (["decompress", graph], ["compress", cfg]):
+        proc = run_process(["--store", str(tmp_path / "store"), *args], timeout=10)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "DimensionTooLarge" in proc.stderr
+    assert not list(tmp_path.glob("store/**/*.graph"))
 
 
 def test_configuration_json_integer_entries(tmp_path):

@@ -15,7 +15,7 @@ from tlc.corrcone import (
     lift_raw,
     lifted_rank,
 )
-from tlc.errors import DimensionTooLarge, NonBinary, NotAFace, NotInCone, ParseError
+from tlc.errors import DimensionMismatch, DimensionTooLarge, NonBinary, NotAFace, NotInCone, ParseError
 
 # face counts fixed by two independent methods (subset scan with LP, and
 # closing the single-cut faces under intersection)
@@ -148,7 +148,32 @@ def test_certificate_text_roundtrip():
 
 
 def test_certificate_text_rejects_non_integers():
-    for text, line in (("x\n1 2 3\n", 1), ("1\n\n1 y\n", 3), ("1 1\n1 1\n", 1)):
+    cases = (("x\n1 2 3\n", 1), ("1\n\n1 y\n", 3), ("1 1\n1 1\n", 1), ("2\n", 2), ("", 1), ("1\n1 1\n\n1\n", 4))
+    for text, line in cases:
         with pytest.raises(ParseError) as exc:
             FaceCertificate.from_text(text)
         assert exc.value.line == line
+
+
+def test_negative_dimension_rejected():
+    with pytest.raises(DimensionMismatch):
+        FaceCertificate(-1, ())
+    with pytest.raises(DimensionMismatch):
+        certificate_encode(-1, [()])
+    with pytest.raises(DimensionMismatch):
+        is_face(-1, [()])
+    # d = 0: the single point () is the only face
+    assert certificate_encode(0, [()]) == FaceCertificate(0, ())
+    assert certificate_decode(FaceCertificate(0, ())) == ((),)
+
+
+def test_lp_dimension_limit():
+    limit = corrcone._LP_DIM_LIMIT
+    assert limit >= 4
+    zero = tuple([0] * limit)
+    assert certificate_decode(certificate_encode(limit, [zero])) == (zero,)
+    d = limit + 1
+    for call in (lambda: is_face(d, [tuple([0] * d)]), lambda: certificate_encode(d, [tuple([0] * d)]),
+                 lambda: certificate_decode(FaceCertificate(d, (0,) * (d * d + d))), lambda: face_points(d, [])):
+        with pytest.raises(DimensionTooLarge):
+            call()
