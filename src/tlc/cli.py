@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
 
 

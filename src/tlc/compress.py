@@ -22,6 +22,7 @@ from .errors import (
     EmptyDecode,
     NonBinaryProduct,
     NotInLattice,
+    NotMaximal,
     NotSpanning,
     ParseError,
 )
@@ -138,7 +139,7 @@ def compress(cfg: Configuration) -> CompressedConfig:
         if any(x != 0 and x != 1 for x in v):
             raise NonBinaryProduct("B side must be 0/1; normalize first")
     if not cfg.is_maximal():
-        raise ValueError("only maximal configurations are compressed")
+        raise NotMaximal("only maximal configurations are compressed")
     gens = select_generators(cfg.B, cfg.d)
     phis = [phi(b, gens) for b in cfg.B]
     a_prime = corrcone.face_points(gens.k, phis)

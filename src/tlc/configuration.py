@@ -24,6 +24,7 @@ from . import linalg
 from .errors import (
     DegenerateSeed,
     DimensionMismatch,
+    DimensionTooLarge,
     NonBinarySlack,
     NotSpanning,
     ParseError,
@@ -33,6 +34,10 @@ from .linalg import Vec, frac, vec
 
 SIDE_A = "A"
 SIDE_B = "B"
+
+# closure keeps 2^d subset sums per coordinate: about 50 MB at d = 16 (the
+# identity matrix check), and 4x more per extra 2 in d
+_CLOSURE_RANK_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -228,6 +233,9 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     D [k = j] (D the last pivot).  Pattern s is kept exactly when
     sum_{k in s} w_k is 0 or D for every other column, and its y is
     L sum_{k in s} g_k / D.
+
+    The 2^d patterns are tabulated, so d above _CLOSURE_RANK_LIMIT raises
+    DimensionTooLarge before any table is built.
     """
     keyed, scale = _scaled(vectors)
     if not keyed:
@@ -242,6 +250,8 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     rows, piv_rows, piv_cols, det = linalg._bareiss(rows, m)
     if len(piv_cols) < d:
         raise NotSpanning(f"family does not span R^{d}")
+    if d > _CLOSURE_RANK_LIMIT:
+        raise DimensionTooLarge(f"closure is limited to rank <= {_CLOSURE_RANK_LIMIT}")
     if det < 0:
         det = -det
         rows = [[-x for x in row] for row in rows]

@@ -53,6 +53,10 @@ class DimensionTooLarge(TlcError):
     """The requested dimension exceeds the exhaustive-search budget."""
 
 
+class NotMaximal(TlcError):
+    """A configuration that must be maximal is not."""
+
+
 class NonBinaryProduct(TlcError):
     """A product that the compression maps require to be 0/1 is not."""
 

@@ -1,11 +1,15 @@
 import random
+import time
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlc import canon, stabset
 from tlc.canon import canonical_form, canonical_matrix, dedup_classes, equivalent
 from tlc.configuration import BinaryMatrix, parse_matrix
+from tlc.errors import DimensionTooLarge
 
 
 def _permute(m, row_perm, col_perm):
@@ -163,3 +167,26 @@ def test_dedup_deterministic_order():
     a = dedup_classes(ms)
     b = dedup_classes(list(reversed(ms)))
     assert a == b
+
+
+def test_six_cube_slack_matrix_is_fast():
+    # the 14 x 65 maximal slack matrix of the edgeless 6-node graph has every
+    # symmetry of the 6-cube; without orbit pruning it took about a minute
+    m = stabset.stab_maximal_slack(stabset.BipartiteGraph.from_edges(6, [])).matrix
+    assert (m.rows, m.cols) == (14, 65)
+    t0 = time.perf_counter()
+    form = canonical_form(m)
+    assert time.perf_counter() - t0 < 1.0
+    rng = random.Random(6)
+    rp = list(range(m.rows))
+    cp = list(range(m.cols))
+    rng.shuffle(rp)
+    rng.shuffle(cp)
+    assert canonical_form(_permute(m, rp, cp)) == form
+
+
+def test_node_budget_raises_dimension_too_large(monkeypatch):
+    m = BinaryMatrix.from_rows([[int(j == i % 5) for j in range(5)] for i in range(30)])
+    monkeypatch.setattr(canon, "_NODE_LIMIT", 10)
+    with pytest.raises(DimensionTooLarge):
+        canonical_form(m)

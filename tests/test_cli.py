@@ -1,11 +1,17 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-from tlc import cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tlc import canon, cli
+from tlc.configuration import parse_matrix
 
 
 def run_cli(args, store=None):
@@ -286,3 +292,61 @@ def test_report_rejects_tampered_store_file(tmp_path):
     code, out, err = run_cli(["report"], store=store)
     assert code == 3 and out == ""
     assert "StoreConflict" in err and path.name in err
+
+
+def test_canon_tall_inputs_end_without_traceback(tmp_path):
+    # 1,100 rows: deeper than the interpreter's recursion limit, and for the
+    # first 1,100 integers as 11-bit rows, more search nodes than the budget
+    rng = random.Random(1100)
+    tall = {
+        "random": ["".join(rng.choice("01") for _ in range(12)) for _ in range(1100)],
+        "counting": [format(k, "011b") for k in range(1100)],
+    }
+    for name, rows in tall.items():
+        path = write(tmp_path, f"{name}.txt", f"{len(rows)} {len(rows[0])}\n" + "\n".join(rows) + "\n")
+        proc = run_process(["canon", path], timeout=60)
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+_MATRIX_TEXT = st.lists(st.text("01", min_size=0, max_size=6), min_size=0, max_size=6).map(
+    lambda rows: f"{len(rows)} {len(rows[0]) if rows else 0}\n" + "\n".join(rows) + "\n"
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), _MATRIX_TEXT))
+def test_canon_fuzz_exit_codes(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    code, out, err = run_cli(["canon", str(path)])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        m = parse_matrix(path.read_text())
+        assert out == canon.canonical_form(m).bytes.decode("ascii")
+
+
+def test_check_identity_beyond_closure_rank_limit(tmp_path):
+    n = 24
+    rows = ["".join("1" if j == i else "0" for j in range(n)) for i in range(n)]
+    path = write(tmp_path, "id24.txt", f"{n} {n}\n" + "\n".join(rows) + "\n")
+    t0 = time.perf_counter()
+    proc = run_process(["check", path], timeout=60)
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "DimensionTooLarge" in proc.stderr
+
+
+def test_compress_rejects_non_maximal_configuration(tmp_path):
+    cfg = write(tmp_path, "cfg.json", '{"d": 2, "A": [[0, 0], [1, 0], [0, 1]], "B": [[0, 0], [1, 0], [0, 1]]}')
+    code, _, err = run_cli(["compress", cfg], store=tmp_path / "store")
+    assert code == 3
+    assert "NotMaximal" in err
+
+
+def test_undecodable_input_is_a_parse_error(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"1 1\n\xff\n")
+    code, _, err = run_cli(["canon", str(path)])
+    assert code == 2 and err.startswith("parse error")

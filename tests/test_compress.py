@@ -15,13 +15,14 @@ from tlc.compress import (
     zeta,
 )
 from tlc.configuration import (
+    Configuration,
     from_slack_matrix,
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
     slack_matrix,
 )
-from tlc.errors import NonBinaryProduct, NotInLattice, NotSpanning, ParseError
+from tlc.errors import NonBinaryProduct, NotInLattice, NotMaximal, NotSpanning, ParseError, TlcError
 
 F = Fraction
 
@@ -150,6 +151,13 @@ def test_compress_requires_binary_b():
     if any(x not in (0, 1) for v in bad.B for x in v):
         with pytest.raises(NonBinaryProduct):
             compress.compress(bad)
+
+
+def test_compress_refuses_non_maximal_as_domain_error():
+    side = ((0, 0), (0, 1), (1, 0))
+    with pytest.raises(TlcError) as info:
+        compress.compress(Configuration(2, side, side))
+    assert isinstance(info.value, NotMaximal)
 
 
 def test_zeta_image_inside_decoded_face(enum_results):
