@@ -145,12 +145,17 @@ class SlackMatrix:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Pair (A, B) of spanning vector sets with all pairwise products in {0,1}."""
+    """Pair (A, B) of spanning vector sets with all pairwise products in {0,1}.
+
+    The products checked on construction are kept, row-major over the sorted
+    sides, as the slack matrix's bits.
+    """
 
     d: int
     A: tuple[Vec, ...]
     B: tuple[Vec, ...]
     _maximal: Optional[bool] = field(default=None, compare=False, repr=False)
+    _bits: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -166,7 +171,7 @@ class Configuration:
                 raise DimensionMismatch(f"side {name} has vectors of wrong dimension")
             if not keyed or linalg.rank(list(keyed)) != self.d:
                 raise NotSpanning(f"side {name} does not span R^{self.d}")
-        _slack_bits(*sides[0], *sides[1])
+        object.__setattr__(self, "_bits", tuple(_slack_bits(*sides[0], *sides[1])))
 
     def is_maximal(self) -> bool:
         """Whether A and B are each other's closures.  Cached; fill is idempotent."""
@@ -296,8 +301,7 @@ def maximal_completion(seed, d: int) -> Configuration:
 
 def slack_matrix(cfg: Configuration) -> SlackMatrix:
     """Matrix of all pairwise products, lines ordered by the sorted vectors."""
-    bits = _slack_bits(*_scaled(cfg.A), *_scaled(cfg.B))
-    m = BinaryMatrix(len(cfg.A), len(cfg.B), tuple(bits))
+    m = BinaryMatrix(len(cfg.A), len(cfg.B), cfg._bits)
     return SlackMatrix(m, cfg.A, cfg.B)
 
 

@@ -1,13 +1,15 @@
-"""Adapters between two-level polytopes/cones and configurations.
+"""Two-level polytopes as configurations.
 
 A polytope description carries inequalities a.x >= b and points whose slacks
-a.v - b are all 0 or 1; a cone description is the homogeneous analogue.
-Homogenizing a d-polytope produces a (d+1)-cone whose apex is kept as an
-explicit generator, so completions and slack matrices agree between the two
-views.  A triangular core (rows and columns whose slack submatrix is lower
-triangular with unit diagonal and independent row labels) supplies the
-unimodular change of basis that rewrites any maximal configuration with one
-binary side and one integral side containing all standard basis vectors.
+a.v - b are all 0 or 1.  Homogenizing a d-polytope, rows (a, b) against
+points (v, -1) with the apex 0 kept as an explicit point, gives a
+configuration in R^(d+1) whose slack matrix is the polytope's.  A two-level
+cone needs no type of its own: it is a `Configuration`, and the completion
+of its generators is `configuration.maximal_completion`.  A triangular core
+(rows and columns whose slack submatrix is lower triangular with unit
+diagonal and independent row labels) supplies the unimodular change of
+basis that rewrites any maximal configuration with one binary side and one
+integral side containing all standard basis vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from . import linalg
 from .configuration import (
@@ -42,20 +43,6 @@ from .linalg import Vec, frac, vec
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
-
-
-@dataclass(frozen=True)
-class ConeDescription:
-    """Homogeneous inequalities (rows) and generators with all products 0/1."""
-
-    d: int
-    ineqs: tuple[Vec, ...]
-    gens: tuple[Vec, ...]
-
-    def __post_init__(self):
-        cfg = Configuration(self.d, self.ineqs, self.gens)
-        object.__setattr__(self, "ineqs", cfg.A)
-        object.__setattr__(self, "gens", cfg.B)
 
 
 @dataclass(frozen=True)
@@ -97,27 +84,18 @@ def _homogenized(d: int, ineqs, verts) -> tuple[list[Vec], list[Vec]]:
     return rows, points
 
 
-def homogenize(p: PolytopeDescription) -> ConeDescription:
-    """The (d+1)-cone over p at height -1, apex included as a generator."""
-    return ConeDescription(p.d + 1, *_homogenized(p.d, p.ineqs, p.verts))
-
-
 def polytope_to_configuration(p: PolytopeDescription) -> Configuration:
     """Homogenized rows against lifted points plus the origin."""
     return Configuration(p.d + 1, *_homogenized(p.d, p.ineqs, p.verts))
 
 
-def cone_to_configuration(k: ConeDescription) -> Configuration:
-    return Configuration(k.d, k.ineqs, k.gens)
-
-
-def complete_maximal_pair(verts) -> PolytopeDescription:
-    """The maximal two-level pair generated by a polytope's vertex set.
+def polytope_completion(verts) -> Configuration:
+    """The maximal two-level pair generated by a polytope's vertex set, as
+    its homogenized configuration.
 
     Homogenizes the points, closes to get every inequality with all slacks in
-    {0,1} (the two trivial rows 0 >= 0 and 0 >= -1 included), closes back to
-    get the maximal point set, and flags inequalities not tight at d affinely
-    independent input points as non-facets.
+    {0,1} (the two trivial rows 0 >= 0 and 0 >= -1 included), and closes back
+    to get the maximal point set: (v, -1) for every vertex v, and the apex.
     """
     verts = tuple(sorted(set(vec(v) for v in verts)))
     if not verts:
@@ -128,40 +106,37 @@ def complete_maximal_pair(verts) -> PolytopeDescription:
         raise NotSpanning("points do not affinely span")
     rows_h = closure(seed, d + 1)
     points_h = closure(rows_h, d + 1)
-
-    max_verts = []
     for u in points_h:
-        t = u[d]
-        if t == _MINUS_ONE:
-            max_verts.append(u[:d])
-        elif any(x != _ZERO for x in u):
+        if u[d] != _MINUS_ONE and any(x != _ZERO for x in u):
             raise InvalidGeometry(f"unbounded direction {u[:d]} in the completed point set")
+    cfg = Configuration(d + 1, rows_h, points_h)
+    object.__setattr__(cfg, "_maximal", True)
+    return cfg
 
-    # a row is a facet when its tight seed points, the apex among them, have
-    # rank d, i.e. contain d affinely independent input points
-    seed_keys, seed_scale = _scaled(seed)
-    bits = _slack_bits(*_scaled(rows_h), seed_keys, seed_scale)
-    n = len(seed_keys)
+
+def complete_maximal_pair(verts) -> PolytopeDescription:
+    """The maximal two-level pair generated by a polytope's vertex set.
+
+    The rows and points of `polytope_completion`, with the inequalities not
+    tight at d affinely independent input points flagged as non-facets.
+    """
+    verts = [vec(v) for v in verts]
+    cfg = polytope_completion(verts)
+    d = cfg.d - 1
+    # the input points (v, -1) lie in the completed point set; a row is a
+    # facet when its tight ones have rank d, i.e. contain d affinely
+    # independent input points
+    seed = {v + (_MINUS_ONE,) for v in verts}
+    cols = [j for j, u in enumerate(cfg.B) if u in seed]
+    s = slack_matrix(cfg).matrix
     non_facet = []
-    for i, r in enumerate(rows_h):
-        tight = [k for k, b in zip(seed_keys, bits[i * n:(i + 1) * n]) if not b]
-        if any(r[:d]) and linalg.rank(tight) < d:
+    for i, r in enumerate(cfg.A):
+        bits = s.row_bits(i)
+        if any(r[:d]) and linalg.rank([cfg.B[j] for j in cols if not bits[j]]) < d:
             non_facet.append(i)
-    ineqs = tuple((r[:d], r[d]) for r in rows_h)
-    return PolytopeDescription(d, ineqs, tuple(max_verts), tuple(non_facet))
-
-
-def complete_maximal_cone_pair(gens) -> ConeDescription:
-    """The maximal two-level pair generated by a cone's generator set."""
-    gens = tuple(sorted(set(vec(v) for v in gens)))
-    if not gens:
-        raise NotSpanning("empty generator set")
-    d = len(gens[0])
-    rows = closure(gens, d)
-    if not spans(rows, d):
-        raise NotSpanning("closure of the generators does not span")
-    full_gens = closure(rows, d)
-    return ConeDescription(d, rows, full_gens)
+    ineqs = tuple((r[:d], r[d]) for r in cfg.A)
+    max_verts = tuple(u[:d] for u in cfg.B if u[d] == _MINUS_ONE)
+    return PolytopeDescription(d, ineqs, max_verts, tuple(non_facet))
 
 
 @dataclass(frozen=True)
@@ -219,11 +194,9 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
     return TriangularCore(tuple(reversed(chosen_rows)), tuple(reversed(chosen_cols)))
 
 
-def to_binary_integral_configuration(
-    x: Union[PolytopeDescription, ConeDescription],
-) -> tuple[TriangularCore, Configuration]:
-    """A triangular core of a maximal pair and its rewrite with a 0/1 side C
-    and an integral side D.
+def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore, Configuration]:
+    """A triangular core of a maximal configuration and its rewrite with a
+    0/1 side C and an integral side D.
 
     Two changes of basis: first the independent core rows map the point side
     into slack coordinates (0/1 vectors); then the unimodular lower
@@ -233,12 +206,7 @@ def to_binary_integral_configuration(
     coordinate of a C vector is its product with a basis vector in D, so the
     Configuration's product check also checks that C is binary.
     """
-    if isinstance(x, PolytopeDescription):
-        cfg = polytope_to_configuration(x)
-        size = x.d + 1
-    else:
-        cfg = cone_to_configuration(x)
-        size = x.d
+    size = cfg.d
     s = slack_matrix(cfg)
     core = find_triangular_core(s, size)
 
@@ -334,23 +302,3 @@ def polytope_from_json(text: str) -> PolytopeDescription:
     verts = vectors_from_json_field(payload, "verts", d)
     ineqs = tuple((r[:d], r[d]) for r in rows)
     return PolytopeDescription(d, ineqs, verts)
-
-
-def cone_to_json(k: ConeDescription) -> str:
-    payload = {
-        "d": k.d,
-        "ineqs": [[_rat_to_str(x) for x in a] for a in k.ineqs],
-        "gens": [[_rat_to_str(x) for x in g] for g in k.gens],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def cone_from_json(text: str) -> ConeDescription:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e}") from None
-    d = dim_from_json(payload)
-    ineqs = vectors_from_json_field(payload, "ineqs", d)
-    gens = vectors_from_json_field(payload, "gens", d)
-    return ConeDescription(d, ineqs, gens)

@@ -3,9 +3,12 @@
 For a bipartite graph with no isolated node the polytope is cut out by the
 nonnegativity rows x_v >= 0 and the edge rows x_u + x_v <= 1, and every
 stable set's characteristic vector has slack 0 or 1 against every row.  The
-census scans all 2^C(n,2) labeled graphs, counts the bipartite ones, filters
-to minimum degree 2, groups those by brute-force isomorphism, and compares
-the class count with the number of distinct canonical maximal-slack forms.
+maximal slack matrix is that of the polytope's completion from its stable
+sets (`geometry.polytope_completion`).  The census scans all 2^C(n,2)
+labeled graphs, counts the bipartite ones, filters to minimum degree 2,
+groups those into isomorphism classes by the canonical form of their node x
+edge incidence matrices, and compares the class count with the number of
+distinct canonical maximal-slack forms.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional
 
 from . import canon, geometry
@@ -30,6 +33,11 @@ from .parallel import chunked_map
 
 _CENSUS_LIMIT = 7
 _CLASS_LIMIT = 6
+# a graph on n nodes has up to 2^n stable sets, each a slack column; at
+# n = 15 the maximal slack's closure runs at its rank limit n + 1 = 16, and
+# the slowest graphs take about 1 s (the star K_{1,14}, basic slack) and
+# 85 s (the edgeless graph, maximal slack), 3-4x more per extra node
+_NODE_LIMIT = 15
 
 
 @dataclass(frozen=True)
@@ -57,8 +65,14 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "BipartiteGraph":
+        if n > _NODE_LIMIT:
+            raise DimensionTooLarge(f"stable-set polytopes are limited to n <= {_NODE_LIMIT} nodes")
         edges = _checked_edges(n, edges)
-        coloring = _two_color(n, edges)
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        coloring = _two_color(adj)
         if coloring is None:
             raise NotBipartite("graph has an odd cycle")
         return cls(n, tuple(edges), coloring)
@@ -87,11 +101,10 @@ def _checked_edges(n: int, edges) -> list[tuple[int, int]]:
     return out
 
 
-def _two_color(n: int, edges) -> Optional[tuple[int, ...]]:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+def _two_color(adj: list[int]) -> Optional[tuple[int, ...]]:
+    """A proper 0/1 colouring of the graph with adjacency bitmasks adj, the
+    lowest node of each component coloured 0, or None for an odd cycle."""
+    n = len(adj)
     color = [-1] * n
     for start in range(n):
         if color[start] != -1:
@@ -100,12 +113,17 @@ def _two_color(n: int, edges) -> Optional[tuple[int, ...]]:
         stack = [start]
         while stack:
             x = stack.pop()
-            for y in adj[x]:
+            cx = color[x]
+            nb = adj[x]
+            while nb:
+                low = nb & -nb
+                y = low.bit_length() - 1
                 if color[y] == -1:
-                    color[y] = 1 - color[x]
+                    color[y] = 1 - cx
                     stack.append(y)
-                elif color[y] == color[x]:
+                elif color[y] == cx:
                     return None
+                nb ^= low
     return tuple(color)
 
 
@@ -192,8 +210,7 @@ def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:
 def stab_maximal_slack(g: BipartiteGraph) -> SlackMatrix:
     """Maximal slack matrix of the stable set polytope."""
     verts = [_char_vec(s, g.n) for s in stable_sets(g)]
-    desc = geometry.complete_maximal_pair(verts)
-    return slack_matrix(geometry.polytope_to_configuration(desc))
+    return slack_matrix(geometry.polytope_completion(verts))
 
 
 def simple_vertices(g: BipartiteGraph) -> list[tuple[int, ...]]:
@@ -291,32 +308,7 @@ def _scan_masks(n: int, lo: int, hi: int, keep_masks: bool):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             mm ^= low
-        color = [-1] * n
-        ok = True
-        for start in range(n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                cx = color[x]
-                nb = adj[x]
-                while nb:
-                    lowb = nb & -nb
-                    y = lowb.bit_length() - 1
-                    if color[y] == -1:
-                        color[y] = 1 - cx
-                        stack.append(y)
-                    elif color[y] == cx:
-                        ok = False
-                        break
-                    nb ^= lowb
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
+        if _two_color(adj) is None:
             continue
         bip += 1
         if all(bin(a).count("1") >= 2 for a in adj):
@@ -330,40 +322,21 @@ def _scan_worker(args):
     return _scan_masks(*args)
 
 
-def _canonical_mask(mask: int, edges: list, edge_index: dict, perms) -> int:
-    best = None
-    for p in perms:
-        out = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            e = low.bit_length() - 1
-            u, v = edges[e]
-            pu, pv = p[u], p[v]
-            out |= 1 << edge_index[(min(pu, pv), max(pu, pv))]
-            mm ^= low
-        if best is None or out < best:
-            best = out
-    return best
-
-
 def graph_from_mask(n: int, mask: int) -> BipartiteGraph:
     edges = _edge_list(n)
     chosen = [edges[e] for e in range(len(edges)) if (mask >> e) & 1]
     return BipartiteGraph.from_edges(n, chosen)
 
 
-def census(n: int, jobs: int = 1, include_classes: Optional[bool] = None) -> CensusReport:
+def census(n: int, jobs: int = 1) -> CensusReport:
     """Scan all labeled graphs on n nodes and compile the bipartite counts.
 
-    Isomorphism classes and slack forms are computed up to n = 6 by default;
-    at n = 7 only the labeled counts are produced.
+    Isomorphism classes and slack forms are computed up to n = 6; at n = 7
+    only the labeled counts are produced.
     """
     if n < 1 or n > _CENSUS_LIMIT:
         raise DimensionTooLarge(f"census is limited to 1 <= n <= {_CENSUS_LIMIT}")
-    include = (n <= _CLASS_LIMIT) if include_classes is None else include_classes
-    if include and n > _CLASS_LIMIT:
-        raise DimensionTooLarge(f"class counts are limited to n <= {_CLASS_LIMIT}")
+    include = n <= _CLASS_LIMIT
     edges = _edge_list(n)
     total = 1 << len(edges)
     parts = chunked_map(_scan_worker, total, jobs if total >= 4096 else 1, lambda lo, hi: (n, lo, hi, include))
@@ -374,12 +347,15 @@ def census(n: int, jobs: int = 1, include_classes: Optional[bool] = None) -> Cen
     iso_classes = None
     slack_forms = None
     if include:
-        edge_index = {e: i for i, e in enumerate(edges)}
-        perms = list(permutations(range(n)))
-        reps = sorted({_canonical_mask(mask, edges, edge_index, perms) for mask in kept})
+        # simple graphs are isomorphic exactly when their node x edge
+        # incidence matrices are equal up to row and column order
+        reps: dict[bytes, BipartiteGraph] = {}
+        for mask in kept:
+            g = graph_from_mask(n, mask)
+            incidence = BinaryMatrix.from_rows([[int(v in e) for e in g.edges] for v in range(n)])
+            reps.setdefault(canon.canonical_form(incidence).bytes, g)
         iso_classes = len(reps)
-        forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes
-                 for m in reps}
+        forms = {canon.canonical_form(stab_maximal_slack(g).matrix).bytes for g in reps.values()}
         slack_forms = len(forms)
 
     upper_exp = Fraction(n * n, 4) + n

@@ -254,7 +254,7 @@ def test_criterion_08_count_sandwich():
     expected = {2: 2, 3: 7}
     findings = []
     for n in range(2, 8):
-        rep = stabset.census(n, jobs=4, include_classes=False)
+        rep = stabset.census(n, jobs=4)
         if n in expected:
             assert rep.labeled_bipartite == expected[n]
         if not (rep.within_lower and rep.within_upper):
@@ -283,7 +283,7 @@ def test_criterion_09_geometry_adapters():
             assert s.matrix.row_bits(core.row_indices[i])[core.col_indices[i]] == 1
             for j in range(i + 1, d + 1):
                 assert s.matrix.row_bits(core.row_indices[i])[core.col_indices[j]] == 0
-        core_out, out = geometry.to_binary_integral_configuration(desc)
+        core_out, out = geometry.to_binary_integral_configuration(cfg)
         assert core_out == core
         assert all(x in (0, 1) for v in out.A for x in v)
         assert all(x.denominator == 1 for v in out.B for x in v)

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -10,8 +11,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlc import canon, cli
-from tlc.configuration import parse_matrix
+from tlc import canon, cli, compress, stabset
+from tlc.configuration import maximal_completion, normalize_to_binary, parse_matrix
 
 
 def run_cli(args, store=None):
@@ -324,6 +325,155 @@ def test_canon_fuzz_exit_codes(tmp_path_factory, text):
     if code == 0:
         m = parse_matrix(path.read_text())
         assert out == canon.canonical_form(m).bytes.decode("ascii")
+
+
+def _fuzz_run(tmp_path_factory, name, text, args):
+    """The CLI on a file holding text ({path} in args), with its store in the
+    temporary directory; every outcome must be one of the four exit codes."""
+    base = tmp_path_factory.getbasetemp()
+    path = base / name
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    code, out, err = run_cli([a.replace("{path}", str(path)) for a in args], store=base / "fuzz_store")
+    assert code in (0, 1, 2, 3), err
+    return code, out
+
+
+def _node_count(text):
+    try:
+        return int(text.splitlines()[0])
+    except (ValueError, IndexError):
+        return None
+
+
+def _mostly(good, bad):
+    """good seven times in eight, else bad."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 7 else good)
+
+
+@st.composite
+def _graph_text(draw):
+    n = draw(_mostly(st.integers(1, 8), st.one_of(st.integers(-2, 0), st.integers(stabset._NODE_LIMIT + 1, 10 ** 9))))
+    node = st.integers(0, min(max(n, 1), 8) - 1)
+    edge = _mostly(st.tuples(node, node), st.tuples(st.integers(-1, 9), st.integers(-1, 9)))
+    edges = draw(st.lists(edge, max_size=12))
+    tail = draw(_mostly(st.sampled_from(["", "\n"]), st.sampled_from(["x\n", "1\n", "1 2 3\n", "0 1.5\n"])))
+    return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges) + tail
+
+
+# raw text naming 9 to 15 nodes is left out: such graphs are within the node
+# budget, and the slowest of them take minutes
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text().filter(lambda t: not 8 < (_node_count(t) or 0) <= stabset._NODE_LIMIT), _graph_text()),
+       st.booleans())
+def test_stab_slack_fuzz_exit_codes(tmp_path_factory, text, maximal):
+    code, out = _fuzz_run(tmp_path_factory, "graph.txt", text, ["stab-slack", "{path}"] + ["--maximal"] * maximal)
+    if code == 0:
+        assert parse_matrix(out).rows > 0
+
+
+_RATIONAL = st.one_of(
+    st.integers(-1, 2),
+    st.sampled_from(["1/2", "-1/2", "2/3", "1", "x", "1.5", "1/0", 0.5, True, None, []]),
+)
+
+
+def _vectors(width, min_size, max_size):
+    entry = _mostly(st.integers(0, 1), st.one_of(st.integers(-1, 2), _RATIONAL))
+    length = st.integers(0, 9).map(lambda i: width + (i == 9))
+    vector = length.flatmap(lambda n: st.lists(entry, min_size=n, max_size=n))
+    return st.lists(vector, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def _json_text(draw, fields):
+    """A JSON object with "d" and the given vector fields (name, extra length,
+    whether d + 1 vectors at least), some perhaps missing."""
+    d = draw(_mostly(st.integers(1, 3), st.sampled_from([-1, 0, 1.0, "2", None])))
+    width = d if type(d) is int and d > 0 else 1
+    payload = {"d": d}
+    for name, extra, spanning in fields:
+        payload[name] = draw(_vectors(width + extra, (width + 1) * spanning, 8) if spanning else _vectors(width + extra, 0, 2))
+    for name in list(payload):
+        if draw(st.integers(0, 9)) == 9:
+            del payload[name]
+    return json.dumps(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.text(), _json_text([("ineqs", 1, False), ("verts", 0, True)])))
+def test_core_fuzz_exit_codes(tmp_path_factory, text):
+    _fuzz_run(tmp_path_factory, "polytope.json", text, ["core", "{path}"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.text(), _json_text([("A", 0, True), ("B", 0, True)])))
+def test_complete_and_compress_fuzz_exit_codes(tmp_path_factory, text):
+    code, out = _fuzz_run(tmp_path_factory, "cfg.json", text, ["complete", "{path}"])
+    _fuzz_run(tmp_path_factory, "cfg.json", text, ["compress", "{path}"])
+    if code == 0:
+        # a completion is maximal, so it reaches the encoder proper
+        code, out = _fuzz_run(tmp_path_factory, "full.json", out, ["compress", "{path}"])
+        if code == 0:
+            assert _fuzz_run(tmp_path_factory, "g.txt", out, ["decompress", "{path}"])[0] == 0
+
+
+@functools.cache
+def _compressed_texts():
+    """Weighted-graph texts of the maximal completions of the unit vectors in d = 1..3."""
+    texts = []
+    for d in (1, 2, 3):
+        cfg = normalize_to_binary(maximal_completion([[int(i == j) for j in range(d)] for i in range(d)], d), "B")
+        texts.append(compress.weighted_graph_serialize(compress.compress(cfg)))
+    return texts
+
+
+@st.composite
+def _weighted_graph_text(draw):
+    """A compressed configuration with a few tokens or lines changed."""
+    lines = [ln.split() for ln in draw(st.sampled_from(_compressed_texts())).splitlines()]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        if draw(st.integers(0, 3)) == 3 or not lines[i]:
+            del lines[i]
+            continue
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i][j] = draw(st.one_of(st.integers(-1, 12).map(str), st.text("01", min_size=1, max_size=4), st.just("x")))
+    return "".join(" ".join(ln) + "\n" for ln in lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.text(), _weighted_graph_text()))
+def test_decompress_fuzz_exit_codes(tmp_path_factory, text):
+    _fuzz_run(tmp_path_factory, "g.txt", text, ["decompress", "{path}"])
+
+
+@st.composite
+def _face_case(draw):
+    d = draw(_mostly(st.integers(1, 5), st.one_of(st.integers(-1, 0), st.integers(6, 10 ** 9))))
+    width = d if 0 <= d <= 5 else 2
+    length = _mostly(st.just(width), st.just(width + 1))
+    rows = draw(st.lists(length.flatmap(lambda n: st.lists(st.integers(-1, 2), min_size=n, max_size=n)), max_size=4))
+    tail = draw(_mostly(st.sampled_from(["", "\n"]), st.sampled_from(["a b\n", "1/2\n"])))
+    return d, "".join(" ".join(map(str, r)) + "\n" for r in rows) + tail
+
+
+@settings(max_examples=100, deadline=None)
+@given(_face_case())
+def test_face_fuzz_exit_codes(tmp_path_factory, case):
+    d, text = case
+    _fuzz_run(tmp_path_factory, "cuts.txt", text, ["face", "--dim", str(d), "--b-vectors", "{path}"])
+
+
+def test_stab_slack_node_budget(tmp_path):
+    # 99,999,999 nodes, and a 40-node perfect matching with 3^20 stable sets
+    matching = "40\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(20))
+    for name, text in (("huge.txt", "99999999\n"), ("matching.txt", matching)):
+        g = write(tmp_path, name, text)
+        for flags in ([], ["--maximal"]):
+            proc = run_process(["stab-slack", g] + flags, timeout=60)
+            assert proc.returncode == 3, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert "DimensionTooLarge" in proc.stderr
 
 
 def test_check_identity_beyond_closure_rank_limit(tmp_path):

@@ -2,19 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from tlc import canon, geometry, linalg
-from tlc.configuration import BinaryMatrix, SlackMatrix, slack_matrix
+from tlc import canon, linalg
+from tlc.configuration import BinaryMatrix, SlackMatrix, maximal_completion, slack_matrix
 from tlc.errors import NoCore, NotSpanning, ParseError
 from tlc.geometry import (
     PolytopeDescription,
     complete_maximal_pair,
-    cone_to_configuration,
-    cone_from_json,
-    cone_to_json,
     cube_vertices,
     examples_library,
     find_triangular_core,
-    homogenize,
+    polytope_completion,
     polytope_from_json,
     polytope_to_configuration,
     polytope_to_json,
@@ -86,19 +83,17 @@ def test_completion_matches_user_supplied_maximal_pair():
     assert canon.equivalent(s1, s2)
 
 
-# --- homogenize / configuration adapters --------------------------------------
+# --- homogenization: polytopes and cones as configurations ---------------------
 
 
 def test_homogenize_square():
     desc = _completed("cube2")
-    k = homogenize(desc)
-    assert k.d == 3
-    assert tuple([F(0)] * 3) in k.gens
-    # slacks agree with the polytope pair on shared labels
-    cfg_p = polytope_to_configuration(desc)
-    cfg_k = cone_to_configuration(k)
-    assert cfg_p.A == cfg_k.A
-    assert set(cfg_p.B) == set(cfg_k.B)
+    cfg = polytope_to_configuration(desc)
+    assert cfg.d == 3
+    assert tuple([F(0)] * 3) in cfg.B
+    # the homogenized description is the completion's configuration
+    assert cfg == polytope_completion(cube_vertices(2))
+    assert slack_matrix(cfg) == slack_matrix(polytope_completion(cube_vertices(2)))
 
 
 def test_polytope_configuration_zero_column():
@@ -116,8 +111,7 @@ def test_polytope_configuration_is_maximal():
 
 
 def test_cone_configuration_orthant():
-    k = geometry.complete_maximal_cone_pair([(F(1), F(0)), (F(0), F(1))])
-    cfg = cone_to_configuration(k)
+    cfg = maximal_completion([(F(1), F(0)), (F(0), F(1))], 2)
     assert cfg.is_maximal()
     s = slack_matrix(cfg)
     assert sorted(s.matrix.row_tuples()) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
@@ -159,7 +153,7 @@ def test_binary_integral_configuration(name):
     desc = _completed(name)
     dim = desc.d + 1
     s_in = slack_matrix(polytope_to_configuration(desc))
-    core, out = to_binary_integral_configuration(desc)
+    core, out = to_binary_integral_configuration(polytope_completion(examples_library()[name]))
     assert core == find_triangular_core(s_in, dim)
     assert all(x in (0, 1) for v in out.A for x in v)
     assert all(x.denominator == 1 for v in out.B for x in v)
@@ -169,8 +163,8 @@ def test_binary_integral_configuration(name):
 
 
 def test_binary_integral_configuration_cone():
-    k = geometry.complete_maximal_cone_pair([(F(1), F(0)), (F(0), F(1))])
-    _, out = to_binary_integral_configuration(k)
+    cone = maximal_completion([(F(1), F(0)), (F(0), F(1))], 2)
+    _, out = to_binary_integral_configuration(cone)
     assert all(x in (0, 1) for v in out.A for x in v)
     assert all(x.denominator == 1 for v in out.B for x in v)
 
@@ -201,10 +195,8 @@ def test_stab_k2_is_affine_triangle():
 def test_cone_maximal_slack_not_unique():
     # the nonnegative orthant has transpose-shaped maximal pairs, so cones do
     # not have a unique maximal slack form; record the finding
-    pair1 = geometry.complete_maximal_cone_pair([(F(1), F(0)), (F(0), F(1))])
-    pair2 = geometry.complete_maximal_cone_pair([(F(1), F(0)), (F(0), F(1)), (F(1), F(1))])
-    s1 = slack_matrix(cone_to_configuration(pair1)).matrix
-    s2 = slack_matrix(cone_to_configuration(pair2)).matrix
+    s1 = slack_matrix(maximal_completion([(F(1), F(0)), (F(0), F(1))], 2)).matrix
+    s2 = slack_matrix(maximal_completion([(F(1), F(0)), (F(0), F(1)), (F(1), F(1))], 2)).matrix
     finding = not canon.equivalent(s1, s2)
     print(f"cone maximal slack uniqueness finding: distinct forms found = {finding} "
           f"({s1.rows}x{s1.cols} vs {s2.rows}x{s2.cols})")
@@ -219,15 +211,7 @@ def test_polytope_json_roundtrip():
     assert back.d == desc.d and back.ineqs == desc.ineqs and back.verts == desc.verts
 
 
-def test_cone_json_roundtrip():
-    k = geometry.complete_maximal_cone_pair([(F(1), F(0)), (F(0), F(1))])
-    back = cone_from_json(cone_to_json(k))
-    assert back == k
-
-
 def test_json_dimension_accepts_only_integers():
     for d in ("true", "1.0", '"1"', "null"):
         with pytest.raises(ParseError):
             polytope_from_json('{"d": %s, "ineqs": [["1", "0"]], "verts": [["0"]]}' % d)
-        with pytest.raises(ParseError):
-            cone_from_json('{"d": %s, "ineqs": [["1"]], "gens": [["1"]]}' % d)

@@ -1,10 +1,11 @@
 """Geometry validation against the earlier Fraction checks.
 
 `reference_cone`, `reference_polytope` and `reference_completion` are the
-earlier `ConeDescription`/`PolytopeDescription` validation and
+earlier cone and `PolytopeDescription` validation and
 `complete_maximal_pair`, which test every product with a Fraction dot
 product and find facets by the tight input points of each row.  They are
-kept here as the oracle for geometry on the integer configuration core.
+kept here as the oracle for geometry on the integer configuration core; a
+cone is checked as the `Configuration` of its rows and generators.
 """
 
 from fractions import Fraction
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlc import geometry, linalg
-from tlc.configuration import closure, spans
+from tlc.configuration import Configuration, closure, maximal_completion, spans
 from tlc.errors import DimensionMismatch, InvalidGeometry, NonBinarySlack, NotSpanning
-from tlc.geometry import ConeDescription, PolytopeDescription, complete_maximal_pair
+from tlc.geometry import PolytopeDescription, complete_maximal_pair, polytope_to_configuration
 from tlc.linalg import dot, frac, vec
 
 F = Fraction
@@ -111,8 +112,8 @@ _POLYTOPES = {
     for name, verts in geometry.examples_library().items()
     if len(verts[0]) <= 3
 }
-_CONES = [geometry.homogenize(p) for p in _POLYTOPES.values() if p.d <= 2] + [
-    geometry.complete_maximal_cone_pair([tuple(F(int(i == j)) for j in range(d)) for i in range(d)])
+_CONES = [polytope_to_configuration(p) for p in _POLYTOPES.values() if p.d <= 2] + [
+    maximal_completion([tuple(F(int(i == j)) for j in range(d)) for i in range(d)], d)
     for d in (1, 2, 3)
 ]
 
@@ -135,7 +136,7 @@ def _faulty(draw, vectors, d):
 def cone_inputs(draw):
     if draw(st.integers(0, 3)):
         k = draw(st.sampled_from(_CONES))
-        d, ineqs, gens = k.d, list(k.ineqs), list(k.gens)
+        d, ineqs, gens = k.d, list(k.A), list(k.B)
     else:
         d = draw(st.integers(1, 3))
         ineqs = draw(st.lists(st.tuples(*[_ENTRY] * d), max_size=6))
@@ -191,8 +192,8 @@ def _polytope_faults(d, ineqs, verts):
 
 
 def _cone_sides(d, ineqs, gens):
-    k = ConeDescription(d, ineqs, gens)
-    return k.ineqs, k.gens
+    cfg = Configuration(d, ineqs, gens)
+    return cfg.A, cfg.B
 
 
 def _polytope_sides(d, ineqs, verts):

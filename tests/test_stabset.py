@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
-from tlc import canon, stabset
+from tlc import canon, configuration, geometry, stabset
 from tlc.errors import DimensionTooLarge, IsolatedNode, NotBipartite, ParseError
 from tlc.stabset import (
     BipartiteGraph,
@@ -155,10 +156,70 @@ def test_census_n5():
 
 
 def test_census_limit():
-    with pytest.raises(DimensionTooLarge):
-        census(8)
-    with pytest.raises(DimensionTooLarge):
-        census(7, include_classes=True)
+    for n in (0, 8):
+        with pytest.raises(DimensionTooLarge):
+            census(n)
+
+
+def _permutation_classes(n, masks):
+    """The earlier census grouping, kept as the oracle: the least image of
+    each edge mask under all n! node relabelings, one per class."""
+    edges = list(combinations(range(n), 2))
+    index = {e: k for k, e in enumerate(edges)}
+    perms = list(permutations(range(n)))
+    reps = set()
+    for mask in masks:
+        chosen = [edges[k] for k in range(len(edges)) if mask >> k & 1]
+        reps.add(min(sum(1 << index[tuple(sorted((p[u], p[v])))] for u, v in chosen) for p in perms))
+    return sorted(reps)
+
+
+def test_census_classes_match_permutation_grouping():
+    for n in (4, 5, 6):
+        _, _, masks = stabset._scan_masks(n, 0, 1 << (n * (n - 1) // 2), True)
+        reps = _permutation_classes(n, masks)
+        forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes for m in reps}
+        rep = census(n)
+        assert rep.isomorphism_classes_min_degree2 == len(reps)
+        assert rep.maximal_slack_forms_min_degree2 == len(forms)
+
+
+def test_node_limit_precedes_allocation():
+    # a 10^18-node graph would need per-node lists far beyond memory
+    for n in (stabset._NODE_LIMIT + 1, 10 ** 18):
+        with pytest.raises(DimensionTooLarge):
+            BipartiteGraph.from_edges(n, [])
+    n = stabset._NODE_LIMIT
+    assert BipartiteGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)]).n == n
+
+
+def test_two_color_bitmask():
+    # the path 0-1-2 plus the isolated node 3, then the triangle
+    assert stabset._two_color([0b010, 0b101, 0b010, 0]) == (0, 1, 0, 0)
+    assert stabset._two_color([0b110, 0b101, 0b011]) is None
+    assert C4().coloring == (0, 1, 0, 1)
+
+
+def test_maximal_slack_checks_products_once(monkeypatch):
+    original = configuration._slack_bits
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in (configuration, geometry, stabset):
+        if getattr(mod, "_slack_bits", None) is original:
+            monkeypatch.setattr(mod, "_slack_bits", counted)
+    cycle6 = BipartiteGraph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+    for g in (K2(), P3(), C4(), cycle6):
+        calls.clear()
+        stab_maximal_slack(g)
+        assert len(calls) == 1
+        cfg = geometry.polytope_completion([stabset._char_vec(s, g.n) for s in stable_sets(g)])
+        calls.clear()
+        configuration.slack_matrix(cfg)
+        assert calls == []
 
 
 def test_census_report_json_shape():
