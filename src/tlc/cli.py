@@ -211,8 +211,8 @@ def _cmd_face_enum(args, out) -> int:
 
 
 def _cmd_core(args, out) -> int:
-    poly = geometry.polytope_from_json(_read(args.polytope))
-    core, result = geometry.to_binary_integral_configuration(geometry.polytope_completion(poly.verts))
+    verts = geometry.polytope_from_json(_read(args.polytope))
+    core, result = geometry.to_binary_integral_configuration(geometry.polytope_completion(verts))
     payload = {
         "core": {"rows": list(core.row_indices), "cols": list(core.col_indices)},
         "configuration": json.loads(configuration_to_json(result)),

@@ -366,11 +366,15 @@ def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
     """
     if side not in (SIDE_A, SIDE_B):
         raise ValueError(f"side must be {SIDE_A!r} or {SIDE_B!r}")
-    basis = normalization_basis(cfg, side)
-    t_rows = [list(col) for col in zip(*basis)]  # T has the basis as columns
-    inv_det = linalg.inverse_and_det(t_rows)
-    assert inv_det is not None
-    t_inv, _ = inv_det
+    return _unit_basis(cfg, side, normalization_basis(cfg, side))
+
+
+def _unit_basis(cfg: Configuration, side: str, basis) -> Configuration:
+    """The change of basis T^-1, T the matrix with columns `basis` (d
+    independent vectors of the side opposite to `side`): the basis goes to
+    e_1..e_d and each vector x of `side` to T^T x, its products with the
+    basis."""
+    t_inv, _ = linalg.inverse_and_det([list(col) for col in zip(*basis)])
     tt_rows = [list(b) for b in basis]  # rows of T^T
     if side == SIDE_A:
         new_a = [linalg.mat_vec(tt_rows, a) for a in cfg.A]

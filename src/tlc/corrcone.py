@@ -309,6 +309,7 @@ def enumerate_faces(d: int) -> tuple[tuple[Bit, ...], ...]:
     """Every face of the correlation cone as a 0/1 point set (small d only)."""
     if d > _FACE_ENUM_LIMIT:
         raise DimensionTooLarge(f"face enumeration is limited to d <= {_FACE_ENUM_LIMIT}")
+    _check_dimension(d)
     pts = all_points(d)
     zero = tuple([0] * d)
     rest = [x for x in pts if x != zero]

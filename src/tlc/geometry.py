@@ -1,14 +1,13 @@
 """Two-level polytopes as configurations.
 
-A polytope description carries inequalities a.x >= b and points whose slacks
-a.v - b are all 0 or 1.  Homogenizing a d-polytope, rows (a, b) against
-points (v, -1) with the apex 0 kept as an explicit point, gives a
-configuration in R^(d+1) whose slack matrix is the polytope's.  A two-level
-cone needs no type of its own: it is a `Configuration`, and the completion
-of its generators is `configuration.maximal_completion`.  A triangular core
-(rows and columns whose slack submatrix is lower triangular with unit
-diagonal and independent row labels) supplies the unimodular change of
-basis that rewrites any maximal configuration with one binary side and one
+A d-polytope is kept only as its homogenized configuration in R^(d+1): an
+inequality a.x >= b is the row (a, b), a point v is (v, -1), and the apex 0
+is an explicit point, so each product is the slack a.v - b.  A two-level
+cone needs no type of its own either: it is a `Configuration`, and the
+completion of its generators is `configuration.maximal_completion`.  A
+triangular core (rows and columns whose slack submatrix is lower triangular
+with unit diagonal and independent row labels) supplies the change of basis
+that rewrites any maximal configuration with one binary side and one
 integral side containing all standard basis vectors.
 """
 
@@ -20,6 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .configuration import (
+    SIDE_A,
     Configuration,
     SlackMatrix,
     slack_matrix,
@@ -27,66 +27,35 @@ from .configuration import (
     dim_from_json,
     spans,
     vectors_from_json_field,
-    _rat_to_str,
     _scaled,
     _slack_bits,
+    _unit_basis,
 )
 from .errors import (
     DimensionMismatch,
+    DimensionTooLarge,
     InvalidGeometry,
     NoCore,
     NotSpanning,
     ParseError,
 )
-from .linalg import Vec, frac, vec
+from .linalg import Vec, vec
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
-
-@dataclass(frozen=True)
-class PolytopeDescription:
-    """Inequalities a.x >= b and points with every slack in {0,1}.
-
-    Rows flagged in non_facet_rows are valid two-level inequalities that are
-    not witnessed as facets by d affinely independent tight points.  The rows
-    are kept with repeats and need not span.
-    """
-
-    d: int
-    ineqs: tuple[tuple[Vec, Fraction], ...]
-    verts: tuple[Vec, ...]
-    non_facet_rows: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise DimensionMismatch("dimension must be at least 1")
-        ineqs = tuple(sorted((vec(a), frac(b)) for a, b in self.ineqs))
-        verts = tuple(sorted(set(vec(v) for v in self.verts)))
-        object.__setattr__(self, "ineqs", ineqs)
-        object.__setattr__(self, "verts", verts)
-        object.__setattr__(self, "non_facet_rows", tuple(self.non_facet_rows))
-        if any(len(a) != self.d for a, _ in ineqs) or any(len(v) != self.d for v in verts):
-            raise DimensionMismatch("vectors of wrong dimension")
-        rows_h, points_h = _homogenized(self.d, ineqs, verts)
-        if not spans(points_h, self.d + 1):
-            raise NotSpanning("points do not affinely span")
-        _slack_bits(*_scaled(rows_h), *_scaled(points_h))
+# find_triangular_core places at most this many (row, column) pairs.  The
+# most a test or built-in example takes is 1,618.  On 2 cores with Python
+# 3.11.7 the 6-node path's stable-set polytope takes 29,750 in 2.7 s; the
+# 8-node path's ran for over 300 s unbounded and stops here after about 6 s.
+_CORE_NODE_LIMIT = 50_000
 
 
-def _homogenized(d: int, ineqs, verts) -> tuple[list[Vec], list[Vec]]:
-    """Rows (a, b) and points (v, -1) in R^(d+1), the apex 0 last among the
-    points; each product is the slack a.v - b."""
-    rows = [tuple(a) + (b,) for a, b in ineqs]
+def _lifted(verts, d: int) -> list[Vec]:
+    """The points (v, -1) in R^(d+1), then the apex 0."""
     points = [tuple(v) + (_MINUS_ONE,) for v in verts]
     points.append((_ZERO,) * (d + 1))
-    return rows, points
-
-
-def polytope_to_configuration(p: PolytopeDescription) -> Configuration:
-    """Homogenized rows against lifted points plus the origin."""
-    return Configuration(p.d + 1, *_homogenized(p.d, p.ineqs, p.verts))
+    return points
 
 
 def polytope_completion(verts) -> Configuration:
@@ -101,7 +70,7 @@ def polytope_completion(verts) -> Configuration:
     if not verts:
         raise NotSpanning("empty point set")
     d = len(verts[0])
-    _, seed = _homogenized(d, (), verts)
+    seed = _lifted(verts, d)
     if not spans(seed, d + 1):
         raise NotSpanning("points do not affinely span")
     rows_h = closure(seed, d + 1)
@@ -114,12 +83,10 @@ def polytope_completion(verts) -> Configuration:
     return cfg
 
 
-def complete_maximal_pair(verts) -> PolytopeDescription:
-    """The maximal two-level pair generated by a polytope's vertex set.
-
-    The rows and points of `polytope_completion`, with the inequalities not
-    tight at d affinely independent input points flagged as non-facets.
-    """
+def complete_maximal_pair(verts) -> tuple[Configuration, tuple[int, ...]]:
+    """`polytope_completion(verts)` and the indices of its rows that are not
+    tight at d affinely independent input points (the non-facets; the two
+    trivial rows are not counted)."""
     verts = [vec(v) for v in verts]
     cfg = polytope_completion(verts)
     d = cfg.d - 1
@@ -134,9 +101,7 @@ def complete_maximal_pair(verts) -> PolytopeDescription:
         bits = s.row_bits(i)
         if any(r[:d]) and linalg.rank([cfg.B[j] for j in cols if not bits[j]]) < d:
             non_facet.append(i)
-    ineqs = tuple((r[:d], r[d]) for r in cfg.A)
-    max_verts = tuple(u[:d] for u in cfg.B if u[d] == _MINUS_ONE)
-    return PolytopeDescription(d, ineqs, max_verts, tuple(non_facet))
+    return cfg, tuple(non_facet)
 
 
 @dataclass(frozen=True)
@@ -154,6 +119,8 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
     chosen row labels linearly independent.  Rows are tried in order of
     increasing number of ones.  Positions are filled from the last index
     backwards so each new row is constrained only by columns already chosen.
+    A search that places more than _CORE_NODE_LIMIT pairs raises
+    DimensionTooLarge.
     """
     m = s.matrix
     if size < 1 or size > min(m.rows, m.cols):
@@ -163,12 +130,14 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
 
     chosen_rows: list[int] = []
     chosen_cols: list[int] = []
+    nodes = 0
 
     def independent_with(idx: int) -> bool:
         labels = [list(s.row_labels[r]) for r in chosen_rows] + [list(s.row_labels[idx])]
         return linalg.rank(labels) == len(labels)
 
     def place(pos: int) -> bool:
+        nonlocal nodes
         # pos runs size-1 .. 0; chosen lists hold positions pos+1 .. size-1
         for ri in row_order:
             if ri in chosen_rows:
@@ -181,6 +150,9 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
             for cj in range(m.cols):
                 if cj in chosen_cols or not bits[cj]:
                     continue
+                nodes += 1
+                if nodes > _CORE_NODE_LIMIT:
+                    raise DimensionTooLarge(f"triangular core search exceeds {_CORE_NODE_LIMIT} nodes")
                 chosen_rows.append(ri)
                 chosen_cols.append(cj)
                 if pos == 0 or place(pos - 1):
@@ -198,49 +170,18 @@ def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore
     """A triangular core of a maximal configuration and its rewrite with a
     0/1 side C and an integral side D.
 
-    Two changes of basis: first the independent core rows map the point side
-    into slack coordinates (0/1 vectors); then the unimodular lower
-    triangular matrix of core columns maps back so that all standard basis
-    vectors land in D, which makes the row side C binary.  The slack matrix
-    is preserved entry for entry under the label correspondence.  Each
-    coordinate of a C vector is its product with a basis vector in D, so the
-    Configuration's product check also checks that C is binary.
+    One change of basis sends the core's columns B[j_1..j_d] to e_1..e_d, so
+    all standard basis vectors land in D and each C vector becomes its
+    products with those columns, a 0/1 vector.  With M the core rows and L
+    the core's unit lower triangular slack submatrix, the map on B is
+    L^-1 M, which is integral on every B vector because M B is 0/1 and L is
+    unimodular.  The slack matrix is preserved entry for entry under the
+    label correspondence.
     """
-    size = cfg.d
-    s = slack_matrix(cfg)
-    core = find_triangular_core(s, size)
-
-    m_rows = [list(s.row_labels[i]) for i in core.row_indices]
-    inv_det = linalg.inverse_and_det(m_rows)
-    if inv_det is None:
-        raise NoCore("core rows are not independent")
-    m_inv, _ = inv_det
-    m_inv_t = [list(col) for col in zip(*m_inv)]
-
-    a2 = [linalg.mat_vec(m_inv_t, a) for a in s.row_labels]
-    b2 = [linalg.mat_vec(m_rows, b) for b in s.col_labels]
-
-    l_cols = [b2[j] for j in core.col_indices]
-    l_rows = [list(col) for col in zip(*l_cols)]
-    for i in range(size):
-        if l_rows[i][i] != _ONE:
-            raise NoCore("core diagonal is not all ones")
-        for j in range(i + 1, size):
-            if l_rows[i][j] != _ZERO:
-                raise NoCore("core submatrix is not lower triangular")
-
-    l_inv_det = linalg.inverse_and_det(l_rows)
-    assert l_inv_det is not None
-    l_inv, l_det = l_inv_det
-    assert abs(l_det) == 1
-    l_t = [list(col) for col in zip(*l_rows)]
-
-    c_side = [linalg.mat_vec(l_t, a) for a in a2]
-    d_side = [linalg.mat_vec(l_inv, b) for b in b2]
-    for v in d_side:
-        if any(e.denominator != 1 for e in v):
-            raise InvalidGeometry("integral side has a fractional coordinate")
-    out = Configuration(size, tuple(c_side), tuple(d_side))
+    core = find_triangular_core(slack_matrix(cfg), cfg.d)
+    out = _unit_basis(cfg, SIDE_A, [cfg.B[j] for j in core.col_indices])
+    if any(x.denominator != 1 for v in out.B for x in v):
+        raise InvalidGeometry("integral side has a fractional coordinate")
     if cfg.is_maximal():
         object.__setattr__(out, "_maximal", True)
     return core, out
@@ -282,17 +223,14 @@ def examples_library() -> dict[str, tuple[Vec, ...]]:
 # --- JSON interchange -----------------------------------------------------
 
 
-def polytope_to_json(p: PolytopeDescription) -> str:
-    payload = {
-        "d": p.d,
-        "ineqs": [[_rat_to_str(x) for x in a] + [_rat_to_str(b)] for a, b in p.ineqs],
-        "verts": [[_rat_to_str(x) for x in v] for v in p.verts],
-        "non_facet_rows": list(p.non_facet_rows),
-    }
-    return json.dumps(payload, sort_keys=True)
+def polytope_from_json(text: str) -> tuple[Vec, ...]:
+    """The sorted, distinct vertices of a polytope JSON.
 
-
-def polytope_from_json(text: str) -> PolytopeDescription:
+    Every "ineqs" row (a, b), standing for a.x >= b, must have slack
+    a.v - b in {0,1} at every vertex v.  The rows are checked against
+    "verts", but the completion, and so every answer, depends on "verts"
+    only.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
@@ -300,5 +238,11 @@ def polytope_from_json(text: str) -> PolytopeDescription:
     d = dim_from_json(payload)
     rows = vectors_from_json_field(payload, "ineqs", d + 1)
     verts = vectors_from_json_field(payload, "verts", d)
-    ineqs = tuple((r[:d], r[d]) for r in rows)
-    return PolytopeDescription(d, ineqs, verts)
+    if d < 1:
+        raise DimensionMismatch("dimension must be at least 1")
+    verts = tuple(sorted(set(verts)))
+    points = _lifted(verts, d)
+    if not spans(points, d + 1):
+        raise NotSpanning("points do not affinely span")
+    _slack_bits(*_scaled(sorted(rows)), *_scaled(points))
+    return verts

@@ -111,8 +111,7 @@ def test_criterion_04_normalization(enum_results):
         for f in res.classes:
             configs.append(from_slack_matrix(parse_matrix(f.bytes.decode())))
     for name, verts in geometry.examples_library().items():
-        desc = geometry.complete_maximal_pair(verts)
-        configs.append(geometry.polytope_to_configuration(desc))
+        configs.append(geometry.polytope_completion(verts))
     for cfg in configs:
         for side in ("A", "B"):
             out = normalize_to_binary(cfg, side)
@@ -274,9 +273,8 @@ def test_criterion_09_geometry_adapters():
     lib = geometry.examples_library()
     cases = {"segment": 1, "cube2": 2, "simplex2": 2, "simplex3": 3, "cube3": 3}
     for name, d in cases.items():
-        desc = geometry.complete_maximal_pair(lib[name])
-        cfg = geometry.polytope_to_configuration(desc)
-        assert cfg.is_maximal()
+        cfg = geometry.polytope_completion(lib[name])
+        assert closure(cfg.B, d + 1) == cfg.A and closure(cfg.A, d + 1) == cfg.B
         s = slack_matrix(cfg)
         core = geometry.find_triangular_core(s, d + 1)
         for i in range(d + 1):

@@ -127,6 +127,44 @@ def test_core_subcommand(tmp_path):
     assert payload["configuration"]["d"] == 2
 
 
+def test_core_ineqs_are_checked_but_not_used(tmp_path):
+    triangle = '"verts": [[0, 0], [0, 1], [1, 0]]'
+    with_row = write(tmp_path, "row.json", '{"d": 2, "ineqs": [["1", "0", "0"]], %s}' % triangle)
+    no_rows = write(tmp_path, "none.json", '{"d": 2, "ineqs": [], %s}' % triangle)
+    assert run_cli(["core", with_row]) == run_cli(["core", no_rows])
+    assert run_cli(["core", no_rows])[0] == 0
+    # x1 >= -1 has slack 2 at (1, 0)
+    bad = write(tmp_path, "bad.json", '{"d": 2, "ineqs": [["1", "0", "-1"]], %s}' % triangle)
+    code, out, err = run_cli(["core", bad])
+    assert code == 3 and out == ""
+    assert err.startswith("error: NonBinarySlack")
+
+
+def test_core_search_budget(tmp_path):
+    # the stable-set polytope of the 8-node path: 55 vertices in R^8
+    g = stabset.BipartiteGraph.from_edges(8, [(v, v + 1) for v in range(7)])
+    verts = [[int(v in s) for v in range(8)] for s in stabset.stable_sets(g)]
+    poly = write(tmp_path, "path8.json", json.dumps({"d": 8, "ineqs": [], "verts": verts}))
+    proc = run_process(["core", poly], timeout=120)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "DimensionTooLarge" in proc.stderr
+
+
+def test_enum_sampled_seed_budget(tmp_path):
+    start = time.perf_counter()
+    code, out, err = run_cli(["enum", "--dim", "5", "--seed-limit", "5000000000"], store=tmp_path / "store")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: DimensionTooLarge")
+
+
+def test_face_enum_negative_dimension(tmp_path):
+    code, out, err = run_cli(["face-enum", "--dim", "-1"], store=tmp_path / "store")
+    assert code == 3 and out == ""
+    assert err == "error: DimensionMismatch: dimension must be nonnegative, got -1\n"
+
+
 def test_stab_slack_subcommand(tmp_path):
     g = write(tmp_path, "k2.txt", "2\n0 1\n")
     code, out, _ = run_cli(["stab-slack", g])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tlc import canon, geometry
+from tlc import canon, enumeration, geometry
 from tlc.configuration import (
     BinaryMatrix,
     is_maximal_in_md,
@@ -53,6 +53,8 @@ def test_enumerate_rejects_large_dimension():
         enumerate_maximal(6)
     with pytest.raises(DimensionTooLarge):
         enumerate_maximal(5)  # needs an explicit sampled budget
+    with pytest.raises(DimensionTooLarge):
+        enumerate_maximal(5, seed_limit=enumeration._SAMPLED_SEED_LIMIT + 1)
 
 
 def test_enumerate_d5_sampled_runs():
@@ -84,8 +86,7 @@ def test_polytope_classes_appear(enum_results):
     for d, names in by_dim.items():
         byte_set = {f.bytes for f in enum_results[d].classes}
         for name in names:
-            desc = geometry.complete_maximal_pair(lib[name])
-            cfg = geometry.polytope_to_configuration(desc)
+            cfg = geometry.polytope_completion(lib[name])
             f = canon.canonical_form(slack_matrix(cfg).matrix)
             assert f.bytes in byte_set, name
 
@@ -95,8 +96,7 @@ def test_polytope_classes_appear_d4(enum_d4):
     byte_set = {f.bytes for f in enum_d4.classes}
     assert len(enum_d4.classes) == CLASS_COUNTS[4]
     for name in ("cube3", "simplex3"):
-        desc = geometry.complete_maximal_pair(lib[name])
-        cfg = geometry.polytope_to_configuration(desc)
+        cfg = geometry.polytope_completion(lib[name])
         f = canon.canonical_form(slack_matrix(cfg).matrix)
         assert f.bytes in byte_set, name
 

@@ -1,20 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from tlc import canon, linalg
-from tlc.configuration import BinaryMatrix, SlackMatrix, maximal_completion, slack_matrix
-from tlc.errors import NoCore, NotSpanning, ParseError
+from tlc import geometry
+from tlc.configuration import BinaryMatrix, Configuration, SlackMatrix, maximal_completion, slack_matrix
+from tlc.errors import DimensionTooLarge, NoCore, NotSpanning, ParseError
 from tlc.geometry import (
-    PolytopeDescription,
     complete_maximal_pair,
     cube_vertices,
     examples_library,
     find_triangular_core,
     polytope_completion,
     polytope_from_json,
-    polytope_to_configuration,
-    polytope_to_json,
     to_binary_integral_configuration,
 )
 
@@ -22,43 +21,46 @@ F = Fraction
 
 
 def _completed(name):
-    return complete_maximal_pair(examples_library()[name])
+    return polytope_completion(examples_library()[name])
 
 
 # --- completion -------------------------------------------------------------
 
 
+def _vertices(cfg):
+    return {u[:-1] for u in cfg.B if u[-1] == -1}
+
+
 def test_segment_completion():
-    desc = _completed("segment")
-    assert len(desc.ineqs) == 4
-    assert set(desc.verts) == {(F(0),), (F(1),)}
-    rows = {(tuple(a), b) for a, b in desc.ineqs}
-    assert ((F(0),), F(0)) in rows  # 0 >= 0
-    assert ((F(0),), F(-1)) in rows  # 0 >= -1
-    assert ((F(1),), F(0)) in rows  # x >= 0
-    assert ((F(-1),), F(-1)) in rows  # x <= 1
+    cfg, _ = complete_maximal_pair(examples_library()["segment"])
+    assert len(cfg.A) == 4
+    assert _vertices(cfg) == {(F(0),), (F(1),)}
+    assert (F(0), F(0)) in cfg.A  # 0 >= 0
+    assert (F(0), F(-1)) in cfg.A  # 0 >= -1
+    assert (F(1), F(0)) in cfg.A  # x >= 0
+    assert (F(-1), F(-1)) in cfg.A  # x <= 1
 
 
 def test_square_completion():
-    desc = _completed("cube2")
-    assert len(desc.ineqs) == 6
-    assert len(desc.verts) == 4
-    assert desc.non_facet_rows == ()
+    cfg, non_facet = complete_maximal_pair(examples_library()["cube2"])
+    assert len(cfg.A) == 6
+    assert len(_vertices(cfg)) == 4
+    assert non_facet == ()
 
 
 def test_triangle_completion_has_non_facets():
-    desc = _completed("simplex2")
-    assert len(desc.ineqs) == 8
-    assert len(desc.verts) == 3
+    cfg, non_facet = complete_maximal_pair(examples_library()["simplex2"])
+    assert len(cfg.A) == 8
+    assert len(_vertices(cfg)) == 3
     # x1+x2 >= 0, x1 <= 1, x2 <= 1 are valid rows but not facets
-    assert len(desc.non_facet_rows) == 3
+    assert {cfg.A[i] for i in non_facet} == {(F(1), F(1), F(0)), (F(-1), F(0), F(-1)), (F(0), F(-1), F(-1))}
 
 
 def test_cube3_completion():
-    desc = _completed("cube3")
-    assert len(desc.ineqs) == 8  # 6 facets + 2 trivial rows
-    assert len(desc.verts) == 8
-    assert desc.non_facet_rows == ()
+    cfg, non_facet = complete_maximal_pair(examples_library()["cube3"])
+    assert len(cfg.A) == 8  # 6 facets + 2 trivial rows
+    assert len(_vertices(cfg)) == 8
+    assert non_facet == ()
 
 
 def test_completion_rejects_flat_input():
@@ -76,10 +78,10 @@ def test_completion_matches_user_supplied_maximal_pair():
         ((F(0), F(0)), F(0)),
         ((F(0), F(0)), F(-1)),
     ]
-    manual = PolytopeDescription(2, tuple(ineqs), cube_vertices(2))
-    auto = _completed("cube2")
-    s1 = slack_matrix(polytope_to_configuration(manual)).matrix
-    s2 = slack_matrix(polytope_to_configuration(auto)).matrix
+    rows = [a + (b,) for a, b in ineqs]
+    points = [v + (F(-1),) for v in cube_vertices(2)] + [(F(0),) * 3]
+    s1 = slack_matrix(Configuration(3, rows, points)).matrix
+    s2 = slack_matrix(_completed("cube2")).matrix
     assert canon.equivalent(s1, s2)
 
 
@@ -87,27 +89,26 @@ def test_completion_matches_user_supplied_maximal_pair():
 
 
 def test_homogenize_square():
-    desc = _completed("cube2")
-    cfg = polytope_to_configuration(desc)
+    cfg, _ = complete_maximal_pair(cube_vertices(2))
     assert cfg.d == 3
     assert tuple([F(0)] * 3) in cfg.B
-    # the homogenized description is the completion's configuration
+    # rows (a, b) against points (v, -1): the products are the slacks a.v - b
+    assert {v + (F(-1),) for v in cube_vertices(2)} < set(cfg.B)
     assert cfg == polytope_completion(cube_vertices(2))
     assert slack_matrix(cfg) == slack_matrix(polytope_completion(cube_vertices(2)))
 
 
 def test_polytope_configuration_zero_column():
-    desc = _completed("cube2")
-    cfg = polytope_to_configuration(desc)
-    s = slack_matrix(cfg)
+    s = slack_matrix(_completed("cube2"))
     zero_col = s.col_labels.index(tuple([F(0)] * 3))
     assert all(s.matrix.col_bits(zero_col)[i] == 0 for i in range(s.matrix.rows))
 
 
 def test_polytope_configuration_is_maximal():
     for name in ("segment", "cube2", "simplex2", "simplex3", "cube3"):
-        cfg = polytope_to_configuration(_completed(name))
-        assert cfg.is_maximal(), name
+        cfg = _completed(name)
+        # a fresh Configuration, so maximality is computed, not read back
+        assert Configuration(cfg.d, cfg.A, cfg.B).is_maximal(), name
 
 
 def test_cone_configuration_orthant():
@@ -131,10 +132,19 @@ def _core_pattern_ok(s: SlackMatrix, core, size):
 
 @pytest.mark.parametrize("name,dim", [("segment", 1), ("cube2", 2), ("simplex2", 2), ("cube3", 3)])
 def test_find_core(name, dim):
-    desc = _completed(name)
-    s = slack_matrix(polytope_to_configuration(desc))
+    s = slack_matrix(_completed(name))
     core = find_triangular_core(s, dim + 1)
     _core_pattern_ok(s, core, dim + 1)
+
+
+def test_core_search_node_budget(monkeypatch):
+    # the 3-cube's core takes 4 placements and no backtracking
+    s = slack_matrix(_completed("cube3"))
+    monkeypatch.setattr(geometry, "_CORE_NODE_LIMIT", 3)
+    with pytest.raises(DimensionTooLarge):
+        find_triangular_core(s, 4)
+    monkeypatch.setattr(geometry, "_CORE_NODE_LIMIT", 4)
+    _core_pattern_ok(s, find_triangular_core(s, 4), 4)
 
 
 def test_no_core_in_zero_matrix():
@@ -150,11 +160,12 @@ def test_no_core_in_zero_matrix():
 
 @pytest.mark.parametrize("name", ["segment", "cube2", "simplex2", "simplex3", "cube3"])
 def test_binary_integral_configuration(name):
-    desc = _completed(name)
-    dim = desc.d + 1
-    s_in = slack_matrix(polytope_to_configuration(desc))
-    core, out = to_binary_integral_configuration(polytope_completion(examples_library()[name]))
+    cfg = _completed(name)
+    dim = cfg.d
+    s_in = slack_matrix(cfg)
+    core, out = to_binary_integral_configuration(cfg)
     assert core == find_triangular_core(s_in, dim)
+    assert out.is_maximal()
     assert all(x in (0, 1) for v in out.A for x in v)
     assert all(x.denominator == 1 for v in out.B for x in v)
     basis = {tuple(F(1) if j == i else F(0) for j in range(dim)) for i in range(dim)}
@@ -175,11 +186,11 @@ def test_binary_integral_configuration_cone():
 def test_maximal_slack_form_affine_invariance():
     lib = examples_library()
     # cross2 is an affine square; a shifted/scaled segment is an affine segment
-    sq = slack_matrix(polytope_to_configuration(complete_maximal_pair(lib["cube2"]))).matrix
-    cr = slack_matrix(polytope_to_configuration(complete_maximal_pair(lib["cross2"]))).matrix
+    sq = slack_matrix(polytope_completion(lib["cube2"])).matrix
+    cr = slack_matrix(polytope_completion(lib["cross2"])).matrix
     assert canon.equivalent(sq, cr)
-    seg1 = slack_matrix(polytope_to_configuration(complete_maximal_pair([(F(0),), (F(1),)]))).matrix
-    seg2 = slack_matrix(polytope_to_configuration(complete_maximal_pair([(F(3),), (F(7),)]))).matrix
+    seg1 = slack_matrix(polytope_completion([(F(0),), (F(1),)])).matrix
+    seg2 = slack_matrix(polytope_completion([(F(3),), (F(7),)])).matrix
     assert canon.equivalent(seg1, seg2)
 
 
@@ -188,7 +199,7 @@ def test_stab_k2_is_affine_triangle():
 
     g = stabset.BipartiteGraph.from_edges(2, [(0, 1)])
     s1 = stabset.stab_maximal_slack(g).matrix
-    s2 = slack_matrix(polytope_to_configuration(_completed("simplex2"))).matrix
+    s2 = slack_matrix(_completed("simplex2")).matrix
     assert canon.equivalent(s1, s2)
 
 
@@ -206,9 +217,17 @@ def test_cone_maximal_slack_not_unique():
 
 
 def test_polytope_json_roundtrip():
-    desc = _completed("cube2")
-    back = polytope_from_json(polytope_to_json(desc))
-    assert back.d == desc.d and back.ineqs == desc.ineqs and back.verts == desc.verts
+    # the completed rows and vertices as polytope JSON read back to the
+    # sorted vertices, and complete to the same configuration
+    cfg = _completed("cube2")
+    text = json.dumps({
+        "d": 2,
+        "ineqs": [[str(x) for x in r] for r in reversed(cfg.A)],
+        "verts": [[str(x) for x in u[:2]] for u in cfg.B if u[2] == -1] * 2,
+    })
+    verts = polytope_from_json(text)
+    assert verts == tuple(sorted(cube_vertices(2)))
+    assert polytope_completion(verts) == cfg
 
 
 def test_json_dimension_accepts_only_integers():
