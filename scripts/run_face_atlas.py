@@ -9,7 +9,7 @@ from tlc import corrcone
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--dim", type=int, default=2, choices=(1, 2, 3))
+    ap.add_argument("--dim", type=int, default=2, choices=range(1, corrcone._FACE_ENUM_LIMIT + 1))
     args = ap.parse_args()
 
     faces = corrcone.enumerate_faces(args.dim)

@@ -7,24 +7,27 @@ itself.  For integral b the value <(b b^T, -b), lift(x)> equals
 <b,x> is 0 or 1, so every integer vector b cuts out a face.  A face is stored
 as its set of 0/1 points (the zero vector belongs to every face), and is
 certified by the coordinate sum of a maximal independent subset of its
-lifted points: an integer vector with entries in [0, d(d+1)/2] from which the
-face can be recovered by exact linear programming alone.
+lifted points: an integer vector with entries in [0, d(d+1)/2] whose face is
+the intersection of the facets on which it vanishes.
 
 Only d(d+1)/2 of the d^2 + d coordinates are independent on the lifts: the
 block is symmetric and its diagonal equals the tail, because x_i^2 = x_i.
-Every LP therefore runs on the reduced lift (x_i x_j for i < j, then x),
-which maps the span of the lifts one to one onto R^(d(d+1)/2).  The
-certificate entries, their text and the weighted-graph text keep the full
-d^2 + d layout; a certificate whose block is not symmetric, or whose
-diagonal is not its tail, lies outside the span and so outside the cone.
+The cone is kept as its facets in the reduced lift (x_i x_j for i < j, then
+x), which maps the span of the lifts one to one onto R^(d(d+1)/2), and every
+face question is a closure on bitmasks over all_points(d).  The certificate
+entries, their text and the weighted-graph text keep the full d^2 + d
+layout; a certificate whose block is not symmetric, or whose diagonal is
+not its tail, lies outside the span and so outside the cone.
 
-The face test, the encoder and the decoder are exponential in d (2^d points,
-and the face test's LP has a row per point outside the face), so they refuse
-dimensions above _LP_DIM_LIMIT with DimensionTooLarge.
+The facets are computed on first use, and their number grows quickly with d
+(210 at d = 5), so the face test, the encoder and the decoder refuse
+dimensions above _DIM_LIMIT with DimensionTooLarge.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -39,15 +42,16 @@ from .errors import (
 
 Bit = tuple[int, ...]
 
-_FACE_ENUM_LIMIT = 3
+# Largest dimension for enumerate_faces.  On 2 cores with Python 3.11.7 the
+# 7,814 faces at d = 4 take 0.3 s; d = 5 has 4,846,510 faces and takes 4 min.
+_FACE_ENUM_LIMIT = 4
 
 # Largest dimension for face_points, is_face, certificate_encode and
-# certificate_decode.  Measured on 2 cores with Python 3.11.7: at d = 5 each
-# of these calls took at most 0.5 s on random faces and random in-cone
-# certificates, while at d = 6 a single face test took 1 to 3 s and a decode
-# that falls back to per-point LPs runs several.  Every d <= 4 class has
-# k = d generators, so every d <= 4 class still compresses and decompresses.
-_LP_DIM_LIMIT = 5
+# certificate_decode.  On 2 cores with Python 3.11.7 the 210 facets at d = 5
+# take 0.2 s to compute, while the d = 6 computation ran for over 300 s.
+# Every d <= 4 class has k = d generators, so every d <= 4 class still
+# compresses and decompresses.
+_DIM_LIMIT = 5
 
 _NOT_IN_CONE = "certificate has no nonnegative decomposition"
 
@@ -55,8 +59,8 @@ _NOT_IN_CONE = "certificate has no nonnegative decomposition"
 def _check_dimension(d: int) -> None:
     if d < 0:
         raise DimensionMismatch(f"dimension must be nonnegative, got {d}")
-    if d > _LP_DIM_LIMIT:
-        raise DimensionTooLarge(f"correlation cone LPs are limited to d <= {_LP_DIM_LIMIT}")
+    if d > _DIM_LIMIT:
+        raise DimensionTooLarge(f"correlation cone LPs are limited to d <= {_DIM_LIMIT}")
 
 
 def _binary(x) -> Bit:
@@ -103,11 +107,6 @@ def face_points(d: int, bs) -> tuple[Bit, ...]:
     return tuple(sorted(out))
 
 
-def _columns(vectors, width: int) -> list[list[int]]:
-    """The vectors as the columns of a width-row matrix."""
-    return [[v[r] for v in vectors] for r in range(width)]
-
-
 def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
@@ -132,27 +131,67 @@ def _orthogonal_basis(vectors, width: int) -> list[list[int]]:
     return basis
 
 
-def is_face(d: int, points) -> bool:
-    """Exposed-face test: a rational functional vanishing on the lifted points
-    and at least 1 on every other lifted 0/1 vector (exact LP).
+@functools.cache
+def _facets(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The facets as sorted pairs (primitive integer normal in the reduced
+    lift, mask of the points of all_points(d) on the facet).
 
-    The functional is sought in the orthogonal complement of the reduced
-    lifts of the points, so the LP has one row per other point.
+    Double description (Fukuda and Prodon 1996) of the cone {a : <a, z> >= 0
+    for every reduced lift z}, whose extreme rays are the normals.  It starts
+    from n = d(d+1)/2 independent lifts, each ray orthogonal to all but one,
+    and adds the other lifts one at a time.  Rays of opposite sign on the
+    new lift combine when adjacent: no third ray vanishes on every processed
+    lift where both do (counting unprocessed lifts lets redundant rays in).
     """
+    n = d * (d + 1) // 2
+    lifts = [_reduced_lift(x) for x in all_points(d)]
+    start = [k + 1 for k in linalg.first_independent(lifts[1:], n)]
+    rays = []  # (normal, mask of the processed lifts it vanishes on)
+    for k in start:
+        (a,) = _orthogonal_basis([lifts[j] for j in start if j != k], n)
+        g = math.gcd(*a) if _dot(a, lifts[k]) > 0 else -math.gcd(*a)
+        rays.append(([v // g for v in a], sum(1 << j for j in start if j != k)))
+    for k in sorted(set(range(1, len(lifts))) - set(start)):
+        vals = [_dot(a, lifts[k]) for a, _ in rays]
+        new = [(a, z | (1 << k) if not v else z) for (a, z), v in zip(rays, vals) if v >= 0]
+        for (p, zp), vp in zip(rays, vals):
+            for (q, zq), vq in zip(rays, vals):
+                common = zp & zq
+                if vp <= 0 or vq >= 0 or common.bit_count() < n - 2:
+                    continue
+                if any(z & common == common and r is not p and r is not q for r, z in rays):
+                    continue
+                a = [vp * x - vq * y for x, y in zip(q, p)]
+                g = math.gcd(*a)
+                new.append(([v // g for v in a], common | (1 << k)))
+        rays = new
+    return tuple(sorted(
+        (tuple(a), sum(1 << i for i, z in enumerate(lifts) if not _dot(a, z))) for a, _ in rays))
+
+
+def _close(d: int, mask: int) -> int:
+    """The smallest face holding the points of mask: the points on every facet that holds them all."""
+    out = (1 << (1 << d)) - 1
+    for _, m in _facets(d):
+        if m & mask == mask:
+            out &= m
+    return out
+
+
+def _points(d: int, mask: int) -> tuple[Bit, ...]:
+    return tuple(sorted(x for i, x in enumerate(all_points(d)) if (mask >> i) & 1))
+
+
+def is_face(d: int, points) -> bool:
+    """Face test: the points are exactly the 0/1 points of a face (a fixed point of _close)."""
     _check_dimension(d)
-    pts = set(tuple(int(v) for v in p) for p in points)
+    pts = [_binary(x) for x in sorted(set(tuple(int(v) for v in p) for p in points))]
     if not pts:
         return False
-    on = [_reduced_lift(x) for x in sorted(pts)]
     if any(len(x) != d for x in pts):
         raise DimensionMismatch(f"face points must have {d} coordinates")
-    off = [_reduced_lift(y) for y in all_points(d) if y not in pts]
-    if not off:
-        return True
-    normals = _orthogonal_basis(on, d * (d + 1) // 2)
-    rows = [[_dot(z, n) for n in normals] + [-int(j == k) for j in range(len(off))] for k, z in enumerate(off)]
-    nonneg = [False] * len(normals) + [True] * len(off)
-    return linalg.lp_feasible(rows, [1] * len(off), nonneg) is not None
+    mask = sum(1 << sum(b << j for j, b in enumerate(x)) for x in pts)
+    return _close(d, mask) == mask
 
 
 @dataclass(frozen=True)
@@ -227,99 +266,47 @@ def certificate_encode(d: int, points) -> FaceCertificate:
     return FaceCertificate(d, tuple(s))
 
 
-def _in_face_witness(gens, s, k: int):
-    """lambda, tau >= 0 with gens[k] + sum_g lambda_g g = (1 + tau) s, or None.
-
-    Feasible exactly when gens[k] lies in the face whose relative interior
-    holds s; the scale tau makes the test need no threshold.  The returned
-    vector ends with tau.
-    """
-    cols = gens + [tuple(-v for v in s)]
-    rhs = [v - z for v, z in zip(s, gens[k])]
-    return linalg.lp_feasible(_columns(cols, len(s)), rhs, [True] * len(cols))
-
-
-def _span_members(gens, support, width: int) -> set[int]:
-    """Indices of the generators in the span of gens[j], j in support."""
-    normals = _orthogonal_basis([gens[j] for j in support], width)
-    return {k for k, g in enumerate(gens) if not any(_dot(g, n) for n in normals)}
-
-
 def certificate_decode(cert: FaceCertificate) -> tuple[Bit, ...]:
     """The 0/1 points of the unique face F whose relative interior holds the sum.
 
-    G is the set of nonzero 0/1 points, worked on through their reduced
-    lifts; the zero vector is always included.
-
-    1. One LP writes s = sum_g lambda_g lift(g) with lambda >= 0 (no such
-       decomposition: NotInCone).  Every g in the support S of this basic
-       solution lies in F, because s is in the relative interior of F and a
-       positive combination of points of the cone lies in a face only if
-       each of them does.
-    2. P is the set of g whose lift lies in span(S): the g orthogonal to
-       an integer basis of its complement, from one fraction-free echelon.  span(S) is inside lin(F), and G meets lin(F) exactly in
-       G ∩ F (F is the cone cut by a supporting hyperplane that contains
-       lin(F)), so P ⊆ G ∩ F.
-    3. If P ∪ {0} passes the exposed-face test, cone(P) is a face F' with
-       F' ∩ G = P.  It holds s, so F ⊆ F' as F is the smallest face holding
-       s; and P ⊆ F gives F' ⊆ F.  Hence F = F' and the answer is P ∪ {0}.
-    4. Otherwise some g outside P lies in F, or F = cone(G ∩ F) = cone(P)
-       would be a face.  For the generators outside P, in order, one LP asks
-       whether some positive multiple of s minus lift(g) stays in the cone,
-       which holds exactly when g ∈ F.  A g that fails never enters F, so it
-       is not tried again; at the first g that passes, g and the support of
-       that LP's solution (all in F, by the argument of step 1) join S, P is
-       recomputed, and step 3 runs again.  Each round grows P, so the loop
-       ends; when no generator is left to try, every g outside P has failed
-       and P = G ∩ F.
-
-    The answer is the set of g for which step 4's LP is feasible: the same
-    as testing every generator, with about two LPs when step 3 succeeds.
+    The sum lies in the cone exactly when it is nonnegative on every facet
+    normal (otherwise NotInCone), and F is then the intersection of the
+    facets on which it vanishes, or the whole cone when there is none.  The
+    zero vector lies on every facet, so it is always included.
     """
     d = cert.d
     _check_dimension(d)
     s = _reduced_sum(cert)
-    nonzero = [x for x in all_points(d) if any(x)]
-    gens = [_reduced_lift(x) for x in nonzero]
-    lam = linalg.lp_feasible(_columns(gens, len(s)), s, [True] * len(gens))
-    if lam is None:
-        raise NotInCone(_NOT_IN_CONE)
-    support = {j for j, v in enumerate(lam) if v}
-    inside = _span_members(gens, support, len(s))
-    zero = tuple([0] * d)
-
-    def face(members):
-        return [zero] + [nonzero[k] for k in sorted(members)]
-
-    done = is_face(d, face(inside))
-    for k in range(len(gens)):
-        if done:
-            break
-        if k in inside:
-            continue
-        lam = _in_face_witness(gens, s, k)
-        if lam is not None:
-            support |= {k} | {j for j, v in enumerate(lam[:-1]) if v}
-            inside = _span_members(gens, support, len(s))
-            done = is_face(d, face(inside))
-    return tuple(sorted(face(inside)))
+    face = (1 << (1 << d)) - 1
+    for a, m in _facets(d):
+        v = _dot(a, s)
+        if v < 0:
+            raise NotInCone(_NOT_IN_CONE)
+        if not v:
+            face &= m
+    return _points(d, face)
 
 
 def enumerate_faces(d: int) -> tuple[tuple[Bit, ...], ...]:
-    """Every face of the correlation cone as a 0/1 point set (small d only)."""
+    """Every face of the correlation cone as a 0/1 point set (small d only).
+
+    NextClosure (Ganter 2010) on the point masks visits each closed mask
+    once, in lectic order, starting from the smallest face {0}.
+    """
     if d > _FACE_ENUM_LIMIT:
         raise DimensionTooLarge(f"face enumeration is limited to d <= {_FACE_ENUM_LIMIT}")
     _check_dimension(d)
-    pts = all_points(d)
-    zero = tuple([0] * d)
-    rest = [x for x in pts if x != zero]
-    faces = []
-    for mask in range(1 << len(rest)):
-        cand = [zero] + [rest[i] for i in range(len(rest)) if (mask >> i) & 1]
-        cand = tuple(sorted(cand))
-        if is_face(d, cand):
-            faces.append(cand)
-    return tuple(sorted(faces, key=lambda f: (len(f), f)))
+    faces = [_close(d, 0)]
+    i = 1 << d
+    while i:
+        i -= 1
+        low = faces[-1] & ((1 << i) - 1)
+        if not (faces[-1] >> i) & 1:
+            mask = _close(d, low | (1 << i))
+            if mask & ((1 << i) - 1) == low:
+                faces.append(mask)
+                i = 1 << d
+    return tuple(sorted((_points(d, m) for m in faces), key=lambda f: (len(f), f)))
 
 
 def lifted_rank(d: int) -> int:

@@ -20,7 +20,7 @@ from typing import Optional
 from . import canon
 from .canon import CanonicalForm
 from .configuration import BinaryMatrix, _scaled, _slack_bits, closure, parse_matrix, spans
-from .errors import DimensionTooLarge
+from .errors import DimensionMismatch, DimensionTooLarge
 from .linalg import rank
 from .parallel import chunked_map
 
@@ -109,16 +109,20 @@ def enumerate_maximal(
     Seeds every spanning subset of {0,1}^d in (popcount, mask) order, which
     is complete because each class has a 0/1 point-side representative that
     reappears as its own seed.  Dimension 5 is allowed only with an explicit
-    seed_limit of at most _SAMPLED_SEED_LIMIT and samples seeds
+    seed_limit of 1 to _SAMPLED_SEED_LIMIT and samples seeds
     deterministically; that run can miss classes and its output is labeled
-    sampled.
+    sampled.  A seed_limit at d <= 4, where every seed is scanned, is refused.
     """
     if d < 1 or d > _SAMPLED_DIM:
         raise DimensionTooLarge(f"enumeration is limited to d <= {_SAMPLED_DIM}")
+    if d < _SAMPLED_DIM and seed_limit is not None:
+        raise DimensionMismatch(f"seed_limit applies only to the sampled dimension {_SAMPLED_DIM}")
     if d == _SAMPLED_DIM and seed_limit is None:
         raise DimensionTooLarge("dimension 5 needs an explicit seed_limit (sampled, possibly incomplete)")
     if d == _SAMPLED_DIM and seed_limit > _SAMPLED_SEED_LIMIT:
         raise DimensionTooLarge(f"sampled dimension 5 is limited to seed_limit <= {_SAMPLED_SEED_LIMIT}")
+    if d == _SAMPLED_DIM and seed_limit < 1:
+        raise DimensionTooLarge("sampled dimension 5 needs seed_limit >= 1")
     if d <= _FULL_SCAN_LIMIT:
         masks = _seed_masks(d)
     else:

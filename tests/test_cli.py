@@ -159,6 +159,17 @@ def test_enum_sampled_seed_budget(tmp_path):
     assert err.startswith("error: DimensionTooLarge")
 
 
+def test_enum_seed_limit_out_of_range(tmp_path):
+    # no positive sample size at d = 5, and no sampling at d <= 4
+    for args, error in ((["--dim", "5", "--seed-limit", "0"], "DimensionTooLarge"),
+                        (["--dim", "5", "--seed-limit", "-3"], "DimensionTooLarge"),
+                        (["--dim", "2", "--seed-limit", "7"], "DimensionMismatch")):
+        proc = run_process(["--store", str(tmp_path / "store"), "enum", *args])
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {error}")
+
+
 def test_face_enum_negative_dimension(tmp_path):
     code, out, err = run_cli(["face-enum", "--dim", "-1"], store=tmp_path / "store")
     assert code == 3 and out == ""
@@ -205,7 +216,7 @@ def test_stab_slack_out_of_range_edge(tmp_path):
 
 
 def test_corrcone_dimension_budget(tmp_path):
-    # k = 12 identity generators: decoding would run up to 2^12 LPs
+    # k = 12 identity generators: a d = 12 cone, far past the facet budget
     k = 12
     gens = ["".join("1" if j == i else "0" for j in range(k)) for i in range(k)]
     block = [" ".join("1" if j == i else "0" for j in range(i, k)) for i in range(k)]

@@ -1,8 +1,9 @@
+import math
 from itertools import product
 
 import pytest
 
-from tlc import corrcone
+from tlc import corrcone, linalg
 from tlc.configuration import closure, spans
 from tlc.corrcone import (
     FaceCertificate,
@@ -20,6 +21,11 @@ from tlc.errors import DimensionMismatch, DimensionTooLarge, NonBinary, NotAFace
 # face counts fixed by two independent methods (subset scan with LP, and
 # closing the single-cut faces under intersection)
 FACE_COUNTS = {1: 2, 2: 8, 3: 106}
+
+# facet counts of the cut cones CUT_1..CUT_6, to which the correlation cones
+# of d = 0..5 are linearly isomorphic (Deza and Laurent, "Geometry of Cuts
+# and Metrics", 1997)
+CUT_FACETS = [0, 1, 3, 12, 40, 210]
 
 
 def test_lift_examples():
@@ -94,8 +100,24 @@ def test_enumerate_faces_and_roundtrip(d):
 
 
 def test_enumerate_faces_limit():
+    # d = 5 has 4,846,510 faces
     with pytest.raises(DimensionTooLarge):
-        enumerate_faces(4)
+        enumerate_faces(5)
+
+
+def test_facets_are_certified():
+    # each normal is primitive, nonnegative on every lift, and tight on lifts
+    # of rank d(d+1)/2 - 1, which are exactly the points of its mask
+    for d, count in enumerate(CUT_FACETS):
+        facets = corrcone._facets(d)
+        assert len(facets) == count
+        lifts = [corrcone._reduced_lift(x) for x in all_points(d)]
+        for a, mask in facets:
+            assert math.gcd(*a) == 1
+            values = [sum(u * v for u, v in zip(a, z)) for z in lifts]
+            assert min(values) >= 0
+            assert mask == sum(1 << i for i, v in enumerate(values) if not v)
+            assert linalg.rank([list(z) for z, v in zip(lifts, values) if not v]) == d * (d + 1) // 2 - 1
 
 
 def test_face_enumeration_d1_by_hand():
@@ -168,7 +190,7 @@ def test_negative_dimension_rejected():
 
 
 def test_lp_dimension_limit():
-    limit = corrcone._LP_DIM_LIMIT
+    limit = corrcone._DIM_LIMIT
     assert limit >= 4
     zero = tuple([0] * limit)
     assert certificate_decode(certificate_encode(limit, [zero])) == (zero,)

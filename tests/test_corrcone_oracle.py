@@ -1,13 +1,15 @@
-"""The reduced-coordinate face test and decoder against full-coordinate references.
+"""The facet-list face test and decoder against full-coordinate LP references.
 
 `reference_is_face`, `reference_decomposable` and `reference_decode` are the
 earlier corrcone code: every LP runs on the full d^2 + d lift coordinates,
 and the decoder solves one phase-1 LP per nonzero 0/1 point.  They are kept
-here as the oracles for `tlc.corrcone`, which works in the d(d+1)/2
-independent coordinates and decodes from the span of one decomposition's
-support, falling back to per-point LPs only while that span is not a face.
+here as the oracles for `tlc.corrcone`, which keeps the cone as its facets
+in the d(d+1)/2 independent coordinates and answers every face question by
+a closure on point masks, without any LP.
 """
 
+import contextlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,23 +78,16 @@ def outcome(fn, *args):
         return type(e), str(e)
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Counts of corrcone's LPs: all of them, and the fallback's per-point ones."""
-    calls = {"lp": 0, "witness": 0}
-    lp, witness = linalg.lp_feasible, corrcone._in_face_witness
+def _lp_forbidden(*args):
+    raise AssertionError("an LP ran")
 
-    def counted_lp(*args):
-        calls["lp"] += 1
-        return lp(*args)
 
-    def counted_witness(*args):
-        calls["witness"] += 1
-        return witness(*args)
-
-    monkeypatch.setattr(linalg, "lp_feasible", counted_lp)
-    monkeypatch.setattr(corrcone, "_in_face_witness", counted_witness)
-    return calls
+@contextlib.contextmanager
+def no_lp():
+    """Inside the block, any call of linalg.lp_feasible fails the test."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "lp_feasible", _lp_forbidden)
+        yield
 
 
 def test_is_face_matches_reference_on_every_candidate():
@@ -107,15 +102,37 @@ def test_is_face_matches_reference_on_every_candidate():
         assert is_face(d, pts) == reference_is_face(d, pts), (d, pts)
 
 
-def test_face_round_trips_match_reference_without_fallback(lp_calls):
-    for d in (0, 1, 2, 3):
-        for f in corrcone.enumerate_faces(d):
-            cert = certificate_encode(d, f)
-            lp_calls["lp"] = 0
-            back = certificate_decode(cert)
-            # the decomposition and at most one face test; no per-point LP
-            assert lp_calls["lp"] <= 2 and lp_calls["witness"] == 0
-            assert back == f == reference_decode(cert)
+def test_is_face_matches_reference_on_sampled_d4():
+    # seeded d = 4 faces, the same faces with one point added or removed,
+    # and random point sets holding the zero vector
+    rng = random.Random(4)
+    pts = all_points(4)
+    faces = corrcone.enumerate_faces(4)
+    assert len(faces) == 7814
+    cases = [list(f) for f in rng.sample(faces, 20)]
+    for f in rng.sample(faces, 20):
+        x = rng.choice(pts)
+        cases.append([p for p in f if p != x] if x in f and x != pts[0] else list(f) + [x])
+    for _ in range(20):
+        m = rng.getrandbits(16) | 1
+        cases.append([pts[i] for i in range(16) if (m >> i) & 1])
+    got = [is_face(4, c) for c in cases]
+    assert 20 <= sum(got) < len(cases)
+    assert got == [reference_is_face(4, c) for c in cases]
+
+
+def test_face_and_class_round_trips_run_no_lp(enum_results):
+    with no_lp():
+        faces = [(d, f, certificate_encode(d, f)) for d in (0, 1, 2, 3) for f in corrcone.enumerate_faces(d)]
+        for d, f, cert in faces:
+            assert certificate_decode(cert) == f
+        for res in enum_results.values():
+            for form in res.classes:
+                cfg = normalize_to_binary(from_slack_matrix(parse_matrix(form.bytes.decode())), "B")
+                assert compress.decompress(compress.compress(cfg)) == cfg
+    assert len(faces) == 1 + 2 + 8 + 106
+    for d, f, cert in faces:
+        assert reference_decode(cert) == f
 
 
 def test_class_round_trips_match_reference(enum_results):
@@ -126,20 +143,20 @@ def test_class_round_trips_match_reference(enum_results):
             assert certificate_decode(cert) == reference_decode(cert)
 
 
-# compressed certificates of two d = 4 classes whose decomposition support
-# spans a set of points that is not a face, so the decoder falls back to
-# per-point LPs (3 and 4 of them) before the span becomes the face
+# compressed certificates of two d = 4 classes whose nonnegative
+# decomposition can have a support that spans a set of points which is not
+# a face (an LP decoder that starts from that span must look further)
 FALLBACK = [
-    ((4, 1, 1, 2, 1, 3, 1, 2, 1, 1, 3, 0, 2, 2, 0, 4, 4, 3, 3, 4), 3),
-    ((4, 2, 2, 3, 2, 4, 2, 3, 2, 2, 4, 1, 3, 3, 1, 5, 4, 4, 4, 5), 4),
+    (4, 1, 1, 2, 1, 3, 1, 2, 1, 1, 3, 0, 2, 2, 0, 4, 4, 3, 3, 4),
+    (4, 2, 2, 3, 2, 4, 2, 3, 2, 2, 4, 1, 3, 3, 1, 5, 4, 4, 4, 5),
 ]
 
 
-@pytest.mark.parametrize("s, witnesses", FALLBACK)
-def test_fallback_branch_matches_reference(s, witnesses, lp_calls):
+@pytest.mark.parametrize("s", FALLBACK)
+def test_fallback_certificates_match_reference(s):
     cert = FaceCertificate(4, s)
-    back = certificate_decode(cert)
-    assert lp_calls["witness"] == witnesses
+    with no_lp():
+        back = certificate_decode(cert)
     assert back == reference_decode(cert)
 
 
@@ -193,12 +210,33 @@ def test_decode_matches_reference_on_certificates(case):
     assert got == outcome(reference_decode, cert)
 
 
-def test_non_symmetric_and_off_diagonal_certificates_run_no_lp(lp_calls):
+def _d5_certificates():
+    """Seeded d = 5 sums of lifts, and the first with its x_1 x_2 pair raised
+    above x_1: still in the span of the lifts, but off the cone, where
+    x_1 - x_1 x_2 >= 0."""
+    rng = random.Random(5)
+    pts = all_points(5)
+    out = []
+    for _ in range(2):
+        s = [0] * 30
+        for x in rng.sample(pts[1:], 4):
+            s = [a + b for a, b in zip(s, lift_raw(x))]
+        out.append(tuple(s))
+    out.append(tuple(out[0][0] + 1 if i in (1, 5) else v for i, v in enumerate(out[0])))
+    return out
+
+
+@pytest.mark.parametrize("s", _d5_certificates())
+def test_decode_matches_reference_on_d5_certificates(s):
+    cert = FaceCertificate(5, s)
+    assert outcome(certificate_decode, cert) == outcome(reference_decode, cert)
+
+
+def test_non_symmetric_and_off_diagonal_certificates_run_no_lp():
     # outside the span of the lifts: NotInCone with the reference message
     for s in [(0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (1, 1, 1, 1, 1, 0)]:
         cert = FaceCertificate(2, s)
         want = outcome(reference_decode, cert)
-        lp_calls["lp"] = 0
-        assert outcome(certificate_decode, cert) == want == (NotInCone, "certificate has no nonnegative decomposition")
-        assert lp_calls["lp"] == 0
+        with no_lp():
+            assert outcome(certificate_decode, cert) == want == (NotInCone, "certificate has no nonnegative decomposition")
 

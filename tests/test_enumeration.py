@@ -17,7 +17,7 @@ from tlc.enumeration import (
     report,
     transpose_identified_count,
 )
-from tlc.errors import DimensionTooLarge
+from tlc.errors import DimensionMismatch, DimensionTooLarge
 
 # class counts produced by the full scans and reproduced by independent
 # reruns (reversed seed order, pre/post memoization); artifacts of this
@@ -55,6 +55,10 @@ def test_enumerate_rejects_large_dimension():
         enumerate_maximal(5)  # needs an explicit sampled budget
     with pytest.raises(DimensionTooLarge):
         enumerate_maximal(5, seed_limit=enumeration._SAMPLED_SEED_LIMIT + 1)
+    with pytest.raises(DimensionTooLarge):
+        enumerate_maximal(5, seed_limit=0)
+    with pytest.raises(DimensionMismatch):
+        enumerate_maximal(4, seed_limit=10)
 
 
 def test_enumerate_d5_sampled_runs():
