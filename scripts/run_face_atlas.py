@@ -2,6 +2,7 @@
 """List all faces of the correlation cone with their certificates."""
 
 import argparse
+import os
 import sys
 
 from tlc import corrcone
@@ -13,11 +14,17 @@ def main() -> int:
     args = ap.parse_args()
 
     faces = corrcone.enumerate_faces(args.dim)
-    print(f"faces of the dimension-{args.dim} correlation cone: {len(faces)}")
-    for f in faces:
-        cert = corrcone.certificate_encode(args.dim, f)
-        pts = " ".join("".join(str(b) for b in p) for p in f)
-        print(f"{{{pts}}}  certificate: {' '.join(str(v) for v in cert.s)}")
+    try:
+        print(f"faces of the dimension-{args.dim} correlation cone: {len(faces)}")
+        for f in faces:
+            cert = corrcone.certificate_encode(args.dim, f)
+            pts = " ".join("".join(str(b) for b in p) for p in f)
+            print(f"{{{pts}}}  certificate: {' '.join(str(v) for v in cert.s)}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

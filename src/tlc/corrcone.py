@@ -60,7 +60,7 @@ def _check_dimension(d: int) -> None:
     if d < 0:
         raise DimensionMismatch(f"dimension must be nonnegative, got {d}")
     if d > _DIM_LIMIT:
-        raise DimensionTooLarge(f"correlation cone LPs are limited to d <= {_DIM_LIMIT}")
+        raise DimensionTooLarge(f"correlation cone facets are limited to d <= {_DIM_LIMIT}")
 
 
 def _binary(x) -> Bit:

@@ -12,16 +12,18 @@ matrix and keeps the extension-free ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from . import canon
 from .canon import CanonicalForm
-from .configuration import BinaryMatrix, _scaled, _slack_bits, closure, parse_matrix, spans
+from .configuration import BinaryMatrix, _scaled, _slack_bits, _subset_sums, closure, parse_matrix, spans
 from .errors import DimensionMismatch, DimensionTooLarge
-from .linalg import rank
+from .linalg import _bareiss, rank
 from .parallel import chunked_map
 
 _FULL_SCAN_LIMIT = 4
@@ -65,22 +67,67 @@ def _seed_masks(d: int) -> list[int]:
     return masks
 
 
+def _bits(m: int):
+    while m:
+        yield (m & -m).bit_length() - 1
+        m &= m - 1
+
+
+@functools.cache
+def _seed_context(d: int):
+    """(U_d, closed, missed), built once per d on first use.  A spanning 0/1
+    seed holds a 0/1 basis M, so its closure lies in U_d, the M^-1 s for s
+    in {0,1}^d (as integers in D M^-1; sorted as closure sorts).  closed[j]
+    masks the y in U_d with <y, x_j> in {0,1}: a seed's closure is the AND
+    of its points' masks.  missed[j] masks the hyperplanes spanned by 0/1
+    points (normals: the columns of D M^-1) that miss x_j; a proper span of
+    0/1 points lies in one, so a seed spans iff their missed masks OR to all.
+    """
+    found, cuts = set(), set()
+    for basis in combinations([_bit_vector(j, d) for j in range(1, 1 << d)], d):
+        rows, piv_rows, _, det = _bareiss([[*b, *_bit_vector(1 << i, d)] for i, b in enumerate(basis)], d)
+        if len(piv_rows) == d:
+            inverse = [rows[r][d:] for r in piv_rows]
+            for y in zip(*map(_subset_sums, inverse)):
+                g = math.gcd(det, *y) if det > 0 else -math.gcd(det, *y)
+                found.add(tuple(x // g for x in (det, *y)))
+            cuts.update(tuple(p != 0 for p in _subset_sums(n)) for n in zip(*inverse))
+    scale = math.lcm(*(v[0] for v in found))
+    u = sorted(found, key=lambda v: [x * (scale // v[0]) for x in v[1:]])
+    kept = [[p == 0 or p == den for p in _subset_sums(y)] for den, *y in u]
+    closed = tuple(sum(b << i for i, b in enumerate(point)) for point in zip(*kept))
+    missed = tuple(sum(b << h for h, b in enumerate(point)) for point in zip(*sorted(cuts)))
+    return tuple(tuple(Fraction(x, den) for x in y) for den, *y in u), closed, missed
+
+
 def _enum_worker(args):
     d, masks = args
     forms = {}
     spanning = completions = degenerate = 0
-    # seeds sharing a first closure share the whole completion
+    # seeds sharing a first closure (at d <= 4 its mask over U_d) share the whole completion
     memo: dict = {}
+    if d <= _FULL_SCAN_LIMIT:
+        u, closed, missed = _seed_context(d)
+        everything, hyperplanes = (1 << len(u)) - 1, functools.reduce(int.__or__, missed)
     for m in masks:
-        vectors = [_bit_vector(j, d) for j in range(1 << d) if (m >> j) & 1]
-        if rank(vectors) != d:
-            continue
+        if d <= _FULL_SCAN_LIMIT:
+            key, span = everything, 0
+            for j in _bits(m):
+                key &= closed[j]
+                span |= missed[j]
+            if span != hyperplanes:
+                continue
+        else:
+            vectors = [_bit_vector(j, d) for j in _bits(m)]
+            if rank(vectors) != d:
+                continue
+            key = closure(vectors, d)
         spanning += 1
-        a = closure(vectors, d)
-        cached = memo.get(a)
+        cached = memo.get(key)
         if cached is None:
+            a = tuple(u[i] for i in _bits(key)) if d <= _FULL_SCAN_LIMIT else key
             if not spans(a, d):
-                memo[a] = "degenerate"
+                memo[key] = "degenerate"
                 degenerate += 1
                 continue
             # (a, b) is a closure fixed point with both sides sorted and
@@ -88,7 +135,7 @@ def _enum_worker(args):
             b = closure(a, d)
             bits = _slack_bits(*_scaled(a), *_scaled(b))
             cached = canon.canonical_form(BinaryMatrix(len(a), len(b), tuple(bits)))
-            memo[a] = cached
+            memo[key] = cached
         elif cached == "degenerate":
             degenerate += 1
             continue
@@ -113,7 +160,9 @@ def enumerate_maximal(
     deterministically; that run can miss classes and its output is labeled
     sampled.  A seed_limit at d <= 4, where every seed is scanned, is refused.
     """
-    if d < 1 or d > _SAMPLED_DIM:
+    if d < 1:
+        raise DimensionMismatch(f"dimension must be at least 1, got {d}")
+    if d > _SAMPLED_DIM:
         raise DimensionTooLarge(f"enumeration is limited to d <= {_SAMPLED_DIM}")
     if d < _SAMPLED_DIM and seed_limit is not None:
         raise DimensionMismatch(f"seed_limit applies only to the sampled dimension {_SAMPLED_DIM}")
@@ -125,6 +174,7 @@ def enumerate_maximal(
         raise DimensionTooLarge("sampled dimension 5 needs seed_limit >= 1")
     if d <= _FULL_SCAN_LIMIT:
         masks = _seed_masks(d)
+        _seed_context(d)  # built here, so forked --jobs workers inherit it
     else:
         import random
 

@@ -170,6 +170,35 @@ def test_enum_seed_limit_out_of_range(tmp_path):
         assert proc.stderr.startswith(f"error: {error}")
 
 
+def test_enum_nonpositive_dimension(tmp_path):
+    for d in ("0", "-2"):
+        code, out, err = run_cli(["enum", "--dim", d], store=tmp_path / "store")
+        assert code == 3 and out == ""
+        assert err == f"error: DimensionMismatch: dimension must be at least 1, got {d}\n"
+
+
+def test_face_dimension_above_facet_budget(tmp_path):
+    cut = write(tmp_path, "cut6.txt", "1 0 0 0 0 0\n")
+    code, out, err = run_cli(["face", "--dim", "6", "--b-vectors", cut])
+    assert code == 3 and out == ""
+    assert err == "error: DimensionTooLarge: correlation cone facets are limited to d <= 5\n"
+
+
+def test_face_atlas_closed_stdout():
+    # the d = 4 atlas is about 690 kB, far more than a pipe holds, so closing
+    # the pipe after three lines makes a later write fail
+    root = Path(cli.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen([sys.executable, str(root / "scripts" / "run_face_atlas.py"), "--dim", "4"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        err = proc.stderr.read()
+    assert head[0] == b"faces of the dimension-4 correlation cone: 7814\n"
+    assert b"Traceback" not in err
+
+
 def test_face_enum_negative_dimension(tmp_path):
     code, out, err = run_cli(["face-enum", "--dim", "-1"], store=tmp_path / "store")
     assert code == 3 and out == ""

@@ -1,11 +1,17 @@
+import functools
 import hashlib
+import operator
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tlc import canon, enumeration, geometry
 from tlc.configuration import (
     BinaryMatrix,
+    closure,
     is_maximal_in_md,
     parse_matrix,
     slack_matrix,
@@ -18,6 +24,7 @@ from tlc.enumeration import (
     transpose_identified_count,
 )
 from tlc.errors import DimensionMismatch, DimensionTooLarge
+from tlc.linalg import rank
 
 # class counts produced by the full scans and reproduced by independent
 # reruns (reversed seed order, pre/post memoization); artifacts of this
@@ -59,6 +66,61 @@ def test_enumerate_rejects_large_dimension():
         enumerate_maximal(5, seed_limit=0)
     with pytest.raises(DimensionMismatch):
         enumerate_maximal(4, seed_limit=10)
+
+
+def _context_answer(d, m):
+    """The seed's spanning flag and decoded first closure, read off the
+    context by an AND and an OR over its points."""
+    u, closed, missed = enumeration._seed_context(d)
+    key, span = (1 << len(u)) - 1, 0
+    for j in range(1 << d):
+        if m >> j & 1:
+            key &= closed[j]
+            span |= missed[j]
+    spanning = span == functools.reduce(operator.or_, missed)
+    return spanning, tuple(u[i] for i in range(len(u)) if key >> i & 1) if spanning else None
+
+
+def _closure_answer(d, m):
+    vectors = [enumeration._bit_vector(j, d) for j in range(1 << d) if m >> j & 1]
+    spanning = rank(vectors) == d
+    return spanning, closure(vectors, d) if spanning else None
+
+
+def test_seed_context_sizes():
+    for d, size, hyperplanes in ((1, 2, 1), (2, 6, 3), (3, 36, 9), (4, 580, 45)):
+        u, closed, missed = enumeration._seed_context(d)
+        assert len(u) == size and len(closed) == len(missed) == 1 << d
+        assert functools.reduce(operator.or_, missed).bit_count() == hyperplanes
+        # the zero point has product 0 with every y and lies on every hyperplane
+        assert closed[0] == (1 << size) - 1 and missed[0] == 0
+
+
+def test_seed_context_is_not_built_at_import():
+    src = str(Path(enumeration.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tlc.cli, tlc.enumeration as e; "
+            "print(e._seed_context.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_seed_context_matches_closure_on_every_seed(d):
+    for m in range(1, 1 << (1 << d)):
+        assert _context_answer(d, m) == _closure_answer(d, m), m
+
+
+def test_seed_context_matches_closure_at_d4():
+    small = [m for m in range(1, 1 << 16) if bin(m).count("1") <= 4]
+    rng = random.Random(2024)
+    sample = [rng.getrandbits(16) or 1 for _ in range(2000)]
+    spanning = 0
+    for m in small + sample:
+        want = _closure_answer(4, m)
+        assert _context_answer(4, m) == want, m
+        spanning += want[0]
+    # both kinds of seed occur among the small ones and the sample
+    assert 0 < spanning < len(small) + len(sample)
 
 
 def test_enumerate_d5_sampled_runs():
