@@ -188,14 +188,16 @@ def spans(vectors, d: int) -> bool:
 def _scaled(vectors) -> tuple[dict[tuple[int, ...], tuple], int]:
     """The distinct vectors keyed by L v, L the least common denominator of
     all their entries; the keys sort as the vectors do.  Vectors of ints are
-    their own keys and build no Fractions."""
+    their own keys and build no Fractions, and vectors of ints and Fractions
+    are not converted again."""
     vs = []
     scale = 1
     ints = True
     for v in map(tuple, vectors):
         for x in v:
             if type(x) is not int:
-                v = vec(v)
+                if any(type(x) is not int and type(x) is not Fraction for x in v):
+                    v = vec(v)
                 scale = lcm(scale, *(x.denominator for x in v))
                 ints = False
                 break

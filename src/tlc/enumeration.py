@@ -34,6 +34,8 @@ _SAMPLED_DIM = 5
 _SAMPLED_SEED_LIMIT = 100_000
 _ORACLE_DIM_LIMIT = 2
 _ORACLE_SIZE_LIMIT = 4
+# memo value of a sampled seed whose first closure does not span
+_DEGENERATE = "degenerate"
 
 
 @dataclass(frozen=True)
@@ -73,15 +75,29 @@ def _bits(m: int):
         m &= m - 1
 
 
+def _column_masks(table) -> tuple[int, ...]:
+    """Per column j of a 0/1 table, the mask of the rows i with table[i][j]."""
+    return tuple(sum(b << i for i, b in enumerate(column)) for column in zip(*table))
+
+
 @functools.cache
 def _seed_context(d: int):
-    """(U_d, closed, missed), built once per d on first use.  A spanning 0/1
-    seed holds a 0/1 basis M, so its closure lies in U_d, the M^-1 s for s
-    in {0,1}^d (as integers in D M^-1; sorted as closure sorts).  closed[j]
-    masks the y in U_d with <y, x_j> in {0,1}: a seed's closure is the AND
-    of its points' masks.  missed[j] masks the hyperplanes spanned by 0/1
-    points (normals: the columns of D M^-1) that miss x_j; a proper span of
-    0/1 points lies in one, so a seed spans iff their missed masks OR to all.
+    """(U_d, closed, missed, ones), built once per d on first use.
+
+    A spanning 0/1 seed holds a 0/1 basis M, so its closure lies in U_d, the
+    M^-1 s for s in {0,1}^d (as integers in D M^-1; sorted as closure
+    sorts).  closed[j] masks the y in U_d with <y, x_j> in {0,1}: a seed's
+    closure is the AND of its points' masks.  ones[j] masks the y with
+    <y, x_j> = 1; both come from one table of subset sums.  missed[j] masks
+    the hyperplanes spanned by 0/1 points (normals: the columns of D M^-1)
+    that miss x_j; a proper span of 0/1 points lies in one, so a seed spans
+    iff their missed masks OR to all.
+
+    Every e_i lies in U_d (M e_i is a column of M, so 0/1) and has 0/1
+    products with every 0/1 point.  So a seed's first closure X' holds
+    e_1..e_d and spans, and X'' lies inside {0,1}^d (its products with the
+    e_i are its coordinates): it is the set of points x_j with X' inside
+    closed[j].  No seed at d <= 4 is degenerate.
     """
     found, cuts = set(), set()
     for basis in combinations([_bit_vector(j, d) for j in range(1, 1 << d)], d):
@@ -94,23 +110,50 @@ def _seed_context(d: int):
             cuts.update(tuple(p != 0 for p in _subset_sums(n)) for n in zip(*inverse))
     scale = math.lcm(*(v[0] for v in found))
     u = sorted(found, key=lambda v: [x * (scale // v[0]) for x in v[1:]])
-    kept = [[p == 0 or p == den for p in _subset_sums(y)] for den, *y in u]
-    closed = tuple(sum(b << i for i, b in enumerate(point)) for point in zip(*kept))
-    missed = tuple(sum(b << h for h, b in enumerate(point)) for point in zip(*sorted(cuts)))
-    return tuple(tuple(Fraction(x, den) for x in y) for den, *y in u), closed, missed
+    products = [(den, _subset_sums(y)) for den, *y in u]
+    closed = _column_masks([[p == 0 or p == den for p in sums] for den, sums in products])
+    ones = _column_masks([[p == den for p in sums] for den, sums in products])
+    missed = _column_masks(sorted(cuts))
+    return tuple(tuple(Fraction(x, den) for x in y) for den, *y in u), closed, missed, ones
+
+
+@functools.cache
+def _points_in_closure_order(d: int) -> tuple[int, ...]:
+    """The indices j of the points x_j of {0,1}^d, sorted as closure sorts."""
+    return tuple(sorted(range(1 << d), key=lambda j: _bit_vector(j, d)))
+
+
+def _mask_slack(d: int, key: int) -> BinaryMatrix:
+    """The slack matrix of the completion whose first closure is key, a mask
+    over U_d: the rows are the set bits of key, the columns the points x_j
+    with key inside closed[j] (its closure, see _seed_context) in closure's
+    order, and bit (i, j) is whether <u_i, x_j> = 1."""
+    _, closed, _, ones = _seed_context(d)
+    rows = list(_bits(key))
+    cols = [j for j in _points_in_closure_order(d) if key & ~closed[j] == 0]
+    return BinaryMatrix(len(rows), len(cols), tuple(ones[j] >> i & 1 for i in rows for j in cols))
 
 
 def _enum_worker(args):
+    """Completion classes of a run of seed masks, with the seed counts.
+
+    At d <= 4 a seed's first closure X' is an AND of point masks over U_d.
+    X' holds every e_i, so it spans and X'' lies inside {0,1}^d (see
+    _seed_context): degenerate_seeds is 0, and a memo miss reads its slack
+    matrix off the masks (_mask_slack).  The sampled d = 5 run ranks each
+    seed and takes both closures exactly.
+    """
     d, masks = args
     forms = {}
     spanning = completions = degenerate = 0
     # seeds sharing a first closure (at d <= 4 its mask over U_d) share the whole completion
     memo: dict = {}
-    if d <= _FULL_SCAN_LIMIT:
-        u, closed, missed = _seed_context(d)
+    small = d <= _FULL_SCAN_LIMIT
+    if small:
+        u, closed, missed, _ = _seed_context(d)
         everything, hyperplanes = (1 << len(u)) - 1, functools.reduce(int.__or__, missed)
     for m in masks:
-        if d <= _FULL_SCAN_LIMIT:
+        if small:
             key, span = everything, 0
             for j in _bits(m):
                 key &= closed[j]
@@ -125,18 +168,18 @@ def _enum_worker(args):
         spanning += 1
         cached = memo.get(key)
         if cached is None:
-            a = tuple(u[i] for i in _bits(key)) if d <= _FULL_SCAN_LIMIT else key
-            if not spans(a, d):
-                memo[key] = "degenerate"
-                degenerate += 1
-                continue
-            # (a, b) is a closure fixed point with both sides sorted and
-            # distinct, so its products are the slack matrix as they stand
-            b = closure(a, d)
-            bits = _slack_bits(*_scaled(a), *_scaled(b))
-            cached = canon.canonical_form(BinaryMatrix(len(a), len(b), tuple(bits)))
+            if small:
+                cached = canon.canonical_form(_mask_slack(d, key))
+            elif spans(key, d):
+                # (key, b) is a closure fixed point with both sides sorted and
+                # distinct, so its products are the slack matrix as they stand
+                b = closure(key, d)
+                bits = _slack_bits(*_scaled(key), *_scaled(b))
+                cached = canon.canonical_form(BinaryMatrix(len(key), len(b), tuple(bits)))
+            else:
+                cached = _DEGENERATE
             memo[key] = cached
-        elif cached == "degenerate":
+        if cached is _DEGENERATE:
             degenerate += 1
             continue
         completions += 1

@@ -23,6 +23,7 @@ from typing import Optional
 from . import canon, geometry
 from .configuration import BinaryMatrix, SlackMatrix, _scaled, _slack_bits, slack_matrix
 from .errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     IsolatedNode,
     NotBipartite,
@@ -334,7 +335,9 @@ def census(n: int, jobs: int = 1) -> CensusReport:
     Isomorphism classes and slack forms are computed up to n = 6; at n = 7
     only the labeled counts are produced.
     """
-    if n < 1 or n > _CENSUS_LIMIT:
+    if n < 1:
+        raise DimensionMismatch(f"node count must be at least 1, got {n}")
+    if n > _CENSUS_LIMIT:
         raise DimensionTooLarge(f"census is limited to 1 <= n <= {_CENSUS_LIMIT}")
     include = n <= _CLASS_LIMIT
     edges = _edge_list(n)

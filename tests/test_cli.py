@@ -222,6 +222,14 @@ def test_stab_census_subcommand(tmp_path):
     assert payload["labeled_bipartite"] == 7
 
 
+def test_stab_census_nonpositive_nodes(tmp_path):
+    for n in ("0", "-1"):
+        proc = run_process(["--store", str(tmp_path / "store"), "stab-census", "--nodes", n])
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: DimensionMismatch: node count must be at least 1, got {n}\n"
+
+
 def test_jobs_do_not_change_output(tmp_path):
     code1, out1, _ = run_cli(["--jobs", "1", "enum", "--dim", "3"], store=tmp_path / "s1")
     code2, out2, _ = run_cli(["--jobs", "2", "enum", "--dim", "3"], store=tmp_path / "s2")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from tlc import linalg
 from tlc.configuration import (
     BinaryMatrix,
     Configuration,
+    _scaled,
+    _slack_bits,
     closure,
     configuration_from_json,
     configuration_to_json,
@@ -30,6 +33,55 @@ from tlc.errors import (
 )
 
 F = Fraction
+
+
+def _reference_scaled(vectors):
+    """The earlier _scaled, kept as the oracle: every vector holding a
+    non-int entry goes back through linalg.vec before it is keyed."""
+    vs = []
+    scale = 1
+    ints = True
+    for v in map(tuple, vectors):
+        for x in v:
+            if type(x) is not int:
+                v = linalg.vec(v)
+                scale = lcm(scale, *(x.denominator for x in v))
+                ints = False
+                break
+        vs.append(v)
+    if ints:
+        return {v: v for v in vs}, 1
+    return {tuple(x.numerator * (scale // x.denominator) for x in v): v for v in vs}, scale
+
+
+@pytest.mark.parametrize("vectors", [
+    [(0, 1), (1, 0), (1, 1)],
+    [(F(1, 2), F(0)), (F(0), F(1, 3)), (F(1, 2), F(1, 3))],
+    [(0, F(1, 2)), (1, 0), (F(2, 3), 1), (F(1, 2), F(1, 2))],
+    [("1/2", "0"), ("0", "1"), (F(1, 3), 1), ("1/2", "0")],
+    [(True, 0), (1, F(1, 4))],
+    [],
+])
+def test_scaled_matches_reference(vectors):
+    keyed, scale = _scaled(vectors)
+    want, want_scale = _reference_scaled(vectors)
+    assert scale == want_scale and list(keyed) == list(want)
+    assert [linalg.vec(v) for v in keyed.values()] == [linalg.vec(v) for v in want.values()]
+
+
+def test_scaled_keeps_error_messages():
+    for vectors in ([(0, 1), ("x", 1)], [(F(1, 2), 1), (1, "1/0")]):
+        with pytest.raises(Exception) as new:
+            _scaled(vectors)
+        with pytest.raises(Exception) as old:
+            _reference_scaled(vectors)
+        assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
+    rows, points = [(F(1, 2), 1)], [(1, 1)]
+    with pytest.raises(NonBinarySlack) as new:
+        _slack_bits(*_scaled(rows), *_scaled(points))
+    with pytest.raises(NonBinarySlack) as old:
+        _slack_bits(*_reference_scaled(rows), *_reference_scaled(points))
+    assert str(new.value) == str(old.value)
 
 
 def bitvecs(indices, d):

@@ -11,10 +11,13 @@ import pytest
 from tlc import canon, enumeration, geometry
 from tlc.configuration import (
     BinaryMatrix,
+    _scaled,
+    _slack_bits,
     closure,
     is_maximal_in_md,
     parse_matrix,
     slack_matrix,
+    spans,
 )
 from tlc.enumeration import (
     enumerate_maximal,
@@ -71,7 +74,7 @@ def test_enumerate_rejects_large_dimension():
 def _context_answer(d, m):
     """The seed's spanning flag and decoded first closure, read off the
     context by an AND and an OR over its points."""
-    u, closed, missed = enumeration._seed_context(d)
+    u, closed, missed, _ = enumeration._seed_context(d)
     key, span = (1 << len(u)) - 1, 0
     for j in range(1 << d):
         if m >> j & 1:
@@ -89,11 +92,68 @@ def _closure_answer(d, m):
 
 def test_seed_context_sizes():
     for d, size, hyperplanes in ((1, 2, 1), (2, 6, 3), (3, 36, 9), (4, 580, 45)):
-        u, closed, missed = enumeration._seed_context(d)
-        assert len(u) == size and len(closed) == len(missed) == 1 << d
+        u, closed, missed, ones = enumeration._seed_context(d)
+        assert len(u) == size and len(closed) == len(missed) == len(ones) == 1 << d
         assert functools.reduce(operator.or_, missed).bit_count() == hyperplanes
         # the zero point has product 0 with every y and lies on every hyperplane
-        assert closed[0] == (1 << size) - 1 and missed[0] == 0
+        assert closed[0] == (1 << size) - 1 and missed[0] == 0 and ones[0] == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_seed_context_masks_are_exact_products(d):
+    u, closed, _, ones = enumeration._seed_context(d)
+    for j in range(1 << d):
+        x = enumeration._bit_vector(j, d)
+        products = [sum(a * b for a, b in zip(y, x)) for y in u]
+        assert ones[j] == sum(1 << i for i, p in enumerate(products) if p == 1), j
+        assert closed[j] == sum(1 << i for i, p in enumerate(products) if p in (0, 1)), j
+
+
+def _first_closure_keys(d):
+    """Every distinct first closure, as a mask over U_d, of the spanning
+    seeds of the full scan."""
+    _, closed, missed, _ = enumeration._seed_context(d)
+    hyperplanes = functools.reduce(operator.or_, missed)
+    keys = set()
+    for m in enumeration._seed_masks(d):
+        # the zero point's mask is all of U_d
+        key, span = closed[0], 0
+        for j in range(1 << d):
+            if m >> j & 1:
+                key &= closed[j]
+                span |= missed[j]
+        if span == hyperplanes:
+            keys.add(key)
+    return keys
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_mask_slack_matches_exact_miss_path(d):
+    # the earlier miss path, kept as the oracle: decode the first closure,
+    # close it again and multiply both sides exactly
+    u = enumeration._seed_context(d)[0]
+    keys = _first_closure_keys(d)
+    assert len(keys) == {1: 1, 2: 4, 3: 72, 4: 6963}[d]
+    for key in keys:
+        a = tuple(u[i] for i in range(len(u)) if key >> i & 1)
+        assert spans(a, d)
+        b = closure(a, d)
+        assert all(x in (0, 1) for y in b for x in y)
+        want = BinaryMatrix(len(a), len(b), tuple(_slack_bits(*_scaled(a), *_scaled(b))))
+        assert enumeration._mask_slack(d, key) == want
+
+
+def test_small_scan_runs_on_masks_only(monkeypatch, enum_results, enum_d4):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the d <= 4 scan left the U_d masks")
+
+    for name in ("closure", "spans", "rank", "_scaled"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    for d, want in (*enum_results.items(), (4, enum_d4)):
+        got = enumerate_maximal(d)
+        assert [f.bytes for f in got.classes] == [f.bytes for f in want.classes]
+        assert got.stats == want.stats
+    assert enum_d4.stats == enumeration.EnumStats(64839, 62924, 62924, 0, 31)
 
 
 def test_seed_context_is_not_built_at_import():

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from tlc import canon, configuration, geometry, stabset
-from tlc.errors import DimensionTooLarge, IsolatedNode, NotBipartite, ParseError
+from tlc.errors import DimensionMismatch, DimensionTooLarge, IsolatedNode, NotBipartite, ParseError
 from tlc.stabset import (
     BipartiteGraph,
     census,
@@ -156,8 +156,13 @@ def test_census_n5():
 
 
 def test_census_limit():
-    for n in (0, 8):
-        with pytest.raises(DimensionTooLarge):
+    with pytest.raises(DimensionTooLarge):
+        census(8)
+
+
+def test_census_needs_a_node():
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch, match=f"node count must be at least 1, got {n}"):
             census(n)
 
 
