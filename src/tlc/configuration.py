@@ -174,9 +174,11 @@ class Configuration:
         object.__setattr__(self, "_bits", tuple(_slack_bits(*sides[0], *sides[1])))
 
     def is_maximal(self) -> bool:
-        """Whether A and B are each other's closures.  Cached; fill is idempotent."""
+        """Whether A and B are each other's closures, decided on the slack
+        matrix by _maximal_slack (its lines are distinct and its rank is d,
+        as both sides span).  Cached; fill is idempotent."""
         if self._maximal is None:
-            value = closure(self.B, self.d) == self.A and closure(self.A, self.d) == self.B
+            value = _maximal_slack(len(self.A), len(self.B), self._bits)
             object.__setattr__(self, "_maximal", value)
         return self._maximal
 
@@ -257,24 +259,56 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     rows, piv_rows, piv_cols, det = linalg._bareiss(rows, m)
     if len(piv_cols) < d:
         raise NotSpanning(f"family does not span R^{d}")
-    if d > _CLOSURE_RANK_LIMIT:
-        raise DimensionTooLarge(f"closure is limited to rank <= {_CLOSURE_RANK_LIMIT}")
     if det < 0:
         det = -det
         rows = [[-x for x in row] for row in rows]
     pivots = [rows[r] for r in piv_rows]
 
-    alive = range(1 << d)
-    basis = set(piv_cols)
-    for j in range(m):
-        if j not in basis:
-            sums = _subset_sums([row[j] for row in pivots])
-            alive = [s for s in alive if sums[s] == 0 or sums[s] == det]
+    alive = _zero_one_patterns(pivots, piv_cols, det, m)
     coords = [_subset_sums([scale * row[m + r] for row in pivots]) for r in range(d)]
     ys = list(zip(*coords))
     nums = sorted(ys[s] for s in alive)
     fracs = {a: Fraction(a, det) for a in set().union(*nums)}
     return tuple(tuple(fracs[a] for a in y) for y in nums)
+
+
+def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
+    """The patterns s whose combination (1/D) sum_{k in s} P_k is 0/1.
+
+    The P_k are the pivot rows of a Gauss-Jordan (_bareiss) elimination over
+    the first ncols columns, P_k being D on its pivot column and 0 on the
+    others, so every 0/1 vector of their span is such a combination.  It is
+    0/1 on the pivot columns by construction, and elsewhere exactly when
+    sum_{k in s} P_k[j] is 0 or D on every non-pivot column j < ncols (a
+    test that holds for D of either sign).  Pattern s has bit k for pivot
+    row k.  The 2^d patterns are tabulated, so more than _CLOSURE_RANK_LIMIT
+    pivot rows raise DimensionTooLarge before any table is built.
+    """
+    if len(pivots) > _CLOSURE_RANK_LIMIT:
+        raise DimensionTooLarge(f"closure is limited to rank <= {_CLOSURE_RANK_LIMIT}")
+    alive = range(1 << len(pivots))
+    basis = set(piv_cols)
+    for j in range(ncols):
+        if j not in basis:
+            sums = _subset_sums([row[j] for row in pivots])
+            alive = [s for s in alive if sums[s] == 0 or sums[s] == det]
+    return alive
+
+
+def _zero_one_count(lines: list, ncols: int) -> int:
+    """The number of 0/1 vectors in the span of integer lines of length
+    ncols: one elimination of the lines, with no augmented columns."""
+    rows, piv_rows, piv_cols, det = linalg._bareiss(lines, ncols)
+    return len(_zero_one_patterns([rows[r] for r in piv_rows], piv_cols, det, ncols))
+
+
+def _maximal_slack(rows: int, cols: int, bits) -> bool:
+    """Whether a 0/1 matrix (row-major bits) with distinct lines and positive
+    rank is maximal, counted as in is_maximal_in_md."""
+    lines = [bits[i * cols:(i + 1) * cols] for i in range(rows)]
+    if _zero_one_count(list(lines), cols) != rows:
+        return False
+    return _zero_one_count(list(zip(*lines)), rows) == cols
 
 
 def _subset_sums(values: list[int]) -> list[int]:
@@ -310,26 +344,29 @@ def slack_matrix(cfg: Configuration) -> SlackMatrix:
 def from_slack_matrix(m: BinaryMatrix) -> Configuration:
     """A configuration whose slack matrix is m up to row/column order.
 
-    Rank-factorizes m: the first d independent rows form the column labels,
-    and each row's coefficient vector over that basis becomes a row label.
+    Rank-factorizes m: the first d independent rows R form the column
+    labels, and each row's coefficient vector over R becomes a row label.
+    One elimination of the rows gives R and d independent columns J of it;
+    one more, of [R_J^T | I], gives G = D (R_J^T)^-1 in integers.  Row i's
+    coefficients are then a_i = G m_{i,J} / D, the one division per entry.
     Permutation-equivalent inputs give linearly equivalent outputs.
     """
     if not m.distinct_lines():
         raise RepeatedLine("slack matrices have no repeated row or column")
     rows = m.row_tuples()
-    d = linalg.rank(rows)
+    _, piv_rows, piv_cols, _ = linalg._bareiss(list(rows), m.cols)
+    d = len(piv_rows)
     if d == 0:
         raise NotSpanning("zero matrix has no configuration")
-    basis_idx = linalg.first_independent(rows, d)
-    assert basis_idx is not None
-    r = [rows[i] for i in basis_idx]
-    rt = [[r[i][j] for i in range(d)] for j in range(m.cols)]
+    r = [rows[i] for i in sorted(piv_rows)]
     b_side = [vec(col) for col in zip(*r)]
+    aug = [[row[j] for row in r] + [int(t == i) for t in range(d)] for i, j in enumerate(piv_cols)]
+    aug, inv_rows, _, det = linalg._bareiss(aug, d)
+    g = [aug[k][d:] for k in inv_rows]
     a_side = []
-    for i in range(m.rows):
-        coeff = linalg.solve(rt, rows[i])
-        assert coeff is not None
-        a_side.append(coeff)
+    for row in rows:
+        y = [row[j] for j in piv_cols]
+        a_side.append(tuple(Fraction(sum(map(mul, gk, y)), det) for gk in g))
     return Configuration(d, tuple(a_side), tuple(b_side))
 
 
@@ -337,17 +374,28 @@ def is_maximal_in_md(m: BinaryMatrix) -> bool:
     """Whether m is a maximal 0/1 matrix of its rank class.
 
     Equivalent to submatrix-maximality: m must have distinct lines, positive
-    rank, and a rank factorization (A, B) with closure(B) = A and
-    closure(A) = B.  Any strictly larger matrix would add a closure vector.
+    rank d, and a rank factorization (A, B) with closure(B) = A and
+    closure(A) = B; any strictly larger matrix would add a closure vector.
+    Both equalities are decided by counting, in integers:
+
+    - B spans, so y -> (<y, b_j>)_j is injective, and its image is the row
+      space of m.  So closure(B) is in bijection with the 0/1 vectors of the
+      row space.
+    - A lies in closure(B) and has m.rows members, so closure(B) = A exactly
+      when the row space holds m.rows 0/1 vectors.
+    - Symmetrically, closure(A) = B exactly when the column space holds
+      m.cols 0/1 vectors.
+
+    Each count is one elimination of the lines (_zero_one_count); above rank
+    _CLOSURE_RANK_LIMIT it raises DimensionTooLarge, as closure does.
     """
     if m.rows == 0 or m.cols == 0:
         return False
     if not m.distinct_lines():
         return False
-    if linalg.rank(m.row_tuples()) == 0:
+    if not any(m.bits):
         return False
-    cfg = from_slack_matrix(m)
-    return cfg.is_maximal()
+    return _maximal_slack(m.rows, m.cols, m.bits)
 
 
 def normalization_basis(cfg: Configuration, side: str) -> tuple[Vec, ...]:

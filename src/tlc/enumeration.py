@@ -85,8 +85,10 @@ def _seed_context(d: int):
     """(U_d, closed, missed, ones), built once per d on first use.
 
     A spanning 0/1 seed holds a 0/1 basis M, so its closure lies in U_d, the
-    M^-1 s for s in {0,1}^d (as integers in D M^-1; sorted as closure
-    sorts).  closed[j] masks the y in U_d with <y, x_j> in {0,1}: a seed's
+    M^-1 s for s in {0,1}^d (found as integers in D M^-1; sorted as closure
+    sorts).  Each y in U_d is kept as the integer row (q, q y), q the least
+    positive integer that makes q y integral; no Fraction is built.
+    closed[j] masks the y in U_d with <y, x_j> in {0,1}: a seed's
     closure is the AND of its points' masks.  ones[j] masks the y with
     <y, x_j> = 1; both come from one table of subset sums.  missed[j] masks
     the hyperplanes spanned by 0/1 points (normals: the columns of D M^-1)
@@ -114,7 +116,7 @@ def _seed_context(d: int):
     closed = _column_masks([[p == 0 or p == den for p in sums] for den, sums in products])
     ones = _column_masks([[p == den for p in sums] for den, sums in products])
     missed = _column_masks(sorted(cuts))
-    return tuple(tuple(Fraction(x, den) for x in y) for den, *y in u), closed, missed, ones
+    return tuple(u), closed, missed, ones
 
 
 @functools.cache

@@ -275,6 +275,187 @@ def test_from_slack_matrix_reproduces_matrix():
         assert canon.equivalent(m, again)
 
 
+# --- maximality by counting, against the earlier path -------------------------
+
+
+def _reference_from_slack_matrix(m):
+    """The earlier from_slack_matrix, kept as the oracle: rank, the first
+    independent rows, then one solve per row."""
+    rows = m.row_tuples()
+    d = linalg.rank(rows)
+    basis_idx = linalg.first_independent(rows, d)
+    r = [rows[i] for i in basis_idx]
+    rt = [[r[i][j] for i in range(d)] for j in range(m.cols)]
+    b_side = [linalg.vec(col) for col in zip(*r)]
+    a_side = [linalg.solve(rt, rows[i]) for i in range(m.rows)]
+    return Configuration(d, tuple(a_side), tuple(b_side))
+
+
+def _reference_is_maximal_in_md(m):
+    """The earlier is_maximal_in_md, kept as the oracle: the rank
+    factorization and both closures."""
+    if m.rows == 0 or m.cols == 0 or not m.distinct_lines() or linalg.rank(m.row_tuples()) == 0:
+        return False
+    cfg = _reference_from_slack_matrix(m)
+    return closure(cfg.B, cfg.d) == cfg.A and closure(cfg.A, cfg.d) == cfg.B
+
+
+def _one_line_deletions(m):
+    rows, cols = m.row_tuples(), m.col_tuples()
+    for i in range(m.rows):
+        yield BinaryMatrix.from_rows(rows[:i] + rows[i + 1:]) if m.rows > 1 else BinaryMatrix(0, m.cols, ())
+    for j in range(m.cols):
+        yield BinaryMatrix.from_rows(cols[:j] + cols[j + 1:]).transpose() if m.cols > 1 else BinaryMatrix(m.rows, 0, ())
+
+
+def _golden_classes(enum_results, enum_d4):
+    """The 1 + 2 + 6 + 31 classes of d = 1..4."""
+    out = [(res.d, parse_matrix(f.bytes.decode())) for res in (*enum_results.values(), enum_d4) for f in res.classes]
+    assert len(out) == 40
+    return out
+
+
+def _random_matrices(seed, count, size=6):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        r, c = rng.randint(1, size), rng.randint(1, size)
+        out.append(BinaryMatrix(r, c, tuple(rng.getrandbits(1) for _ in range(r * c))))
+    return out
+
+
+def _stable_set_matrices(n_full=5, n6_sample=30):
+    """Maximal stable-set slack matrices: every bipartite graph on n <= 5
+    nodes, and a seeded sample of those on 6."""
+    from tlc import stabset
+    from tlc.errors import NotBipartite
+
+    def graphs(n, masks):
+        for mask in masks:
+            try:
+                yield stabset.graph_from_mask(n, mask)
+            except NotBipartite:
+                continue
+
+    rng = random.Random(606)
+    chosen = [g for n in range(1, n_full + 1) for g in graphs(n, range(1 << (n * (n - 1) // 2)))]
+    chosen += list(graphs(6, rng.sample(range(1 << 15), 10 * n6_sample)))[:n6_sample]
+    return [stabset.stab_maximal_slack(g).matrix for g in chosen]
+
+
+def _factorable(m):
+    return m.rows and m.cols and m.distinct_lines() and any(m.bits)
+
+
+def _oracle_sized(m):
+    # oracle_is_maximal tries all 2^rows + 2^cols 0/1 vectors
+    return m.rows <= 8 and m.cols <= 8
+
+
+def test_is_maximal_in_md_matches_old_path_on_golden_classes(enum_results, enum_d4):
+    from tlc.enumeration import oracle_is_maximal
+
+    checked = 0
+    for d, m in _golden_classes(enum_results, enum_d4):
+        assert is_maximal_in_md(m) and _reference_is_maximal_in_md(m)
+        for sub in _one_line_deletions(m):
+            got = is_maximal_in_md(sub)
+            assert got == _reference_is_maximal_in_md(sub), sub.row_tuples()
+            if d <= 3 and _oracle_sized(sub):
+                assert got == oracle_is_maximal(sub), sub.row_tuples()
+            checked += 1
+    assert checked == 4 + 14 + 68 + 526
+
+
+def test_is_maximal_in_md_matches_old_path_on_random_matrices():
+    from tlc.enumeration import oracle_is_maximal
+
+    maximal = 0
+    for m in _random_matrices(20261018, 1500):
+        got = is_maximal_in_md(m)
+        assert got == _reference_is_maximal_in_md(m) == oracle_is_maximal(m), m.row_tuples()
+        maximal += got
+    assert maximal > 0
+
+
+def test_is_maximal_in_md_matches_old_path_on_stable_set_slack():
+    from tlc.enumeration import oracle_is_maximal
+
+    matrices = _stable_set_matrices()
+    assert len(matrices) == 1 + 2 + 7 + 41 + 376 + 30
+    for m in matrices:
+        assert is_maximal_in_md(m) and _reference_is_maximal_in_md(m)
+        for sub in _one_line_deletions(m) if m.rows <= 12 and m.cols <= 12 else ():
+            got = is_maximal_in_md(sub)
+            assert got == _reference_is_maximal_in_md(sub), sub.row_tuples()
+            if _oracle_sized(sub):
+                assert got == oracle_is_maximal(sub), sub.row_tuples()
+
+
+def test_is_maximal_in_md_needs_no_closure_or_solve(monkeypatch, enum_results):
+    from tlc import configuration
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the maximality count left the integers")
+
+    cases = []
+    for res in enum_results.values():
+        for f in res.classes:
+            m = parse_matrix(f.bytes.decode())
+            cases += [(m, True)] + [(sub, _reference_is_maximal_in_md(sub)) for sub in _one_line_deletions(m)]
+    monkeypatch.setattr(configuration, "closure", refuse)
+    monkeypatch.setattr(configuration, "from_slack_matrix", refuse)
+    monkeypatch.setattr(linalg, "solve", refuse)
+    assert [is_maximal_in_md(m) for m, _ in cases] == [want for _, want in cases]
+    assert any(not want for _, want in cases)
+
+
+def test_configuration_is_maximal_matches_closures(enum_results, enum_d4):
+    configs = []
+    for _, m in _golden_classes(enum_results, enum_d4):
+        cfg = from_slack_matrix(m)
+        configs += [cfg, normalize_to_binary(cfg, "A"), normalize_to_binary(cfg, "B")]
+        configs += [from_slack_matrix(sub) for sub in _one_line_deletions(m) if _factorable(sub)]
+    for cfg in configs:
+        want = closure(cfg.B, cfg.d) == cfg.A and closure(cfg.A, cfg.d) == cfg.B
+        fresh = Configuration(cfg.d, cfg.A, cfg.B)
+        assert fresh.is_maximal() == want
+        assert fresh._maximal == want  # cached
+    assert sum(Configuration(c.d, c.A, c.B).is_maximal() for c in configs) == 3 * 40
+
+
+def test_rank_17_identity_raises_as_before():
+    from tlc.errors import DimensionTooLarge
+
+    m = BinaryMatrix.from_rows([[int(i == j) for j in range(17)] for i in range(17)])
+    with pytest.raises(DimensionTooLarge) as new:
+        is_maximal_in_md(m)
+    with pytest.raises(DimensionTooLarge) as old:
+        _reference_is_maximal_in_md(m)
+    assert str(new.value) == str(old.value) == "closure is limited to rank <= 16"
+    with pytest.raises(DimensionTooLarge) as cfg:
+        from_slack_matrix(m).is_maximal()
+    assert str(cfg.value) == str(old.value)
+    sixteen = BinaryMatrix.from_rows([[int(i == j) for j in range(16)] for i in range(16)])
+    assert is_maximal_in_md(sixteen) is False
+
+
+def test_from_slack_matrix_matches_old_path(enum_results, enum_d4):
+    matrices = []
+    for _, m in _golden_classes(enum_results, enum_d4):
+        matrices += [m, m.transpose(), *_one_line_deletions(m)]
+    matrices += _random_matrices(7, 600) + _stable_set_matrices(n_full=4, n6_sample=10)
+    compared = 0
+    for m in matrices:
+        if not _factorable(m):
+            continue
+        new, old = from_slack_matrix(m), _reference_from_slack_matrix(m)
+        assert new == old
+        assert new._bits == old._bits
+        compared += 1
+    assert compared > 800
+
+
 # --- binary normalization -------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 import functools
 import hashlib
+import math
 import operator
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -71,10 +73,16 @@ def test_enumerate_rejects_large_dimension():
         enumerate_maximal(4, seed_limit=10)
 
 
+def _decoded_u(d):
+    """U_d as closure returns vectors: each integer row (q, q y) as y."""
+    return tuple(tuple(Fraction(x, q) for x in y) for q, *y in enumeration._seed_context(d)[0])
+
+
 def _context_answer(d, m):
     """The seed's spanning flag and decoded first closure, read off the
     context by an AND and an OR over its points."""
-    u, closed, missed, _ = enumeration._seed_context(d)
+    _, closed, missed, _ = enumeration._seed_context(d)
+    u = _decoded_u(d)
     key, span = (1 << len(u)) - 1, 0
     for j in range(1 << d):
         if m >> j & 1:
@@ -94,6 +102,9 @@ def test_seed_context_sizes():
     for d, size, hyperplanes in ((1, 2, 1), (2, 6, 3), (3, 36, 9), (4, 580, 45)):
         u, closed, missed, ones = enumeration._seed_context(d)
         assert len(u) == size and len(closed) == len(missed) == len(ones) == 1 << d
+        # integer rows (q, q y) in lowest terms, no Fraction
+        assert all(type(x) is int for row in u for x in row)
+        assert all(q > 0 and len(y) == d and math.gcd(q, *y) == 1 for q, *y in u)
         assert functools.reduce(operator.or_, missed).bit_count() == hyperplanes
         # the zero point has product 0 with every y and lies on every hyperplane
         assert closed[0] == (1 << size) - 1 and missed[0] == 0 and ones[0] == 0
@@ -101,7 +112,8 @@ def test_seed_context_sizes():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_seed_context_masks_are_exact_products(d):
-    u, closed, _, ones = enumeration._seed_context(d)
+    _, closed, _, ones = enumeration._seed_context(d)
+    u = _decoded_u(d)
     for j in range(1 << d):
         x = enumeration._bit_vector(j, d)
         products = [sum(a * b for a, b in zip(y, x)) for y in u]
@@ -131,7 +143,7 @@ def _first_closure_keys(d):
 def test_mask_slack_matches_exact_miss_path(d):
     # the earlier miss path, kept as the oracle: decode the first closure,
     # close it again and multiply both sides exactly
-    u = enumeration._seed_context(d)[0]
+    u = _decoded_u(d)
     keys = _first_closure_keys(d)
     assert len(keys) == {1: 1, 2: 4, 3: 72, 4: 6963}[d]
     for key in keys:
