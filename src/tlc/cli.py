@@ -20,14 +20,13 @@ from .configuration import (
     configuration_to_json,
     dim_from_json,
     emit_matrix,
-    is_maximal_in_md,
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
+    rank_and_maximality,
     vectors_from_json_field,
 )
 from .errors import ParseError, StoreConflict, TlcError
-from .linalg import rank
 from .store import Store
 
 EXIT_OK = 0
@@ -95,9 +94,8 @@ def _store_from(args) -> Store:
 
 def _cmd_check(args, out) -> int:
     m = parse_matrix(_read(args.matrix))
-    d = rank(m.row_tuples()) if m.rows and m.cols else 0
+    d, maximal = rank_and_maximality(m)
     member = d >= 1 and m.distinct_lines()
-    maximal = is_maximal_in_md(m) if member else False
     if args.format == "json":
         out.write(json.dumps({"rank": d, "member": member, "maximal": maximal}, sort_keys=True) + "\n")
     else:

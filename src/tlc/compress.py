@@ -8,12 +8,19 @@ maps zeta(a) = (<a,b_1>,..,<a,b_k>) and phi(b) = integer coordinates of b
 over the generators satisfy <zeta(a), phi(b)> = <a,b>, which turns the whole
 configuration into a dimension-k face certificate plus the k x d generator
 matrix: a weighted graph on k nodes with integer weights at most k(k+1)/2.
+
+The round trip runs in integers.  Generator selection computes one Hermite
+form per growth step and keeps the last on the GeneratorSet, so every phi
+reduces against that one form; decompress solves all decoded face points in
+one fraction-free elimination.  Fractions are built only for the vectors of
+the Configuration that decompress returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 from . import corrcone, linalg
 from .configuration import Configuration, closure
@@ -34,11 +41,17 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Ordered 0/1 generators; the first d are independent, k obeys the log bound."""
+    """Ordered 0/1 generators; the first d are independent, k obeys the log bound.
+
+    _hermite holds the Hermite form (H, U) of the generator rows once
+    select_generators or phi has computed it, so every phi over one set
+    reduces against the same form.
+    """
 
     d: int
     gens: tuple[tuple[int, ...], ...]
     det_history: tuple[int, ...]
+    _hermite: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gens = tuple(tuple(int(x) for x in g) for g in self.gens)
@@ -79,7 +92,10 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     Starts from the first d independent vectors in sorted order and appends
     the first vector outside the current lattice, recording the determinant
     after every step; each recorded value divides the previous one with an
-    integer quotient of at least 2.
+    integer quotient of at least 2.  Each step computes one Hermite form,
+    tests the vectors against it and reads the determinant off its pivots.
+    The vectors before an appended one lie in the smaller lattice, so the
+    next step resumes the search after it.
     """
     bs = sorted(set(tuple(int(x) for x in v) for v in b_vectors))
     if any(len(b) != d for b in bs):
@@ -90,14 +106,19 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     if idx is None:
         raise NotSpanning(f"point side does not span R^{d}")
     chosen = [bs[i] for i in idx]
-    dets = [linalg.lattice_determinant_rect(chosen)]
+    dets = []
+    start = 0
     while True:
-        extra = next((b for b in bs if not linalg.lattice_member(chosen, b)), None)
-        if extra is None:
+        h, u = linalg.hnf(chosen)
+        dets.append(linalg._hnf_det(h, d))
+        start = next((i for i in range(start, len(bs)) if linalg._hnf_coords(h, u, bs[i]) is None), None)
+        if start is None:
             break
-        chosen.append(extra)
-        dets.append(linalg.lattice_determinant_rect(chosen))
-    return GeneratorSet(d, tuple(chosen), tuple(dets))
+        chosen.append(bs[start])
+        start += 1
+    out = GeneratorSet(d, tuple(chosen), tuple(dets))
+    object.__setattr__(out, "_hermite", (h, u))
+    return out
 
 
 def zeta(a, gens: GeneratorSet) -> tuple[int, ...]:
@@ -127,7 +148,9 @@ def phi(b, gens: GeneratorSet) -> tuple[int, ...]:
     for i, g in enumerate(gens.gens):
         if bt == g:
             return tuple(1 if j == i else 0 for j in range(gens.k))
-    coords = linalg.lattice_coords(gens.gens, bt)
+    if gens._hermite is None:
+        object.__setattr__(gens, "_hermite", linalg.hnf(gens.gens))
+    coords = linalg._hnf_coords(*gens._hermite, bt)
     if coords is None:
         raise NotInLattice(f"{b} is not in the generator lattice")
     return coords
@@ -148,19 +171,30 @@ def compress(cfg: Configuration) -> CompressedConfig:
 
 
 def decompress(cc: CompressedConfig) -> Configuration:
-    """Reconstruct the configuration: decode the face, solve back, close."""
+    """Reconstruct the configuration: decode the face, solve back, close.
+
+    Every decoded point a' gives the a with G a = a' when there is one (G the
+    k x d generator matrix, of full column rank).  One fraction-free
+    elimination of [G | A'^T], A' the decoded points as rows, solves them
+    all: a' is consistent exactly when its column is 0 on every non-pivot
+    row, and then a_c = (pivot row's entry) / D on each pivot column c.
+    """
     gens = cc.gens
     a_prime = corrcone.certificate_decode(cc.cert)
-    g_rows = [[Fraction(x) for x in g] for g in gens.gens]
-    a_side = []
-    for ap in a_prime:
-        sol = linalg.solve(g_rows, [Fraction(x) for x in ap])
-        if sol is not None:
-            a_side.append(sol)
-    if not a_side:
+    d = gens.d
+    aug = [list(g) + [ap[i] for ap in a_prime] for i, g in enumerate(gens.gens)]
+    aug, piv_rows, _, det = linalg._bareiss(aug, d)
+    pivots = set(piv_rows)
+    zero_rows = [row for i, row in enumerate(aug) if i not in pivots]
+    # G has rank d, so pivot row k is the one of column k
+    nums = [tuple(aug[r][p] for r in piv_rows) for p in range(d, d + len(a_prime))
+            if not any(row[p] for row in zero_rows)]
+    if not nums:
         raise EmptyDecode("no consistent vector for any decoded face point")
-    b_side = closure(a_side, gens.d)
-    return Configuration(gens.d, tuple(a_side), b_side)
+    fracs = {n: Fraction(n, det) for n in set().union(*nums)}
+    a_side = tuple(tuple(fracs[n] for n in a) for a in nums)
+    b_side = closure(a_side, d)
+    return Configuration(d, a_side, b_side)
 
 
 def weighted_graph_serialize(cc: CompressedConfig) -> str:

@@ -175,10 +175,10 @@ class Configuration:
 
     def is_maximal(self) -> bool:
         """Whether A and B are each other's closures, decided on the slack
-        matrix by _maximal_slack (its lines are distinct and its rank is d,
-        as both sides span).  Cached; fill is idempotent."""
+        matrix by _rank_and_maximal (its lines are distinct and its rank is
+        d, as both sides span).  Cached; fill is idempotent."""
         if self._maximal is None:
-            value = _maximal_slack(len(self.A), len(self.B), self._bits)
+            value = _rank_and_maximal(len(self.A), len(self.B), self._bits)[1]
             object.__setattr__(self, "_maximal", value)
         return self._maximal
 
@@ -281,17 +281,35 @@ def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
     0/1 on the pivot columns by construction, and elsewhere exactly when
     sum_{k in s} P_k[j] is 0 or D on every non-pivot column j < ncols (a
     test that holds for D of either sign).  Pattern s has bit k for pivot
-    row k.  The 2^d patterns are tabulated, so more than _CLOSURE_RANK_LIMIT
-    pivot rows raise DimensionTooLarge before any table is built.
+    row k.
+
+    A column's sums come from one table of 2^d subset sums.  Once the
+    survivors and the two tables of the low and the high half of the bits
+    (2^(d/2) entries each) come to fewer than half the table's entries,
+    only the survivors are summed, each as the sum of two lookups in those
+    halves.  More than _CLOSURE_RANK_LIMIT pivot rows raise
+    DimensionTooLarge before any table is built.
     """
-    if len(pivots) > _CLOSURE_RANK_LIMIT:
+    n = len(pivots)
+    if n > _CLOSURE_RANK_LIMIT:
         raise DimensionTooLarge(f"closure is limited to rank <= {_CLOSURE_RANK_LIMIT}")
-    alive = range(1 << len(pivots))
+    half = n // 2
+    low = (1 << half) - 1
+    limit = ((1 << n) >> 1) - (1 << half) - (1 << (n - half))
+    ok = (0, det)
+    alive = range(1 << n)
     basis = set(piv_cols)
-    for j in range(ncols):
-        if j not in basis:
-            sums = _subset_sums([row[j] for row in pivots])
-            alive = [s for s in alive if sums[s] == 0 or sums[s] == det]
+    for j, col in enumerate(zip(*pivots)):
+        if j == ncols:
+            break
+        if j in basis:
+            continue
+        if len(alive) < limit:
+            lo, hi = _subset_sums(col[:half]), _subset_sums(col[half:])
+            alive = [s for s in alive if lo[s & low] + hi[s >> half] in ok]
+        else:
+            sums = _subset_sums(col)
+            alive = [s for s in alive if sums[s] in ok]
     return alive
 
 
@@ -302,13 +320,16 @@ def _zero_one_count(lines: list, ncols: int) -> int:
     return len(_zero_one_patterns([rows[r] for r in piv_rows], piv_cols, det, ncols))
 
 
-def _maximal_slack(rows: int, cols: int, bits) -> bool:
-    """Whether a 0/1 matrix (row-major bits) with distinct lines and positive
-    rank is maximal, counted as in is_maximal_in_md."""
+def _rank_and_maximal(rows: int, cols: int, bits) -> tuple[int, bool]:
+    """The rank of a 0/1 matrix (row-major bits) with distinct lines, and
+    whether it is maximal, counted as in is_maximal_in_md (never at rank 0).
+    One elimination of the rows gives both the rank and the row count."""
     lines = [bits[i * cols:(i + 1) * cols] for i in range(rows)]
-    if _zero_one_count(list(lines), cols) != rows:
-        return False
-    return _zero_one_count(list(zip(*lines)), rows) == cols
+    elim, piv_rows, piv_cols, det = linalg._bareiss(list(lines), cols)
+    d = len(piv_rows)
+    if not d or len(_zero_one_patterns([elim[r] for r in piv_rows], piv_cols, det, cols)) != rows:
+        return d, False
+    return d, _zero_one_count(list(zip(*lines)), rows) == cols
 
 
 def _subset_sums(values: list[int]) -> list[int]:
@@ -386,7 +407,7 @@ def is_maximal_in_md(m: BinaryMatrix) -> bool:
     - Symmetrically, closure(A) = B exactly when the column space holds
       m.cols 0/1 vectors.
 
-    Each count is one elimination of the lines (_zero_one_count); above rank
+    Each count is one elimination of the lines; above rank
     _CLOSURE_RANK_LIMIT it raises DimensionTooLarge, as closure does.
     """
     if m.rows == 0 or m.cols == 0:
@@ -395,7 +416,18 @@ def is_maximal_in_md(m: BinaryMatrix) -> bool:
         return False
     if not any(m.bits):
         return False
-    return _maximal_slack(m.rows, m.cols, m.bits)
+    return _rank_and_maximal(m.rows, m.cols, m.bits)[1]
+
+
+def rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
+    """The rank of m (0 when it has no entries) and is_maximal_in_md(m).
+    When m has distinct lines, one elimination of its rows gives the rank
+    and the row count."""
+    if m.rows == 0 or m.cols == 0:
+        return 0, False
+    if not m.distinct_lines():
+        return linalg.rank(m.row_tuples()), False
+    return _rank_and_maximal(m.rows, m.cols, m.bits)
 
 
 def normalization_basis(cfg: Configuration, side: str) -> tuple[Vec, ...]:
@@ -423,16 +455,32 @@ def _unit_basis(cfg: Configuration, side: str, basis) -> Configuration:
     """The change of basis T^-1, T the matrix with columns `basis` (d
     independent vectors of the side opposite to `side`): the basis goes to
     e_1..e_d and each vector x of `side` to T^T x, its products with the
-    basis."""
-    t_inv, _ = linalg.inverse_and_det([list(col) for col in zip(*basis)])
-    tt_rows = [list(b) for b in basis]  # rows of T^T
+    basis.
+
+    The work is in integers, on _scaled keys.  With the basis scaled to
+    S = L T and a vector to X = L_x x, T^T x = S^T X / (L L_x).  One
+    elimination of [S | I] gives the integer G = D S^-1 = +-adj(S)
+    (_bareiss), so T^-1 y = L G Y / (D L_y).  Each output entry is one
+    division.
+    """
+    d = cfg.d
+    basis_keys, scale = _scaled(basis)
+    st = list(basis_keys)  # the rows of S^T, in basis order
+    aug = [list(row) + [int(t == i) for t in range(d)] for i, row in enumerate(zip(*st))]
+    aug, piv_rows, _, det = linalg._bareiss(aug, d)
+    g = [aug[r][d:] for r in piv_rows]
+
+    def apply(vectors, rows, mult, div):
+        keyed, lx = _scaled(vectors)
+        nums = [tuple(mult * sum(map(mul, r, x)) for r in rows) for x in keyed]
+        fracs = {n: Fraction(n, div * lx) for n in set().union(*nums)}
+        return tuple(tuple(fracs[n] for n in y) for y in nums)
+
     if side == SIDE_A:
-        new_a = [linalg.mat_vec(tt_rows, a) for a in cfg.A]
-        new_b = [linalg.mat_vec(t_inv, b) for b in cfg.B]
+        new_a, new_b = apply(cfg.A, st, 1, scale), apply(cfg.B, g, scale, det)
     else:
-        new_a = [linalg.mat_vec(t_inv, a) for a in cfg.A]
-        new_b = [linalg.mat_vec(tt_rows, b) for b in cfg.B]
-    out = Configuration(cfg.d, tuple(new_a), tuple(new_b))
+        new_a, new_b = apply(cfg.A, g, scale, det), apply(cfg.B, st, 1, scale)
+    out = Configuration(d, new_a, new_b)
     if cfg._maximal is not None:
         object.__setattr__(out, "_maximal", cfg._maximal)
     return out

@@ -250,14 +250,16 @@ def certificate_encode(d: int, points) -> FaceCertificate:
     """Certificate of a face: sum the lifts of a greedy independent subset.
 
     The subset is picked on the reduced lifts, which are independent exactly
-    when the full ones are.
+    when the full ones are: the pivot rows of one elimination of them, the
+    earliest maximal independent subset in sorted order.
     """
     pts = sorted(set(tuple(int(v) for v in p) for p in points))
     if not is_face(d, pts):
         raise NotAFace(f"{pts} is not the point set of a face")
     nonzero = [x for x in pts if any(x)]
-    lifts = [_reduced_lift(x) for x in nonzero]
-    chosen = [lift_raw(nonzero[i]) for i in linalg.first_independent(lifts, linalg.rank(lifts))]
+    lifts = [list(_reduced_lift(x)) for x in nonzero]
+    _, piv_rows, _, _ = linalg._bareiss(lifts, d * (d + 1) // 2)
+    chosen = [lift_raw(nonzero[i]) for i in sorted(piv_rows)]
     dim = d * d + d
     s = [0] * dim
     for z in chosen:

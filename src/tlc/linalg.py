@@ -7,9 +7,11 @@ scaled to integers, with optional augmented columns.  ``rank``, ``solve``,
 ``first_independent`` and ``inverse_and_det`` are thin wrappers over it; rows
 that are already ``int`` are used as they are, and ``Fraction`` objects are
 built only for the values these functions return.  The lattice functions
-work on integers throughout; the feasibility solver is a plain phase-1
-simplex over ``Fraction`` with Bland's rule, which terminates on every input.
-Matrices are lists of rows, and lattices are lists of integer rows.
+work on integers throughout: int rows are taken as they are, and ``hnf``
+gives a Hermite form once, against which ``_hnf_coords`` reduces any number
+of vectors.  The feasibility solver is a plain phase-1 simplex over
+``Fraction`` with Bland's rule, which terminates on every input.  Matrices
+are lists of rows, and lattices are lists of integer rows.
 """
 
 from __future__ import annotations
@@ -173,14 +175,18 @@ def first_independent(vectors, d) -> Optional[list[int]]:
 
 
 def _check_int_matrix(rows) -> list[list[int]]:
+    """The rows as lists of ints: int rows are taken as they are, other
+    entries must be integral (ValueError otherwise)."""
     out = []
     for r in rows:
-        row = []
-        for x in r:
-            f = frac(x)
-            if f.denominator != 1:
-                raise ValueError("integer matrix required")
-            row.append(int(f))
+        row = list(r)
+        if any(type(x) is not int for x in row):
+            row = []
+            for x in r:
+                f = frac(x)
+                if f.denominator != 1:
+                    raise ValueError("integer matrix required")
+                row.append(int(f))
         out.append(row)
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionMismatch("ragged rows")
@@ -234,19 +240,25 @@ def hnf(m) -> tuple[list[list[int]], list[list[int]]]:
 
 def lattice_coords(gens, v) -> Optional[tuple[int, ...]]:
     """Integer coordinates of v over the generator rows, or None when v is
-    not an integer combination of them.
-
-    Reduces v against the Hermite form H = U G row by row; the quotients mu
-    satisfy v = mu H = (mu U) G, so mu U is a coordinate vector.
-    """
+    not an integer combination of them."""
     rows = _check_int_matrix(gens)
     v = [int(x) for x in v]
     if not rows:
         return None if any(v) else ()
     if len(v) != len(rows[0]):
         raise DimensionMismatch(f"vector of length {len(v)} vs generator dimension {len(rows[0])}")
-    h, u = hnf(rows)
-    mu = [0] * len(rows)
+    return _hnf_coords(*hnf(rows), v)
+
+
+def _hnf_coords(h, u, v) -> Optional[tuple[int, ...]]:
+    """Integer coordinates of v over the generators G of a Hermite form
+    (H, U) = hnf(G), or None when v is not in their lattice.
+
+    Reduces v against H row by row; the quotients mu satisfy v = mu H =
+    (mu U) G, so mu U is a coordinate vector.  One form serves any number
+    of vectors.
+    """
+    mu = [0] * len(h)
     for i, row in enumerate(h):
         c = next((j for j, x in enumerate(row) if x), None)
         if c is None:
@@ -259,7 +271,7 @@ def lattice_coords(gens, v) -> Optional[tuple[int, ...]]:
             v = [a - q * b for a, b in zip(v, row)]
     if any(v):
         return None
-    return tuple(sum(m * r[j] for m, r in zip(mu, u)) for j in range(len(rows)))
+    return tuple(sum(m * r[j] for m, r in zip(mu, u)) for j in range(len(h)))
 
 
 def lattice_member(gens, v) -> bool:
@@ -272,8 +284,12 @@ def lattice_determinant_rect(gens) -> int:
     rows = _check_int_matrix(gens)
     if not rows:
         raise NotFullRank("empty generator list")
-    d = len(rows[0])
-    h, _ = hnf(rows)
+    return _hnf_det(hnf(rows)[0], len(rows[0]))
+
+
+def _hnf_det(h, d: int) -> int:
+    """The lattice determinant read off a Hermite form H of generators in
+    R^d: the product of its d pivots (NotFullRank when fewer)."""
     det = 1
     for i in range(d):
         if i >= len(h) or not any(h[i]):

@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlc import canon, cli, compress, stabset
-from tlc.configuration import maximal_completion, normalize_to_binary, parse_matrix
+from tlc.configuration import (
+    BinaryMatrix,
+    _zero_one_count,
+    emit_matrix,
+    maximal_completion,
+    normalize_to_binary,
+    parse_matrix,
+)
+from tlc.linalg import rank
 
 
 def run_cli(args, store=None):
@@ -572,6 +580,54 @@ def test_check_identity_beyond_closure_rank_limit(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "DimensionTooLarge" in proc.stderr
+
+
+def _reference_check_output(m, fmt):
+    """The earlier `tlc check`: linalg.rank of the rows, then two separate
+    eliminations for the row and column counts."""
+    d = rank(m.row_tuples()) if m.rows and m.cols else 0
+    member = d >= 1 and m.distinct_lines()
+    maximal = False
+    if member and any(m.bits):
+        lines = m.row_tuples()
+        maximal = (_zero_one_count(list(lines), m.cols) == m.rows
+                   and _zero_one_count(list(zip(*lines)), m.rows) == m.cols)
+    if fmt == "json":
+        return json.dumps({"rank": d, "member": member, "maximal": maximal}, sort_keys=True) + "\n"
+    return f"member of M_{d}: {'yes' if member else 'no'}; maximal: {'yes' if maximal else 'no'}\n"
+
+
+def test_check_bytes_match_reference_on_classes_and_deletions(tmp_path, enum_results, enum_d4):
+    forms = [f.bytes.decode() for res in (*enum_results.values(), enum_d4) for f in res.classes]
+    assert len(forms) == 40
+    inputs = []
+    for text in forms:
+        m = parse_matrix(text)
+        inputs.append(m)
+        rows, cols = m.row_tuples(), m.col_tuples()
+        inputs += [BinaryMatrix.from_rows(rows[:i] + rows[i + 1:]) for i in range(m.rows) if m.rows > 1]
+        inputs += [BinaryMatrix.from_rows(cols[:j] + cols[j + 1:]).transpose() for j in range(m.cols) if m.cols > 1]
+    path = tmp_path / "m.txt"
+    seen = set()
+    for m in inputs:
+        path.write_text(emit_matrix(m))
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(["--format", fmt, "check", str(path)])
+            assert (code, out, err) == (0, _reference_check_output(m, fmt), "")
+            seen.add(out)
+    assert len(inputs) > 600
+    # maximal classes, non-maximal members and non-members all occur
+    assert {"member of M_4: yes; maximal: yes\n", "member of M_4: yes; maximal: no\n"} <= seen
+    assert any(": no; maximal: no\n" in out for out in seen)
+
+
+def test_check_bytes_match_reference_on_degenerate_matrices(tmp_path):
+    texts = ["0 0\n", "0 2\n", "2 0\n\n\n", "1 1\n0\n", "1 1\n1\n", "1 2\n00\n", "2 1\n0\n1\n", "2 2\n00\n00\n"]
+    path = tmp_path / "m.txt"
+    for text in texts:
+        path.write_text(text)
+        for fmt in ("text", "json"):
+            assert run_cli(["--format", fmt, "check", str(path)]) == (0, _reference_check_output(parse_matrix(text), fmt), "")
 
 
 def test_compress_rejects_non_maximal_configuration(tmp_path):

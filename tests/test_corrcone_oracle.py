@@ -121,6 +121,30 @@ def test_is_face_matches_reference_on_sampled_d4():
     assert got == [reference_is_face(4, c) for c in cases]
 
 
+def reference_certificate_encode(d, points):
+    """The earlier encoder: rank the reduced lifts, then eliminate them again
+    in first_independent."""
+    pts = sorted(set(tuple(int(v) for v in p) for p in points))
+    nonzero = [x for x in pts if any(x)]
+    lifts = [corrcone._reduced_lift(x) for x in nonzero]
+    chosen = [lift_raw(nonzero[i]) for i in linalg.first_independent(lifts, linalg.rank(lifts))]
+    s = [0] * (d * d + d)
+    for z in chosen:
+        for i in range(len(s)):
+            s[i] += z[i]
+    return FaceCertificate(d, tuple(s))
+
+
+def test_certificate_encode_matches_reference():
+    # every face for d <= 3 and a seeded sample of the d = 4 faces
+    faces = [(d, f) for d in (0, 1, 2, 3) for f in corrcone.enumerate_faces(d)]
+    faces += [(4, f) for f in random.Random(44).sample(corrcone.enumerate_faces(4), 400)]
+    for d, f in faces:
+        cert = certificate_encode(d, f)
+        assert cert == reference_certificate_encode(d, f)
+        assert cert.to_text() == reference_certificate_encode(d, f).to_text()
+
+
 def test_face_and_class_round_trips_run_no_lp(enum_results):
     with no_lp():
         faces = [(d, f, certificate_encode(d, f)) for d in (0, 1, 2, 3) for f in corrcone.enumerate_faces(d)]

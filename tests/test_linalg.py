@@ -189,6 +189,20 @@ def test_lattice_member_brute_force_agreement():
             assert lattice_coords(basis, v) == c
 
 
+def test_check_int_matrix_takes_int_rows_and_converts_the_rest():
+    rows = [(1, 2), [3, 4]]
+    out = linalg._check_int_matrix(rows)
+    assert out == [[1, 2], [3, 4]] and all(type(x) is int for r in out for x in r)
+    assert out[1] is not rows[1]
+    out = linalg._check_int_matrix([(F(2), True), (F(6, 3), "5")])
+    assert out == [[2, 1], [2, 5]] and all(type(x) is int for r in out for x in r)
+    for bad in ([(F(1, 2), 1)], [(1, "1/3")], [(1, 0.5)]):
+        with pytest.raises(ValueError, match="integer matrix required"):
+            linalg._check_int_matrix(bad)
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        linalg._check_int_matrix([(1, 2), (3,)])
+
+
 def test_lattice_determinant_examples():
     assert lattice_determinant_rect([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
     assert lattice_determinant_rect([(2, 0), (0, 3)]) == 6
