@@ -10,17 +10,18 @@ configuration into a dimension-k face certificate plus the k x d generator
 matrix: a weighted graph on k nodes with integer weights at most k(k+1)/2.
 
 The round trip runs in integers.  Generator selection computes one Hermite
-form per growth step and keeps the last on the GeneratorSet, so every phi
-reduces against that one form; decompress solves all decoded face points in
-one fraction-free elimination.  Fractions are built only for the vectors of
-the Configuration that decompress returns.
+form per growth step, and a GeneratorSet computes the form of its
+generators once, on first use, so every phi reduces against that one form;
+decompress solves all decoded face points in one fraction-free elimination.
+Fractions are built only for the vectors of the Configuration that
+decompress returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
 
 from . import corrcone, linalg
 from .configuration import Configuration, closure
@@ -41,17 +42,11 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Ordered 0/1 generators; the first d are independent, k obeys the log bound.
-
-    _hermite holds the Hermite form (H, U) of the generator rows once
-    select_generators or phi has computed it, so every phi over one set
-    reduces against the same form.
-    """
+    """Ordered 0/1 generators; the first d are independent, k obeys the log bound."""
 
     d: int
     gens: tuple[tuple[int, ...], ...]
     det_history: tuple[int, ...]
-    _hermite: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gens = tuple(tuple(int(x) for x in g) for g in self.gens)
@@ -74,6 +69,12 @@ class GeneratorSet:
     @property
     def k(self) -> int:
         return len(self.gens)
+
+    @cached_property
+    def hermite(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The Hermite form (H, U) of the generator rows, computed on first
+        use; every phi over this set reduces against it."""
+        return linalg.hnf(self.gens)
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,7 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
             break
         chosen.append(bs[start])
         start += 1
-    out = GeneratorSet(d, tuple(chosen), tuple(dets))
-    object.__setattr__(out, "_hermite", (h, u))
-    return out
+    return GeneratorSet(d, tuple(chosen), tuple(dets))
 
 
 def zeta(a, gens: GeneratorSet) -> tuple[int, ...]:
@@ -148,9 +147,7 @@ def phi(b, gens: GeneratorSet) -> tuple[int, ...]:
     for i, g in enumerate(gens.gens):
         if bt == g:
             return tuple(1 if j == i else 0 for j in range(gens.k))
-    if gens._hermite is None:
-        object.__setattr__(gens, "_hermite", linalg.hnf(gens.gens))
-    coords = linalg._hnf_coords(*gens._hermite, bt)
+    coords = linalg._hnf_coords(*gens.hermite, bt)
     if coords is None:
         raise NotInLattice(f"{b} is not in the generator lattice")
     return coords

@@ -283,11 +283,10 @@ def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
     test that holds for D of either sign).  Pattern s has bit k for pivot
     row k.
 
-    A column's sums come from one table of 2^d subset sums.  Once the
-    survivors and the two tables of the low and the high half of the bits
-    (2^(d/2) entries each) come to fewer than half the table's entries,
-    only the survivors are summed, each as the sum of two lookups in those
-    halves.  More than _CLOSURE_RANK_LIMIT pivot rows raise
+    A column is summed only over the surviving patterns, each sum being two
+    lookups: one in the table of subset sums of the low half of the bits and
+    one in that of the high half (2^(d/2) entries each), so no column builds
+    a table of all 2^d sums.  More than _CLOSURE_RANK_LIMIT pivot rows raise
     DimensionTooLarge before any table is built.
     """
     n = len(pivots)
@@ -295,7 +294,6 @@ def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
         raise DimensionTooLarge(f"closure is limited to rank <= {_CLOSURE_RANK_LIMIT}")
     half = n // 2
     low = (1 << half) - 1
-    limit = ((1 << n) >> 1) - (1 << half) - (1 << (n - half))
     ok = (0, det)
     alive = range(1 << n)
     basis = set(piv_cols)
@@ -304,12 +302,8 @@ def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
             break
         if j in basis:
             continue
-        if len(alive) < limit:
-            lo, hi = _subset_sums(col[:half]), _subset_sums(col[half:])
-            alive = [s for s in alive if lo[s & low] + hi[s >> half] in ok]
-        else:
-            sums = _subset_sums(col)
-            alive = [s for s in alive if sums[s] in ok]
+        lo, hi = _subset_sums(col[:half]), _subset_sums(col[half:])
+        alive = [s for s in alive if lo[s & low] + hi[s >> half] in ok]
     return alive
 
 
@@ -321,15 +315,19 @@ def _zero_one_count(lines: list, ncols: int) -> int:
 
 
 def _rank_and_maximal(rows: int, cols: int, bits) -> tuple[int, bool]:
-    """The rank of a 0/1 matrix (row-major bits) with distinct lines, and
-    whether it is maximal, counted as in is_maximal_in_md (never at rank 0).
+    """The rank of a 0/1 matrix (row-major bits), and whether it is maximal
+    as is_maximal_in_md counts it: distinct lines, positive rank and as many
+    0/1 vectors in its row and column spaces as it has rows and columns.
     One elimination of the rows gives both the rank and the row count."""
     lines = [bits[i * cols:(i + 1) * cols] for i in range(rows)]
     elim, piv_rows, piv_cols, det = linalg._bareiss(list(lines), cols)
     d = len(piv_rows)
-    if not d or len(_zero_one_patterns([elim[r] for r in piv_rows], piv_cols, det, cols)) != rows:
+    columns = list(zip(*lines))
+    if not d or len(set(lines)) < rows or len(set(columns)) < cols:
         return d, False
-    return d, _zero_one_count(list(zip(*lines)), rows) == cols
+    if len(_zero_one_patterns([elim[r] for r in piv_rows], piv_cols, det, cols)) != rows:
+        return d, False
+    return d, _zero_one_count(columns, rows) == cols
 
 
 def _subset_sums(values: list[int]) -> list[int]:
@@ -410,23 +408,12 @@ def is_maximal_in_md(m: BinaryMatrix) -> bool:
     Each count is one elimination of the lines; above rank
     _CLOSURE_RANK_LIMIT it raises DimensionTooLarge, as closure does.
     """
-    if m.rows == 0 or m.cols == 0:
-        return False
-    if not m.distinct_lines():
-        return False
-    if not any(m.bits):
-        return False
     return _rank_and_maximal(m.rows, m.cols, m.bits)[1]
 
 
 def rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
-    """The rank of m (0 when it has no entries) and is_maximal_in_md(m).
-    When m has distinct lines, one elimination of its rows gives the rank
-    and the row count."""
-    if m.rows == 0 or m.cols == 0:
-        return 0, False
-    if not m.distinct_lines():
-        return linalg.rank(m.row_tuples()), False
+    """The rank of m (0 when it has no entries) and is_maximal_in_md(m),
+    from one elimination of its rows."""
     return _rank_and_maximal(m.rows, m.cols, m.bits)
 
 

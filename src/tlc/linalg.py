@@ -181,12 +181,13 @@ def _check_int_matrix(rows) -> list[list[int]]:
     for r in rows:
         row = list(r)
         if any(type(x) is not int for x in row):
-            row = []
-            for x in r:
+            ints = []
+            for x in row:
                 f = frac(x)
                 if f.denominator != 1:
                     raise ValueError("integer matrix required")
-                row.append(int(f))
+                ints.append(int(f))
+            row = ints
         out.append(row)
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionMismatch("ragged rows")

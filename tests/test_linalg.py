@@ -196,6 +196,8 @@ def test_check_int_matrix_takes_int_rows_and_converts_the_rest():
     assert out[1] is not rows[1]
     out = linalg._check_int_matrix([(F(2), True), (F(6, 3), "5")])
     assert out == [[2, 1], [2, 5]] and all(type(x) is int for r in out for x in r)
+    out = linalg._check_int_matrix([iter((F(4, 2), "3")), map(int, "12")])
+    assert out == [[2, 3], [1, 2]]
     for bad in ([(F(1, 2), 1)], [(1, "1/3")], [(1, 0.5)]):
         with pytest.raises(ValueError, match="integer matrix required"):
             linalg._check_int_matrix(bad)

@@ -298,11 +298,23 @@ def test_generators_and_phi_match_reference_on_random_point_sets():
             continue
         assert (got.gens, got.det_history) == (want.gens, want.det_history)
         grown += got.k > d
-        # a set as parsed from the wire has no Hermite form until phi builds it
-        fresh = GeneratorSet(d, got.gens, got.det_history)
         for b in [tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(20)] + list(pts):
-            assert outcome(phi, b, got) == outcome(phi, b, fresh) == outcome(reference_phi, b, want)
+            assert outcome(phi, b, got) == outcome(reference_phi, b, want)
     assert grown >= 15
+
+
+def test_generator_set_builds_its_hermite_form_once(monkeypatch):
+    gens = GeneratorSet(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)), (1, 1))
+    points = [(1, 1, 0), (0, 1, 1), (2, 1, 3), (1, 1, 1)]
+    want = [reference_phi(b, gens) for b in points]
+    calls = []
+    hnf = linalg.hnf
+    monkeypatch.setattr(linalg, "hnf", lambda m: calls.append(1) or hnf(m))
+    assert [phi(b, gens) for b in points] == want
+    assert len(calls) == 1
+    # the cached form is not a field: equality and hashing ignore it
+    twin = GeneratorSet(3, gens.gens, gens.det_history)
+    assert twin == gens and hash(twin) == hash(gens)
 
 
 def test_decode_matches_reference_with_extra_generators():
