@@ -8,7 +8,10 @@ configuration), and the 0/1 matrix of products is its slack matrix.
 
 Vector sets are kept sorted in a fixed lexicographic order on exact
 rationals, so slack matrices and all downstream canonical forms are
-deterministic.
+deterministic.  A maximal configuration's class is fixed by its slack
+matrix, and every normal form here is computed from the slack bits alone
+by one rank factorization (_rank_factor): `from_slack_matrix`,
+`normalize_to_binary` and the binary/integral rewrite in `geometry`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     ParseError,
     RepeatedLine,
 )
-from .linalg import Vec, frac, vec
+from .linalg import Vec, vec
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -348,10 +351,7 @@ def maximal_completion(seed, d: int) -> Configuration:
     a = closure(seed, d)
     if not spans(a, d):
         raise DegenerateSeed(f"closure of the seed does not span R^{d}")
-    b = closure(a, d)
-    cfg = Configuration(d, a, b)
-    object.__setattr__(cfg, "_maximal", True)
-    return cfg
+    return Configuration(d, a, closure(a, d), _maximal=True)
 
 
 def slack_matrix(cfg: Configuration) -> SlackMatrix:
@@ -361,32 +361,45 @@ def slack_matrix(cfg: Configuration) -> SlackMatrix:
 
 
 def from_slack_matrix(m: BinaryMatrix) -> Configuration:
-    """A configuration whose slack matrix is m up to row/column order.
-
-    Rank-factorizes m: the first d independent rows R form the column
-    labels, and each row's coefficient vector over R becomes a row label.
-    One elimination of the rows gives R and d independent columns J of it;
-    one more, of [R_J^T | I], gives G = D (R_J^T)^-1 in integers.  Row i's
-    coefficients are then a_i = G m_{i,J} / D, the one division per entry.
+    """A configuration whose slack matrix is m up to row/column order: the
+    rank factorization of m over its first d independent rows (_rank_factor).
     Permutation-equivalent inputs give linearly equivalent outputs.
     """
     if not m.distinct_lines():
         raise RepeatedLine("slack matrices have no repeated row or column")
     rows = m.row_tuples()
-    _, piv_rows, piv_cols, _ = linalg._bareiss(list(rows), m.cols)
-    d = len(piv_rows)
-    if d == 0:
+    basis = sorted(linalg._bareiss(list(rows), m.cols)[1])
+    if not basis:
         raise NotSpanning("zero matrix has no configuration")
-    r = [rows[i] for i in sorted(piv_rows)]
-    b_side = [vec(col) for col in zip(*r)]
-    aug = [[row[j] for row in r] + [int(t == i) for t in range(d)] for i, j in enumerate(piv_cols)]
+    b_side, a_side = _rank_factor(rows, basis)
+    return Configuration(len(basis), a_side, b_side)
+
+
+def _rank_factor(lines, basis) -> tuple[tuple, tuple]:
+    """A rank factorization of the 0/1 matrix with the given lines (its rows,
+    say) over R, the d independent lines at the indices `basis`: the columns
+    of R, and each line's coefficients over R.  Line i is sum_k a_i[k] R_k,
+    so its entry j is <a_i, c_j> with c_j column j of R.
+
+    One elimination of R gives d independent columns J of it; one more, of
+    [R_J^T | I], gives G = D (R_J^T)^-1 in integers (_bareiss).  Line y's
+    coefficients are then G y_J / D, one division per distinct entry.
+
+    For a configuration whose slack matrix has these lines, the map sending
+    the labels of R to e_1..e_d (they are independent exactly when the lines
+    are, as the opposite side spans) sends each opposite vector to its
+    column of R and each vector of this side to its coefficients, so every
+    change of basis of that kind is this factorization of the slack bits.
+    """
+    r = [lines[i] for i in basis]
+    d = len(r)
+    cols = linalg._bareiss(list(r), len(r[0]))[2]
+    aug = [[x[j] for x in r] + [int(t == i) for t in range(d)] for i, j in enumerate(cols)]
     aug, inv_rows, _, det = linalg._bareiss(aug, d)
     g = [aug[k][d:] for k in inv_rows]
-    a_side = []
-    for row in rows:
-        y = [row[j] for j in piv_cols]
-        a_side.append(tuple(Fraction(sum(map(mul, gk, y)), det) for gk in g))
-    return Configuration(d, tuple(a_side), tuple(b_side))
+    nums = [tuple(sum(map(mul, gk, [y[j] for j in cols])) for gk in g) for y in lines]
+    fracs = {n: Fraction(n, det) for n in set().union(*nums)}
+    return tuple(zip(*r)), tuple(tuple(fracs[n] for n in y) for y in nums)
 
 
 def is_maximal_in_md(m: BinaryMatrix) -> bool:
@@ -417,60 +430,23 @@ def rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
     return _rank_and_maximal(m.rows, m.cols, m.bits)
 
 
-def normalization_basis(cfg: Configuration, side: str) -> tuple[Vec, ...]:
-    """The first d independent vectors of the side opposite to the one normalized."""
-    opp = cfg.B if side == SIDE_A else cfg.A
-    idx = linalg.first_independent(opp, cfg.d)
-    if idx is None:
-        raise NotSpanning("opposite side does not span")
-    return tuple(opp[i] for i in idx)
-
-
 def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
     """Linearly equivalent configuration with the chosen side inside {0,1}^d.
 
-    Basing the transform on the first d independent vectors of the opposite
-    side sends those vectors to e_1..e_d, which forces the chosen side to be
-    0/1 coordinate vectors while preserving every product exactly.
+    The change of basis that sends the first d independent vectors of the
+    opposite side to e_1..e_d turns each vector of the chosen side into its
+    0/1 products with them and preserves every product exactly.  It is read
+    off the slack bits: the rank factorization (_rank_factor) of the lines
+    of the opposite side (the rows of the slack matrix for side B, its
+    columns for side A) over the first d independent ones.
     """
     if side not in (SIDE_A, SIDE_B):
         raise ValueError(f"side must be {SIDE_A!r} or {SIDE_B!r}")
-    return _unit_basis(cfg, side, normalization_basis(cfg, side))
-
-
-def _unit_basis(cfg: Configuration, side: str, basis) -> Configuration:
-    """The change of basis T^-1, T the matrix with columns `basis` (d
-    independent vectors of the side opposite to `side`): the basis goes to
-    e_1..e_d and each vector x of `side` to T^T x, its products with the
-    basis.
-
-    The work is in integers, on _scaled keys.  With the basis scaled to
-    S = L T and a vector to X = L_x x, T^T x = S^T X / (L L_x).  One
-    elimination of [S | I] gives the integer G = D S^-1 = +-adj(S)
-    (_bareiss), so T^-1 y = L G Y / (D L_y).  Each output entry is one
-    division.
-    """
-    d = cfg.d
-    basis_keys, scale = _scaled(basis)
-    st = list(basis_keys)  # the rows of S^T, in basis order
-    aug = [list(row) + [int(t == i) for t in range(d)] for i, row in enumerate(zip(*st))]
-    aug, piv_rows, _, det = linalg._bareiss(aug, d)
-    g = [aug[r][d:] for r in piv_rows]
-
-    def apply(vectors, rows, mult, div):
-        keyed, lx = _scaled(vectors)
-        nums = [tuple(mult * sum(map(mul, r, x)) for r in rows) for x in keyed]
-        fracs = {n: Fraction(n, div * lx) for n in set().union(*nums)}
-        return tuple(tuple(fracs[n] for n in y) for y in nums)
-
-    if side == SIDE_A:
-        new_a, new_b = apply(cfg.A, st, 1, scale), apply(cfg.B, g, scale, det)
-    else:
-        new_a, new_b = apply(cfg.A, g, scale, det), apply(cfg.B, st, 1, scale)
-    out = Configuration(d, new_a, new_b)
-    if cfg._maximal is not None:
-        object.__setattr__(out, "_maximal", cfg._maximal)
-    return out
+    m = BinaryMatrix(len(cfg.A), len(cfg.B), cfg._bits)
+    lines = m.row_tuples() if side == SIDE_B else m.col_tuples()
+    binary, other = _rank_factor(lines, linalg.first_independent(lines, cfg.d))
+    a, b = (other, binary) if side == SIDE_B else (binary, other)
+    return Configuration(cfg.d, a, b, _maximal=cfg._maximal)
 
 
 # --- JSON interchange -----------------------------------------------------

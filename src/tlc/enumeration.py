@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import canon
 from .canon import CanonicalForm
-from .configuration import BinaryMatrix, _scaled, _slack_bits, _subset_sums, closure, parse_matrix, spans
+from .configuration import BinaryMatrix, _scaled, _slack_bits, _subset_sums, closure, parse_matrix
 from .errors import DimensionMismatch, DimensionTooLarge
 from .linalg import _bareiss, rank
 from .parallel import chunked_map
@@ -34,8 +34,6 @@ _SAMPLED_DIM = 5
 _SAMPLED_SEED_LIMIT = 100_000
 _ORACLE_DIM_LIMIT = 2
 _ORACLE_SIZE_LIMIT = 4
-# memo value of a sampled seed whose first closure does not span
-_DEGENERATE = "degenerate"
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ def _seed_context(d: int):
     products with every 0/1 point.  So a seed's first closure X' holds
     e_1..e_d and spans, and X'' lies inside {0,1}^d (its products with the
     e_i are its coordinates): it is the set of points x_j with X' inside
-    closed[j].  No seed at d <= 4 is degenerate.
+    closed[j].  The argument holds at every d, so no seed is degenerate.
     """
     found, cuts = set(), set()
     for basis in combinations([_bit_vector(j, d) for j in range(1, 1 << d)], d):
@@ -139,15 +137,16 @@ def _mask_slack(d: int, key: int) -> BinaryMatrix:
 def _enum_worker(args):
     """Completion classes of a run of seed masks, with the seed counts.
 
-    At d <= 4 a seed's first closure X' is an AND of point masks over U_d.
-    X' holds every e_i, so it spans and X'' lies inside {0,1}^d (see
-    _seed_context): degenerate_seeds is 0, and a memo miss reads its slack
-    matrix off the masks (_mask_slack).  The sampled d = 5 run ranks each
-    seed and takes both closures exactly.
+    A seed's first closure X' holds every e_i, so it spans and X'' lies
+    inside {0,1}^d (see _seed_context): at every d, degenerate_seeds is 0
+    and every spanning seed is a completion.  At d <= 4 X' is an AND of
+    point masks over U_d, and a memo miss reads its slack matrix off the
+    masks (_mask_slack).  The sampled d = 5 run ranks each seed and takes
+    both closures exactly.
     """
     d, masks = args
     forms = {}
-    spanning = completions = degenerate = 0
+    spanning = 0
     # seeds sharing a first closure (at d <= 4 its mask over U_d) share the whole completion
     memo: dict = {}
     small = d <= _FULL_SCAN_LIMIT
@@ -172,21 +171,15 @@ def _enum_worker(args):
         if cached is None:
             if small:
                 cached = canon.canonical_form(_mask_slack(d, key))
-            elif spans(key, d):
+            else:
                 # (key, b) is a closure fixed point with both sides sorted and
                 # distinct, so its products are the slack matrix as they stand
                 b = closure(key, d)
                 bits = _slack_bits(*_scaled(key), *_scaled(b))
                 cached = canon.canonical_form(BinaryMatrix(len(key), len(b), tuple(bits)))
-            else:
-                cached = _DEGENERATE
             memo[key] = cached
-        if cached is _DEGENERATE:
-            degenerate += 1
-            continue
-        completions += 1
         forms[cached.bytes] = cached
-    return forms, spanning, completions, degenerate
+    return forms, spanning
 
 
 def enumerate_maximal(
@@ -236,12 +229,10 @@ def enumerate_maximal(
 
     parts = chunked_map(_enum_worker, len(masks), jobs if len(masks) >= 256 else 1, lambda lo, hi: (d, masks[lo:hi]))
     forms = {}
-    spanning = completions = degenerate = 0
-    for f, s, c, g in parts:
+    spanning = 0
+    for f, s in parts:
         forms.update(f)
         spanning += s
-        completions += c
-        degenerate += g
 
     classes = tuple(forms[k] for k in sorted(forms))
     if store is not None:
@@ -250,8 +241,8 @@ def enumerate_maximal(
     stats = EnumStats(
         seeds_total=len(masks),
         seeds_spanning=spanning,
-        completions=completions,
-        degenerate_seeds=degenerate,
+        completions=spanning,
+        degenerate_seeds=0,
         classes=len(classes),
     )
     return EnumerationResult(d, classes, stats)

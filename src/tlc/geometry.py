@@ -6,9 +6,10 @@ is an explicit point, so each product is the slack a.v - b.  A two-level
 cone needs no type of its own either: it is a `Configuration`, and the
 completion of its generators is `configuration.maximal_completion`.  A
 triangular core (rows and columns whose slack submatrix is lower triangular
-with unit diagonal and independent row labels) supplies the change of basis
-that rewrites any maximal configuration with one binary side and one
-integral side containing all standard basis vectors.
+with unit diagonal) picks d independent columns of the slack matrix, and the
+rank factorization of the slack bits over them rewrites any maximal
+configuration with one binary side and one integral side containing all
+standard basis vectors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fractions import Fraction
 
 from . import linalg
 from .configuration import (
-    SIDE_A,
     Configuration,
     SlackMatrix,
     slack_matrix,
@@ -28,8 +28,8 @@ from .configuration import (
     spans,
     vectors_from_json_field,
     _scaled,
+    _rank_factor,
     _slack_bits,
-    _unit_basis,
 )
 from .errors import (
     DimensionMismatch,
@@ -65,10 +65,13 @@ def polytope_completion(verts) -> Configuration:
     Homogenizes the points, closes to get every inequality with all slacks in
     {0,1} (the two trivial rows 0 >= 0 and 0 >= -1 included), and closes back
     to get the maximal point set: (v, -1) for every vertex v, and the apex.
+    The vertices are deduplicated and sorted on their integer multiples
+    (_scaled), which sort as the vectors do.
     """
-    verts = tuple(sorted(set(vec(v) for v in verts)))
-    if not verts:
+    keyed = _scaled(verts)[0]
+    if not keyed:
         raise NotSpanning("empty point set")
+    verts = [keyed[k] for k in sorted(keyed)]
     d = len(verts[0])
     seed = _lifted(verts, d)
     if not spans(seed, d + 1):
@@ -78,9 +81,7 @@ def polytope_completion(verts) -> Configuration:
     for u in points_h:
         if u[d] != _MINUS_ONE and any(x != _ZERO for x in u):
             raise InvalidGeometry(f"unbounded direction {u[:d]} in the completed point set")
-    cfg = Configuration(d + 1, rows_h, points_h)
-    object.__setattr__(cfg, "_maximal", True)
-    return cfg
+    return Configuration(d + 1, rows_h, points_h, _maximal=True)
 
 
 def complete_maximal_pair(verts) -> tuple[Configuration, tuple[int, ...]]:
@@ -116,10 +117,12 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
     """Backtracking search for a triangular core of the given size.
 
     Selected entry pattern: M[i][i] = 1 and M[i][j] = 0 for j > i, with the
-    chosen row labels linearly independent.  Rows are tried in order of
-    increasing number of ones.  Positions are filled from the last index
-    backwards so each new row is constrained only by columns already chosen.
-    A search that places more than _CORE_NODE_LIMIT pairs raises
+    chosen rows linearly independent.  Independence is tested on the 0/1
+    rows: the column labels span, so a -> (<a, b_j>)_j is injective and the
+    rows are independent exactly when their labels are.  Rows are tried in
+    order of increasing number of ones.  Positions are filled from the last
+    index backwards so each new row is constrained only by columns already
+    chosen.  A search that places more than _CORE_NODE_LIMIT pairs raises
     DimensionTooLarge.
     """
     m = s.matrix
@@ -133,8 +136,8 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
     nodes = 0
 
     def independent_with(idx: int) -> bool:
-        labels = [list(s.row_labels[r]) for r in chosen_rows] + [list(s.row_labels[idx])]
-        return linalg.rank(labels) == len(labels)
+        lines = [rows_bits[r] for r in chosen_rows] + [rows_bits[idx]]
+        return linalg.rank(lines) == len(lines)
 
     def place(pos: int) -> bool:
         nonlocal nodes
@@ -170,21 +173,21 @@ def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore
     """A triangular core of a maximal configuration and its rewrite with a
     0/1 side C and an integral side D.
 
-    One change of basis sends the core's columns B[j_1..j_d] to e_1..e_d, so
-    all standard basis vectors land in D and each C vector becomes its
-    products with those columns, a 0/1 vector.  With M the core rows and L
-    the core's unit lower triangular slack submatrix, the map on B is
-    L^-1 M, which is integral on every B vector because M B is 0/1 and L is
-    unimodular.  The slack matrix is preserved entry for entry under the
-    label correspondence.
+    The change of basis that sends the core's columns B[j_1..j_d] to
+    e_1..e_d is the rank factorization of the slack columns over the core
+    columns (configuration._rank_factor): all standard basis vectors land in
+    D, and each C vector becomes its products with those columns, a 0/1
+    vector.  Each D vector is its column's coefficients over the core
+    columns; on the core rows they solve L y = m_j, with L the core's unit
+    lower triangular slack submatrix, so they are integral.  The slack
+    matrix is preserved entry for entry under the label correspondence.
     """
-    core = find_triangular_core(slack_matrix(cfg), cfg.d)
-    out = _unit_basis(cfg, SIDE_A, [cfg.B[j] for j in core.col_indices])
-    if any(x.denominator != 1 for v in out.B for x in v):
+    s = slack_matrix(cfg)
+    core = find_triangular_core(s, cfg.d)
+    c_side, d_side = _rank_factor(s.matrix.col_tuples(), core.col_indices)
+    if any(x.denominator != 1 for v in d_side for x in v):
         raise InvalidGeometry("integral side has a fractional coordinate")
-    if cfg.is_maximal():
-        object.__setattr__(out, "_maximal", True)
-    return core, out
+    return core, Configuration(cfg.d, c_side, d_side, _maximal=cfg.is_maximal())
 
 
 # --- built-in examples ----------------------------------------------------

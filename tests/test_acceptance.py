@@ -27,6 +27,8 @@ from tlc.configuration import (
 )
 from tlc.enumeration import oracle_is_maximal, oracle_maximal
 
+from helpers import opposite_basis
+
 F = Fraction
 
 
@@ -124,9 +126,7 @@ def test_criterion_04_normalization(enum_results):
             opposite = out.B if side == "A" else out.A
             assert basis <= set(opposite)
             # entrywise slack preservation under the tracked transform
-            from tlc.configuration import normalization_basis
-
-            bas = normalization_basis(cfg, side)
+            bas = opposite_basis(cfg, side)
             t_rows = [list(col) for col in zip(*bas)]
             inv, _ = linalg.inverse_and_det(t_rows)
             tt = [list(b) for b in bas]

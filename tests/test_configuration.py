@@ -19,7 +19,6 @@ from tlc.configuration import (
     from_slack_matrix,
     is_maximal_in_md,
     maximal_completion,
-    normalization_basis,
     normalize_to_binary,
     parse_matrix,
     slack_matrix,
@@ -31,6 +30,8 @@ from tlc.errors import (
     ParseError,
     RepeatedLine,
 )
+
+from helpers import opposite_basis
 
 F = Fraction
 
@@ -460,7 +461,7 @@ def test_from_slack_matrix_matches_old_path(enum_results, enum_d4):
 
 
 def _transform_for(cfg, side):
-    basis = normalization_basis(cfg, side)
+    basis = opposite_basis(cfg, side)
     t_rows = [list(col) for col in zip(*basis)]
     inv, _ = linalg.inverse_and_det(t_rows)
     tt = [list(b) for b in basis]

@@ -159,7 +159,7 @@ def test_small_scan_runs_on_masks_only(monkeypatch, enum_results, enum_d4):
     def refuse(*args, **kwargs):
         raise AssertionError("the d <= 4 scan left the U_d masks")
 
-    for name in ("closure", "spans", "rank", "_scaled"):
+    for name in ("closure", "rank", "_scaled"):
         monkeypatch.setattr(enumeration, name, refuse)
     for d, want in (*enum_results.items(), (4, enum_d4)):
         got = enumerate_maximal(d)
@@ -193,6 +193,22 @@ def test_seed_context_matches_closure_at_d4():
         spanning += want[0]
     # both kinds of seed occur among the small ones and the sample
     assert 0 < spanning < len(small) + len(sample)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_first_closure_of_a_zero_one_seed_holds_the_unit_vectors(d):
+    # e_i has 0/1 products with every 0/1 point, so no seed is degenerate
+    rng = random.Random(900 + d)
+    units = {tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)}
+    seeds = 0
+    while seeds < 40:
+        seed = {tuple(rng.getrandbits(1) for _ in range(d)) for _ in range(rng.randint(d, 3 * d))}
+        if rank(list(seed)) != d:
+            continue
+        first = closure(seed, d)
+        assert units <= set(first)
+        assert spans(first, d)
+        seeds += 1
 
 
 def test_enumerate_d5_sampled_runs():

@@ -9,6 +9,8 @@ its rows and generators, and a polytope through `polytope_from_json`.
 `reference_binary_integral` is the earlier two-step rewrite of a maximal
 configuration (core rows M, then the core's slack submatrix L), the oracle
 for the one change of basis of `to_binary_integral_configuration`.
+`reference_find_triangular_core` is the earlier core search, which tests
+independence on the row labels, not on the 0/1 rows.
 """
 
 import itertools
@@ -28,9 +30,11 @@ from tlc.configuration import (
     slack_matrix,
     spans,
 )
-from tlc.errors import DimensionMismatch, InvalidGeometry, NonBinarySlack, NotBipartite, NotSpanning, ParseError
+from tlc.errors import DimensionMismatch, InvalidGeometry, NoCore, NonBinarySlack, NotBipartite, NotSpanning, ParseError
 from tlc.geometry import complete_maximal_pair, polytope_completion
 from tlc.linalg import dot, frac, vec
+
+from helpers import core_inputs
 
 F = Fraction
 _ERRORS = (DimensionMismatch, InvalidGeometry, NonBinarySlack, NotSpanning, ParseError)
@@ -130,6 +134,43 @@ def reference_binary_integral(cfg):
     if any(e.denominator != 1 for v in d_side for e in v):
         raise InvalidGeometry("integral side has a fractional coordinate")
     return core, Configuration(size, tuple(c_side), tuple(d_side))
+
+
+def reference_find_triangular_core(s, size):
+    m = s.matrix
+    if size < 1 or size > min(m.rows, m.cols):
+        raise NoCore(f"no core of size {size} in a {m.rows}x{m.cols} matrix")
+    row_order = sorted(range(m.rows), key=lambda i: (sum(m.row_bits(i)), i))
+    rows_bits = [m.row_bits(i) for i in range(m.rows)]
+    chosen_rows, chosen_cols = [], []
+
+    def independent_with(idx):
+        labels = [list(s.row_labels[r]) for r in chosen_rows] + [list(s.row_labels[idx])]
+        return linalg.rank(labels) == len(labels)
+
+    def place(pos):
+        for ri in row_order:
+            if ri in chosen_rows:
+                continue
+            bits = rows_bits[ri]
+            if any(bits[cj] for cj in chosen_cols):
+                continue
+            if not independent_with(ri):
+                continue
+            for cj in range(m.cols):
+                if cj in chosen_cols or not bits[cj]:
+                    continue
+                chosen_rows.append(ri)
+                chosen_cols.append(cj)
+                if pos == 0 or place(pos - 1):
+                    return True
+                chosen_rows.pop()
+                chosen_cols.pop()
+        return False
+
+    if not place(size - 1):
+        raise NoCore("backtracking exhausted without finding a triangular core")
+    return geometry.TriangularCore(tuple(reversed(chosen_rows)), tuple(reversed(chosen_cols)))
 
 
 def _outcome(fn, *args):
@@ -326,3 +367,16 @@ def test_binary_integral_matches_two_step_reference(enum_results, enum_d4):
     for cfg in corpus:
         core, out = geometry.to_binary_integral_configuration(cfg)
         assert (core, out) == reference_binary_integral(cfg)
+
+
+def test_core_search_matches_label_rank_search():
+    corpus = core_inputs()
+    for n in range(2, 7):
+        for edges in ([(v, v + 1) for v in range(n - 1)], []):
+            g = stabset.BipartiteGraph.from_edges(n, edges)
+            corpus.append(polytope_completion([stabset._char_vec(s, n) for s in stabset.stable_sets(g)]))
+    assert len(corpus) == 21
+    for cfg in corpus:
+        s = slack_matrix(cfg)
+        for size in range(1, cfg.d + 1):
+            assert geometry.find_triangular_core(s, size) == reference_find_triangular_core(s, size)

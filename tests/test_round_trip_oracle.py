@@ -5,11 +5,12 @@ The `reference_*` functions are the earlier code, kept here as oracles:
 builds a Hermite form for each vector it tests, `reference_select_generators`
 and `reference_phi` call it once per vector, `reference_decompress` runs one
 `linalg.solve` per decoded face point, `reference_unit_basis` applies
-T^-1 and T^T as Fraction matrices, and `reference_zero_one_patterns` builds
-a full subset-sum table for every non-pivot column.  `tlc` does the same
-work in integers: one Hermite form per generator set, one elimination for
-all decoded points, the integer adjugate from `_bareiss` for the change of
-basis, and sums of the surviving patterns only.
+T^-1 and T^T as Fraction matrices to the vectors of both sides, and
+`reference_zero_one_patterns` builds a full subset-sum table for every
+non-pivot column.  `tlc` does the same work in integers: one Hermite form
+per generator set, one elimination for all decoded points, the rank
+factorization of the slack bits (`_rank_factor`) for the change of basis,
+and sums of the surviving patterns only.
 """
 
 import random
@@ -23,17 +24,18 @@ from tlc.configuration import (
     SIDE_A,
     SIDE_B,
     Configuration,
+    _rank_factor,
     _subset_sums,
-    _unit_basis,
     _zero_one_patterns,
     closure,
     from_slack_matrix,
-    normalization_basis,
     normalize_to_binary,
     parse_matrix,
 )
 from tlc.errors import DimensionMismatch, EmptyDecode, NonBinaryProduct, NotInLattice, NotSpanning, TlcError
 from tlc.geometry import examples_library, find_triangular_core, polytope_completion, to_binary_integral_configuration
+
+from helpers import core_inputs, opposite_basis
 
 F = Fraction
 
@@ -199,25 +201,32 @@ def _rational_copy(cfg, rng):
     return Configuration(d, tuple(linalg.mat_vec(m_inv_t, a) for a in cfg.A), tuple(linalg.mat_vec(m, b) for b in cfg.B))
 
 
-def _core_inputs():
-    """The polytopes fed to `tlc core` in the tests: every built-in example,
-    the triangle and a shifted, scaled segment, as their completions."""
-    verts = list(examples_library().values())
-    verts.append(((0, 0), (0, 1), (1, 0)))
-    verts.append(((F(3),), (F(7),)))
-    return [polytope_completion(v) for v in verts]
-
-
 # --- the change of basis --------------------------------------------------------
+#
+# Every change of basis that sends d vectors of one side to e_1..e_d is, in
+# `tlc`, the rank factorization of the slack bits over the matching lines.
+# The tests below name it for what it does (a unit basis); the oracle is
+# the earlier T^-1 / T^T in Fractions.
+
+
+def _factored(cfg, side, basis_idx):
+    """_rank_factor of cfg's slack bits over the lines at basis_idx, as a
+    configuration: the lines are the slack rows (labelled by A) for side B
+    and the slack columns (labelled by B) for side A."""
+    m = configuration.slack_matrix(cfg).matrix
+    lines = m.row_tuples() if side == SIDE_B else m.col_tuples()
+    binary, other = _rank_factor(lines, basis_idx)
+    a, b = (other, binary) if side == SIDE_B else (binary, other)
+    return Configuration(cfg.d, a, b)
 
 
 @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
 def test_unit_basis_matches_reference_on_golden_classes(enum_results, enum_d4, side):
     for cfg in _golden_configurations(enum_results, enum_d4):
-        basis = normalization_basis(cfg, side)
-        got = _unit_basis(cfg, side, basis)
-        assert got == reference_unit_basis(cfg, side, basis)
-        assert got._bits == reference_unit_basis(cfg, side, basis)._bits
+        want = reference_unit_basis(cfg, side, opposite_basis(cfg, side))
+        got = normalize_to_binary(cfg, side)
+        assert got == want
+        assert got._bits == want._bits
 
 
 @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
@@ -227,32 +236,43 @@ def test_unit_basis_matches_reference_on_fractional_sides(enum_results, enum_d4,
     for cfg in _golden_configurations(enum_results, enum_d4):
         cfg = _rational_copy(cfg, rng)
         fractional += any(x.denominator != 1 for v in cfg.A + cfg.B for x in v)
+        assert normalize_to_binary(cfg, side) == reference_unit_basis(cfg, side, opposite_basis(cfg, side))
+        # d independent vectors taken from the end
         opposite = cfg.B if side == SIDE_A else cfg.A
-        # the normalization basis, and d independent vectors taken from the end
-        idx = linalg.first_independent(opposite[::-1], cfg.d)
-        for basis in (normalization_basis(cfg, side), [opposite[::-1][i] for i in idx]):
-            got = _unit_basis(cfg, side, basis)
-            assert got == reference_unit_basis(cfg, side, basis)
-            assert got._bits == reference_unit_basis(cfg, side, basis)._bits
+        idx = [len(opposite) - 1 - i for i in linalg.first_independent(opposite[::-1], cfg.d)]
+        got = _factored(cfg, side, idx)
+        want = reference_unit_basis(cfg, side, [opposite[i] for i in idx])
+        assert got == want
+        assert got._bits == want._bits
     assert fractional == 40
 
 
-def test_unit_basis_matches_reference_on_core_inputs():
-    for cfg in _core_inputs():
+def test_unit_basis_matches_reference_oncore_inputs():
+    for cfg in core_inputs():
         core = find_triangular_core(configuration.slack_matrix(cfg), cfg.d)
-        basis = [cfg.B[j] for j in core.col_indices]
-        want = reference_unit_basis(cfg, SIDE_A, basis)
-        assert _unit_basis(cfg, SIDE_A, basis) == want
+        want = reference_unit_basis(cfg, SIDE_A, [cfg.B[j] for j in core.col_indices])
+        assert _factored(cfg, SIDE_A, core.col_indices) == want
         assert to_binary_integral_configuration(cfg) == (core, want)
         for side in (SIDE_A, SIDE_B):
-            assert normalize_to_binary(cfg, side) == reference_unit_basis(cfg, side, normalization_basis(cfg, side))
+            assert normalize_to_binary(cfg, side) == reference_unit_basis(cfg, side, opposite_basis(cfg, side))
 
 
 def test_unit_basis_keeps_the_maximal_flag():
     cfg = polytope_completion(examples_library()["cube2"])
-    assert _unit_basis(cfg, SIDE_B, normalization_basis(cfg, SIDE_B))._maximal is True
+    assert cfg._maximal is True
+    for side in (SIDE_A, SIDE_B):
+        assert normalize_to_binary(cfg, side)._maximal is True
+    assert to_binary_integral_configuration(cfg)[1]._maximal is True
     plain = Configuration(cfg.d, cfg.A, cfg.B)
-    assert _unit_basis(plain, SIDE_B, normalization_basis(plain, SIDE_B))._maximal is None
+    for side in (SIDE_A, SIDE_B):
+        got = normalize_to_binary(plain, side)
+        assert got._maximal is None
+        assert got == reference_unit_basis(plain, side, opposite_basis(plain, side))
+    # the core rewrite decides maximality and passes the answer on
+    assert to_binary_integral_configuration(plain)[1]._maximal is True
+    square = Configuration(2, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
+    _, out = to_binary_integral_configuration(square)
+    assert out._maximal is False and not Configuration(2, out.A, out.B).is_maximal()
 
 
 # --- generators, phi and decode ---------------------------------------------------
