@@ -385,11 +385,12 @@ def _rank_factor(lines, basis) -> tuple[tuple, tuple]:
     [R_J^T | I], gives G = D (R_J^T)^-1 in integers (_bareiss).  Line y's
     coefficients are then G y_J / D, one division per distinct entry.
 
-    For a configuration whose slack matrix has these lines, the map sending
-    the labels of R to e_1..e_d (they are independent exactly when the lines
-    are, as the opposite side spans) sends each opposite vector to its
-    column of R and each vector of this side to its coefficients, so every
-    change of basis of that kind is this factorization of the slack bits.
+    For a configuration whose slack matrix has these lines, the labels of
+    the positions along a line span, so a -> (<a, b_j>)_j is injective and
+    the labels of R are independent exactly when R is.  The change of basis
+    that sends them to e_1..e_d sends each position label to its column of
+    R and each line label to its coefficients: every change of basis of
+    that kind is this factorization of the slack bits.
     """
     r = [lines[i] for i in basis]
     d = len(r)

@@ -247,7 +247,7 @@ def test_unit_basis_matches_reference_on_fractional_sides(enum_results, enum_d4,
     assert fractional == 40
 
 
-def test_unit_basis_matches_reference_oncore_inputs():
+def test_unit_basis_matches_reference_on_core_inputs():
     for cfg in core_inputs():
         core = find_triangular_core(configuration.slack_matrix(cfg), cfg.d)
         want = reference_unit_basis(cfg, SIDE_A, [cfg.B[j] for j in core.col_indices])
