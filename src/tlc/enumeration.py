@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional
 
 from . import canon
@@ -134,15 +134,68 @@ def _mask_slack(d: int, key: int) -> BinaryMatrix:
     return BinaryMatrix(len(rows), len(cols), tuple(ones[j] >> i & 1 for i in rows for j in cols))
 
 
+@functools.cache
+def _orbit_tables(d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per coordinate permutation of {0,1}^d, d <= 4, two byte tables: the
+    image of a mask of the points x_0..x_7, and of a mask of x_8..x_15
+    shifted down by 8.  Built once per d on first use.
+
+    A permutation moves each point x_j to the x_k with the coordinates
+    moved, so a mask's image is the OR of its points' images.  Each entry
+    is the one with its lowest set bit cleared, plus that bit's image.
+    """
+    n = 1 << d
+    tables = []
+    for sigma in permutations(range(d)):
+        image = [sum((j >> i & 1) << s for i, s in enumerate(sigma)) for j in range(n)]
+        pair = []
+        for low in (0, 8):
+            table = [0] * (1 << min(8, max(0, n - low)))
+            for m in range(1, len(table)):
+                table[m] = table[m & (m - 1)] | 1 << image[low + (m & -m).bit_length() - 1]
+            pair.append(tuple(table))
+        tables.append(tuple(pair))
+    return tuple(tables)
+
+
+def _orbit_min(d: int, intent: int) -> int:
+    """The least image of a mask over the points of {0,1}^d, d <= 4, under
+    the d! coordinate permutations."""
+    low, high = intent & 255, intent >> 8
+    return min(a[low] | b[high] for a, b in _orbit_tables(d))
+
+
+@functools.cache
+def _orbit_form(d: int, rep: int):
+    """The canonical form of the completion whose intent (its 0/1 point
+    set, a mask over {0,1}^d) is rep.
+
+    The intent's first closure is the AND of closed[j] over its points
+    (see _seed_context), and it is the first closure of every seed whose
+    intent this is.  The cache is process-wide and takes no size: it holds
+    at most one entry per S_d orbit of intents, 1, 3, 19 and 399 at
+    d = 1..4.
+    """
+    closed = _seed_context(d)[1]
+    return canon.canonical_form(_mask_slack(d, functools.reduce(int.__and__, map(closed.__getitem__, _bits(rep)))))
+
+
 def _enum_worker(args):
     """Completion classes of a run of seed masks, with the seed counts.
 
     A seed's first closure X' holds every e_i, so it spans and X'' lies
     inside {0,1}^d (see _seed_context): at every d, degenerate_seeds is 0
     and every spanning seed is a completion.  At d <= 4 X' is an AND of
-    point masks over U_d, and a memo miss reads its slack matrix off the
-    masks (_mask_slack).  The sampled d = 5 run ranks each seed and takes
-    both closures exactly.
+    point masks over U_d, and a memo miss runs canon once per S_d orbit of
+    intents X'': it takes the least image of X'' under the coordinate
+    permutations (_orbit_min) and the cached form of that image
+    (_orbit_form), whose slack matrix is read off the masks (_mask_slack).
+    This is exact: a coordinate permutation P maps {0,1}^d onto itself,
+    maps U_d onto itself (P M^-1 s = (M P^-1)^-1 s, and M P^-1 is a 0/1
+    basis), keeps every product (<P y, P x> = <y, x>) and so commutes with
+    closure.  So (PA, PB) has the slack matrix of (A, B) with its rows and
+    columns reordered, and the class depends only on the intent's orbit.
+    The sampled d = 5 run ranks each seed and takes both closures exactly.
     """
     d, masks = args
     forms = {}
@@ -170,7 +223,8 @@ def _enum_worker(args):
         cached = memo.get(key)
         if cached is None:
             if small:
-                cached = canon.canonical_form(_mask_slack(d, key))
+                intent = sum(1 << j for j, c in enumerate(closed) if key & ~c == 0)
+                cached = _orbit_form(d, _orbit_min(d, intent))
             else:
                 # (key, b) is a closure fixed point with both sides sorted and
                 # distinct, so its products are the slack matrix as they stand
@@ -212,7 +266,9 @@ def enumerate_maximal(
         raise DimensionTooLarge("sampled dimension 5 needs seed_limit >= 1")
     if d <= _FULL_SCAN_LIMIT:
         masks = _seed_masks(d)
-        _seed_context(d)  # built here, so forked --jobs workers inherit it
+        # built here, so forked --jobs workers inherit them
+        _seed_context(d)
+        _orbit_tables(d)
     else:
         import random
 

@@ -93,14 +93,18 @@ def complete_maximal_pair(verts) -> tuple[Configuration, tuple[int, ...]]:
     d = cfg.d - 1
     # the input points (v, -1) lie in the completed point set; a row is a
     # facet when its tight ones have rank d, i.e. contain d affinely
-    # independent input points
+    # independent input points.  The rows span, so d + 1 independent rows R
+    # make b -> (<a, b>)_(a in R) injective, and the tight points have the
+    # rank of their 0/1 slack columns restricted to R.
     seed = {v + (_MINUS_ONE,) for v in verts}
     cols = [j for j, u in enumerate(cfg.B) if u in seed]
     s = slack_matrix(cfg).matrix
+    basis = [s.row_bits(k) for k in linalg.first_independent(s.row_tuples(), cfg.d)]
     non_facet = []
     for i, r in enumerate(cfg.A):
         bits = s.row_bits(i)
-        if any(r[:d]) and linalg.rank([cfg.B[j] for j in cols if not bits[j]]) < d:
+        tight = [j for j in cols if not bits[j]]
+        if any(r[:d]) and linalg.rank([[row[j] for j in tight] for row in basis]) < d:
             non_facet.append(i)
     return cfg, tuple(non_facet)
 

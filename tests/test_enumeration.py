@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import math
 import operator
 import random
@@ -121,6 +122,7 @@ def test_seed_context_masks_are_exact_products(d):
         assert closed[j] == sum(1 << i for i, p in enumerate(products) if p in (0, 1)), j
 
 
+@functools.cache
 def _first_closure_keys(d):
     """Every distinct first closure, as a mask over U_d, of the spanning
     seeds of the full scan."""
@@ -136,7 +138,7 @@ def _first_closure_keys(d):
                 span |= missed[j]
         if span == hyperplanes:
             keys.add(key)
-    return keys
+    return frozenset(keys)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -153,6 +155,57 @@ def test_mask_slack_matches_exact_miss_path(d):
         assert all(x in (0, 1) for y in b for x in y)
         want = BinaryMatrix(len(a), len(b), tuple(_slack_bits(*_scaled(a), *_scaled(b))))
         assert enumeration._mask_slack(d, key) == want
+
+
+def _intent(d, key):
+    """The 0/1 points of the completion whose first closure is key, as a
+    mask over {0,1}^d."""
+    closed = enumeration._seed_context(d)[1]
+    return sum(1 << j for j in range(1 << d) if key & ~closed[j] == 0)
+
+
+def _brute_orbit_min(d, mask):
+    """The least image of a point mask, mapping the points one by one under
+    every coordinate permutation, with no tables."""
+    points = [enumeration._bit_vector(j, d) for j in range(1 << d) if mask >> j & 1]
+    return min(sum(1 << sum(x[i] << s for i, s in enumerate(sigma)) for x in points)
+               for sigma in itertools.permutations(range(d)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_orbit_form_matches_per_key_canon(d):
+    # the per-key miss path, kept as the oracle: canon on each first closure
+    keys = _first_closure_keys(d)
+    assert len(keys) == {1: 1, 2: 4, 3: 72, 4: 6963}[d]
+    for key in keys:
+        want = canon.canonical_form(enumeration._mask_slack(d, key))
+        assert enumeration._orbit_form(d, enumeration._orbit_min(d, _intent(d, key))) == want
+
+
+def test_orbit_min_matches_brute_force():
+    masks = {d: range(1 << (1 << d)) for d in (1, 2, 3)}
+    rng = random.Random(15)
+    masks[4] = {_intent(4, key) for key in _first_closure_keys(4)} | {rng.getrandbits(16) for _ in range(500)}
+    for d, group in masks.items():
+        for mask in group:
+            assert enumeration._orbit_min(d, mask) == _brute_orbit_min(d, mask), (d, mask)
+
+
+def test_full_scan_runs_canon_once_per_orbit(monkeypatch):
+    # the form cache lives for the whole process, so clear it before counting
+    enumeration._orbit_form.cache_clear()
+    calls = []
+    original = canon.canonical_form
+    monkeypatch.setattr(canon, "canonical_form", lambda m: calls.append(m) or original(m))
+    for d, orbits in ((1, 1), (2, 3), (3, 19), (4, 399)):
+        before = len(calls)
+        assert len(enumerate_maximal(d).classes) == CLASS_COUNTS[d]
+        assert len(calls) - before == orbits, d
+    size = enumeration._orbit_form.cache_info().currsize
+    assert size == len(calls) == 422
+    for d in (1, 2, 3, 4):
+        enumerate_maximal(d, reverse_seeds=True)
+    assert enumeration._orbit_form.cache_info().currsize == size and len(calls) == size
 
 
 def test_small_scan_runs_on_masks_only(monkeypatch, enum_results, enum_d4):
@@ -174,6 +227,14 @@ def test_seed_context_is_not_built_at_import():
             "print(e._seed_context.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
     assert proc.stdout == "0\n"
+
+
+def test_orbit_tables_are_not_built_at_import():
+    src = str(Path(enumeration.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tlc.cli, tlc.enumeration as e; "
+            "print(e._orbit_tables.cache_info().currsize, e._orbit_form.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "0 0\n"
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -10,7 +10,10 @@ its rows and generators, and a polytope through `polytope_from_json`.
 configuration (core rows M, then the core's slack submatrix L), the oracle
 for the one change of basis of `to_binary_integral_configuration`.
 `reference_find_triangular_core` is the earlier core search, which tests
-independence on the row labels, not on the 0/1 rows.
+independence on the row labels, not on the 0/1 rows, and
+`reference_label_rank_facets` the earlier facet test of
+`complete_maximal_pair`, which ranks each row's tight input points as
+`Fraction` vectors, not as 0/1 slack columns.
 """
 
 import itertools
@@ -369,14 +372,45 @@ def test_binary_integral_matches_two_step_reference(enum_results, enum_d4):
         assert (core, out) == reference_binary_integral(cfg)
 
 
-def test_core_search_matches_label_rank_search():
-    corpus = core_inputs()
+def _path_and_edgeless_stable_sets():
+    """The vertex sets of the stable-set polytopes of the path and the
+    edgeless graph on 2..6 nodes."""
+    out = []
     for n in range(2, 7):
         for edges in ([(v, v + 1) for v in range(n - 1)], []):
             g = stabset.BipartiteGraph.from_edges(n, edges)
-            corpus.append(polytope_completion([stabset._char_vec(s, n) for s in stabset.stable_sets(g)]))
+            out.append([stabset._char_vec(s, n) for s in stabset.stable_sets(g)])
+    return out
+
+
+def test_core_search_matches_label_rank_search():
+    corpus = core_inputs() + [polytope_completion(verts) for verts in _path_and_edgeless_stable_sets()]
     assert len(corpus) == 21
     for cfg in corpus:
         s = slack_matrix(cfg)
         for size in range(1, cfg.d + 1):
             assert geometry.find_triangular_core(s, size) == reference_find_triangular_core(s, size)
+
+
+def reference_label_rank_facets(verts):
+    """The non-facet rows of `polytope_completion(verts)` by the earlier
+    test: a row is a facet when its tight input points, as `Fraction`
+    vectors (v, -1), have rank d."""
+    cfg = polytope_completion(verts)
+    d = cfg.d - 1
+    seed = {vec(v) + (F(-1),) for v in verts}
+    cols = [j for j, u in enumerate(cfg.B) if u in seed]
+    s = slack_matrix(cfg).matrix
+    return tuple(i for i, r in enumerate(cfg.A)
+                 if any(r[:d]) and linalg.rank([cfg.B[j] for j in cols if not s.row_bits(i)[j]]) < d)
+
+
+def test_facet_flags_match_label_rank_test():
+    corpus = list(geometry.examples_library().values()) + _path_and_edgeless_stable_sets()
+    flagged = 0
+    for verts in corpus:
+        _, non_facet = complete_maximal_pair(verts)
+        assert non_facet == reference_label_rank_facets(verts)
+        flagged += len(non_facet)
+    # the corpus has rows of both kinds
+    assert flagged > 0
