@@ -172,12 +172,12 @@ def _orbit_form(d: int, rep: int):
 
     The intent's first closure is the AND of closed[j] over its points
     (see _seed_context), and it is the first closure of every seed whose
-    intent this is.  The cache is process-wide and takes no size: it holds
-    at most one entry per S_d orbit of intents, 1, 3, 19 and 399 at
-    d = 1..4.
+    intent this is.  The cache is process-wide and unbounded: it holds at
+    most one entry per S_d orbit of intents, 1, 3, 19 and 399 at d = 1..4.
     """
     closed = _seed_context(d)[1]
-    return canon.canonical_form(_mask_slack(d, functools.reduce(int.__and__, map(closed.__getitem__, _bits(rep)))))
+    key = functools.reduce(int.__and__, map(closed.__getitem__, _bits(rep)))
+    return canon.canonical_form(_mask_slack(d, key))
 
 
 def _enum_worker(args):

@@ -221,20 +221,22 @@ def test_small_scan_runs_on_masks_only(monkeypatch, enum_results, enum_d4):
     assert enum_d4.stats == enumeration.EnumStats(64839, 62924, 62924, 0, 31)
 
 
-def test_seed_context_is_not_built_at_import():
+def _cache_sizes_after_import(*names):
+    """The cache sizes of the named tlc.enumeration functions in a fresh
+    process that has imported tlc.cli and tlc.enumeration, as printed."""
     src = str(Path(enumeration.__file__).parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import tlc.cli, tlc.enumeration as e; "
-            "print(e._seed_context.cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
-    assert proc.stdout == "0\n"
+            "print(*(getattr(e, name).cache_info().currsize for name in sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-c", code, src, *names], capture_output=True, text=True, timeout=60)
+    return proc.stdout
+
+
+def test_seed_context_is_not_built_at_import():
+    assert _cache_sizes_after_import("_seed_context") == "0\n"
 
 
 def test_orbit_tables_are_not_built_at_import():
-    src = str(Path(enumeration.__file__).parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tlc.cli, tlc.enumeration as e; "
-            "print(e._orbit_tables.cache_info().currsize, e._orbit_form.cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
-    assert proc.stdout == "0 0\n"
+    assert _cache_sizes_after_import("_orbit_tables", "_orbit_form") == "0 0\n"
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
