@@ -16,10 +16,9 @@ from .configuration import (
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
-    emit_matrix,
     slack_matrix,
 )
-from .canon import CanonicalForm, canonical_form, canonical_matrix, dedup_classes, equivalent
+from .canon import CanonicalForm, canonical_form, equivalent
 from .errors import TlcError
 
 __version__ = "0.1.0"
@@ -31,10 +30,7 @@ __all__ = [
     "SlackMatrix",
     "TlcError",
     "canonical_form",
-    "canonical_matrix",
     "closure",
-    "dedup_classes",
-    "emit_matrix",
     "equivalent",
     "from_slack_matrix",
     "is_maximal_in_md",

@@ -65,7 +65,6 @@ random rows of 14 bits after about 7 s.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .configuration import BinaryMatrix
@@ -80,9 +79,6 @@ _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 class CanonicalForm:
     shape: tuple[int, int]
     bytes: bytes
-
-    def sha256(self) -> str:
-        return hashlib.sha256(self.bytes).hexdigest()
 
 
 def _in_orbit(i: int, explored: set, gens: list[dict]) -> bool:
@@ -283,22 +279,10 @@ def _canonical_rows(m: BinaryMatrix) -> list[str]:
     return [format(v, f"0{n}b") for v in best]
 
 
-def _text(m: BinaryMatrix, rows: list[str]) -> bytes:
-    return "".join([f"{m.rows} {m.cols}\n"] + [r + "\n" for r in rows]).encode("ascii")
-
-
-def _matrix(m: BinaryMatrix, rows: list[str]) -> BinaryMatrix:
-    return BinaryMatrix(m.rows, m.cols, tuple(b - 48 for b in "".join(rows).encode("ascii")))
-
-
-def canonical_matrix(m: BinaryMatrix) -> BinaryMatrix:
-    """The canonical representative of m's permutation class."""
-    return _matrix(m, _canonical_rows(m))
-
-
 def canonical_form(m: BinaryMatrix) -> CanonicalForm:
     """Shape plus the text serialization of the canonical representative."""
-    return CanonicalForm((m.rows, m.cols), _text(m, _canonical_rows(m)))
+    text = "".join([f"{m.rows} {m.cols}\n"] + [r + "\n" for r in _canonical_rows(m)])
+    return CanonicalForm((m.rows, m.cols), text.encode("ascii"))
 
 
 def equivalent(m1: BinaryMatrix, m2: BinaryMatrix) -> bool:
@@ -306,13 +290,3 @@ def equivalent(m1: BinaryMatrix, m2: BinaryMatrix) -> bool:
         return False
     return canonical_form(m1) == canonical_form(m2)
 
-
-def dedup_classes(ms) -> list[BinaryMatrix]:
-    """One canonical representative per permutation class, sorted by canonical bytes."""
-    reps: dict[bytes, BinaryMatrix] = {}
-    for m in ms:
-        rows = _canonical_rows(m)
-        key = _text(m, rows)
-        if key not in reps:
-            reps[key] = _matrix(m, rows)
-    return [reps[k] for k in sorted(reps)]

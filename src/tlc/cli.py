@@ -19,7 +19,6 @@ from .configuration import (
     configuration_from_json,
     configuration_to_json,
     dim_from_json,
-    emit_matrix,
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
@@ -222,7 +221,7 @@ def _cmd_core(args, out) -> int:
 def _cmd_stab_slack(args, out) -> int:
     g = stabset.graph_from_text(_read(args.graph))
     s = stabset.stab_maximal_slack(g) if args.maximal else stabset.stab_basic_slack(g)
-    out.write(emit_matrix(s.matrix))
+    out.write(s.matrix.to_text())
     return EXIT_OK
 
 
@@ -243,7 +242,7 @@ def _cmd_report(args, out) -> int:
                 continue
             d = int(sub.name)
             forms = []
-            for path in sorted(sub.iterdir()):
+            for path in store.list_namespace(f"md/{sub.name}"):
                 payload = path.read_bytes()
                 if store.path_for(f"md/{sub.name}", payload, path.suffix) != path:
                     raise StoreConflict(f"{path} is not named by the sha256 of its content")

@@ -129,10 +129,6 @@ def parse_matrix(text: str) -> BinaryMatrix:
     return BinaryMatrix(m, n, tuple(bits))
 
 
-def emit_matrix(m: BinaryMatrix) -> str:
-    return m.to_text()
-
-
 @dataclass(frozen=True)
 class SlackMatrix:
     """Product matrix of a configuration, with the vectors that label its lines."""
@@ -157,7 +153,7 @@ class Configuration:
     d: int
     A: tuple[Vec, ...]
     B: tuple[Vec, ...]
-    _maximal: Optional[bool] = field(default=None, compare=False, repr=False)
+    _maximal: Optional[bool] = field(default=None, init=False, compare=False, repr=False)
     _bits: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -179,7 +175,8 @@ class Configuration:
     def is_maximal(self) -> bool:
         """Whether A and B are each other's closures, decided on the slack
         matrix by _rank_and_maximal (its lines are distinct and its rank is
-        d, as both sides span).  Cached; fill is idempotent."""
+        d, as both sides span).  Cached in _maximal, which only this method
+        fills."""
         if self._maximal is None:
             value = _rank_and_maximal(len(self.A), len(self.B), self._bits)[1]
             object.__setattr__(self, "_maximal", value)
@@ -351,7 +348,7 @@ def maximal_completion(seed, d: int) -> Configuration:
     a = closure(seed, d)
     if not spans(a, d):
         raise DegenerateSeed(f"closure of the seed does not span R^{d}")
-    return Configuration(d, a, closure(a, d), _maximal=True)
+    return Configuration(d, a, closure(a, d))
 
 
 def slack_matrix(cfg: Configuration) -> SlackMatrix:
@@ -447,14 +444,10 @@ def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
     lines = m.row_tuples() if side == SIDE_B else m.col_tuples()
     binary, other = _rank_factor(lines, linalg.first_independent(lines, cfg.d))
     a, b = (other, binary) if side == SIDE_B else (binary, other)
-    return Configuration(cfg.d, a, b, _maximal=cfg._maximal)
+    return Configuration(cfg.d, a, b)
 
 
 # --- JSON interchange -----------------------------------------------------
-
-
-def _rat_to_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _rat_from_str(s) -> Fraction:
@@ -474,8 +467,8 @@ def _rat_from_str(s) -> Fraction:
 def configuration_to_json(cfg: Configuration) -> str:
     payload = {
         "d": cfg.d,
-        "A": [[_rat_to_str(x) for x in v] for v in cfg.A],
-        "B": [[_rat_to_str(x) for x in v] for v in cfg.B],
+        "A": [[str(x) for x in v] for v in cfg.A],
+        "B": [[str(x) for x in v] for v in cfg.B],
     }
     return json.dumps(payload, sort_keys=True)
 

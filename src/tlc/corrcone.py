@@ -37,7 +37,6 @@ from .errors import (
     NonBinary,
     NotAFace,
     NotInCone,
-    ParseError,
 )
 
 Bit = tuple[int, ...]
@@ -215,24 +214,6 @@ class FaceCertificate:
 
     def to_text(self) -> str:
         return f"{self.d}\n" + " ".join(str(v) for v in self.s) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "FaceCertificate":
-        numbered = list(enumerate(text.splitlines(), start=1))
-        lines = [(i, ln) for i, ln in numbered if ln.strip()]
-        if len(lines) != 2:
-            line = lines[2][0] if len(lines) > 2 else len(numbered) + 1
-            raise ParseError("certificate text needs a dimension line and an entry line", line=line)
-        (i, head), (j, body) = lines
-        try:
-            d = int(head)
-        except ValueError:
-            raise ParseError("dimension must be an integer", line=i) from None
-        try:
-            s = tuple(int(v) for v in body.split())
-        except ValueError:
-            raise ParseError("certificate entries must be integers", line=j) from None
-        return cls(d, s)
 
 
 def _reduced_sum(cert: FaceCertificate) -> tuple[int, ...]:

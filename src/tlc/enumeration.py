@@ -44,10 +44,6 @@ class EnumStats:
     degenerate_seeds: int
     classes: int
 
-    @property
-    def dedup_ratio(self) -> float:
-        return self.classes / self.completions if self.completions else 0.0
-
 
 @dataclass(frozen=True)
 class EnumerationResult:
@@ -249,8 +245,8 @@ def enumerate_maximal(
     is complete because each class has a 0/1 point-side representative that
     reappears as its own seed.  Dimension 5 is allowed only with an explicit
     seed_limit of 1 to _SAMPLED_SEED_LIMIT and samples seeds
-    deterministically; that run can miss classes and its output is labeled
-    sampled.  A seed_limit at d <= 4, where every seed is scanned, is refused.
+    deterministically; that run can miss classes, and nothing in its output
+    marks it as sampled.  A seed_limit at d <= 4 (a full scan) is refused.
     """
     if d < 1:
         raise DimensionMismatch(f"dimension must be at least 1, got {d}")

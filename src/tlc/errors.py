@@ -94,4 +94,5 @@ class ParseError(TlcError):
 
 
 class StoreConflict(TlcError):
-    """An existing store key would be rewritten with different bytes."""
+    """A store file would change its bytes or is not named by their sha256,
+    or a store path cannot be created or written."""

@@ -81,7 +81,7 @@ def polytope_completion(verts) -> Configuration:
     for u in points_h:
         if u[d] != _MINUS_ONE and any(x != _ZERO for x in u):
             raise InvalidGeometry(f"unbounded direction {u[:d]} in the completed point set")
-    return Configuration(d + 1, rows_h, points_h, _maximal=True)
+    return Configuration(d + 1, rows_h, points_h)
 
 
 def complete_maximal_pair(verts) -> tuple[Configuration, tuple[int, ...]]:
@@ -191,7 +191,7 @@ def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore
     c_side, d_side = _rank_factor(s.matrix.col_tuples(), core.col_indices)
     if any(x.denominator != 1 for v in d_side for x in v):
         raise InvalidGeometry("integral side has a fractional coordinate")
-    return core, Configuration(cfg.d, c_side, d_side, _maximal=cfg.is_maximal())
+    return core, Configuration(cfg.d, c_side, d_side)
 
 
 # --- built-in examples ----------------------------------------------------

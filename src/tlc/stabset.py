@@ -151,12 +151,6 @@ def graph_from_text(text: str) -> BipartiteGraph:
     return BipartiteGraph.from_edges(n, edges)
 
 
-def graph_to_text(g: BipartiteGraph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def stable_sets(g: BipartiteGraph) -> list[tuple[int, ...]]:
     """All stable sets, as sorted node tuples, by backtracking over nodes in
     decreasing-degree order."""

@@ -2,7 +2,8 @@
 
 Files are keyed by the SHA-256 of their bytes inside a namespace directory,
 written atomically (temp file + rename), so concurrent writers of identical
-content both succeed and a key can never silently change content.
+content both succeed and a key can never silently change content.  Temp
+files, which a killed writer can leave behind, are never listed.
 """
 
 from __future__ import annotations
@@ -14,10 +15,16 @@ from pathlib import Path
 
 from .errors import StoreConflict
 
+_TMP_PREFIX = ".tmp-"
+
+
 class Store:
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise StoreConflict(f"cannot use {self.root} as a store: {e.strerror}") from None
 
     def path_for(self, namespace: str, payload: bytes, suffix: str) -> Path:
         key = hashlib.sha256(payload).hexdigest()
@@ -25,24 +32,27 @@ class Store:
 
     def put(self, namespace: str, payload: bytes, suffix: str = "") -> Path:
         path = self.path_for(namespace, payload, suffix)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            if path.read_bytes() != payload:
-                raise StoreConflict(f"{path} exists with different content")
-            return path
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.exists():
+                if path.read_bytes() != payload:
+                    raise StoreConflict(f"{path} exists with different content")
+                return path
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=_TMP_PREFIX)
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(payload)
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        except OSError as e:
+            raise StoreConflict(f"cannot write {path}: {e.strerror}") from None
         return path
 
     def list_namespace(self, namespace: str) -> list[Path]:
         base = self.root / namespace
         if not base.is_dir():
             return []
-        return sorted(p for p in base.iterdir() if p.is_file())
+        return sorted(p for p in base.iterdir() if p.is_file() and not p.name.startswith(_TMP_PREFIX))

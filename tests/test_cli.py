@@ -15,7 +15,6 @@ from tlc import canon, cli, compress, stabset
 from tlc.configuration import (
     BinaryMatrix,
     _zero_one_count,
-    emit_matrix,
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
@@ -389,6 +388,31 @@ def test_report_rejects_tampered_store_file(tmp_path):
     assert "StoreConflict" in err and path.name in err
 
 
+def test_report_skips_leftover_temp_file(tmp_path):
+    # a Store.put killed between its temp file and the rename leaves this
+    store = tmp_path / "store"
+    assert run_cli(["enum", "--dim", "2"], store=store)[0] == 0
+    want = run_cli(["report"], store=store)
+    assert want[0] == 0
+    (store / "md" / "2" / ".tmp-abc123").touch()
+    assert run_cli(["report"], store=store) == want
+
+
+def test_store_path_that_is_a_file_exits_3(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = run_process(["--store", str(blocker), "enum", "--dim", "1"])
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr
+    assert "StoreConflict" in proc.stderr and str(blocker) in proc.stderr
+    # a namespace blocked by a file fails in Store.put, after the scan
+    (tmp_path / "store").mkdir()
+    (tmp_path / "store" / "md").write_text("")
+    code, out, err = run_cli(["enum", "--dim", "1"], store=tmp_path / "store")
+    assert (code, out) == (3, "")
+    assert "StoreConflict" in err and str(tmp_path / "store" / "md") in err
+
+
 def test_canon_tall_inputs_end_without_traceback(tmp_path):
     # 1,100 rows: deeper than the interpreter's recursion limit, and for the
     # first 1,100 integers as 11-bit rows, more search nodes than the budget
@@ -610,7 +634,7 @@ def test_check_bytes_match_reference_on_classes_and_deletions(tmp_path, enum_res
     path = tmp_path / "m.txt"
     seen = set()
     for m in inputs:
-        path.write_text(emit_matrix(m))
+        path.write_text(m.to_text())
         for fmt in ("text", "json"):
             code, out, err = run_cli(["--format", fmt, "check", str(path)])
             assert (code, out, err) == (0, _reference_check_output(m, fmt), "")

@@ -15,7 +15,6 @@ from tlc.configuration import (
     closure,
     configuration_from_json,
     configuration_to_json,
-    emit_matrix,
     from_slack_matrix,
     is_maximal_in_md,
     maximal_completion,
@@ -517,7 +516,7 @@ def test_normalize_binary_side_stays_binary():
 def test_parse_matrix_roundtrip():
     m = parse_matrix("2 2\n00\n01\n")
     assert m.row_tuples() == [(0, 0), (0, 1)]
-    assert emit_matrix(m) == "2 2\n00\n01\n"
+    assert m.to_text() == "2 2\n00\n01\n"
 
 
 def test_parse_matrix_bad_character():
@@ -538,7 +537,7 @@ def test_matrix_text_roundtrips(data):
     n = data.draw(st.integers(1, 6))
     bits = tuple(data.draw(st.integers(0, 1)) for _ in range(m * n))
     mat = BinaryMatrix(m, n, bits)
-    assert parse_matrix(emit_matrix(mat)) == mat
+    assert parse_matrix(mat.to_text()) == mat
 
 
 def test_configuration_json_roundtrip():
