@@ -234,7 +234,7 @@ def _cmd_stab_census(args, out) -> int:
 
 def _cmd_report(args, out) -> int:
     store = _store_from(args)
-    results = []
+    classes = {}
     base = store.root / "md"
     if base.is_dir():
         for sub in sorted(base.iterdir()):
@@ -246,12 +246,9 @@ def _cmd_report(args, out) -> int:
                 payload = path.read_bytes()
                 if store.path_for(f"md/{sub.name}", payload, path.suffix) != path:
                     raise StoreConflict(f"{path} is not named by the sha256 of its content")
-                m = parse_matrix(payload.decode())
-                forms.append(canon.canonical_form(m))
-            forms.sort(key=lambda f: f.bytes)
-            stats = enumeration.EnumStats(0, 0, 0, 0, len(forms))
-            results.append(enumeration.EnumerationResult(d, tuple(forms), stats))
-    out.write(enumeration.report(results))
+                forms.append(canon.canonical_form(parse_matrix(payload.decode())))
+            classes[d] = forms
+    out.write(enumeration.report(classes))
     return EXIT_OK
 
 

@@ -173,13 +173,11 @@ class Configuration:
         object.__setattr__(self, "_bits", tuple(_slack_bits(*sides[0], *sides[1])))
 
     def is_maximal(self) -> bool:
-        """Whether A and B are each other's closures, decided on the slack
-        matrix by _rank_and_maximal (its lines are distinct and its rank is
-        d, as both sides span).  Cached in _maximal, which only this method
-        fills."""
+        """Whether A and B are each other's closures: is_maximal_in_md of the
+        slack matrix (its lines are distinct and its rank is d, as both sides
+        span).  Cached in _maximal, which only this method fills."""
         if self._maximal is None:
-            value = _rank_and_maximal(len(self.A), len(self.B), self._bits)[1]
-            object.__setattr__(self, "_maximal", value)
+            object.__setattr__(self, "_maximal", is_maximal_in_md(slack_matrix(self).matrix))
         return self._maximal
 
 
@@ -207,6 +205,12 @@ def _scaled(vectors) -> tuple[dict[tuple[int, ...], tuple], int]:
     if ints:
         return {v: v for v in vs}, 1
     return {tuple(x.numerator * (scale // x.denominator) for x in v): v for v in vs}, scale
+
+
+def slack_bits(rows, cols) -> list[int]:
+    """The row-major products of two vector families, each checked 0/1
+    (NonBinarySlack otherwise)."""
+    return _slack_bits(*_scaled(rows), *_scaled(cols))
 
 
 def _slack_bits(a: dict, la: int, b: dict, lb: int) -> list[int]:
@@ -314,22 +318,6 @@ def _zero_one_count(lines: list, ncols: int) -> int:
     return len(_zero_one_patterns([rows[r] for r in piv_rows], piv_cols, det, ncols))
 
 
-def _rank_and_maximal(rows: int, cols: int, bits) -> tuple[int, bool]:
-    """The rank of a 0/1 matrix (row-major bits), and whether it is maximal
-    as is_maximal_in_md counts it: distinct lines, positive rank and as many
-    0/1 vectors in its row and column spaces as it has rows and columns.
-    One elimination of the rows gives both the rank and the row count."""
-    lines = [bits[i * cols:(i + 1) * cols] for i in range(rows)]
-    elim, piv_rows, piv_cols, det = linalg._bareiss(list(lines), cols)
-    d = len(piv_rows)
-    columns = list(zip(*lines))
-    if not d or len(set(lines)) < rows or len(set(columns)) < cols:
-        return d, False
-    if len(_zero_one_patterns([elim[r] for r in piv_rows], piv_cols, det, cols)) != rows:
-        return d, False
-    return d, _zero_one_count(columns, rows) == cols
-
-
 def _subset_sums(values: list[int]) -> list[int]:
     """sums[s] = the sum of values[k] over the set bits k of s."""
     sums = [0]
@@ -419,13 +407,22 @@ def is_maximal_in_md(m: BinaryMatrix) -> bool:
     Each count is one elimination of the lines; above rank
     _CLOSURE_RANK_LIMIT it raises DimensionTooLarge, as closure does.
     """
-    return _rank_and_maximal(m.rows, m.cols, m.bits)[1]
+    return rank_and_maximality(m)[1]
 
 
 def rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
-    """The rank of m (0 when it has no entries) and is_maximal_in_md(m),
-    from one elimination of its rows."""
-    return _rank_and_maximal(m.rows, m.cols, m.bits)
+    """The rank of m (0 when it has no entries) and is_maximal_in_md(m).
+    One elimination of the rows gives both the rank and the count of 0/1
+    vectors in the row space."""
+    lines = m.row_tuples()
+    elim, piv_rows, piv_cols, det = linalg._bareiss(list(lines), m.cols)
+    d = len(piv_rows)
+    columns = list(zip(*lines))
+    if not d or len(set(lines)) < m.rows or len(set(columns)) < m.cols:
+        return d, False
+    if len(_zero_one_patterns([elim[r] for r in piv_rows], piv_cols, det, m.cols)) != m.rows:
+        return d, False
+    return d, _zero_one_count(columns, m.rows) == m.cols
 
 
 def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
@@ -433,18 +430,17 @@ def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
 
     The change of basis that sends the first d independent vectors of the
     opposite side to e_1..e_d turns each vector of the chosen side into its
-    0/1 products with them and preserves every product exactly.  It is read
-    off the slack bits: the rank factorization (_rank_factor) of the lines
-    of the opposite side (the rows of the slack matrix for side B, its
-    columns for side A) over the first d independent ones.
+    0/1 products with them and preserves every product exactly.  That is
+    from_slack_matrix of the slack matrix for side B, and of its transpose,
+    sides swapped back, for side A.
     """
     if side not in (SIDE_A, SIDE_B):
         raise ValueError(f"side must be {SIDE_A!r} or {SIDE_B!r}")
-    m = BinaryMatrix(len(cfg.A), len(cfg.B), cfg._bits)
-    lines = m.row_tuples() if side == SIDE_B else m.col_tuples()
-    binary, other = _rank_factor(lines, linalg.first_independent(lines, cfg.d))
-    a, b = (other, binary) if side == SIDE_B else (binary, other)
-    return Configuration(cfg.d, a, b)
+    m = slack_matrix(cfg).matrix
+    if side == SIDE_B:
+        return from_slack_matrix(m)
+    t = from_slack_matrix(m.transpose())
+    return Configuration(cfg.d, t.B, t.A)
 
 
 # --- JSON interchange -----------------------------------------------------

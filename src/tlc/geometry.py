@@ -25,11 +25,10 @@ from .configuration import (
     slack_matrix,
     closure,
     dim_from_json,
+    slack_bits,
     spans,
     vectors_from_json_field,
-    _scaled,
     _rank_factor,
-    _slack_bits,
 )
 from .errors import (
     DimensionMismatch,
@@ -65,13 +64,12 @@ def polytope_completion(verts) -> Configuration:
     Homogenizes the points, closes to get every inequality with all slacks in
     {0,1} (the two trivial rows 0 >= 0 and 0 >= -1 included), and closes back
     to get the maximal point set: (v, -1) for every vertex v, and the apex.
-    The vertices are deduplicated and sorted on their integer multiples
-    (_scaled), which sort as the vectors do.
+    Closure dedupes the points and sorts its output, so the vertex order
+    does not matter.
     """
-    keyed = _scaled(verts)[0]
-    if not keyed:
+    verts = list(verts)
+    if not verts:
         raise NotSpanning("empty point set")
-    verts = [keyed[k] for k in sorted(keyed)]
     d = len(verts[0])
     seed = _lifted(verts, d)
     if not spans(seed, d + 1):
@@ -251,5 +249,5 @@ def polytope_from_json(text: str) -> tuple[Vec, ...]:
     points = _lifted(verts, d)
     if not spans(points, d + 1):
         raise NotSpanning("points do not affinely span")
-    _slack_bits(*_scaled(sorted(rows)), *_scaled(points))
+    slack_bits(sorted(rows), points)
     return verts

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import canon, geometry
-from .configuration import BinaryMatrix, SlackMatrix, _scaled, _slack_bits, slack_matrix
+from .configuration import BinaryMatrix, SlackMatrix, slack_bits, slack_matrix
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -80,9 +80,6 @@ class BipartiteGraph:
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(u if w == v else w for u, w in self.edges if v in (u, w)))
 
     def min_degree(self) -> int:
         return min(self.degree(v) for v in range(self.n))
@@ -152,25 +149,17 @@ def graph_from_text(text: str) -> BipartiteGraph:
 
 
 def stable_sets(g: BipartiteGraph) -> list[tuple[int, ...]]:
-    """All stable sets, as sorted node tuples, by backtracking over nodes in
-    decreasing-degree order."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
-    out: list[tuple[int, ...]] = []
-
-    def extend(pos: int, current: list[int], blocked: set[int]):
-        if pos == len(order):
-            out.append(tuple(sorted(current)))
-            return
-        v = order[pos]
-        extend(pos + 1, current, blocked)
-        if v not in blocked:
-            current.append(v)
-            extend(pos + 1, current, blocked | adj[v])
-            current.pop()
-
-    extend(0, [], set())
-    return sorted(out)
+    """All stable sets, as sorted node tuples.  Node by node, each stable
+    set found so far that holds no neighbour of v gains a copy with v; the
+    sets so far hold only nodes below v, so only the lower endpoints of v's
+    edges are checked."""
+    lower = [0] * g.n
+    for u, v in g.edges:
+        lower[v] |= 1 << u
+    sets = [0]
+    for v in range(g.n):
+        sets += [s | 1 << v for s in sets if not s & lower[v]]
+    return sorted(tuple(v for v in range(g.n) if s >> v & 1) for s in sets)
 
 
 def _char_vec(s, n: int) -> Vec:
@@ -191,7 +180,7 @@ def _basic_slack(g: BipartiteGraph):
     rows += [vec([-1 if i == v else 0 for i in range(n)] + [-1]) for v in range(n) if g.degree(v) == 0]
     cols = stable_sets(g)
     points = tuple(_char_vec(s, n) + (Fraction(-1),) for s in cols)
-    return tuple(rows), cols, points, _slack_bits(*_scaled(rows), *_scaled(points))
+    return tuple(rows), cols, points, slack_bits(rows, points)
 
 
 def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:

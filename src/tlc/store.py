@@ -3,7 +3,8 @@
 Files are keyed by the SHA-256 of their bytes inside a namespace directory,
 written atomically (temp file + rename), so concurrent writers of identical
 content both succeed and a key can never silently change content.  Temp
-files, which a killed writer can leave behind, are never listed.
+files, which a killed writer can leave behind, are never listed.  Opening a
+store writes nothing: `put` makes the directories it writes into.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ _TMP_PREFIX = ".tmp-"
 class Store:
     def __init__(self, root):
         self.root = Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise StoreConflict(f"cannot use {self.root} as a store: {e.strerror}") from None
 
     def path_for(self, namespace: str, payload: bytes, suffix: str) -> Path:
         key = hashlib.sha256(payload).hexdigest()

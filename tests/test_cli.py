@@ -413,6 +413,19 @@ def test_store_path_that_is_a_file_exits_3(tmp_path):
     assert "StoreConflict" in err and str(tmp_path / "store" / "md") in err
 
 
+def test_report_creates_no_store(tmp_path, monkeypatch):
+    # report only reads: with no store it prints the empty table and leaves
+    # the directory as it was, for the default ./tlc_store and for a file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TLC_STORE", raising=False)
+    code, out, err = run_cli(["report"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].startswith("maximal classes by dimension") and len(out.splitlines()) == 2
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "file").write_text("")
+    assert run_cli(["report"], store=tmp_path / "file") == (0, out, "")
+
+
 def test_canon_tall_inputs_end_without_traceback(tmp_path):
     # 1,100 rows: deeper than the interpreter's recursion limit, and for the
     # first 1,100 integers as 11-bit rows, more search nodes than the budget

@@ -212,7 +212,7 @@ def test_small_scan_runs_on_masks_only(monkeypatch, enum_results, enum_d4):
     def refuse(*args, **kwargs):
         raise AssertionError("the d <= 4 scan left the U_d masks")
 
-    for name in ("closure", "rank", "_scaled"):
+    for name in ("closure", "rank", "slack_bits"):
         monkeypatch.setattr(enumeration, name, refuse)
     for d, want in (*enum_results.items(), (4, enum_d4)):
         got = enumerate_maximal(d)
@@ -340,8 +340,6 @@ def test_oracle_agreement_d2(enum_results):
 def test_oracle_limits():
     with pytest.raises(DimensionTooLarge):
         oracle_maximal(3)
-    with pytest.raises(DimensionTooLarge):
-        oracle_maximal(2, max_rows=5)
 
 
 def test_oracle_is_maximal_examples():
@@ -361,11 +359,22 @@ def test_oracle_agrees_with_closure_test_sampled():
 
 
 def test_report_deterministic(enum_results):
-    text1 = report(list(enum_results.values()))
-    text2 = report(list(reversed(list(enum_results.values()))))
+    text1 = report({d: res.classes for d, res in enum_results.items()})
+    text2 = report({d: res.classes[::-1] for d, res in reversed(list(enum_results.items()))})
     assert text1 == text2
     assert "1 | 1 | 1" in text1
     assert "2 | 2 | 1" in text1
+    assert "sampled" not in text1
+
+
+def test_report_marks_sampled_dimension_5(enum_results):
+    exact = {d: res.classes for d, res in enum_results.items()}
+    sampled = enumerate_maximal(5, seed_limit=50).classes
+    text = report({**exact, 5: sampled})
+    assert text.startswith(report(exact))
+    rows = text.splitlines()[len(report(exact).splitlines()):]
+    assert rows[0].startswith(f"5 | {len(sampled)} | ")
+    assert rows[1:] == ["d = 5 comes from a sampled --seed-limit run: its counts are lower bounds"]
 
 
 def test_stats_fields(enum_results):

@@ -1,13 +1,18 @@
-"""Static checks of the package's imports, with the standard library only:
-no module-level import that its module never uses, and a `tlc.__all__`
-whose every name resolves."""
+"""Static checks of the package's names, with the standard library only:
+no module-level import that its module never uses, a `tlc.__all__` whose
+every name resolves, and no function, class or method that nothing names."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import tlc
 
 SRC = Path(tlc.__file__).parent
+REPO = SRC.parents[1]
+# a string naming a target, as perfbench's tracer names "Store.put"
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _unused_imports(path: Path, exempt: set) -> list[str]:
@@ -40,3 +45,54 @@ def test_unused_import_is_found(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("from __future__ import annotations\nimport hashlib\nimport os.path\nfrom . import x as y\n\nos.sep\n")
     assert _unused_imports(path, set()) == ["m.py:2: hashlib", "m.py:4: y"]
+
+
+def _name_counts(tree) -> Counter:
+    """How often each name occurs in a parse tree: as a variable, an
+    attribute, an imported name or a string that is a dotted name."""
+    counts = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            counts[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            counts[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            counts.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and _DOTTED.fullmatch(n.value):
+            counts.update(n.value.split("."))
+    return counts
+
+
+def _unnamed_definitions(defining: list, others: list) -> list[str]:
+    """The top-level functions and classes, and the methods not named like
+    __this__, of the defining files that no code outside their own
+    definition names, in any of the files."""
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in [*defining, *others]}
+    total = sum((_name_counts(t) for t in trees.values()), Counter())
+    unnamed = []
+    for path in defining:
+        for node in trees[path].body:
+            defs = [(node, node.name)] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(node, ast.ClassDef):
+                defs += [(m, f"{node.name}.{m.name}") for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+            for d, label in defs:
+                if total[d.name] == _name_counts(d)[d.name]:
+                    unnamed.append(f"{path.name}:{d.lineno}: {label}")
+    return unnamed
+
+
+def test_every_definition_is_named_elsewhere():
+    others = [p for top in ("src", "tests", "perfbench", "scripts") for p in sorted((REPO / top).rglob("*.py"))]
+    defining = sorted(SRC.glob("*.py"))
+    assert _unnamed_definitions(defining, [p for p in others if p not in defining]) == []
+
+
+def test_unnamed_definition_is_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "class A:\n    def used(self):\n        return self.used\n    def named(self):\n        pass\n"
+        "    def alone(self):\n        pass\n    def __eq__(self, other):\n        pass\n\n"
+        "def f():\n    return f()\n\nTARGETS = ['A.named']\n"
+    )
+    assert _unnamed_definitions([path], []) == ["m.py:2: A.used", "m.py:6: A.alone", "m.py:11: f"]

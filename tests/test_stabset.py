@@ -205,6 +205,22 @@ def test_two_color_bitmask():
     assert C4().coloring == (0, 1, 0, 1)
 
 
+def test_stable_sets_match_brute_force_on_all_small_graphs():
+    # every labelled bipartite graph on 1..6 nodes: the stable sets are the
+    # node subsets that hold no edge, in sorted order
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        subsets = sorted(c for k in range(n + 1) for c in combinations(range(n), k))
+        for mask in range(1 << len(pairs)):
+            try:
+                g = graph_from_mask(n, mask)
+            except NotBipartite:
+                continue
+            edges = set(g.edges)
+            want = [c for c in subsets if not any(e in edges for e in combinations(c, 2))]
+            assert stable_sets(g) == want, (n, g.edges)
+
+
 def test_maximal_slack_checks_products_once(monkeypatch):
     original = configuration._slack_bits
     calls = []
