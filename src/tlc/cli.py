@@ -248,7 +248,12 @@ def _cmd_report(args, out) -> int:
                     raise StoreConflict(f"{path} is not named by the sha256 of its content")
                 forms.append(canon.canonical_form(parse_matrix(payload.decode())))
             classes[d] = forms
-    out.write(enumeration.report(classes))
+    if args.format == "json":
+        dims = [{"dim": d, "classes": len(forms), "classes_mod_transpose": enumeration.transpose_identified_count(forms),
+                 "lower_bound": d == enumeration._SAMPLED_DIM} for d, forms in sorted(classes.items())]
+        out.write(json.dumps({"dims": dims}, sort_keys=True) + "\n")
+    else:
+        out.write(enumeration.report(classes))
     return EXIT_OK
 
 

@@ -46,7 +46,6 @@ class GeneratorSet:
 
     d: int
     gens: tuple[tuple[int, ...], ...]
-    det_history: tuple[int, ...]
 
     def __post_init__(self):
         gens = tuple(tuple(int(x) for x in g) for g in self.gens)
@@ -76,6 +75,13 @@ class GeneratorSet:
         use; every phi over this set reduces against it."""
         return linalg.hnf(self.gens)
 
+    @cached_property
+    def det_history(self) -> tuple[int, ...]:
+        """The lattice determinant of the first d, d + 1, .., k generators.
+        For a set grown by select_generators each value divides the one
+        before it with a quotient of at least 2."""
+        return tuple(linalg.lattice_determinant_rect(self.gens[:k]) for k in range(self.d, self.k + 1))
+
 
 @dataclass(frozen=True)
 class CompressedConfig:
@@ -91,12 +97,10 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     """Grow generators until their lattice equals the lattice of all of B.
 
     Starts from the first d independent vectors in sorted order and appends
-    the first vector outside the current lattice, recording the determinant
-    after every step; each recorded value divides the previous one with an
-    integer quotient of at least 2.  Each step computes one Hermite form,
-    tests the vectors against it and reads the determinant off its pivots.
-    The vectors before an appended one lie in the smaller lattice, so the
-    next step resumes the search after it.
+    the first vector outside the current lattice.  Each step computes one
+    Hermite form and tests the vectors against it.  The vectors before an
+    appended one lie in the smaller lattice, so the next step resumes the
+    search after it.
     """
     bs = sorted(set(tuple(int(x) for x in v) for v in b_vectors))
     if any(len(b) != d for b in bs):
@@ -107,17 +111,15 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     if idx is None:
         raise NotSpanning(f"point side does not span R^{d}")
     chosen = [bs[i] for i in idx]
-    dets = []
     start = 0
     while True:
         h, u = linalg.hnf(chosen)
-        dets.append(linalg._hnf_det(h, d))
         start = next((i for i in range(start, len(bs)) if linalg._hnf_coords(h, u, bs[i]) is None), None)
         if start is None:
             break
         chosen.append(bs[start])
         start += 1
-    return GeneratorSet(d, tuple(chosen), tuple(dets))
+    return GeneratorSet(d, tuple(chosen))
 
 
 def zeta(a, gens: GeneratorSet) -> tuple[int, ...]:
@@ -248,13 +250,4 @@ def weighted_graph_parse(text: str) -> CompressedConfig:
     if len(tail) != k:
         raise ParseError(f"expected {k} tail values", line=2 + 2 * k)
     s = tuple(block[i][j] for i in range(k) for j in range(k)) + tuple(tail)
-    dets = _recovered_det_history(gen_rows, d)
-    gens = GeneratorSet(d, tuple(gen_rows), dets)
-    return CompressedConfig(gens, corrcone.FaceCertificate(k, s))
-
-
-def _recovered_det_history(gen_rows, d: int) -> tuple[int, ...]:
-    dets = []
-    for k in range(d, len(gen_rows) + 1):
-        dets.append(linalg.lattice_determinant_rect(gen_rows[:k]))
-    return tuple(dets)
+    return CompressedConfig(GeneratorSet(d, tuple(gen_rows)), corrcone.FaceCertificate(k, s))

@@ -431,16 +431,17 @@ def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
     The change of basis that sends the first d independent vectors of the
     opposite side to e_1..e_d turns each vector of the chosen side into its
     0/1 products with them and preserves every product exactly.  That is
-    from_slack_matrix of the slack matrix for side B, and of its transpose,
-    sides swapped back, for side A.
+    from_slack_matrix of the slack matrix for side B, and the rank
+    factorization of its columns over their first d independent ones for
+    side A.
     """
     if side not in (SIDE_A, SIDE_B):
         raise ValueError(f"side must be {SIDE_A!r} or {SIDE_B!r}")
     m = slack_matrix(cfg).matrix
     if side == SIDE_B:
         return from_slack_matrix(m)
-    t = from_slack_matrix(m.transpose())
-    return Configuration(cfg.d, t.B, t.A)
+    cols = m.col_tuples()
+    return Configuration(cfg.d, *_rank_factor(cols, linalg.first_independent(cols, cfg.d)))
 
 
 # --- JSON interchange -----------------------------------------------------

@@ -43,10 +43,10 @@ from .linalg import Vec, vec
 _ZERO = Fraction(0)
 _MINUS_ONE = Fraction(-1)
 
-# find_triangular_core places at most this many (row, column) pairs.  The
-# most a test or built-in example takes is 1,618.  On 2 cores with Python
-# 3.11.7 the 6-node path's stable-set polytope takes 29,750 in 2.7 s; the
-# 8-node path's ran for over 300 s unbounded and stops here after about 6 s.
+# find_triangular_core places at most this many (row, column) pairs.  On 2
+# cores with Python 3.11.7 the 6-node path's stable-set polytope, the largest
+# test input, takes 29,750 in 0.05-0.08 s; the 7- and 8-node paths' stop here
+# after 0.1-0.2 s (unbounded, the 7-node path's takes 4,277,771 in 10 s).
 _CORE_NODE_LIMIT = 50_000
 
 
@@ -119,56 +119,50 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
     """Backtracking search for a triangular core of the given size.
 
     Selected entry pattern: M[i][i] = 1 and M[i][j] = 0 for j > i, with the
-    chosen rows linearly independent.  Independence is tested on the 0/1
-    rows: the column labels span, so a -> (<a, b_j>)_j is injective and the
-    rows are independent exactly when their labels are.  Rows are tried in
-    order of increasing number of ones.  Positions are filled from the last
-    index backwards so each new row is constrained only by columns already
-    chosen.  A search that places more than _CORE_NODE_LIMIT pairs raises
-    DimensionTooLarge.
+    chosen rows linearly independent.  Rows are tried in order of increasing
+    number of ones, a row's columns lowest first.  Positions are filled from
+    the last index backwards, so a new row only has to be 0 on the columns
+    already chosen; rows are bitmasks and the chosen columns one mask.
+
+    That test is the only one the search needs.  A chosen row is 1 on its
+    own column, so the test skips it, and a row that passes it has no chosen
+    column left to try.  The chosen rows, in the order they were placed and
+    restricted to the chosen columns, form a unit triangular matrix, so they
+    are independent, and a nonzero row that is 0 on those columns is
+    independent of them too.  A search that places more than
+    _CORE_NODE_LIMIT pairs raises DimensionTooLarge.
     """
     m = s.matrix
     if size < 1 or size > min(m.rows, m.cols):
         raise NoCore(f"no core of size {size} in a {m.rows}x{m.cols} matrix")
-    row_order = sorted(range(m.rows), key=lambda i: (sum(m.row_bits(i)), i))
-    rows_bits = [m.row_bits(i) for i in range(m.rows)]
-
-    chosen_rows: list[int] = []
-    chosen_cols: list[int] = []
+    masks = [sum(b << j for j, b in enumerate(m.row_bits(i))) for i in range(m.rows)]
+    row_order = sorted(range(m.rows), key=lambda i: (masks[i].bit_count(), i))
+    chosen: list[tuple[int, int]] = []
     nodes = 0
 
-    def independent_with(idx: int) -> bool:
-        lines = [rows_bits[r] for r in chosen_rows] + [rows_bits[idx]]
-        return linalg.rank(lines) == len(lines)
-
-    def place(pos: int) -> bool:
+    def place(pos: int, used: int) -> bool:
         nonlocal nodes
-        # pos runs size-1 .. 0; chosen lists hold positions pos+1 .. size-1
+        # pos runs size-1 .. 0; chosen holds positions size-1 .. pos+1
         for ri in row_order:
-            if ri in chosen_rows:
+            free = masks[ri]
+            if free & used:
                 continue
-            bits = rows_bits[ri]
-            if any(bits[cj] for cj in chosen_cols):
-                continue
-            if not independent_with(ri):
-                continue
-            for cj in range(m.cols):
-                if cj in chosen_cols or not bits[cj]:
-                    continue
+            while free:
+                low = free & -free
+                free ^= low
                 nodes += 1
                 if nodes > _CORE_NODE_LIMIT:
                     raise DimensionTooLarge(f"triangular core search exceeds {_CORE_NODE_LIMIT} nodes")
-                chosen_rows.append(ri)
-                chosen_cols.append(cj)
-                if pos == 0 or place(pos - 1):
+                chosen.append((ri, low.bit_length() - 1))
+                if pos == 0 or place(pos - 1, used | low):
                     return True
-                chosen_rows.pop()
-                chosen_cols.pop()
+                chosen.pop()
         return False
 
-    if not place(size - 1):
+    if not place(size - 1, 0):
         raise NoCore("backtracking exhausted without finding a triangular core")
-    return TriangularCore(tuple(reversed(chosen_rows)), tuple(reversed(chosen_cols)))
+    rows, cols = zip(*reversed(chosen))
+    return TriangularCore(rows, cols)
 
 
 def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore, Configuration]:

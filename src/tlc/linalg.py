@@ -281,18 +281,14 @@ def lattice_member(gens, v) -> bool:
 
 
 def lattice_determinant_rect(gens) -> int:
-    """Determinant of the lattice spanned by full-column-rank generators (k >= d)."""
+    """Determinant of the lattice spanned by full-column-rank generators
+    (k >= d): the product of the d pivots of their Hermite form."""
     rows = _check_int_matrix(gens)
     if not rows:
         raise NotFullRank("empty generator list")
-    return _hnf_det(hnf(rows)[0], len(rows[0]))
-
-
-def _hnf_det(h, d: int) -> int:
-    """The lattice determinant read off a Hermite form H of generators in
-    R^d: the product of its d pivots (NotFullRank when fewer)."""
+    h = hnf(rows)[0]
     det = 1
-    for i in range(d):
+    for i in range(len(rows[0])):
         if i >= len(h) or not any(h[i]):
             raise NotFullRank("generators do not span")
         p = next(x for x in h[i] if x)

@@ -43,40 +43,30 @@ _NODE_LIMIT = 15
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Simple labeled graph on nodes 0..n-1 with a proper 2-coloring witness."""
+    """Simple labeled bipartite graph on nodes 0..n-1."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    coloring: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParseError("graphs need at least one node")
-        edges = _checked_edges(self.n, self.edges)
-        if len(set(edges)) != len(edges):
-            raise ParseError("parallel edge")
-        object.__setattr__(self, "edges", tuple(sorted(set(edges))))
-        coloring = tuple(int(c) for c in self.coloring)
-        object.__setattr__(self, "coloring", coloring)
-        if len(coloring) != self.n or any(c not in (0, 1) for c in coloring):
-            raise NotBipartite("coloring must assign 0/1 to every node")
-        for u, v in self.edges:
-            if coloring[u] == coloring[v]:
-                raise NotBipartite(f"edge ({u},{v}) is monochromatic")
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "BipartiteGraph":
-        if n > _NODE_LIMIT:
+        if self.n > _NODE_LIMIT:
             raise DimensionTooLarge(f"stable-set polytopes are limited to n <= {_NODE_LIMIT} nodes")
-        edges = _checked_edges(n, edges)
-        adj = [0] * n
+        edges = _checked_edges(self.n, self.edges)
+        adj = [0] * self.n
         for u, v in edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        coloring = _two_color(adj)
-        if coloring is None:
+        if _two_color(adj) is None:
             raise NotBipartite("graph has an odd cycle")
-        return cls(n, tuple(edges), coloring)
+        if self.n < 1:
+            raise ParseError("graphs need at least one node")
+        if len(set(edges)) != len(edges):
+            raise ParseError("parallel edge")
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> "BipartiteGraph":
+        return cls(n, tuple(edges))
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)

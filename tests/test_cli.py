@@ -107,6 +107,29 @@ def test_enum_and_report(tmp_path):
     assert "2 | 2 | 1" in rep1
 
 
+def test_report_json(tmp_path):
+    # one sorted-keys line with the keys of enum --format json; only the
+    # sampled d = 5 counts are lower bounds
+    store = tmp_path / "store"
+    assert run_cli(["--format", "json", "report"], store=store) == (0, '{"dims": []}\n', "")
+    for d in (1, 2):
+        assert run_cli(["enum", "--dim", str(d)], store=store)[0] == 0
+    code, out, err = run_cli(["--format", "json", "report"], store=store)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"dims": [
+        {"dim": 1, "classes": 1, "classes_mod_transpose": 1, "lower_bound": False},
+        {"dim": 2, "classes": 2, "classes_mod_transpose": 1, "lower_bound": False},
+    ]}, sort_keys=True) + "\n"
+    assert run_cli(["enum", "--dim", "5", "--seed-limit", "1"], store=store)[0] == 0
+    code, out, _ = run_cli(["--format", "json", "report"], store=store)
+    assert code == 0 and len(out.splitlines()) == 1
+    dims = json.loads(out)["dims"]
+    assert [(r["dim"], r["lower_bound"]) for r in dims] == [(1, False), (2, False), (5, True)]
+    assert dims[2]["classes"] == 1
+    # the text table is unchanged
+    assert run_cli(["report"], store=store)[1].splitlines()[-1].startswith("d = 5 comes from a sampled")
+
+
 def test_face_subcommand(tmp_path):
     bv = write(tmp_path, "b.txt", "1 -1\n")
     code, out, _ = run_cli(["face", "--dim", "2", "--b-vectors", bv])

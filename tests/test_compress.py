@@ -212,7 +212,7 @@ def test_serialized_weights_bounded():
 
 def test_generator_bound_enforced():
     with pytest.raises(Exception):
-        GeneratorSet(1, ((1,), (1,)), (1, 1))
+        GeneratorSet(1, ((1,), (1,)))
 
 
 def test_weighted_graph_header_needs_positive_sizes():

@@ -10,7 +10,9 @@ its rows and generators, and a polytope through `polytope_from_json`.
 configuration (core rows M, then the core's slack submatrix L), the oracle
 for the one change of basis of `to_binary_integral_configuration`.
 `reference_find_triangular_core` is the earlier core search, which tests
-independence on the row labels, not on the 0/1 rows, and
+independence on the row labels, not on the 0/1 rows;
+`reference_bit_rank_core` is the search after it, which ranks the 0/1 rows
+of every candidate against the chosen ones, as bit tuples, not bitmasks; and
 `reference_label_rank_facets` the earlier facet test of
 `complete_maximal_pair`, which ranks each row's tight input points as
 `Fraction` vectors, not as 0/1 slack columns.
@@ -33,7 +35,7 @@ from tlc.configuration import (
     slack_matrix,
     spans,
 )
-from tlc.errors import DimensionMismatch, InvalidGeometry, NoCore, NonBinarySlack, NotBipartite, NotSpanning, ParseError
+from tlc.errors import DimensionMismatch, DimensionTooLarge, InvalidGeometry, NoCore, NonBinarySlack, NotBipartite, NotSpanning, ParseError
 from tlc.geometry import complete_maximal_pair, polytope_completion
 from tlc.linalg import dot, frac, vec
 
@@ -163,6 +165,48 @@ def reference_find_triangular_core(s, size):
             for cj in range(m.cols):
                 if cj in chosen_cols or not bits[cj]:
                     continue
+                chosen_rows.append(ri)
+                chosen_cols.append(cj)
+                if pos == 0 or place(pos - 1):
+                    return True
+                chosen_rows.pop()
+                chosen_cols.pop()
+        return False
+
+    if not place(size - 1):
+        raise NoCore("backtracking exhausted without finding a triangular core")
+    return geometry.TriangularCore(tuple(reversed(chosen_rows)), tuple(reversed(chosen_cols)))
+
+
+def reference_bit_rank_core(s, size):
+    m = s.matrix
+    if size < 1 or size > min(m.rows, m.cols):
+        raise NoCore(f"no core of size {size} in a {m.rows}x{m.cols} matrix")
+    row_order = sorted(range(m.rows), key=lambda i: (sum(m.row_bits(i)), i))
+    rows_bits = [m.row_bits(i) for i in range(m.rows)]
+    chosen_rows, chosen_cols = [], []
+    nodes = 0
+
+    def independent_with(idx):
+        lines = [rows_bits[r] for r in chosen_rows] + [rows_bits[idx]]
+        return linalg.rank(lines) == len(lines)
+
+    def place(pos):
+        nonlocal nodes
+        for ri in row_order:
+            if ri in chosen_rows:
+                continue
+            bits = rows_bits[ri]
+            if any(bits[cj] for cj in chosen_cols):
+                continue
+            if not independent_with(ri):
+                continue
+            for cj in range(m.cols):
+                if cj in chosen_cols or not bits[cj]:
+                    continue
+                nodes += 1
+                if nodes > geometry._CORE_NODE_LIMIT:
+                    raise DimensionTooLarge(f"triangular core search exceeds {geometry._CORE_NODE_LIMIT} nodes")
                 chosen_rows.append(ri)
                 chosen_cols.append(cj)
                 if pos == 0 or place(pos - 1):
@@ -390,6 +434,47 @@ def test_core_search_matches_label_rank_search():
         s = slack_matrix(cfg)
         for size in range(1, cfg.d + 1):
             assert geometry.find_triangular_core(s, size) == reference_find_triangular_core(s, size)
+
+
+def _labelled_stable_set_completions(max_nodes):
+    """The completion of every labelled bipartite graph on 1..max_nodes
+    nodes."""
+    out = []
+    for n in range(1, max_nodes + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            try:
+                g = stabset.BipartiteGraph.from_edges(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+            except NotBipartite:
+                continue
+            out.append(polytope_completion([stabset._char_vec(s, n) for s in stabset.stable_sets(g)]))
+    return out
+
+
+def test_bitmask_core_search_matches_bit_rank_search(monkeypatch):
+    corpus = [polytope_completion(verts) for verts in geometry.examples_library().values()]
+    corpus += _labelled_stable_set_completions(5)
+    assert len(corpus) == 436
+
+    def outcome(search, s, size):
+        try:
+            return search(s, size)
+        except DimensionTooLarge:
+            return DimensionTooLarge
+
+    refused = 0
+    for cfg in corpus:
+        s = slack_matrix(cfg)
+        core = geometry.find_triangular_core(s, cfg.d)
+        assert core == reference_bit_rank_core(s, cfg.d)
+        assert linalg.rank([s.matrix.row_bits(i) for i in core.row_indices]) == cfg.d
+        # the same placements are counted: both stop at the same budget
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_CORE_NODE_LIMIT", 8)
+            got = outcome(geometry.find_triangular_core, s, cfg.d)
+            assert got == outcome(reference_bit_rank_core, s, cfg.d)
+            refused += got is DimensionTooLarge
+    assert 0 < refused < len(corpus)
 
 
 def reference_label_rank_facets(verts):

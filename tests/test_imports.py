@@ -3,6 +3,7 @@ no module-level import that its module never uses, a `tlc.__all__` whose
 every name resolves, and no function, class or method that nothing names."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -96,3 +97,26 @@ def test_unnamed_definition_is_found(tmp_path):
         "def f():\n    return f()\n\nTARGETS = ['A.named']\n"
     )
     assert _unnamed_definitions([path], []) == ["m.py:2: A.used", "m.py:6: A.alone", "m.py:11: f"]
+
+
+def _traced_targets() -> list:
+    """perfbench's LAYERS, read from its source without importing it."""
+    tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text())
+    value = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in n.targets))
+    return ast.literal_eval(value)
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark wraps these names and swaps out the seed-mask source; a
+    # name missing here breaks a traced benchmark run, not an untraced one
+    targets = _traced_targets()
+    missing = []
+    for module, target, _ in targets:
+        obj = importlib.import_module(f"tlc.{module}")
+        for part in target.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{target}")
+    assert targets and missing == []
+    assert callable(importlib.import_module("tlc.enumeration")._seed_masks)

@@ -14,6 +14,7 @@ and sums of the surviving patterns only.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,20 @@ def reference_determinant(gens):
     return abs(det)
 
 
+@dataclass(frozen=True)
+class ReferenceGenerators:
+    """The earlier GeneratorSet, which kept the determinants recorded as
+    its generators were grown."""
+
+    d: int
+    gens: tuple
+    det_history: tuple
+
+    @property
+    def k(self):
+        return len(self.gens)
+
+
 def reference_select_generators(b_vectors, d):
     bs = sorted(set(tuple(int(x) for x in v) for v in b_vectors))
     if any(len(b) != d for b in bs):
@@ -107,7 +122,7 @@ def reference_select_generators(b_vectors, d):
             break
         chosen.append(extra)
         dets.append(reference_determinant(chosen))
-    return GeneratorSet(d, tuple(chosen), tuple(dets))
+    return ReferenceGenerators(d, tuple(chosen), tuple(dets))
 
 
 def reference_phi(b, gens):
@@ -295,6 +310,16 @@ def _hand_made_generator_sets():
     return [select_generators(p, len(p[0])) for p in point_sets]
 
 
+def test_det_history_of_hand_built_sets_matches_reference():
+    # the last set is not one select_generators grows, so its history does
+    # not halve
+    sets = _hand_made_generator_sets() + [GeneratorSet(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))]
+    for gens in sets:
+        assert gens.k > gens.d
+        assert gens.det_history == tuple(reference_determinant(gens.gens[:k]) for k in range(gens.d, gens.k + 1))
+    assert [g.det_history for g in sets] == [(2, 1), (2, 1), (1, 1)]
+
+
 def test_generators_and_phi_match_reference_on_random_point_sets():
     rng = random.Random(2024)
     sets = [[(1,)], [(0, 1), (1, 1)], [(1, 0), (2, 0)], [(1, 0, 0), (0, 1)]]
@@ -317,7 +342,7 @@ def test_generators_and_phi_match_reference_on_random_point_sets():
 
 
 def test_generator_set_builds_its_hermite_form_once(monkeypatch):
-    gens = GeneratorSet(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)), (1, 1))
+    gens = GeneratorSet(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))
     points = [(1, 1, 0), (0, 1, 1), (2, 1, 3), (1, 1, 1)]
     want = [reference_phi(b, gens) for b in points]
     calls = []
@@ -326,7 +351,7 @@ def test_generator_set_builds_its_hermite_form_once(monkeypatch):
     assert [phi(b, gens) for b in points] == want
     assert len(calls) == 1
     # the cached form is not a field: equality and hashing ignore it
-    twin = GeneratorSet(3, gens.gens, gens.det_history)
+    twin = GeneratorSet(3, gens.gens)
     assert twin == gens and hash(twin) == hash(gens)
 
 

@@ -51,6 +51,26 @@ def test_graph_rejects_loops():
         BipartiteGraph.from_edges(2, [(0, 0)])
 
 
+def test_graph_error_precedence():
+    # the constructor checks, in order: node limit, edges, odd cycle, n < 1,
+    # parallel edge; from_edges and a direct construction agree
+    cases = [
+        (3, [(0, 1), (1, 2), (2, 0), (0, 1)], NotBipartite),
+        (0, [], ParseError),
+        (16, [(3, 3)], DimensionTooLarge),
+        (2, [(0, 1), (1, 0)], ParseError),
+    ]
+    for n, edges, error in cases:
+        for build in (BipartiteGraph.from_edges, lambda n, e: BipartiteGraph(n, tuple(e))):
+            with pytest.raises(error):
+                build(n, edges)
+    with pytest.raises(DimensionTooLarge):
+        BipartiteGraph(16, ())
+    with pytest.raises(DimensionTooLarge):
+        BipartiteGraph(20, ((0, 1),))
+    assert BipartiteGraph(4, ((3, 2), (0, 1))).edges == ((0, 1), (2, 3))
+
+
 def test_graph_text_roundtrip():
     g = C4()
     text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
@@ -93,7 +113,7 @@ def test_basic_slack_entries_binary_random_graphs():
             for v in range(u + 1, n)
             if side[u] != side[v] and rng.random() < 0.6
         ]
-        g = BipartiteGraph(n, tuple(edges), tuple(side))
+        g = BipartiteGraph(n, tuple(edges))
         if any(g.degree(v) == 0 for v in range(n)):
             continue
         built += 1
@@ -202,7 +222,6 @@ def test_two_color_bitmask():
     # the path 0-1-2 plus the isolated node 3, then the triangle
     assert stabset._two_color([0b010, 0b101, 0b010, 0]) == (0, 1, 0, 0)
     assert stabset._two_color([0b110, 0b101, 0b011]) is None
-    assert C4().coloring == (0, 1, 0, 1)
 
 
 def test_stable_sets_match_brute_force_on_all_small_graphs():
