@@ -18,7 +18,7 @@ from . import canon, compress as compress_mod, corrcone, enumeration, geometry, 
 from .configuration import (
     configuration_from_json,
     configuration_to_json,
-    dim_from_json,
+    json_with_dim,
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
@@ -104,11 +104,7 @@ def _cmd_check(args, out) -> int:
 
 def _cmd_complete(args, out) -> int:
     # a completion seed only needs d and the B side
-    try:
-        payload = json.loads(_read(args.config))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e}") from None
-    d = dim_from_json(payload)
+    payload, d = json_with_dim(_read(args.config))
     seed = vectors_from_json_field(payload, "B", d)
     completed = maximal_completion(seed, d)
     out.write(configuration_to_json(completed) + "\n")

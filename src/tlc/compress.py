@@ -27,7 +27,6 @@ from . import corrcone, linalg
 from .configuration import Configuration, closure
 from .errors import (
     DimensionMismatch,
-    EmptyDecode,
     NonBinaryProduct,
     NotInLattice,
     NotMaximal,
@@ -58,11 +57,8 @@ class GeneratorSet:
         if linalg.rank([list(g) for g in gens[:d]]) != d:
             raise NotSpanning("leading generators are not independent")
         k = len(gens)
-        # k <= d + d*log2(d), checked exactly: 2^(k-d) <= d^d
-        if d == 1:
-            if k > 1:
-                raise DimensionMismatch("one generator suffices in dimension 1")
-        elif (1 << (k - d)) > d ** d:
+        # k <= d + d*log2(d), checked exactly: 2^(k-d) <= d^d (k = 1 at d = 1)
+        if (1 << (k - d)) > d ** d:
             raise DimensionMismatch(f"k = {k} exceeds the generator bound for d = {d}")
 
     @property
@@ -188,8 +184,8 @@ def decompress(cc: CompressedConfig) -> Configuration:
     # G has rank d, so pivot row k is the one of column k
     nums = [tuple(aug[r][p] for r in piv_rows) for p in range(d, d + len(a_prime))
             if not any(row[p] for row in zero_rows)]
-    if not nums:
-        raise EmptyDecode("no consistent vector for any decoded face point")
+    # nums is never empty: the zero point lies on every facet, so it is
+    # decoded, and its column is zero, so consistent
     fracs = {n: Fraction(n, det) for n in set().union(*nums)}
     a_side = tuple(tuple(fracs[n] for n in a) for a in nums)
     b_side = closure(a_side, d)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional
 
 from . import linalg
 from .errors import (
@@ -153,7 +152,6 @@ class Configuration:
     d: int
     A: tuple[Vec, ...]
     B: tuple[Vec, ...]
-    _maximal: Optional[bool] = field(default=None, init=False, compare=False, repr=False)
     _bits: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -175,10 +173,8 @@ class Configuration:
     def is_maximal(self) -> bool:
         """Whether A and B are each other's closures: is_maximal_in_md of the
         slack matrix (its lines are distinct and its rank is d, as both sides
-        span).  Cached in _maximal, which only this method fills."""
-        if self._maximal is None:
-            object.__setattr__(self, "_maximal", is_maximal_in_md(slack_matrix(self).matrix))
-        return self._maximal
+        span)."""
+        return is_maximal_in_md(slack_matrix(self).matrix)
 
 
 def spans(vectors, d: int) -> bool:
@@ -430,18 +426,18 @@ def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
 
     The change of basis that sends the first d independent vectors of the
     opposite side to e_1..e_d turns each vector of the chosen side into its
-    0/1 products with them and preserves every product exactly.  That is
-    from_slack_matrix of the slack matrix for side B, and the rank
-    factorization of its columns over their first d independent ones for
-    side A.
+    0/1 products with them and preserves every product exactly.  That is the
+    rank factorization of the slack lines labelled by the opposite side (the
+    rows for side B, the columns for side A) over their first d independent
+    ones.
     """
     if side not in (SIDE_A, SIDE_B):
         raise ValueError(f"side must be {SIDE_A!r} or {SIDE_B!r}")
     m = slack_matrix(cfg).matrix
-    if side == SIDE_B:
-        return from_slack_matrix(m)
-    cols = m.col_tuples()
-    return Configuration(cfg.d, *_rank_factor(cols, linalg.first_independent(cols, cfg.d)))
+    lines = m.row_tuples() if side == SIDE_B else m.col_tuples()
+    binary, other = _rank_factor(lines, linalg.first_independent(lines, cfg.d))
+    a, b = (other, binary) if side == SIDE_B else (binary, other)
+    return Configuration(cfg.d, a, b)
 
 
 # --- JSON interchange -----------------------------------------------------
@@ -470,23 +466,23 @@ def configuration_to_json(cfg: Configuration) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def dim_from_json(payload) -> int:
-    """The field "d" of a JSON object; only a JSON integer is accepted."""
+def json_with_dim(text: str) -> tuple[dict, int]:
+    """The parsed JSON object and its field "d"; only a JSON integer is accepted."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad JSON: {e}") from None
     try:
         d = payload["d"]
     except (KeyError, TypeError):
         raise ParseError("JSON object needs the field 'd'") from None
     if type(d) is not int:
         raise ParseError(f"field 'd' must be an integer, not {json.dumps(d)}")
-    return d
+    return payload, d
 
 
 def configuration_from_json(text: str) -> Configuration:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e}") from None
-    d = dim_from_json(payload)
+    payload, d = json_with_dim(text)
     try:
         a = [vec(_rat_from_str(x) for x in v) for v in payload["A"]]
         b = [vec(_rat_from_str(x) for x in v) for v in payload["B"]]

@@ -65,10 +65,6 @@ class NotInLattice(TlcError):
     """A vector is not an integer combination of the lattice generators."""
 
 
-class EmptyDecode(TlcError):
-    """Decoding a compressed configuration produced no consistent vectors."""
-
-
 class IsolatedNode(TlcError):
     """The graph has an isolated node where the operation forbids one."""
 

@@ -14,7 +14,6 @@ standard basis vectors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from .configuration import (
     SlackMatrix,
     slack_matrix,
     closure,
-    dim_from_json,
+    json_with_dim,
     slack_bits,
     spans,
     vectors_from_json_field,
@@ -36,7 +35,6 @@ from .errors import (
     InvalidGeometry,
     NoCore,
     NotSpanning,
-    ParseError,
 )
 from .linalg import Vec, vec
 
@@ -230,11 +228,7 @@ def polytope_from_json(text: str) -> tuple[Vec, ...]:
     "verts", but the completion, and so every answer, depends on "verts"
     only.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e}") from None
-    d = dim_from_json(payload)
+    payload, d = json_with_dim(text)
     rows = vectors_from_json_field(payload, "ineqs", d + 1)
     verts = vectors_from_json_field(payload, "verts", d)
     if d < 1:

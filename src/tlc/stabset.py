@@ -56,7 +56,7 @@ class BipartiteGraph:
         for u, v in edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        if _two_color(adj) is None:
+        if not _bipartite(adj):
             raise NotBipartite("graph has an odd cycle")
         if self.n < 1:
             raise ParseError("graphs need at least one node")
@@ -89,30 +89,27 @@ def _checked_edges(n: int, edges) -> list[tuple[int, int]]:
     return out
 
 
-def _two_color(adj: list[int]) -> Optional[tuple[int, ...]]:
-    """A proper 0/1 colouring of the graph with adjacency bitmasks adj, the
-    lowest node of each component coloured 0, or None for an odd cycle."""
-    n = len(adj)
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            cx = color[x]
-            nb = adj[x]
-            while nb:
-                low = nb & -nb
-                y = low.bit_length() - 1
-                if color[y] == -1:
-                    color[y] = 1 - cx
-                    stack.append(y)
-                elif color[y] == cx:
-                    return None
-                nb ^= low
-    return tuple(color)
+def _bipartite(adj: list[int]) -> bool:
+    """Whether the graph with adjacency bitmasks adj has no odd cycle.  Each
+    component is searched one layer (the bitmask of the nodes at one distance
+    from its lowest node) at a time.  An edge inside a layer closes an odd
+    cycle; with none, the parities of the layers colour the graph properly."""
+    unseen = (1 << len(adj)) - 1
+    while unseen:
+        layer = seen = unseen & -unseen
+        while layer:
+            reach, rest = 0, layer
+            while rest:
+                low = rest & -rest
+                nb = adj[low.bit_length() - 1]
+                if nb & layer:
+                    return False
+                reach |= nb
+                rest ^= low
+            layer = reach & ~seen
+            seen |= layer
+        unseen &= ~seen
+    return True
 
 
 def graph_from_text(text: str) -> BipartiteGraph:
@@ -282,7 +279,7 @@ def _scan_masks(n: int, lo: int, hi: int, keep_masks: bool):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             mm ^= low
-        if _two_color(adj) is None:
+        if not _bipartite(adj):
             continue
         bip += 1
         if all(bin(a).count("1") >= 2 for a in adj):

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -342,6 +343,16 @@ def test_json_dimension_must_be_an_integer(tmp_path):
         assert proc.returncode == 2, (command, text, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("parse error")
+
+
+@pytest.mark.parametrize("text", ['', '{', '[]', '{"d": "2"}', '{"d": 1.5}'])
+def test_json_commands_share_parse_errors(tmp_path, text):
+    # complete, compress and core read "d" through one reader
+    path = write(tmp_path, "in.json", text)
+    outcomes = {run_cli([command, path], store=tmp_path / "store") for command in ("complete", "compress", "core")}
+    assert len(outcomes) == 1, outcomes
+    code, out, err = outcomes.pop()
+    assert (code, out) == (2, "") and err.startswith("parse error: ") and err.count("\n") == 1
 
 
 def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlc import canon, compress, corrcone, linalg
 from tlc.compress import (
@@ -22,7 +24,7 @@ from tlc.configuration import (
     parse_matrix,
     slack_matrix,
 )
-from tlc.errors import NonBinaryProduct, NotInLattice, NotMaximal, NotSpanning, ParseError, TlcError
+from tlc.errors import NonBinaryProduct, NotInCone, NotInLattice, NotMaximal, NotSpanning, ParseError, TlcError
 
 F = Fraction
 
@@ -170,14 +172,38 @@ def test_zeta_image_inside_decoded_face(enum_results):
                 assert zeta(a, cc.gens) in a_prime
 
 
-def test_roundtrip_all_small_classes(enum_results):
-    for d, res in enum_results.items():
+def test_roundtrip_all_small_classes(enum_results, enum_d4):
+    for res in (*enum_results.values(), enum_d4):
         for f in res.classes:
             m = parse_matrix(f.bytes.decode())
             cfg = normalize_to_binary(from_slack_matrix(m), "B")
             cc = compress.compress(cfg)
             back = decompress(cc)
             assert canon.equivalent(slack_matrix(back).matrix, m)
+            # the decoded zero point always has the preimage 0
+            assert (0,) * res.d in back.A
+
+
+@st.composite
+def _certificates(draw):
+    """In-range certificates of d = 1..3 with a symmetric block, and a tail
+    that is either its diagonal or drawn freely."""
+    d = draw(st.integers(1, 3))
+    entry = st.integers(0, d * (d + 1) // 2)
+    upper = {(i, j): draw(entry) for i in range(d) for j in range(i, d)}
+    block = [upper[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
+    tail = [upper[i, i] for i in range(d)] if draw(st.booleans()) else [draw(entry) for _ in range(d)]
+    return corrcone.FaceCertificate(d, tuple(block + tail))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_certificates())
+def test_decoded_face_starts_with_the_zero_point(cert):
+    try:
+        points = corrcone.certificate_decode(cert)
+    except NotInCone:
+        return
+    assert points[0] == (0,) * cert.d
 
 
 def test_zeta_phi_identity_exhaustive(enum_results):

@@ -1,6 +1,7 @@
 """Static checks of the package's names, with the standard library only:
 no module-level import that its module never uses, a `tlc.__all__` whose
-every name resolves, and no function, class or method that nothing names."""
+every name resolves, no function, class or method that nothing names, and
+no error class that nothing raises."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import tlc
+from tlc import errors
 
 SRC = Path(tlc.__file__).parent
 REPO = SRC.parents[1]
@@ -97,6 +99,30 @@ def test_unnamed_definition_is_found(tmp_path):
         "def f():\n    return f()\n\nTARGETS = ['A.named']\n"
     )
     assert _unnamed_definitions([path], []) == ["m.py:2: A.used", "m.py:6: A.alone", "m.py:11: f"]
+
+
+def _unraised(names: list, paths: list) -> list[str]:
+    """The names that no `raise` statement in the files raises, called or not."""
+    raised = set()
+    for path in paths:
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Raise) and n.exc is not None:
+                exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return [name for name in names if name not in raised]
+
+
+def test_every_error_class_is_raised():
+    # the base class is what callers catch; every subclass must be raised
+    names = [name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.TlcError) and obj is not errors.TlcError]
+    assert names and _unraised(names, sorted(SRC.glob("*.py"))) == []
+
+
+def test_unraised_error_is_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from . import errors\n\ndef f(x):\n    if x:\n        raise errors.A('a')\n    raise B\n\nC('c')\n")
+    assert _unraised(["A", "B", "C"], [path]) == ["C"]
 
 
 def _traced_targets() -> list:

@@ -24,6 +24,7 @@ from tlc.compress import CompressedConfig, GeneratorSet, decompress, phi, select
 from tlc.configuration import (
     SIDE_A,
     SIDE_B,
+    BinaryMatrix,
     Configuration,
     _rank_factor,
     _subset_sums,
@@ -33,7 +34,7 @@ from tlc.configuration import (
     normalize_to_binary,
     parse_matrix,
 )
-from tlc.errors import DimensionMismatch, EmptyDecode, NonBinaryProduct, NotInLattice, NotSpanning, TlcError
+from tlc.errors import DimensionMismatch, NonBinaryProduct, NotInLattice, NotSpanning, TlcError
 from tlc.geometry import examples_library, find_triangular_core, polytope_completion, to_binary_integral_configuration
 
 from helpers import core_inputs, opposite_basis
@@ -147,8 +148,7 @@ def reference_decompress(cc):
         sol = linalg.solve(g_rows, [Fraction(x) for x in ap])
         if sol is not None:
             a_side.append(sol)
-    if not a_side:
-        raise EmptyDecode("no consistent vector for any decoded face point")
+    assert a_side
     b_side = closure(a_side, gens.d)
     return Configuration(gens.d, tuple(a_side), b_side)
 
@@ -194,6 +194,23 @@ def _golden_configurations(enum_results, enum_d4):
     return out
 
 
+def _permuted_configurations(enum_results, enum_d4):
+    """from_slack_matrix of each class's slack matrix and of its transpose,
+    both with rows and columns shuffled, so the first independent lines
+    differ from the canonical ones."""
+    rng = random.Random(4242)
+    out = []
+    for res in (*enum_results.values(), enum_d4):
+        for f in res.classes:
+            m = parse_matrix(f.bytes.decode())
+            for rows in (m.row_tuples(), m.col_tuples()):
+                rows = rng.sample(rows, len(rows))
+                cols = rng.sample(list(zip(*rows)), len(rows[0]))
+                out.append(from_slack_matrix(BinaryMatrix.from_rows(zip(*cols))))
+    assert len(out) == 80
+    return out
+
+
 def _binary_b(cfg, side):
     """The configuration normalized on `side`, with that side as B."""
     out = normalize_to_binary(cfg, side)
@@ -234,7 +251,7 @@ def _factored(cfg, side, basis_idx):
 
 @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
 def test_unit_basis_matches_reference_on_golden_classes(enum_results, enum_d4, side):
-    for cfg in _golden_configurations(enum_results, enum_d4):
+    for cfg in _golden_configurations(enum_results, enum_d4) + _permuted_configurations(enum_results, enum_d4):
         want = reference_unit_basis(cfg, side, opposite_basis(cfg, side))
         got = normalize_to_binary(cfg, side)
         assert got == want
@@ -270,17 +287,14 @@ def test_unit_basis_matches_reference_on_core_inputs():
 
 
 def test_unit_basis_keeps_the_maximal_flag():
-    # the flag is a cache that only is_maximal() fills: no constructor
-    # passes it on, and a change of basis keeps the answer it computes
+    # a change of basis keeps the answer is_maximal() computes
     cfg = polytope_completion(examples_library()["cube2"])
     outs = [cfg, *(normalize_to_binary(cfg, side) for side in (SIDE_A, SIDE_B))]
     outs.append(to_binary_integral_configuration(cfg)[1])
-    assert [c._maximal for c in outs] == [None] * 4
     assert all(c.is_maximal() for c in outs)
-    assert [c._maximal for c in outs] == [True] * 4
     square = Configuration(2, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
     _, out = to_binary_integral_configuration(square)
-    assert out._maximal is None and not out.is_maximal()
+    assert not out.is_maximal()
 
 
 # --- generators, phi and decode ---------------------------------------------------

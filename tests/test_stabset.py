@@ -220,8 +220,51 @@ def test_node_limit_precedes_allocation():
 
 def test_two_color_bitmask():
     # the path 0-1-2 plus the isolated node 3, then the triangle
-    assert stabset._two_color([0b010, 0b101, 0b010, 0]) == (0, 1, 0, 0)
-    assert stabset._two_color([0b110, 0b101, 0b011]) is None
+    assert stabset._bipartite([0b010, 0b101, 0b010, 0]) is True
+    assert stabset._bipartite([0b110, 0b101, 0b011]) is False
+
+
+def reference_two_color(adj):
+    """The earlier depth-first colouring, kept as the oracle: a proper 0/1
+    colouring of the graph with adjacency bitmasks adj, or None for an odd
+    cycle."""
+    n = len(adj)
+    color = [-1] * n
+    for start in range(n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            cx = color[x]
+            nb = adj[x]
+            while nb:
+                low = nb & -nb
+                y = low.bit_length() - 1
+                if color[y] == -1:
+                    color[y] = 1 - cx
+                    stack.append(y)
+                elif color[y] == cx:
+                    return None
+                nb ^= low
+    return tuple(color)
+
+
+def test_bipartite_matches_two_colouring_on_all_small_graphs():
+    seen = set()
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            adj = [0] * n
+            for e, (u, v) in enumerate(pairs):
+                if mask >> e & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            want = reference_two_color(adj) is not None
+            assert stabset._bipartite(adj) == want, (n, mask)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_stable_sets_match_brute_force_on_all_small_graphs():
