@@ -228,7 +228,8 @@ def weighted_graph_parse(text: str) -> CompressedConfig:
         if len(row) != d or any(ch not in "01" for ch in row):
             raise ParseError(f"generator row must be {d} bits", line=2 + i)
         gen_rows.append(tuple(int(ch) for ch in row))
-    block = [[0] * k for _ in range(k)]
+    # row i holds the weights of the pairs (i, i + off): block entry (i, j) is upper[min(i, j)][|i - j|]
+    upper = []
     for i in range(k):
         try:
             vals = [int(v) for v in lines[1 + k + i].split()]
@@ -236,14 +237,12 @@ def weighted_graph_parse(text: str) -> CompressedConfig:
             raise ParseError("weights must be integers", line=2 + k + i) from None
         if len(vals) != k - i:
             raise ParseError(f"expected {k - i} weights", line=2 + k + i)
-        for off, v in enumerate(vals):
-            block[i][i + off] = v
-            block[i + off][i] = v
+        upper.append(vals)
     try:
         tail = [int(v) for v in lines[1 + 2 * k].split()]
     except ValueError:
         raise ParseError("tail must be integers", line=2 + 2 * k) from None
     if len(tail) != k:
         raise ParseError(f"expected {k} tail values", line=2 + 2 * k)
-    s = tuple(block[i][j] for i in range(k) for j in range(k)) + tuple(tail)
+    s = tuple(upper[min(i, j)][abs(i - j)] for i in range(k) for j in range(k)) + tuple(tail)
     return CompressedConfig(GeneratorSet(d, tuple(gen_rows)), corrcone.FaceCertificate(k, s))

@@ -244,7 +244,7 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     L sum_{k in s} g_k / D.
 
     The 2^d patterns are tabulated, so d above _CLOSURE_RANK_LIMIT raises
-    DimensionTooLarge before any table is built.
+    DimensionTooLarge before [X | I] is built.
     """
     keyed, scale = _scaled(vectors)
     if not keyed:
@@ -253,6 +253,12 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
         raise DimensionMismatch("vectors of wrong dimension")
     xs = list(keyed)
     m = len(xs)
+    # a spanning family has rank d: fewer than d vectors cannot span, and a
+    # rank above the limit is refused anyway, so neither check needs [X | I]
+    if m < d:
+        raise NotSpanning(f"family does not span R^{d}")
+    if d > _CLOSURE_RANK_LIMIT:
+        raise DimensionTooLarge(f"closure is limited to rank <= {_CLOSURE_RANK_LIMIT}")
     rows = [list(col) + [0] * d for col in zip(*xs)]
     for r in range(d):
         rows[r][m + r] = 1
@@ -470,7 +476,7 @@ def json_with_dim(text: str) -> tuple[dict, int]:
     """The parsed JSON object and its field "d"; only a JSON integer is accepted."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"bad JSON: {e}") from None
     try:
         d = payload["d"]
@@ -483,12 +489,7 @@ def json_with_dim(text: str) -> tuple[dict, int]:
 
 def configuration_from_json(text: str) -> Configuration:
     payload, d = json_with_dim(text)
-    try:
-        a = [vec(_rat_from_str(x) for x in v) for v in payload["A"]]
-        b = [vec(_rat_from_str(x) for x in v) for v in payload["B"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"configuration JSON needs d, A, B: {e}") from None
-    return Configuration(d, tuple(a), tuple(b))
+    return Configuration(d, vectors_from_json_field(payload, "A", d), vectors_from_json_field(payload, "B", d))
 
 
 def vectors_from_json_field(payload, key: str, d: int) -> tuple[Vec, ...]:

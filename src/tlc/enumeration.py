@@ -235,7 +235,6 @@ def enumerate_maximal(
     d: int,
     jobs: int = 1,
     store=None,
-    reverse_seeds: bool = False,
     seed_limit: Optional[int] = None,
 ) -> EnumerationResult:
     """All maximal classes in dimension d, for d <= 4.
@@ -275,8 +274,6 @@ def enumerate_maximal(
             if bin(m).count("1") >= d:
                 seen.add(m)
         masks = sorted(seen, key=lambda m: (bin(m).count("1"), m))
-    if reverse_seeds:
-        masks = list(reversed(masks))
 
     parts = chunked_map(_enum_worker, len(masks), jobs if len(masks) >= 256 else 1, lambda lo, hi: (d, masks[lo:hi]))
     forms = {}

@@ -184,19 +184,18 @@ def stab_maximal_slack(g: BipartiteGraph) -> SlackMatrix:
     return slack_matrix(geometry.polytope_completion(verts))
 
 
-def simple_vertices(g: BipartiteGraph) -> list[tuple[int, ...]]:
-    """Stable sets lying on exactly n rows of the basic description.
+def _tight_sets(g: BipartiteGraph) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The stable sets and, for each, the mask of the basic rows tight at its
+    point (slack bit 0), isolated nodes' rows x_v <= 1 included."""
+    rows, cols, _, bits = _basic_slack(g)
+    ncols = len(cols)
+    return cols, [sum(1 << i for i in range(len(rows)) if not bits[i * ncols + j]) for j in range(ncols)]
 
-    A set S is tight on the n - |S| nonnegativity rows of its non-members and
-    on every edge row with an endpoint in S.
-    """
-    out = []
-    for s in stable_sets(g):
-        members = set(s)
-        tight = (g.n - len(s)) + sum(1 for u, v in g.edges if u in members or v in members)
-        if tight == g.n:
-            out.append(s)
-    return out
+
+def simple_vertices(g: BipartiteGraph) -> list[tuple[int, ...]]:
+    """Stable sets lying on exactly n rows of the basic description."""
+    cols, tight = _tight_sets(g)
+    return [s for s, t in zip(cols, tight) if t.bit_count() == g.n]
 
 
 def zero_vertex_neighbors(g: BipartiteGraph) -> list[tuple[int, ...]]:
@@ -206,23 +205,14 @@ def zero_vertex_neighbors(g: BipartiteGraph) -> list[tuple[int, ...]]:
     vertices are adjacent exactly when no third vertex is tight on every row
     tight at both.
     """
-    rows, cols, _, bits = _basic_slack(g)
-    tight_sets = [
-        frozenset(i for i in range(len(rows)) if not bits[i * len(cols) + j])
-        for j in range(len(cols))
-    ]
-    empty_idx = cols.index(())
+    cols, tight = _tight_sets(g)
+    empty = cols.index(())
     out = []
     for j, s in enumerate(cols):
-        if j == empty_idx:
-            continue
-        common = tight_sets[empty_idx] & tight_sets[j]
-        if not any(
-            k != empty_idx and k != j and tight_sets[k] >= common
-            for k in range(len(cols))
-        ):
+        common = tight[empty] & tight[j]
+        if j != empty and not any(t & common == common for k, t in enumerate(tight) if k not in (empty, j)):
             out.append(s)
-    return sorted(out)
+    return out
 
 
 # --- census ----------------------------------------------------------------
@@ -263,12 +253,12 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _scan_masks(n: int, lo: int, hi: int, keep_masks: bool):
-    """Count bipartite / min-degree-2 bipartite edge masks in [lo, hi)."""
+def _scan_masks(n: int, lo: int, hi: int):
+    """The count of bipartite edge masks in [lo, hi) and the list of those
+    with minimum degree 2."""
     edges = _edge_list(n)
     bip = 0
-    deg2 = 0
-    kept = [] if keep_masks else None
+    kept = []
     for mask in range(lo, hi):
         adj = [0] * n
         mm = mask
@@ -283,10 +273,8 @@ def _scan_masks(n: int, lo: int, hi: int, keep_masks: bool):
             continue
         bip += 1
         if all(bin(a).count("1") >= 2 for a in adj):
-            deg2 += 1
-            if kept is not None:
-                kept.append(mask)
-    return bip, deg2, kept
+            kept.append(mask)
+    return bip, kept
 
 
 def _scan_worker(args):
@@ -309,17 +297,14 @@ def census(n: int, jobs: int = 1) -> CensusReport:
         raise DimensionMismatch(f"node count must be at least 1, got {n}")
     if n > _CENSUS_LIMIT:
         raise DimensionTooLarge(f"census is limited to 1 <= n <= {_CENSUS_LIMIT}")
-    include = n <= _CLASS_LIMIT
-    edges = _edge_list(n)
-    total = 1 << len(edges)
-    parts = chunked_map(_scan_worker, total, jobs if total >= 4096 else 1, lambda lo, hi: (n, lo, hi, include))
+    total = 1 << len(_edge_list(n))
+    parts = chunked_map(_scan_worker, total, jobs if total >= 4096 else 1, lambda lo, hi: (n, lo, hi))
     bip = sum(p[0] for p in parts)
-    deg2 = sum(p[1] for p in parts)
-    kept = sorted(x for p in parts for x in (p[2] or [])) if include else None
+    kept = sorted(x for p in parts for x in p[1])
 
     iso_classes = None
     slack_forms = None
-    if include:
+    if n <= _CLASS_LIMIT:
         # simple graphs are isomorphic exactly when their node x edge
         # incidence matrices are equal up to row and column order
         reps: dict[bytes, BipartiteGraph] = {}
@@ -340,7 +325,7 @@ def census(n: int, jobs: int = 1) -> CensusReport:
     return CensusReport(
         n=n,
         labeled_bipartite=bip,
-        labeled_bipartite_min_degree2=deg2,
+        labeled_bipartite_min_degree2=len(kept),
         isomorphism_classes_min_degree2=iso_classes,
         maximal_slack_forms_min_degree2=slack_forms,
         lower_exponent_float=lower_float,

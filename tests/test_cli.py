@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,12 @@ from tlc import canon, cli, compress, stabset
 from tlc.configuration import (
     BinaryMatrix,
     _zero_one_count,
+    closure,
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
 )
+from tlc.errors import NotSpanning, ParseError
 from tlc.linalg import rank
 
 
@@ -345,7 +348,10 @@ def test_json_dimension_must_be_an_integer(tmp_path):
         assert proc.stderr.startswith("parse error")
 
 
-@pytest.mark.parametrize("text", ['', '{', '[]', '{"d": "2"}', '{"d": 1.5}'])
+@pytest.mark.parametrize("text", [
+    '', '{', '[]', '{"d": "2"}', '{"d": 1.5}',
+    pytest.param('[' * 5000, id="nested-5000"), pytest.param('[' * 200000, id="nested-200000"),
+])
 def test_json_commands_share_parse_errors(tmp_path, text):
     # complete, compress and core read "d" through one reader
     path = write(tmp_path, "in.json", text)
@@ -399,6 +405,46 @@ def test_json_vector_fields_must_be_lists_of_vectors(tmp_path):
         assert proc.returncode == 2, (command, text, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("parse error")
+
+
+def test_compress_configuration_field_errors(tmp_path):
+    # the fields are read before d is checked, as for polytope JSON
+    cases = [
+        ('{"d": 2}', "missing field 'A'"),
+        ('{"d": 2, "A": 5, "B": []}', "field 'A' must be a list of vectors"),
+        ('{"d": 2, "A": [1, 2], "B": []}', "field 'A' must be a list of vectors"),
+        ('{"d": 2, "A": [[0, 1], [1, 0]]}', "missing field 'B'"),
+        ('{"d": 2, "A": [[0, 0, 1]], "B": [[0, 1]]}', "vector of length 3 in field 'A', expected 2"),
+        ('{"d": 2, "A": [[0, 1], [1, 0]], "B": [[0, 1, 1]]}', "vector of length 3 in field 'B', expected 2"),
+        ('{"d": 0, "A": [[1]], "B": []}', "vector of length 1 in field 'A', expected 0"),
+    ]
+    for text, message in cases:
+        path = write(tmp_path, "in.json", text)
+        assert run_cli(["compress", path], store=tmp_path / "store") == (2, "", f"parse error: {message}\n"), text
+
+
+def _peak_bytes(call, error, message):
+    """The traced allocation peak of call(), which must raise error with message."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=message):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_small_outside_inputs_stay_small():
+    # a 12 KB weighted graph whose header promises k = 3000, and a 3000-entry
+    # family with one vector: each is refused with a peak far below k x k
+    graph = "3000 1\n" + "0\n" * 6001
+    assert len(graph) < 12500
+    cases = [
+        (lambda: compress.weighted_graph_parse(graph), ParseError, r"expected 3000 weights \(line 3002\)"),
+        (lambda: closure([[0] * 3000], 3000), NotSpanning, "family does not span R\\^3000"),
+    ]
+    for call, error, message in cases:
+        assert _peak_bytes(call, error, message) < 5 * 2 ** 20
 
 
 def test_closed_stdout_exits_1(tmp_path):

@@ -53,10 +53,18 @@ def test_enumerate_d2(enum_results):
     assert transpose_identified_count(res.classes) == 1
 
 
-def test_enumerate_d3_count_and_determinism(enum_results):
+def _reversed_scan(monkeypatch, d):
+    """enumerate_maximal(d) with the seed list scanned in reverse order."""
+    forward = enumeration._seed_masks
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_seed_masks", lambda d: forward(d)[::-1])
+        return enumerate_maximal(d)
+
+
+def test_enumerate_d3_count_and_determinism(monkeypatch, enum_results):
     res = enum_results[3]
     assert len(res.classes) == CLASS_COUNTS[3]
-    rerun = enumerate_maximal(3, reverse_seeds=True)
+    rerun = _reversed_scan(monkeypatch, 3)
     assert [f.bytes for f in rerun.classes] == [f.bytes for f in res.classes]
     assert res.stats.degenerate_seeds == 0
 
@@ -204,7 +212,7 @@ def test_full_scan_runs_canon_once_per_orbit(monkeypatch):
     size = enumeration._orbit_form.cache_info().currsize
     assert size == len(calls) == 422
     for d in (1, 2, 3, 4):
-        enumerate_maximal(d, reverse_seeds=True)
+        _reversed_scan(monkeypatch, d)
     assert enumeration._orbit_form.cache_info().currsize == size and len(calls) == size
 
 

@@ -147,6 +147,67 @@ def test_simple_vertices():
     assert simple_vertices(C4()) == [()]
     assert simple_vertices(K2()) == [(), (0,), (1,)]
     assert simple_vertices(P3()) == [(), (0,), (0, 2), (2,)]
+    # the square: every vertex lies on two of x_v >= 0, x_v <= 1
+    assert simple_vertices(BipartiteGraph.from_edges(2, [])) == [(), (0,), (0, 1), (1,)]
+
+
+def _bipartite_graphs(top):
+    """Every labelled bipartite graph on 1..top nodes."""
+    for n in range(1, top + 1):
+        for mask in range(1 << n * (n - 1) // 2):
+            try:
+                yield graph_from_mask(n, mask)
+            except NotBipartite:
+                continue
+
+
+def _simple_by_facets(g):
+    """The stable sets whose points lie on exactly n facets, the facets being
+    the rows of the completion that `complete_maximal_pair` keeps."""
+    n = g.n
+    sets = stable_sets(g)
+    cfg, non_facet = geometry.complete_maximal_pair([[int(v in s) for v in range(n)] for s in sets])
+    m = configuration.slack_matrix(cfg).matrix
+    facets = [m.row_bits(i) for i, r in enumerate(cfg.A) if any(r[:n]) and i not in non_facet]
+    col = {u: j for j, u in enumerate(cfg.B)}
+    points = [col[tuple(int(v in s) for v in range(n)) + (-1,)] for s in sets]
+    return [s for s, j in zip(sets, points) if sum(1 for f in facets if not f[j]) == n]
+
+
+def test_simple_vertices_match_facet_count_on_all_small_graphs():
+    graphs = list(_bipartite_graphs(5))
+    assert len(graphs) == 427
+    for g in graphs:
+        assert simple_vertices(g) == _simple_by_facets(g), (g.n, g.edges)
+
+
+def reference_zero_vertex_neighbors(g):
+    """The earlier `zero_vertex_neighbors`, on frozensets of tight rows."""
+    rows, cols, _, bits = stabset._basic_slack(g)
+    tight_sets = [
+        frozenset(i for i in range(len(rows)) if not bits[i * len(cols) + j])
+        for j in range(len(cols))
+    ]
+    empty_idx = cols.index(())
+    out = []
+    for j, s in enumerate(cols):
+        if j == empty_idx:
+            continue
+        common = tight_sets[empty_idx] & tight_sets[j]
+        if not any(
+            k != empty_idx and k != j and tight_sets[k] >= common
+            for k in range(len(cols))
+        ):
+            out.append(s)
+    return sorted(out)
+
+
+def test_zero_vertex_neighbors_match_reference_on_all_small_graphs():
+    count = 0
+    for g in _bipartite_graphs(6):
+        assert zero_vertex_neighbors(g) == reference_zero_vertex_neighbors(g), (g.n, g.edges)
+        count += 1
+    assert count == 5604
 
 
 def test_zero_vertex_neighbors():
@@ -201,7 +262,7 @@ def _permutation_classes(n, masks):
 
 def test_census_classes_match_permutation_grouping():
     for n in (4, 5, 6):
-        _, _, masks = stabset._scan_masks(n, 0, 1 << (n * (n - 1) // 2), True)
+        _, masks = stabset._scan_masks(n, 0, 1 << (n * (n - 1) // 2))
         reps = _permutation_classes(n, masks)
         forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes for m in reps}
         rep = census(n)
