@@ -22,13 +22,22 @@ the rendered bit strings.  Choosing row s splits a group into mask & ~s
 the groups that split.
 
 The search is a depth-first branch and bound on an explicit stack.  Only
-the candidates of least rendering can lead to the least matrix, and a node
-whose least rendering exceeds the best found at its depth is cut.  Three
-facts shorten it without changing the answer:
+the candidates of least rendering can lead to the least matrix.  Say row s
+is chosen at a node whose least rendering is v.  In the refined groups s
+and its copies still render as v: their ones fill the low end of every
+group they split or cover.  Any other row renders strictly above v: in the
+first group where it differs from s it has at least as many ones as s (it
+renders >= v and agrees with s before), so one lands in the zeros part,
+above all of v's bits there.  So renderings never decrease along a path,
+nor along the best found so far.  The only cut is a node whose least
+rendering exceeds the best at its depth; at any other node v is at most
+every best value from that depth on, so taking v there and at each copy's
+position keeps the best, or voids it from the first position where v is
+smaller.  Three facts shorten the search without changing the answer:
 
-- The copies of a chosen row come right after it: each renders below every
-  other remaining row.  They are taken with it, and only the first of equal
-  rows is a candidate.
+- The copies of a chosen row come right after it: each renders as the row
+  itself, below every other remaining row.  They are taken with it, and
+  only the first of equal rows is a candidate.
 - Once every group is a class of columns equal on all rows, no row splits a
   group, so the node is a leaf and the rest of the order sorts the
   renderings.
@@ -197,42 +206,27 @@ class _Search:
                 if node.gens and _in_orbit(i, node.explored, node.gens):
                     continue
             node.explored.add(i)
-            child = self._choose(node, i)
-            if child is not None:
-                self._arrive(*child)
+            self._arrive(*self._choose(node, i))
         return self.best
 
-    def _take(self, t: int, v: int) -> bool:
-        """Whether rendering v may follow the prefix at position t; a smaller
-        v than the best there voids the best from t on."""
+    def _take(self, t: int, v: int) -> None:
+        """Rendering v follows the prefix at position t.  It is never above
+        the best there; a smaller v voids the best from t on."""
         best = self.best
-        if v > best[t]:
-            return False
         if v < best[t]:
             best[t:] = [self.inf] * (len(best) - t)
-        return True
 
     def _choose(self, node: _Node, i: int):
-        """Extend the prefix by candidate i and its copies; the child's groups,
-        unused rows and renderings, or None if the extension is cut."""
+        """Extend the prefix by candidate i and its copies, which render as
+        it does; the child's groups, unused rows and renderings."""
         self.nodes += 1
         if self.nodes > _NODE_LIMIT:
             raise DimensionTooLarge(f"canonical form search exceeds {_NODE_LIMIT} nodes")
-        depth = node.depth
-        self._take(depth, node.value)
-        s = self.rows[i]
-        groups, chosen, unused, vals = _child(node, s, self.rows)
+        groups, chosen, unused, vals = _child(node, self.rows[i], self.rows)
+        for t in range(node.depth, node.depth + len(chosen)):
+            self._take(t, node.value)
         self.order.extend(chosen)
-        self.path.append(node.value)
-        if len(chosen) > 1:
-            # the copies of the chosen row come next, uniform on every group
-            w = 0
-            for mask, off, size in groups:
-                if mask & s:
-                    w |= ((1 << size) - 1) << off
-            if not all(self._take(t, w) for t in range(depth + 1, depth + len(chosen))):
-                return None
-            self.path.extend([w] * (len(chosen) - 1))
+        self.path.extend([node.value] * len(chosen))
         return groups, unused, vals
 
     def _arrive(self, groups, unused, vals):
@@ -249,10 +243,7 @@ class _Search:
             if len(node.cands) > 1:
                 self.stack.append(node)
                 return
-            child = self._choose(node, node.cands[0])
-            if child is None:
-                return
-            groups, unused, vals = child
+            groups, unused, vals = self._choose(node, node.cands[0])
         tail = sorted(zip(vals, unused))
         seq = self.path + [v for v, _ in tail]
         full = self.order + [i for _, i in tail]

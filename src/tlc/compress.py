@@ -244,5 +244,7 @@ def weighted_graph_parse(text: str) -> CompressedConfig:
         raise ParseError("tail must be integers", line=2 + 2 * k) from None
     if len(tail) != k:
         raise ParseError(f"expected {k} tail values", line=2 + 2 * k)
+    # the cone's limit on k comes before GeneratorSet ranks the k leading generators
+    corrcone._check_dimension(k)
     s = tuple(upper[min(i, j)][abs(i - j)] for i in range(k) for j in range(k)) + tuple(tail)
     return CompressedConfig(GeneratorSet(d, tuple(gen_rows)), corrcone.FaceCertificate(k, s))

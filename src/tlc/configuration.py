@@ -251,6 +251,8 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
         raise NotSpanning("empty family")
     if any(len(v) != d for v in keyed):
         raise DimensionMismatch("vectors of wrong dimension")
+    if d < 1:
+        raise DimensionMismatch("dimension must be at least 1")
     xs = list(keyed)
     m = len(xs)
     # a spanning family has rank d: fewer than d vectors cannot span, and a

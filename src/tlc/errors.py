@@ -65,10 +65,6 @@ class NotInLattice(TlcError):
     """A vector is not an integer combination of the lattice generators."""
 
 
-class IsolatedNode(TlcError):
-    """The graph has an isolated node where the operation forbids one."""
-
-
 class NotBipartite(TlcError):
     """The edge set admits no proper 2-coloring."""
 

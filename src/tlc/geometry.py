@@ -179,8 +179,6 @@ def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore
     s = slack_matrix(cfg)
     core = find_triangular_core(s, cfg.d)
     c_side, d_side = _rank_factor(s.matrix.col_tuples(), core.col_indices)
-    if any(x.denominator != 1 for v in d_side for x in v):
-        raise InvalidGeometry("integral side has a fractional coordinate")
     return core, Configuration(cfg.d, c_side, d_side)
 
 

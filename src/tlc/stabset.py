@@ -1,7 +1,7 @@
 """Stable set polytopes of bipartite graphs and the graph census.
 
-For a bipartite graph with no isolated node the polytope is cut out by the
-nonnegativity rows x_v >= 0 and the edge rows x_u + x_v <= 1, and every
+For a bipartite graph the polytope is cut out by the rows x_v >= 0, the
+edge rows x_u + x_v <= 1 and x_v <= 1 for each isolated node, and every
 stable set's characteristic vector has slack 0 or 1 against every row.  The
 maximal slack matrix is that of the polytope's completion from its stable
 sets (`geometry.polytope_completion`).  The census scans all 2^C(n,2)
@@ -25,7 +25,6 @@ from .configuration import BinaryMatrix, SlackMatrix, slack_bits, slack_matrix
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
-    IsolatedNode,
     NotBipartite,
     ParseError,
 )
@@ -171,9 +170,7 @@ def _basic_slack(g: BipartiteGraph):
 
 
 def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:
-    """Slack of every stable set against the nonnegativity and edge rows."""
-    if any(g.degree(v) == 0 for v in range(g.n)):
-        raise IsolatedNode("the row description requires minimum degree 1")
+    """Slack of every stable set against the basic rows (see _basic_slack)."""
     rows, _, points, bits = _basic_slack(g)
     return SlackMatrix(BinaryMatrix(len(rows), len(points), tuple(bits)), rows, points)
 

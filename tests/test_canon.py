@@ -167,6 +167,24 @@ def test_six_cube_slack_matrix_is_fast():
     assert canonical_form(_permute(m, rp, cp)) == form
 
 
+def test_node_counts_of_the_golden_classes(enum_results, enum_d4, monkeypatch):
+    # the node count decides what the budget refuses, so it is pinned: the 40
+    # classes of d = 1..4 and their transposes take 1,148 nodes, 29 at most
+    counts = []
+    run = canon._Search.run
+
+    def counting_run(search):
+        best = run(search)
+        counts.append(search.nodes)
+        return best
+
+    monkeypatch.setattr(canon._Search, "run", counting_run)
+    mats = [parse_matrix(f.bytes.decode()) for res in (*enum_results.values(), enum_d4) for f in res.classes]
+    for m in mats + [m.transpose() for m in mats]:
+        canonical_form(m)
+    assert (len(counts), sum(counts), max(counts)) == (80, 1148, 29)
+
+
 def test_node_budget_raises_dimension_too_large(monkeypatch):
     m = BinaryMatrix.from_rows([[int(j == i % 5) for j in range(5)] for i in range(30)])
     monkeypatch.setattr(canon, "_NODE_LIMIT", 10)

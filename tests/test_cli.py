@@ -247,6 +247,9 @@ def test_stab_slack_subcommand(tmp_path):
     code, out, _ = run_cli(["stab-slack", g, "--maximal"])
     assert code == 0
     assert out.startswith("8 4\n")
+    # node 2 is isolated: its row x_2 <= 1 comes last
+    g = write(tmp_path, "k2_plus_node.txt", "3\n0 1\n")
+    assert run_cli(["stab-slack", g]) == (0, "5 6\n011000\n000110\n001011\n100001\n110100\n", "")
 
 
 def test_stab_census_subcommand(tmp_path):
@@ -359,6 +362,13 @@ def test_json_commands_share_parse_errors(tmp_path, text):
     assert len(outcomes) == 1, outcomes
     code, out, err = outcomes.pop()
     assert (code, out) == (2, "") and err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_complete_refuses_dimension_zero(tmp_path):
+    path = write(tmp_path, "d0.json", '{"d": 0, "B": [[]]}')
+    assert run_cli(["complete", path]) == (3, "", "error: DimensionMismatch: dimension must be at least 1\n")
+    path = write(tmp_path, "d0_empty.json", '{"d": 0, "B": []}')
+    assert run_cli(["complete", path]) == (3, "", "error: NotSpanning: empty family\n")
 
 
 def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):
@@ -600,7 +610,7 @@ def _json_text(draw, fields):
     """A JSON object with "d" and the given vector fields (name, extra length,
     whether d + 1 vectors at least), some perhaps missing."""
     d = draw(_mostly(st.integers(1, 3), st.sampled_from([-1, 0, 1.0, "2", None])))
-    width = d if type(d) is int and d > 0 else 1
+    width = d if type(d) is int and d >= 0 else 1
     payload = {"d": d}
     for name, extra, spanning in fields:
         payload[name] = draw(_vectors(width + extra, (width + 1) * spanning, 8) if spanning else _vectors(width + extra, 0, 2))
@@ -736,6 +746,28 @@ def test_check_bytes_match_reference_on_classes_and_deletions(tmp_path, enum_res
     # maximal classes, non-maximal members and non-members all occur
     assert {"member of M_4: yes; maximal: yes\n", "member of M_4: yes; maximal: no\n"} <= seen
     assert any(": no; maximal: no\n" in out for out in seen)
+
+
+def _weighted_graph(gens):
+    k, d = len(gens), len(gens[0])
+    lines = [f"{k} {d}"] + ["".join(map(str, g)) for g in gens]
+    lines += [" ".join(["0"] * (k - i)) for i in range(k)] + [" ".join(["0"] * k)]
+    return "\n".join(lines) + "\n"
+
+
+def test_decompress_refuses_k_above_cone_limit_before_generators(tmp_path):
+    # the first two generators are equal, but k = 6 is refused first
+    gens = [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]
+    path = write(tmp_path, "k6.txt", _weighted_graph(gens))
+    expected = "error: DimensionTooLarge: correlation cone facets are limited to d <= 5\n"
+    assert run_cli(["decompress", path], store=tmp_path / "store") == (3, "", expected)
+    # k = d = 320: ranking the leading generators first took about 19 s on 2 cores
+    rng = random.Random(320)
+    path = write(tmp_path, "k320.txt", _weighted_graph([[rng.randint(0, 1) for _ in range(320)] for _ in range(320)]))
+    t0 = time.perf_counter()
+    proc = run_process(["--store", str(tmp_path / "store"), "decompress", path], timeout=60)
+    assert time.perf_counter() - t0 < 10
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", expected)
 
 
 def test_check_bytes_match_reference_on_degenerate_matrices(tmp_path):

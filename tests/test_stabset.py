@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from tlc import canon, configuration, geometry, stabset
-from tlc.errors import DimensionMismatch, DimensionTooLarge, IsolatedNode, NotBipartite, ParseError
+from tlc.errors import DimensionMismatch, DimensionTooLarge, NotBipartite, ParseError
 from tlc.stabset import (
     BipartiteGraph,
     census,
@@ -95,10 +95,15 @@ def test_basic_slack_c4():
     assert (s.matrix.rows, s.matrix.cols) == (8, 7)
 
 
-def test_basic_slack_rejects_isolated():
+def test_basic_slack_with_isolated_nodes():
+    # an isolated node v adds the row x_v <= 1 after the nonnegativity and edge rows
     g = BipartiteGraph.from_edges(3, [(0, 1)])
-    with pytest.raises(IsolatedNode):
-        stab_basic_slack(g)
+    assert stab_basic_slack(g).matrix.to_text() == "5 6\n011000\n000110\n001011\n100001\n110100\n"
+    square = BipartiteGraph.from_edges(2, [])
+    assert stab_basic_slack(square).matrix.to_text() == "4 4\n0110\n0011\n1001\n1100\n"
+    for h in (g, square):
+        # every basic row is a row of the maximal slack matrix
+        assert set(stab_basic_slack(h).row_labels) <= set(stab_maximal_slack(h).row_labels)
 
 
 def test_basic_slack_entries_binary_random_graphs():
@@ -114,8 +119,6 @@ def test_basic_slack_entries_binary_random_graphs():
             if side[u] != side[v] and rng.random() < 0.6
         ]
         g = BipartiteGraph(n, tuple(edges))
-        if any(g.degree(v) == 0 for v in range(n)):
-            continue
         built += 1
         s = stab_basic_slack(g)
         assert set(s.matrix.bits) <= {0, 1}
