@@ -233,10 +233,10 @@ def _cmd_report(args, out) -> int:
     classes = {}
     base = store.root / "md"
     if base.is_dir():
-        for sub in sorted(base.iterdir()):
-            if not sub.is_dir():
-                continue
-            d = int(sub.name)
+        for sub in sorted(p for p in base.iterdir() if p.is_dir()):
+            d = int(sub.name) if sub.name.isdecimal() else 0
+            if d < 1 or str(d) != sub.name:
+                raise StoreConflict(f"{sub} is not named by a dimension")
             forms = []
             for path in store.list_namespace(f"md/{sub.name}"):
                 payload = path.read_bytes()

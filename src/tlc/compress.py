@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import corrcone, linalg
-from .configuration import Configuration, closure
+from .configuration import Configuration, closure, refuse_trailing
 from .errors import (
     DimensionMismatch,
     NonBinaryProduct,
@@ -34,9 +34,6 @@ from .errors import (
     ParseError,
 )
 from .linalg import vec
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -121,15 +118,15 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
 def zeta(a, gens: GeneratorSet) -> tuple[int, ...]:
     """(<a,b_1>, .., <a,b_k>); every product must come out 0 or 1."""
     av = vec(a)
+    if len(av) != gens.d:
+        raise DimensionMismatch(f"dot of lengths {len(av)} and {gens.d}")
     out = []
     for g in gens.gens:
-        p = linalg.dot(av, [Fraction(x) for x in g])
-        if p == _ZERO:
-            out.append(0)
-        elif p == _ONE:
-            out.append(1)
-        else:
+        # a generator is 0/1: the product sums a's entries where it has a 1
+        p = sum(x for x, bit in zip(av, g) if bit)
+        if p not in (0, 1):
             raise NonBinaryProduct(f"product {p} of {a} with generator {g}")
+        out.append(int(p))
     return tuple(out)
 
 
@@ -244,6 +241,7 @@ def weighted_graph_parse(text: str) -> CompressedConfig:
         raise ParseError("tail must be integers", line=2 + 2 * k) from None
     if len(tail) != k:
         raise ParseError(f"expected {k} tail values", line=2 + 2 * k)
+    refuse_trailing(lines, 2 + 2 * k, "weighted graph")
     # the cone's limit on k comes before GeneratorSet ranks the k leading generators
     corrcone._check_dimension(k)
     s = tuple(upper[min(i, j)][abs(i - j)] for i in range(k) for j in range(k)) + tuple(tail)

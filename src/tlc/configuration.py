@@ -122,10 +122,15 @@ def parse_matrix(text: str) -> BinaryMatrix:
             if ch not in "01":
                 raise ParseError(f"invalid character {ch!r}", line=2 + i, column=j + 1)
             bits.append(int(ch))
-    for extra in lines[1 + m:]:
-        if extra.strip():
-            raise ParseError("trailing content after matrix", line=2 + m)
+    refuse_trailing(lines, 1 + m, "matrix")
     return BinaryMatrix(m, n, tuple(bits))
+
+
+def refuse_trailing(lines: list[str], start: int, what: str) -> None:
+    """Raise a ParseError at the first non-blank line from lines[start] on."""
+    for i in range(start, len(lines)):
+        if lines[i].strip():
+            raise ParseError(f"trailing content after {what}", line=i + 1)
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,6 @@ class NotBipartite(TlcError):
     """The edge set admits no proper 2-coloring."""
 
 
-class InvalidGeometry(TlcError):
-    """A point set or description is not what the construction requires."""
-
-
 class ParseError(TlcError):
     """Malformed textual input.  Carries 1-based line/column when known."""
 

@@ -15,7 +15,6 @@ standard basis vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .configuration import (
@@ -32,14 +31,10 @@ from .configuration import (
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
-    InvalidGeometry,
     NoCore,
     NotSpanning,
 )
-from .linalg import Vec, vec
-
-_ZERO = Fraction(0)
-_MINUS_ONE = Fraction(-1)
+from .linalg import Vec
 
 # find_triangular_core places at most this many (row, column) pairs.  On 2
 # cores with Python 3.11.7 the 6-node path's stable-set polytope, the largest
@@ -48,11 +43,9 @@ _MINUS_ONE = Fraction(-1)
 _CORE_NODE_LIMIT = 50_000
 
 
-def _lifted(verts, d: int) -> list[Vec]:
+def _lifted(verts, d: int) -> list[tuple]:
     """The points (v, -1) in R^(d+1), then the apex 0."""
-    points = [tuple(v) + (_MINUS_ONE,) for v in verts]
-    points.append((_ZERO,) * (d + 1))
-    return points
+    return [tuple(v) + (-1,) for v in verts] + [(0,) * (d + 1)]
 
 
 def polytope_completion(verts) -> Configuration:
@@ -64,6 +57,13 @@ def polytope_completion(verts) -> Configuration:
     to get the maximal point set: (v, -1) for every vertex v, and the apex.
     Closure dedupes the points and sorts its output, so the vertex order
     does not matter.
+
+    No completed point but the apex is an unbounded direction (w, 0).  With
+    each row (a, b), rows_h holds (-a, -b - 1), whose products with the seed
+    points (v, -1) are 1 - (a.v - b), and so it holds (0, -1).  A point (w, t)
+    of closure(rows_h) has product -t with (0, -1), so t is 0 or -1.  At t = 0,
+    a.w and -a.w lie in {0,1} for every row, so a.w = 0; the second closure
+    runs only on rows that span R^(d+1), so the a's span R^d, and w = 0.
     """
     verts = list(verts)
     if not verts:
@@ -73,18 +73,14 @@ def polytope_completion(verts) -> Configuration:
     if not spans(seed, d + 1):
         raise NotSpanning("points do not affinely span")
     rows_h = closure(seed, d + 1)
-    points_h = closure(rows_h, d + 1)
-    for u in points_h:
-        if u[d] != _MINUS_ONE and any(x != _ZERO for x in u):
-            raise InvalidGeometry(f"unbounded direction {u[:d]} in the completed point set")
-    return Configuration(d + 1, rows_h, points_h)
+    return Configuration(d + 1, rows_h, closure(rows_h, d + 1))
 
 
 def complete_maximal_pair(verts) -> tuple[Configuration, tuple[int, ...]]:
     """`polytope_completion(verts)` and the indices of its rows that are not
     tight at d affinely independent input points (the non-facets; the two
     trivial rows are not counted)."""
-    verts = [vec(v) for v in verts]
+    verts = [tuple(v) for v in verts]
     cfg = polytope_completion(verts)
     d = cfg.d - 1
     # the input points (v, -1) lie in the completed point set; a row is a
@@ -92,7 +88,7 @@ def complete_maximal_pair(verts) -> tuple[Configuration, tuple[int, ...]]:
     # independent input points.  The rows span, so d + 1 independent rows R
     # make b -> (<a, b>)_(a in R) injective, and the tight points have the
     # rank of their 0/1 slack columns restricted to R.
-    seed = {v + (_MINUS_ONE,) for v in verts}
+    seed = {v + (-1,) for v in verts}
     cols = [j for j, u in enumerate(cfg.B) if u in seed]
     s = slack_matrix(cfg).matrix
     basis = [s.row_bits(k) for k in linalg.first_independent(s.row_tuples(), cfg.d)]
@@ -185,33 +181,22 @@ def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore
 # --- built-in examples ----------------------------------------------------
 
 
-def segment_vertices() -> tuple[Vec, ...]:
-    return (vec([0]), vec([1]))
+def cube_vertices(d: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple((i >> j) & 1 for j in range(d)) for i in range(1 << d))
 
 
-def cube_vertices(d: int) -> tuple[Vec, ...]:
-    return tuple(vec([(i >> j) & 1 for j in range(d)]) for i in range(1 << d))
+def simplex_vertices(d: int) -> tuple[tuple[int, ...], ...]:
+    return ((0,) * d,) + tuple(tuple(int(j == i) for j in range(d)) for i in range(d))
 
 
-def simplex_vertices(d: int) -> tuple[Vec, ...]:
-    verts = [vec([0] * d)]
-    for i in range(d):
-        verts.append(vec([1 if j == i else 0 for j in range(d)]))
-    return tuple(verts)
-
-
-def cross_polytope_2d_vertices() -> tuple[Vec, ...]:
-    return (vec([1, 0]), vec([-1, 0]), vec([0, 1]), vec([0, -1]))
-
-
-def examples_library() -> dict[str, tuple[Vec, ...]]:
+def examples_library() -> dict[str, tuple[tuple[int, ...], ...]]:
     """Vertex sets of the built-in two-level polytopes, keyed by name."""
-    lib: dict[str, tuple[Vec, ...]] = {"segment": segment_vertices()}
+    lib: dict[str, tuple[tuple[int, ...], ...]] = {"segment": cube_vertices(1)}
     for d in (2, 3, 4):
         lib[f"cube{d}"] = cube_vertices(d)
         lib[f"simplex{d}"] = simplex_vertices(d)
     lib["simplex1"] = simplex_vertices(1)
-    lib["cross2"] = cross_polytope_2d_vertices()
+    lib["cross2"] = ((1, 0), (-1, 0), (0, 1), (0, -1))
     return lib
 
 

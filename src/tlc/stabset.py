@@ -28,7 +28,6 @@ from .errors import (
     NotBipartite,
     ParseError,
 )
-from .linalg import Vec, vec
 from .parallel import chunked_map
 
 _CENSUS_LIMIT = 7
@@ -148,9 +147,9 @@ def stable_sets(g: BipartiteGraph) -> list[tuple[int, ...]]:
     return sorted(tuple(v for v in range(g.n) if s >> v & 1) for s in sets)
 
 
-def _char_vec(s, n: int) -> Vec:
+def _char_vec(s, n: int) -> tuple[int, ...]:
     members = set(s)
-    return vec([1 if v in members else 0 for v in range(n)])
+    return tuple(1 if v in members else 0 for v in range(n))
 
 
 def _basic_slack(g: BipartiteGraph):
@@ -161,11 +160,11 @@ def _basic_slack(g: BipartiteGraph):
     every isolated node v, which keeps the description bounded.
     """
     n = g.n
-    rows = [vec([1 if i == v else 0 for i in range(n)] + [0]) for v in range(n)]
-    rows += [vec([-1 if i in (u, v) else 0 for i in range(n)] + [-1]) for u, v in g.edges]
-    rows += [vec([-1 if i == v else 0 for i in range(n)] + [-1]) for v in range(n) if g.degree(v) == 0]
+    rows = [tuple(1 if i == v else 0 for i in range(n)) + (0,) for v in range(n)]
+    rows += [tuple(-1 if i in (u, v) else 0 for i in range(n)) + (-1,) for u, v in g.edges]
+    rows += [tuple(-1 if i == v else 0 for i in range(n)) + (-1,) for v in range(n) if g.degree(v) == 0]
     cols = stable_sets(g)
-    points = tuple(_char_vec(s, n) + (Fraction(-1),) for s in cols)
+    points = tuple(_char_vec(s, n) + (-1,) for s in cols)
     return tuple(rows), cols, points, slack_bits(rows, points)
 
 
@@ -236,7 +235,7 @@ class CensusReport:
             "maximal_slack_forms_min_degree2": self.maximal_slack_forms_min_degree2,
             "bounds": {
                 "lower_log2": self.lower_exponent_float,
-                "lower_log2_exact_part": str(Fraction(self.n * self.n, 4) + self.n),
+                "lower_log2_exact_part": str(self.upper_exponent),
                 "lower_log2_note": "exact part minus 2*log2(n)",
                 "upper_log2": str(self.upper_exponent),
             },

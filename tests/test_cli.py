@@ -68,6 +68,17 @@ def test_parse_error_exit_code(tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command, text, expected", [
+    # the error names the first non-blank line after the matrix, not line m + 2
+    ("check", "1 1\n0\n\n\nx\n", "parse error: trailing content after matrix (line 5)\n"),
+    # the compressed 2-d unit basis with a line appended
+    ("decompress", "2 2\n01\n10\n2 1\n2\n2 2\ngarbage here\n",
+     "parse error: trailing content after weighted graph (line 7)\n"),
+], ids=["matrix", "weighted-graph"])
+def test_trailing_content_is_refused_at_its_line(tmp_path, command, text, expected):
+    assert run_cli([command, write(tmp_path, "in.txt", text)], store=tmp_path / "store") == (2, "", expected)
+
+
 def test_usage_error_exit_code():
     code, _, err = run_cli(["no-such-command"])
     assert code == 1
@@ -478,6 +489,31 @@ def test_report_rejects_tampered_store_file(tmp_path):
     assert "StoreConflict" in err and path.name in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["03", " 3", "notes"])
+def test_report_refuses_directory_not_named_by_a_dimension(tmp_path, name, fmt):
+    # read with int(), md/03 and md/ 3 would collide with md/3 and md/notes
+    # would end in a ValueError
+    store = tmp_path / "store"
+    for d in (2, 3):
+        assert run_cli(["enum", "--dim", str(d)], store=store)[0] == 0
+    stray = store / "md" / name
+    stray.mkdir()
+    for path in (store / "md" / "2").iterdir():
+        (stray / path.name).write_bytes(path.read_bytes())
+    expected = f"error: StoreConflict: {stray} is not named by a dimension\n"
+    assert run_cli(["--format", fmt, "report"], store=store) == (3, "", expected)
+
+
+def test_report_skips_regular_file_in_md(tmp_path):
+    store = tmp_path / "store"
+    assert run_cli(["enum", "--dim", "2"], store=store)[0] == 0
+    want = [run_cli(["--format", fmt, "report"], store=store) for fmt in ("text", "json")]
+    assert all(code == 0 for code, _, _ in want)
+    (store / "md" / "notes").write_text("not a dimension\n")
+    assert [run_cli(["--format", fmt, "report"], store=store) for fmt in ("text", "json")] == want
+
+
 def test_report_skips_leftover_temp_file(tmp_path):
     # a Store.put killed between its temp file and the rename leaves this
     store = tmp_path / "store"
@@ -609,7 +645,9 @@ def _vectors(width, min_size, max_size):
 def _json_text(draw, fields):
     """A JSON object with "d" and the given vector fields (name, extra length,
     whether d + 1 vectors at least), some perhaps missing."""
-    d = draw(_mostly(st.integers(1, 3), st.sampled_from([-1, 0, 1.0, "2", None])))
+    # a good d, an integer below 1 and a non-integer, about a third of the
+    # time each, so that d = 0 reaches closure's refusal of it under every seed
+    d = draw(st.one_of(st.integers(1, 3), st.integers(-1, 0), st.sampled_from([1.0, "2", None])))
     width = d if type(d) is int and d >= 0 else 1
     payload = {"d": d}
     for name, extra, spanning in fields:

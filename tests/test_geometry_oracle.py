@@ -35,14 +35,14 @@ from tlc.configuration import (
     slack_matrix,
     spans,
 )
-from tlc.errors import DimensionMismatch, DimensionTooLarge, InvalidGeometry, NoCore, NonBinarySlack, NotBipartite, NotSpanning, ParseError
+from tlc.errors import DimensionMismatch, DimensionTooLarge, NoCore, NonBinarySlack, NotBipartite, NotSpanning, ParseError
 from tlc.geometry import complete_maximal_pair, polytope_completion
 from tlc.linalg import dot, frac, vec
 
 from helpers import core_inputs
 
 F = Fraction
-_ERRORS = (DimensionMismatch, InvalidGeometry, NonBinarySlack, NotSpanning, ParseError)
+_ERRORS = (DimensionMismatch, NonBinarySlack, NotSpanning, ParseError)
 
 
 def _check_binary(p, what):
@@ -103,8 +103,7 @@ def reference_completion(verts):
     rows_h = closure(seed, d + 1)
     points_h = closure(rows_h, d + 1)
     for u in points_h:
-        if u[d] != -1 and any(x != 0 for x in u):
-            raise InvalidGeometry(f"unbounded direction {u[:d]} in the completed point set")
+        assert u[d] == -1 or not any(u), f"unbounded direction {u[:d]} in the completed point set"
     ineqs = tuple((r[:d], r[d]) for r in rows_h)
     non_facet = []
     for i, (a, b) in enumerate(ineqs):
@@ -136,8 +135,7 @@ def reference_binary_integral(cfg):
     l_t = [list(col) for col in zip(*l_rows)]
     c_side = [linalg.mat_vec(l_t, a) for a in a2]
     d_side = [linalg.mat_vec(l_inv, b) for b in b2]
-    if any(e.denominator != 1 for v in d_side for e in v):
-        raise InvalidGeometry("integral side has a fractional coordinate")
+    assert all(e.denominator == 1 for v in d_side for e in v), "integral side has a fractional coordinate"
     return core, Configuration(size, tuple(c_side), tuple(d_side))
 
 
