@@ -242,7 +242,10 @@ def _cmd_report(args, out) -> int:
                 payload = path.read_bytes()
                 if store.path_for(f"md/{sub.name}", payload, path.suffix) != path:
                     raise StoreConflict(f"{path} is not named by the sha256 of its content")
-                forms.append(canon.canonical_form(parse_matrix(payload.decode())))
+                form = canon.canonical_form(parse_matrix(payload.decode()))
+                if form.bytes != payload:
+                    raise StoreConflict(f"{path} is not a canonical form")
+                forms.append(form)
             classes[d] = forms
     if args.format == "json":
         dims = [{"dim": d, "classes": len(forms), "classes_mod_transpose": enumeration.transpose_identified_count(forms),

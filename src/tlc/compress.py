@@ -20,7 +20,6 @@ decompress returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import corrcone, linalg
@@ -183,8 +182,7 @@ def decompress(cc: CompressedConfig) -> Configuration:
             if not any(row[p] for row in zero_rows)]
     # nums is never empty: the zero point lies on every facet, so it is
     # decoded, and its column is zero, so consistent
-    fracs = {n: Fraction(n, det) for n in set().union(*nums)}
-    a_side = tuple(tuple(fracs[n] for n in a) for a in nums)
+    a_side = linalg.divide_rows(nums, det)
     b_side = closure(a_side, d)
     return Configuration(d, a_side, b_side)
 

@@ -1,8 +1,11 @@
 """Two-level configurations and their closure algebra.
 
 A configuration is a pair (A, B) of rational vector sets spanning R^d whose
-pairwise inner products are all 0 or 1.  The closure of a spanning set X is
-the finite set of all vectors with product 0/1 against every member of X;
+pairwise inner products are all 0 or 1.  A vector is a tuple of exact
+numbers: ints wherever the code built ints (the 0/1 side of a rank
+factorization, say), Fractions elsewhere; an int and the equal Fraction
+compare, hash and serialize alike.  The closure of a spanning set X is the
+finite set of all vectors with product 0/1 against every member of X;
 iterating closure from any spanning seed reaches a fixed pair (a maximal
 configuration), and the 0/1 matrix of products is its slack matrix.
 
@@ -19,7 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from . import linalg
@@ -150,8 +152,10 @@ class SlackMatrix:
 class Configuration:
     """Pair (A, B) of spanning vector sets with all pairwise products in {0,1}.
 
-    The products checked on construction are kept, row-major over the sorted
-    sides, as the slack matrix's bits.
+    The vectors are kept as given, sorted and without repeats (a vector
+    that is not all ints and Fractions becomes Fractions), and the products
+    checked on construction are kept, row-major over the sorted sides, as
+    the slack matrix's bits.
     """
 
     d: int
@@ -165,7 +169,7 @@ class Configuration:
         sides = []
         for vectors, name in ((self.A, "A"), (self.B, "B")):
             keyed, scale = _scaled(vectors)
-            keyed = {k: vec(keyed[k]) for k in sorted(keyed)}
+            keyed = {k: keyed[k] for k in sorted(keyed)}
             object.__setattr__(self, name, tuple(keyed.values()))
             sides.append((keyed, scale))
         for (keyed, _), name in zip(sides, ("A", "B")):
@@ -188,24 +192,9 @@ def spans(vectors, d: int) -> bool:
 
 def _scaled(vectors) -> tuple[dict[tuple[int, ...], tuple], int]:
     """The distinct vectors keyed by L v, L the least common denominator of
-    all their entries; the keys sort as the vectors do.  Vectors of ints are
-    their own keys and build no Fractions, and vectors of ints and Fractions
-    are not converted again."""
-    vs = []
-    scale = 1
-    ints = True
-    for v in map(tuple, vectors):
-        for x in v:
-            if type(x) is not int:
-                if any(type(x) is not int and type(x) is not Fraction for x in v):
-                    v = vec(v)
-                scale = lcm(scale, *(x.denominator for x in v))
-                ints = False
-                break
-        vs.append(v)
-    if ints:
-        return {v: v for v in vs}, 1
-    return {tuple(x.numerator * (scale // x.denominator) for x in v): v for v in vs}, scale
+    all their entries (linalg.scale_rows); the keys sort as the vectors do."""
+    exact, ints, scale = linalg.scale_rows(vectors)
+    return dict(zip(ints, exact)), scale
 
 
 def slack_bits(rows, cols) -> list[int]:
@@ -280,9 +269,7 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     alive = _zero_one_patterns(pivots, piv_cols, det, m)
     coords = [_subset_sums([scale * row[m + r] for row in pivots]) for r in range(d)]
     ys = list(zip(*coords))
-    nums = sorted(ys[s] for s in alive)
-    fracs = {a: Fraction(a, det) for a in set().union(*nums)}
-    return tuple(tuple(fracs[a] for a in y) for y in nums)
+    return linalg.divide_rows(sorted(ys[s] for s in alive), det)
 
 
 def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
@@ -393,8 +380,7 @@ def _rank_factor(lines, basis) -> tuple[tuple, tuple]:
     aug, inv_rows, _, det = linalg._bareiss(aug, d)
     g = [aug[k][d:] for k in inv_rows]
     nums = [tuple(sum(map(mul, gk, [y[j] for j in cols])) for gk in g) for y in lines]
-    fracs = {n: Fraction(n, det) for n in set().union(*nums)}
-    return tuple(zip(*r)), tuple(tuple(fracs[n] for n in y) for y in nums)
+    return tuple(zip(*r)), linalg.divide_rows(nums, det)
 
 
 def is_maximal_in_md(m: BinaryMatrix) -> bool:

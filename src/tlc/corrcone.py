@@ -83,6 +83,8 @@ def _reduced_lift(x) -> tuple[int, ...]:
 
 
 def all_points(d: int) -> list[Bit]:
+    """The points x_0, .., x_(2^d - 1) of {0,1}^d, coordinate i of x_j being
+    bit i of j: the point order that enumeration and geometry use too."""
     return [tuple((i >> j) & 1 for j in range(d)) for i in range(1 << d)]
 
 

@@ -22,6 +22,7 @@ from typing import Optional
 from . import canon
 from .canon import CanonicalForm
 from .configuration import BinaryMatrix, _subset_sums, closure, parse_matrix, slack_bits
+from .corrcone import all_points
 from .errors import DimensionMismatch, DimensionTooLarge
 from .linalg import _bareiss, rank
 from .parallel import chunked_map
@@ -49,10 +50,6 @@ class EnumerationResult:
     d: int
     classes: tuple[CanonicalForm, ...]
     stats: EnumStats
-
-
-def _bit_vector(index: int, d: int) -> tuple[int, ...]:
-    return tuple((index >> j) & 1 for j in range(d))
 
 
 def _seed_masks(d: int) -> list[int]:
@@ -94,9 +91,10 @@ def _seed_context(d: int):
     e_i are its coordinates): it is the set of points x_j with X' inside
     closed[j].  The argument holds at every d, so no seed is degenerate.
     """
+    points = all_points(d)
     found, cuts = set(), set()
-    for basis in combinations([_bit_vector(j, d) for j in range(1, 1 << d)], d):
-        rows, piv_rows, _, det = _bareiss([[*b, *_bit_vector(1 << i, d)] for i, b in enumerate(basis)], d)
+    for basis in combinations(points[1:], d):
+        rows, piv_rows, _, det = _bareiss([[*b, *points[1 << i]] for i, b in enumerate(basis)], d)
         if len(piv_rows) == d:
             inverse = [rows[r][d:] for r in piv_rows]
             for y in zip(*map(_subset_sums, inverse)):
@@ -115,7 +113,7 @@ def _seed_context(d: int):
 @functools.cache
 def _points_in_closure_order(d: int) -> tuple[int, ...]:
     """The indices j of the points x_j of {0,1}^d, sorted as closure sorts."""
-    return tuple(sorted(range(1 << d), key=lambda j: _bit_vector(j, d)))
+    return tuple(sorted(range(1 << d), key=all_points(d).__getitem__))
 
 
 def _mask_slack(d: int, key: int) -> BinaryMatrix:
@@ -198,6 +196,7 @@ def _enum_worker(args):
     # seeds sharing a first closure (at d <= 4 its mask over U_d) share the whole completion
     memo: dict = {}
     small = d <= _FULL_SCAN_LIMIT
+    points = all_points(d)
     if small:
         u, closed, missed, _ = _seed_context(d)
         everything, hyperplanes = (1 << len(u)) - 1, functools.reduce(int.__or__, missed)
@@ -210,7 +209,7 @@ def _enum_worker(args):
             if span != hyperplanes:
                 continue
         else:
-            vectors = [_bit_vector(j, d) for j in _bits(m)]
+            vectors = [points[j] for j in _bits(m)]
             if rank(vectors) != d:
                 continue
             key = closure(vectors, d)

@@ -28,6 +28,7 @@ from .configuration import (
     vectors_from_json_field,
     _rank_factor,
 )
+from .corrcone import all_points
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -181,19 +182,15 @@ def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore
 # --- built-in examples ----------------------------------------------------
 
 
-def cube_vertices(d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple((i >> j) & 1 for j in range(d)) for i in range(1 << d))
-
-
 def simplex_vertices(d: int) -> tuple[tuple[int, ...], ...]:
     return ((0,) * d,) + tuple(tuple(int(j == i) for j in range(d)) for i in range(d))
 
 
 def examples_library() -> dict[str, tuple[tuple[int, ...], ...]]:
     """Vertex sets of the built-in two-level polytopes, keyed by name."""
-    lib: dict[str, tuple[tuple[int, ...], ...]] = {"segment": cube_vertices(1)}
+    lib: dict[str, tuple[tuple[int, ...], ...]] = {"segment": tuple(all_points(1))}
     for d in (2, 3, 4):
-        lib[f"cube{d}"] = cube_vertices(d)
+        lib[f"cube{d}"] = tuple(all_points(d))
         lib[f"simplex{d}"] = simplex_vertices(d)
     lib["simplex1"] = simplex_vertices(1)
     lib["cross2"] = ((1, 0), (-1, 0), (0, 1), (0, -1))

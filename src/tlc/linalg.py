@@ -1,17 +1,20 @@
 """Exact rational and integer linear algebra.
 
 All arithmetic is over ``fractions.Fraction`` and Python integers, so every
-answer is a decision, not a numerical verdict.  Elimination runs in one
-integer kernel, ``_bareiss``: fraction-free Gauss-Jordan (Bareiss) on rows
-scaled to integers, with optional augmented columns.  ``rank``, ``solve``,
-``first_independent`` and ``inverse_and_det`` are thin wrappers over it; rows
-that are already ``int`` are used as they are, and ``Fraction`` objects are
-built only for the values these functions return.  The lattice functions
-work on integers throughout: int rows are taken as they are, and ``hnf``
-gives a Hermite form once, against which ``_hnf_coords`` reduces any number
-of vectors.  The feasibility solver is a plain phase-1 simplex over
-``Fraction`` with Bland's rule, which terminates on every input.  Matrices
-are lists of rows, and lattices are lists of integer rows.
+answer is a decision, not a numerical verdict.  Rationals and integers meet
+in two functions.  ``scale_rows`` scales rows by one common denominator L
+to integer rows; rows that are already ``int`` are used as they are.
+``divide_rows`` turns integer rows over a pivot D into ``Fraction`` rows,
+one ``Fraction`` per distinct numerator.  Elimination runs in one integer
+kernel, ``_bareiss``: fraction-free Gauss-Jordan (Bareiss) with optional
+augmented columns.  ``rank``, ``solve``, ``first_independent`` and
+``inverse_and_det`` are thin wrappers over it, and ``Fraction`` objects are
+built only for the values they return.  The lattice functions work on
+integers throughout, and ``hnf`` gives a Hermite form once, against which
+``_hnf_coords`` reduces any number of vectors.  The feasibility solver is a
+plain phase-1 simplex over ``Fraction`` with Bland's rule, which terminates
+on every input.  Matrices are lists of rows, and lattices are lists of
+integer rows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NotFullRank
 
-Vec = tuple[Fraction, ...]
+# a vector of exact numbers: ints where the code built ints, Fractions elsewhere
+Vec = tuple[int | Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,32 +40,32 @@ def vec(xs) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def dot(u, v) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+def scale_rows(rows) -> tuple[list[tuple], list[tuple[int, ...]], int]:
+    """(V, N, L): the rows as tuples V, L the least common denominator of
+    all their entries and N = L V, in ints.  Rows of ints and Fractions
+    are kept as they are and other rows become Fractions (vec); input that
+    is all ints is found in one pass, and then N is V and L is 1."""
+    exact = []
+    scale = 1
+    ints = True
+    for r in map(tuple, rows):
+        for x in r:
+            if type(x) is not int:
+                if any(type(x) is not int and type(x) is not Fraction for x in r):
+                    r = vec(r)
+                scale = lcm(scale, *(x.denominator for x in r))
+                ints = False
+                break
+        exact.append(r)
+    if ints:
+        return exact, exact, 1
+    return exact, [tuple(x.numerator * (scale // x.denominator) for x in r) for r in exact], scale
 
 
-def mat_vec(rows, v):
-    return tuple(dot(r, v) for r in rows)
-
-
-def _integer_row(r) -> tuple[list[int], int]:
-    """(L r, L) with L the lcm of the row's denominators; int rows pass as is."""
-    r = list(r)
-    for x in r:
-        if type(x) is not int:
-            break
-    else:
-        return r, 1
-    r = [frac(x) for x in r]
-    scale = lcm(*(x.denominator for x in r))
-    return [x.numerator * (scale // x.denominator) for x in r], scale
-
-
-def _integer_rows(m) -> list[list[int]]:
-    """Rows scaled to integers one by one (rank and solution-set preserving)."""
-    return [_integer_row(r)[0] for r in m]
+def divide_rows(nums, den: int) -> tuple[Vec, ...]:
+    """The integer rows nums divided by den, one Fraction per distinct numerator."""
+    fracs = {n: Fraction(n, den) for n in set().union(*nums)}
+    return tuple(tuple(fracs[n] for n in y) for y in nums)
 
 
 def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], list[int], int]:
@@ -114,7 +118,7 @@ def _sign(perm: list[int]) -> int:
 
 def rank(m) -> int:
     """Rank over the rationals, computed by fraction-free elimination."""
-    rows = _integer_rows(m)
+    rows = scale_rows(m)[1]
     return len(_bareiss(rows, len(rows[0]))[1]) if rows else 0
 
 
@@ -132,8 +136,7 @@ def solve(m, y) -> Optional[Vec]:
     if not rows:
         return ()
     n = len(rows[0])
-    aug = [_integer_row(list(r) + [v])[0] for r, v in zip(rows, y)]
-    aug, piv_rows, piv_cols, det = _bareiss(aug, n)
+    aug, piv_rows, piv_cols, det = _bareiss(scale_rows((*r, v) for r, v in zip(rows, y))[1], n)
     pivots = set(piv_rows)
     if any(row[n] for i, row in enumerate(aug) if i not in pivots):
         return None
@@ -146,27 +149,25 @@ def solve(m, y) -> Optional[Vec]:
 def inverse_and_det(rows) -> Optional[tuple[list[list[Fraction]], Fraction]]:
     """(M^-1, det M) for square M, or None when singular.
 
-    Each row is scaled to integers, S M with S = diag(s_i), and [S M | S] is
-    eliminated: its k-th pivot row ends as [D e_k | D (M^-1)_k].
+    M is scaled to integers by its common denominator L (scale_rows) and
+    [L M | L I] is eliminated: its k-th pivot row ends as [D e_k | D (M^-1)_k],
+    and det(L M) = +-D, so det M = +-D / L^n.
     """
-    a = [_integer_row(r) for r in rows]
+    _, a, scale = scale_rows(rows)
     n = len(a)
-    if any(len(r) != n for r, _ in a):
+    if any(len(r) != n for r in a):
         raise DimensionMismatch("inverse of a non-square matrix")
-    aug = [r + [s if j == i else 0 for j in range(n)] for i, (r, s) in enumerate(a)]
+    aug = [[*r, *(scale if j == i else 0 for j in range(n))] for i, r in enumerate(a)]
     aug, piv_rows, _, det = _bareiss(aug, n)
     if len(piv_rows) < n:
         return None
-    scale = 1
-    for _, s in a:
-        scale *= s
     inv = [[Fraction(x, det) for x in aug[r][n:]] for r in piv_rows]
-    return inv, Fraction(_sign(piv_rows) * det, scale)
+    return inv, Fraction(_sign(piv_rows) * det, scale ** n)
 
 
 def first_independent(vectors, d) -> Optional[list[int]]:
     """Indices of the first d linearly independent vectors, in given order."""
-    rows = _integer_rows(vectors)
+    rows = scale_rows(vectors)[1]
     chosen = sorted(_bareiss(rows, len(rows[0]))[1]) if rows else []
     return chosen[:d] if len(chosen) >= d else None
 
@@ -175,20 +176,12 @@ def first_independent(vectors, d) -> Optional[list[int]]:
 
 
 def _check_int_matrix(rows) -> list[list[int]]:
-    """The rows as lists of ints: int rows are taken as they are, other
-    entries must be integral (ValueError otherwise)."""
-    out = []
-    for r in rows:
-        row = list(r)
-        if any(type(x) is not int for x in row):
-            ints = []
-            for x in row:
-                f = frac(x)
-                if f.denominator != 1:
-                    raise ValueError("integer matrix required")
-                ints.append(int(f))
-            row = ints
-        out.append(row)
+    """The rows as lists of ints, scaled by scale_rows: every entry must be
+    integral, so that their common denominator is 1 (ValueError otherwise)."""
+    _, ints, scale = scale_rows(rows)
+    if scale != 1:
+        raise ValueError("integer matrix required")
+    out = [list(r) for r in ints]
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionMismatch("ragged rows")
     return out

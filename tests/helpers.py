@@ -4,7 +4,19 @@ from fractions import Fraction
 
 from tlc import linalg
 from tlc.configuration import SIDE_A
+from tlc.errors import DimensionMismatch
 from tlc.geometry import examples_library, polytope_completion
+
+
+def dot(u, v) -> Fraction:
+    """The exact inner product of two vectors of equal length."""
+    if len(u) != len(v):
+        raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def mat_vec(rows, v):
+    return tuple(dot(r, v) for r in rows)
 
 
 def opposite_basis(cfg, side):

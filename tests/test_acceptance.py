@@ -11,8 +11,6 @@ from fractions import Fraction
 from functools import wraps
 from itertools import combinations, product
 
-import pytest
-
 from tlc import canon, cli, compress, corrcone, geometry, linalg, stabset
 from tlc.errors import NotBipartite
 from tlc.configuration import (
@@ -27,7 +25,7 @@ from tlc.configuration import (
 )
 from tlc.enumeration import oracle_is_maximal, oracle_maximal
 
-from helpers import opposite_basis
+from helpers import dot, mat_vec, opposite_basis
 
 F = Fraction
 
@@ -131,14 +129,14 @@ def test_criterion_04_normalization(enum_results):
             inv, _ = linalg.inverse_and_det(t_rows)
             tt = [list(b) for b in bas]
             if side == "A":
-                fa = lambda a: linalg.mat_vec(tt, a)
-                fb = lambda b: linalg.mat_vec(inv, b)
+                fa = lambda a: mat_vec(tt, a)
+                fb = lambda b: mat_vec(inv, b)
             else:
-                fa = lambda a: linalg.mat_vec(inv, a)
-                fb = lambda b: linalg.mat_vec(tt, b)
+                fa = lambda a: mat_vec(inv, a)
+                fb = lambda b: mat_vec(tt, b)
             for a in cfg.A:
                 for b in cfg.B:
-                    assert linalg.dot(fa(a), fb(b)) == linalg.dot(a, b)
+                    assert dot(fa(a), fb(b)) == dot(a, b)
             assert {tuple(fa(a)) for a in cfg.A} == set(out.A)
             assert {tuple(fb(b)) for b in cfg.B} == set(out.B)
 
@@ -193,7 +191,7 @@ def test_criterion_06_compression(enum_results, enum_d4):
         for a in cfg.A:
             za = compress.zeta(a, gens)
             for b in cfg.B:
-                assert sum(z * l for z, l in zip(za, phis[b])) == linalg.dot(a, b)
+                assert sum(z * l for z, l in zip(za, phis[b])) == dot(a, b)
         cc = compress.compress(cfg)
         a_prime = set(corrcone.certificate_decode(cc.cert))
         assert {compress.zeta(a, cc.gens) for a in cfg.A} <= a_prime

@@ -24,6 +24,7 @@ from tlc.configuration import (
 )
 from tlc.errors import NotSpanning, ParseError
 from tlc.linalg import rank
+from tlc.store import Store
 
 
 def run_cli(args, store=None):
@@ -487,6 +488,19 @@ def test_report_rejects_tampered_store_file(tmp_path):
     code, out, err = run_cli(["report"], store=store)
     assert code == 3 and out == ""
     assert "StoreConflict" in err and path.name in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_refuses_file_that_is_not_a_canonical_form(tmp_path, fmt):
+    # a row-reversed copy of a class, named by its own sha256, is no class of its own
+    store = tmp_path / "store"
+    assert run_cli(["enum", "--dim", "2"], store=store)[0] == 0
+    lines = "3 4\n0000\n0011\n0101\n".splitlines()
+    copy = "\n".join(lines[:1] + lines[:0:-1]) + "\n"
+    path = Store(store).put("md/2", copy.encode(), ".mat")
+    assert len(list((store / "md" / "2").iterdir())) == 3
+    expected = f"error: StoreConflict: {path} is not a canonical form\n"
+    assert run_cli(["--format", fmt, "report"], store=store) == (3, "", expected)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -161,6 +161,21 @@ def _leibniz_det(m):
     return total
 
 
+@pytest.mark.parametrize("m", [
+    [[F(1, 2), F(1, 3)], [F(1, 5), 7]],
+    [[F(1, 2), 1, 0], [0, F(2, 3), F(-1, 4)], [F(5, 6), 0, F(1, 7)]],
+    [[F(1, 2), F(1, 3)], [F(3, 4), F(1, 2)]],
+])
+def test_inverse_and_solve_on_rows_with_different_denominators(m):
+    # the rows share one common scale, not one scale each
+    want = _ref_inverse_and_det(m)
+    assert linalg.inverse_and_det(m) == want
+    y = [F(k + 1, k + 2) for k in range(len(m))]
+    if want is not None:
+        inv = want[0]
+        assert linalg.solve(m, y) == tuple(sum(a * b for a, b in zip(r, y)) for r in inv)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_kernel_adjugate(n):
     rng = random.Random(n)

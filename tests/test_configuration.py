@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlc import linalg
+from tlc.compress import compress, decompress
 from tlc.configuration import (
     BinaryMatrix,
     Configuration,
@@ -30,7 +32,7 @@ from tlc.errors import (
     RepeatedLine,
 )
 
-from helpers import opposite_basis
+from helpers import dot, mat_vec, opposite_basis
 
 F = Fraction
 
@@ -439,6 +441,22 @@ def test_rank_17_identity_raises_as_before():
     assert is_maximal_in_md(sixteen) is False
 
 
+def test_bytes_at_the_rational_boundary(enum_results, enum_d4):
+    # the JSON of every class and its transpose as built from the slack bits,
+    # normalized to either side and round-tripped through compress, pinned to
+    # the bytes of the code that turned every side into Fractions
+    h = hashlib.sha256()
+    for _, m in _golden_classes(enum_results, enum_d4):
+        for mm in (m, m.transpose()):
+            cfg = from_slack_matrix(mm)
+            b = normalize_to_binary(cfg, "B")
+            for c in (cfg, normalize_to_binary(cfg, "A"), b, decompress(compress(b))):
+                h.update(configuration_to_json(c).encode() + b"\n")
+    assert h.hexdigest() == "f9188db03016c8ee3a7eea5648bbfef9c1b614ea55b6c96fa27109435b3065b1"
+    # a side built of ints is stored as ints
+    assert type(from_slack_matrix(BinaryMatrix.from_rows([(0, 0), (0, 1), (1, 0), (1, 1)])).B[0][0]) is int
+
+
 def test_from_slack_matrix_matches_old_path(enum_results, enum_d4):
     matrices = []
     for _, m in _golden_classes(enum_results, enum_d4):
@@ -469,11 +487,11 @@ def _transform_for(cfg, side):
 def _norm_maps(cfg, side):
     tt, inv = _transform_for(cfg, side)
     if side == "A":
-        fa = lambda a: linalg.mat_vec(tt, a)
-        fb = lambda b: linalg.mat_vec(inv, b)
+        fa = lambda a: mat_vec(tt, a)
+        fb = lambda b: mat_vec(inv, b)
     else:
-        fa = lambda a: linalg.mat_vec(inv, a)
-        fb = lambda b: linalg.mat_vec(tt, b)
+        fa = lambda a: mat_vec(inv, a)
+        fb = lambda b: mat_vec(tt, b)
     return fa, fb
 
 
@@ -494,7 +512,7 @@ def test_normalize_preserves_slack_entrywise(side):
     fa, fb = _norm_maps(cfg, side)
     for a in cfg.A:
         for b in cfg.B:
-            assert linalg.dot(fa(a), fb(b)) == linalg.dot(a, b)
+            assert dot(fa(a), fb(b)) == dot(a, b)
     out = normalize_to_binary(cfg, side)
     assert as_set(fa(a) for a in cfg.A) == as_set(out.A)
     assert as_set(fb(b) for b in cfg.B) == as_set(out.B)

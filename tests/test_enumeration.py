@@ -22,6 +22,7 @@ from tlc.configuration import (
     slack_matrix,
     spans,
 )
+from tlc.corrcone import all_points
 from tlc.enumeration import (
     enumerate_maximal,
     oracle_is_maximal,
@@ -102,7 +103,7 @@ def _context_answer(d, m):
 
 
 def _closure_answer(d, m):
-    vectors = [enumeration._bit_vector(j, d) for j in range(1 << d) if m >> j & 1]
+    vectors = [x for j, x in enumerate(all_points(d)) if m >> j & 1]
     spanning = rank(vectors) == d
     return spanning, closure(vectors, d) if spanning else None
 
@@ -123,8 +124,7 @@ def test_seed_context_sizes():
 def test_seed_context_masks_are_exact_products(d):
     _, closed, _, ones = enumeration._seed_context(d)
     u = _decoded_u(d)
-    for j in range(1 << d):
-        x = enumeration._bit_vector(j, d)
+    for j, x in enumerate(all_points(d)):
         products = [sum(a * b for a, b in zip(y, x)) for y in u]
         assert ones[j] == sum(1 << i for i, p in enumerate(products) if p == 1), j
         assert closed[j] == sum(1 << i for i, p in enumerate(products) if p in (0, 1)), j
@@ -175,7 +175,7 @@ def _intent(d, key):
 def _brute_orbit_min(d, mask):
     """The least image of a point mask, mapping the points one by one under
     every coordinate permutation, with no tables."""
-    points = [enumeration._bit_vector(j, d) for j in range(1 << d) if mask >> j & 1]
+    points = [x for j, x in enumerate(all_points(d)) if mask >> j & 1]
     return min(sum(1 << sum(x[i] << s for i, s in enumerate(sigma)) for x in points)
                for sigma in itertools.permutations(range(d)))
 

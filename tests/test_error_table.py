@@ -54,7 +54,9 @@ _REFUSALS = {
     "find_triangular_core size 0": (
         lambda: geometry.find_triangular_core(slack_matrix(geometry.polytope_completion([(0,), (1,)])), 0),
         NoCore, "no core of size 0 in a 4x3 matrix"),
-    "dot unequal lengths": (lambda: linalg.dot((1,), (1, 2)), DimensionMismatch, "dot of lengths 1 and 2"),
+    "zeta unequal lengths": (
+        lambda: compress.zeta((1,), compress.GeneratorSet(2, ((1, 0), (0, 1)))),
+        DimensionMismatch, "dot of lengths 1 and 2"),
     "inverse_and_det non-square": (
         lambda: linalg.inverse_and_det([[1, 2]]), DimensionMismatch, "inverse of a non-square matrix"),
     "lattice_coords wrong length": (

@@ -6,10 +6,10 @@ import pytest
 from tlc import canon, linalg
 from tlc import geometry
 from tlc.configuration import BinaryMatrix, Configuration, SlackMatrix, maximal_completion, slack_matrix
+from tlc.corrcone import all_points
 from tlc.errors import DimensionTooLarge, NoCore, NotSpanning, ParseError
 from tlc.geometry import (
     complete_maximal_pair,
-    cube_vertices,
     examples_library,
     find_triangular_core,
     polytope_completion,
@@ -79,7 +79,7 @@ def test_completion_matches_user_supplied_maximal_pair():
         ((F(0), F(0)), F(-1)),
     ]
     rows = [a + (b,) for a, b in ineqs]
-    points = [v + (F(-1),) for v in cube_vertices(2)] + [(F(0),) * 3]
+    points = [v + (F(-1),) for v in all_points(2)] + [(F(0),) * 3]
     s1 = slack_matrix(Configuration(3, rows, points)).matrix
     s2 = slack_matrix(_completed("cube2")).matrix
     assert canon.equivalent(s1, s2)
@@ -89,13 +89,13 @@ def test_completion_matches_user_supplied_maximal_pair():
 
 
 def test_homogenize_square():
-    cfg, _ = complete_maximal_pair(cube_vertices(2))
+    cfg, _ = complete_maximal_pair(all_points(2))
     assert cfg.d == 3
     assert tuple([F(0)] * 3) in cfg.B
     # rows (a, b) against points (v, -1): the products are the slacks a.v - b
-    assert {v + (F(-1),) for v in cube_vertices(2)} < set(cfg.B)
-    assert cfg == polytope_completion(cube_vertices(2))
-    assert slack_matrix(cfg) == slack_matrix(polytope_completion(cube_vertices(2)))
+    assert {v + (F(-1),) for v in all_points(2)} < set(cfg.B)
+    assert cfg == polytope_completion(all_points(2))
+    assert slack_matrix(cfg) == slack_matrix(polytope_completion(all_points(2)))
 
 
 def test_polytope_configuration_zero_column():
@@ -226,7 +226,7 @@ def test_polytope_json_roundtrip():
         "verts": [[str(x) for x in u[:2]] for u in cfg.B if u[2] == -1] * 2,
     })
     verts = polytope_from_json(text)
-    assert verts == tuple(sorted(cube_vertices(2)))
+    assert verts == tuple(sorted(all_points(2)))
     assert polytope_completion(verts) == cfg
 
 

@@ -37,9 +37,9 @@ from tlc.configuration import (
 )
 from tlc.errors import DimensionMismatch, DimensionTooLarge, NoCore, NonBinarySlack, NotBipartite, NotSpanning, ParseError
 from tlc.geometry import complete_maximal_pair, polytope_completion
-from tlc.linalg import dot, frac, vec
+from tlc.linalg import frac, vec
 
-from helpers import core_inputs
+from helpers import core_inputs, dot, mat_vec
 
 F = Fraction
 _ERRORS = (DimensionMismatch, NonBinarySlack, NotSpanning, ParseError)
@@ -125,16 +125,16 @@ def reference_binary_integral(cfg):
     m_rows = [list(s.row_labels[i]) for i in core.row_indices]
     m_inv, _ = linalg.inverse_and_det(m_rows)
     m_inv_t = [list(col) for col in zip(*m_inv)]
-    a2 = [linalg.mat_vec(m_inv_t, a) for a in s.row_labels]
-    b2 = [linalg.mat_vec(m_rows, b) for b in s.col_labels]
+    a2 = [mat_vec(m_inv_t, a) for a in s.row_labels]
+    b2 = [mat_vec(m_rows, b) for b in s.col_labels]
     l_rows = [list(col) for col in zip(*[b2[j] for j in core.col_indices])]
     for i in range(size):
         assert l_rows[i][i] == 1 and not any(l_rows[i][i + 1:])
     l_inv, l_det = linalg.inverse_and_det(l_rows)
     assert abs(l_det) == 1
     l_t = [list(col) for col in zip(*l_rows)]
-    c_side = [linalg.mat_vec(l_t, a) for a in a2]
-    d_side = [linalg.mat_vec(l_inv, b) for b in b2]
+    c_side = [mat_vec(l_t, a) for a in a2]
+    d_side = [mat_vec(l_inv, b) for b in b2]
     assert all(e.denominator == 1 for v in d_side for e in v), "integral side has a fractional coordinate"
     return core, Configuration(size, tuple(c_side), tuple(d_side))
 

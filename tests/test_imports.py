@@ -1,7 +1,8 @@
 """Static checks of the package's names, with the standard library only:
-no module-level import that its module never uses, a `tlc.__all__` whose
-every name resolves, no function, class or method that nothing names, and
-no error class that nothing raises."""
+no module-level import that its module never uses (in the package, the
+tests and the scripts), a `tlc.__all__` whose every name resolves, no
+function, class or method that nothing names, and no error class that
+nothing raises."""
 
 import ast
 import importlib
@@ -37,6 +38,9 @@ def test_no_unused_module_imports():
     for path in sorted(SRC.glob("*.py")):
         # __init__ imports only to re-export
         unused += _unused_imports(path, set(tlc.__all__) if path.name == "__init__.py" else set())
+    for top in ("tests", "scripts"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            unused += _unused_imports(path, set())
     assert unused == []
 
 

@@ -37,7 +37,7 @@ from tlc.configuration import (
 from tlc.errors import DimensionMismatch, NonBinaryProduct, NotInLattice, NotSpanning, TlcError
 from tlc.geometry import examples_library, find_triangular_core, polytope_completion, to_binary_integral_configuration
 
-from helpers import core_inputs, opposite_basis
+from helpers import core_inputs, mat_vec, opposite_basis
 
 F = Fraction
 
@@ -157,11 +157,11 @@ def reference_unit_basis(cfg, side, basis):
     t_inv, _ = linalg.inverse_and_det([list(col) for col in zip(*basis)])
     tt_rows = [list(b) for b in basis]
     if side == SIDE_A:
-        new_a = [linalg.mat_vec(tt_rows, a) for a in cfg.A]
-        new_b = [linalg.mat_vec(t_inv, b) for b in cfg.B]
+        new_a = [mat_vec(tt_rows, a) for a in cfg.A]
+        new_b = [mat_vec(t_inv, b) for b in cfg.B]
     else:
-        new_a = [linalg.mat_vec(t_inv, a) for a in cfg.A]
-        new_b = [linalg.mat_vec(tt_rows, b) for b in cfg.B]
+        new_a = [mat_vec(t_inv, a) for a in cfg.A]
+        new_b = [mat_vec(tt_rows, b) for b in cfg.B]
     return Configuration(cfg.d, tuple(new_a), tuple(new_b))
 
 
@@ -227,7 +227,7 @@ def _rational_copy(cfg, rng):
         if inv is not None:
             break
     m_inv_t = [list(col) for col in zip(*inv[0])]
-    return Configuration(d, tuple(linalg.mat_vec(m_inv_t, a) for a in cfg.A), tuple(linalg.mat_vec(m, b) for b in cfg.B))
+    return Configuration(d, tuple(mat_vec(m_inv_t, a) for a in cfg.A), tuple(mat_vec(m, b) for b in cfg.B))
 
 
 # --- the change of basis --------------------------------------------------------
