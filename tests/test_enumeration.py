@@ -16,6 +16,7 @@ from tlc.configuration import (
     BinaryMatrix,
     _scaled,
     _slack_bits,
+    _subset_sums,
     closure,
     is_maximal_in_md,
     parse_matrix,
@@ -31,7 +32,7 @@ from tlc.enumeration import (
     transpose_identified_count,
 )
 from tlc.errors import DimensionMismatch, DimensionTooLarge
-from tlc.linalg import rank
+from tlc.linalg import _bareiss, rank
 
 # class counts produced by the full scans and reproduced by independent
 # reruns (reversed seed order, pre/post memoization); artifacts of this
@@ -106,6 +107,62 @@ def _closure_answer(d, m):
     vectors = [x for j, x in enumerate(all_points(d)) if m >> j & 1]
     spanning = rank(vectors) == d
     return spanning, closure(vectors, d) if spanning else None
+
+
+def _reference_seed_context(d):
+    """The context as _seed_context builds it, inverting every 0/1 basis
+    instead of one per S_d orbit, with each mask summed bit by bit."""
+    points = all_points(d)
+    found, cuts = set(), set()
+    for basis in itertools.combinations(points[1:], d):
+        rows, piv_rows, _, det = _bareiss([[*b, *points[1 << i]] for i, b in enumerate(basis)], d)
+        if len(piv_rows) == d:
+            inverse = [rows[r][d:] for r in piv_rows]
+            for y in zip(*map(_subset_sums, inverse)):
+                g = math.gcd(det, *y) if det > 0 else -math.gcd(det, *y)
+                found.add(tuple(x // g for x in (det, *y)))
+            cuts.update(tuple(p != 0 for p in _subset_sums(n)) for n in zip(*inverse))
+    scale = math.lcm(*(v[0] for v in found))
+    u = sorted(found, key=lambda v: [x * (scale // v[0]) for x in v[1:]])
+    products = [(den, _subset_sums(y)) for den, *y in u]
+
+    def masks(table):
+        return tuple(sum(b << i for i, b in enumerate(column)) for column in zip(*table))
+
+    closed = masks([[p == 0 or p == den for p in sums] for den, sums in products])
+    ones = masks([[p == den for p in sums] for den, sums in products])
+    return tuple(u), closed, masks(sorted(cuts)), ones
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_seed_context_matches_every_basis(d):
+    got = enumeration._seed_context(d)
+    want = _reference_seed_context(d)
+    for name, a, b in zip(("u", "closed", "missed", "ones"), got, want):
+        assert a == b, name
+
+
+def test_seed_context_d5_pinned():
+    # U_5 as the full scan over all 169,911 bases built it
+    u, closed, missed, ones = enumeration._seed_context(5)
+    assert len(u) == 28250 and len(closed) == len(missed) == len(ones) == 32
+    assert functools.reduce(operator.or_, missed).bit_count() == 625
+    assert hashlib.sha256(repr(u).encode()).hexdigest() == (
+        "30fff2bceb22e3f17d0186943c990f190058b47df050f9e6cc8af1c04506f621")
+
+
+def test_point_tables_fold_every_subset():
+    u, closed, missed, _ = enumeration._seed_context(4)
+    (and_low, and_high), (or_low, or_high) = enumeration._point_tables(4)
+    rng = random.Random(25)
+    for m in [0, 1, 255, 256, (1 << 16) - 1] + [rng.getrandbits(16) for _ in range(300)]:
+        key, span = (1 << len(u)) - 1, 0
+        for j in range(16):
+            if m >> j & 1:
+                key &= closed[j]
+                span |= missed[j]
+        assert and_low[m & 255] & and_high[m >> 8] == key, m
+        assert or_low[m & 255] | or_high[m >> 8] == span, m
 
 
 def test_seed_context_sizes():
@@ -196,7 +253,11 @@ def test_orbit_min_matches_brute_force():
     masks[4] = {_intent(4, key) for key in _first_closure_keys(4)} | {rng.getrandbits(16) for _ in range(500)}
     for d, group in masks.items():
         for mask in group:
-            assert enumeration._orbit_min(d, mask) == _brute_orbit_min(d, mask), (d, mask)
+            want = _brute_orbit_min(d, mask)
+            assert enumeration._orbit_min(d, mask) == min(enumeration._orbit_images(d, mask)) == want, (d, mask)
+    # the tables of _seed_context's basis test at d = 5, four bytes a mask
+    for mask in [1, (1 << 32) - 1] + [rng.getrandbits(32) for _ in range(300)]:
+        assert min(enumeration._orbit_images(5, mask)) == _brute_orbit_min(5, mask), mask
 
 
 def test_full_scan_runs_canon_once_per_orbit(monkeypatch):
@@ -244,7 +305,7 @@ def test_seed_context_is_not_built_at_import():
 
 
 def test_orbit_tables_are_not_built_at_import():
-    assert _cache_sizes_after_import("_orbit_tables", "_orbit_form") == "0 0\n"
+    assert _cache_sizes_after_import("_orbit_tables", "_orbit_form", "_point_tables") == "0 0 0\n"
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
