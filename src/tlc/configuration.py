@@ -408,12 +408,15 @@ def is_maximal_in_md(m: BinaryMatrix) -> bool:
 def rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
     """The rank of m (0 when it has no entries) and is_maximal_in_md(m).
     One elimination of the rows gives both the rank and the count of 0/1
-    vectors in the row space."""
+    vectors in the row space.  A matrix with distinct lines is eliminated
+    only up to pivot _CLOSURE_RANK_LIMIT + 1, where the count raises
+    DimensionTooLarge; one with a repeated line gets its full rank."""
     lines = m.row_tuples()
-    elim, piv_rows, piv_cols, det = linalg._bareiss(list(lines), m.cols)
-    d = len(piv_rows)
     columns = list(zip(*lines))
-    if not d or len(set(lines)) < m.rows or len(set(columns)) < m.cols:
+    distinct = len(set(lines)) == m.rows and len(set(columns)) == m.cols
+    elim, piv_rows, piv_cols, det = linalg._bareiss(list(lines), m.cols, _CLOSURE_RANK_LIMIT + 1 if distinct else -1)
+    d = len(piv_rows)
+    if not d or not distinct:
         return d, False
     if len(_zero_one_patterns([elim[r] for r in piv_rows], piv_cols, det, m.cols)) != m.rows:
         return d, False

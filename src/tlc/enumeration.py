@@ -3,17 +3,20 @@
 Every maximal class has a representative whose point side is a set of 0/1
 vectors, so seeding a closure completion from every spanning subset of
 {0,1}^d and deduplicating canonical slack forms enumerates all classes for
-small d.  Two independent oracles cross-check the closure machinery: a
-literal one-line-extension test (a matrix with distinct lines is maximal in
-its rank class exactly when no 0/1 vector of its row space or column space
-can be added as a new line), and a bounded scan that enumerates every tiny
-matrix and keeps the extension-free ones.
+d <= 4, and a deterministic sample of them at d = 5; at every d each seed
+is read off bitmasks over U_d (_seed_context).  Two independent oracles
+cross-check the closure machinery: a literal one-line-extension test (a
+matrix with distinct lines is maximal in its rank class exactly when no 0/1
+vector of its row space or column space can be added as a new line), and a
+bounded scan that enumerates every tiny matrix and keeps the extension-free
+ones.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -22,17 +25,16 @@ from typing import Optional
 
 from . import canon
 from .canon import CanonicalForm
-from .configuration import BinaryMatrix, _subset_sums, closure, parse_matrix, slack_bits
+from .configuration import BinaryMatrix, _subset_sums, parse_matrix
 from .corrcone import all_points
 from .errors import DimensionMismatch, DimensionTooLarge
 from .linalg import _bareiss, rank
 from .parallel import chunked_map
 
-_FULL_SCAN_LIMIT = 4
 _SAMPLED_DIM = 5
 # largest seed_limit of a sampled d = 5 run: on 2 cores with Python 3.11.7
-# 4,000 seeds take 1.3 s and 20,000 take 5.1 s, so this many take about 30 s,
-# a little more than the full d = 4 scan of 64,839 seeds
+# every d = 5 run first builds U_5 (about 3 s), then 20,000 seeds take
+# 0.8 s and 100,000 take 2.6 s
 _SAMPLED_SEED_LIMIT = 100_000
 _ORACLE_DIM_LIMIT = 2
 
@@ -151,11 +153,12 @@ def _seed_context(d: int):
 
 @functools.cache
 def _point_tables(d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(ands, ors), d <= 4, built once per d on first use: the byte tables
+    """(ands, ors), d <= 5, built once per d on first use: the byte tables
     (_byte_tables) of the AND of closed and of the OR of missed (see
-    _seed_context) over every subset of x_0..x_7 and of x_8..x_15.  A seed
-    mask m's first closure is ands[0][m & 255] & ands[1][m >> 8], and it
-    spans iff ors[0][m & 255] | ors[1][m >> 8] is every hyperplane."""
+    _seed_context) over every subset of each run of 8 points x_8k..x_8k+7
+    (two runs at d <= 4, four at d = 5).  A seed mask m's first closure is
+    the AND over k of ands[k][m >> 8k & 255], and it spans iff the OR of the
+    ors[k][m >> 8k & 255] is every hyperplane."""
     u, closed, missed, _ = _seed_context(d)
     return _byte_tables(closed, int.__and__, (1 << len(u)) - 1), _byte_tables(missed, int.__or__, 0)
 
@@ -205,9 +208,11 @@ def _orbit_images(d: int, mask: int):
 
 
 def _orbit_min(d: int, intent: int) -> int:
-    """The least image of a mask over the points of {0,1}^d, d <= 4, under
-    the d! coordinate permutations: _orbit_images with its two lookups
-    written out, a quarter of its time per call."""
+    """The least image of a mask over the points of {0,1}^d, d <= 5, under
+    the d! coordinate permutations.  At d <= 4 it is _orbit_images with its
+    two lookups written out, a quarter of its time per call."""
+    if d == _SAMPLED_DIM:
+        return min(_orbit_images(d, intent))
     low, high = intent & 255, intent >> 8
     return min(a[low] | b[high] for a, b in _orbit_tables(d))
 
@@ -215,72 +220,65 @@ def _orbit_min(d: int, intent: int) -> int:
 @functools.cache
 def _orbit_form(d: int, rep: int):
     """The canonical form of the completion whose intent (its 0/1 point
-    set, a mask over {0,1}^d) is rep.
+    set, a mask over {0,1}^d, d <= 5) is rep.
 
     The intent's first closure is the AND of closed[j] over its points
     (see _seed_context), and it is the first closure of every seed whose
     intent this is.  The cache is process-wide and unbounded: it holds at
-    most one entry per S_d orbit of intents, 1, 3, 19 and 399 at d = 1..4.
+    most one entry per S_d orbit of spanning intents, 1, 3, 19 and 399 at
+    d = 1..4 and 46,439 at d = 5 (counted by an orbit search over intents).
     """
-    (low, high), _ = _point_tables(d)
-    return canon.canonical_form(_mask_slack(d, low[rep & 255] & high[rep >> 8]))
+    closed = _seed_context(d)[1]
+    key = functools.reduce(int.__and__, map(closed.__getitem__, _bits(rep)))
+    return canon.canonical_form(_mask_slack(d, key))
 
 
 def _enum_worker(args):
-    """Completion classes of a run of seed masks, with the seed counts.
+    """Completion classes of a run of seed masks, d <= 5, with the seed counts.
 
     A seed's first closure X' holds every e_i, so it spans and X'' lies
     inside {0,1}^d (see _seed_context): at every d, degenerate_seeds is 0
-    and every spanning seed is a completion.  At d <= 4 X' is the AND of
-    its points' closed masks over U_d and the seed spans iff the OR of
-    their missed masks is every hyperplane; both are read off the byte
-    tables of _point_tables, one lookup per byte of the seed mask each.  A
-    memo miss runs canon once per S_d orbit of intents X'': it takes the
-    least image of X'' under the coordinate permutations (_orbit_min) and
-    the cached form of that image (_orbit_form), whose slack matrix is read
-    off the masks (_mask_slack).
+    and every spanning seed is a completion.  X' is the AND of its points'
+    closed masks over U_d and the seed spans iff the OR of their missed
+    masks is every hyperplane; both are read off the byte tables of
+    _point_tables, one lookup per byte of the seed mask each (two bytes at
+    d <= 4, four at d = 5).  A memo miss runs canon once per S_d orbit of
+    intents X'': it takes the least image of X'' under the coordinate
+    permutations (_orbit_min) and the cached form of that image
+    (_orbit_form), whose slack matrix is read off the masks (_mask_slack).
     This is exact: a coordinate permutation P maps {0,1}^d onto itself,
     maps U_d onto itself (P M^-1 s = (M P^-1)^-1 s, and M P^-1 is a 0/1
     basis), keeps every product (<P y, P x> = <y, x>) and so commutes with
     closure.  So (PA, PB) has the slack matrix of (A, B) with its rows and
     columns reordered, and the class depends only on the intent's orbit.
-    The sampled d = 5 run ranks each seed and takes both closures exactly.
     """
     d, masks = args
     forms = {}
     spanning = 0
-    # seeds sharing a first closure (at d <= 4 its mask over U_d) share the whole completion
+    # seeds sharing a first closure (its mask over U_d) share the whole completion
     memo: dict = {}
-    small = d <= _FULL_SCAN_LIMIT
-    points = all_points(d)
-    if small:
-        closed, missed = _seed_context(d)[1:3]
-        (and_low, and_high), (or_low, or_high) = _point_tables(d)
-        hyperplanes = functools.reduce(int.__or__, missed)
+    closed, missed = _seed_context(d)[1:3]
+    hyperplanes = functools.reduce(int.__or__, missed)
+    ands, ors = _point_tables(d)
+    wide = d == _SAMPLED_DIM
+    # d = 5 has four tables per fold; d <= 4 has two, repeated here and read as a0, a1, o0, o1
+    (a0, a1, a2, a3), (o0, o1, o2, o3) = (ands, ors) if wide else (ands * 2, ors * 2)
     for m in masks:
-        if small:
-            low, high = m & 255, m >> 8
-            if or_low[low] | or_high[high] != hyperplanes:
+        if wide:
+            b0, b1, b2, b3 = m & 255, m >> 8 & 255, m >> 16 & 255, m >> 24
+            if o0[b0] | o1[b1] | o2[b2] | o3[b3] != hyperplanes:
                 continue
-            key = and_low[low] & and_high[high]
+            key = a0[b0] & a1[b1] & a2[b2] & a3[b3]
         else:
-            vectors = [points[j] for j in _bits(m)]
-            if rank(vectors) != d:
+            low, high = m & 255, m >> 8
+            if o0[low] | o1[high] != hyperplanes:
                 continue
-            key = closure(vectors, d)
+            key = a0[low] & a1[high]
         spanning += 1
         cached = memo.get(key)
         if cached is None:
-            if small:
-                intent = sum(1 << j for j, c in enumerate(closed) if key & ~c == 0)
-                cached = _orbit_form(d, _orbit_min(d, intent))
-            else:
-                # (key, b) is a closure fixed point with both sides sorted and
-                # distinct, so its products are the slack matrix as they stand
-                b = closure(key, d)
-                bits = slack_bits(key, b)
-                cached = canon.canonical_form(BinaryMatrix(len(key), len(b), tuple(bits)))
-            memo[key] = cached
+            intent = sum(1 << j for j, c in enumerate(closed) if key & ~c == 0)
+            cached = memo[key] = _orbit_form(d, _orbit_min(d, intent))
         forms[cached.bytes] = cached
     return forms, spanning
 
@@ -312,22 +310,19 @@ def enumerate_maximal(
         raise DimensionTooLarge(f"sampled dimension 5 is limited to seed_limit <= {_SAMPLED_SEED_LIMIT}")
     if d == _SAMPLED_DIM and seed_limit < 1:
         raise DimensionTooLarge("sampled dimension 5 needs seed_limit >= 1")
-    if d <= _FULL_SCAN_LIMIT:
+    if d < _SAMPLED_DIM:
         masks = _seed_masks(d)
-        # built here, so forked --jobs workers inherit them
-        _point_tables(d)
-        _orbit_tables(d)
     else:
-        import random
-
         rng = random.Random(0)
-        n = 1 << d
         seen = set()
         while len(seen) < seed_limit:
-            m = rng.getrandbits(n)
+            m = rng.getrandbits(1 << d)
             if bin(m).count("1") >= d:
                 seen.add(m)
         masks = sorted(seen, key=lambda m: (bin(m).count("1"), m))
+    # built here, so forked --jobs workers inherit them
+    _point_tables(d)
+    _orbit_tables(d)
 
     parts = chunked_map(_enum_worker, len(masks), jobs if len(masks) >= 256 else 1, lambda lo, hi: (d, masks[lo:hi]))
     forms = {}

@@ -68,7 +68,7 @@ def divide_rows(nums, den: int) -> tuple[Vec, ...]:
     return tuple(tuple(fracs[n] for n in y) for y in nums)
 
 
-def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], list[int], int]:
+def _bareiss(rows: list[list[int]], ncols: int, limit: int = -1) -> tuple[list[list[int]], list[int], list[int], int]:
     """Fraction-free Gauss-Jordan elimination on integer rows, in place.
 
     Pivots on the first ncols columns; any further columns are augmented and
@@ -83,14 +83,15 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
     other row is 0 on the first ncols columns.  D is the determinant of the
     pivot submatrix with its rows in pivot order, so for a nonsingular square
     M augmented by I, the augmented part of the k-th pivot row is row k of
-    D M^-1, an integer matrix equal to +-adj(M).
+    D M^-1, an integer matrix equal to +-adj(M).  A limit >= 0 stops it after
+    that many pivots.
     """
     free = list(range(len(rows)))
     piv_rows: list[int] = []
     piv_cols: list[int] = []
     prev = 1
     for c in range(ncols):
-        if not free:
+        if not free or len(piv_rows) == limit:
             break
         p = next((i for i in free if rows[i][c]), None)
         if p is None:

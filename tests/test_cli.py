@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlc import canon, cli, compress, stabset
+from tlc import canon, cli, compress, linalg, stabset
 from tlc.configuration import (
     BinaryMatrix,
     _zero_one_count,
@@ -21,6 +21,7 @@ from tlc.configuration import (
     maximal_completion,
     normalize_to_binary,
     parse_matrix,
+    rank_and_maximality,
 )
 from tlc.errors import NotSpanning, ParseError
 from tlc.linalg import rank
@@ -759,6 +760,35 @@ def test_check_identity_beyond_closure_rank_limit(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "DimensionTooLarge" in proc.stderr
+
+
+def test_check_refuses_rank_above_limit_after_seventeen_pivots(tmp_path, monkeypatch):
+    # distinct lines: the elimination stops at the 17th pivot, which the 0/1
+    # count refuses; the full elimination of this matrix took about 1.2 s
+    rng = random.Random(150)
+    rows = ["".join(str(rng.getrandbits(1)) for _ in range(150)) for _ in range(150)]
+    text = "150 150\n" + "\n".join(rows) + "\n"
+    assert parse_matrix(text).distinct_lines()
+    pivots = []
+    original = linalg._bareiss
+
+    def counted(*args):
+        result = original(*args)
+        pivots.append(len(result[1]))
+        return result
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    path = write(tmp_path, "r150.txt", text)
+    assert run_cli(["check", path]) == (3, "", "error: DimensionTooLarge: closure is limited to rank <= 16\n")
+    assert pivots == [17]
+
+
+def test_check_prints_full_rank_of_matrix_with_repeated_line(tmp_path):
+    identity = ["".join("1" if j == i else "0" for j in range(20)) for i in range(20)]
+    text = "21 20\n" + "\n".join(identity + identity[:1]) + "\n"
+    assert rank_and_maximality(parse_matrix(text)) == (20, False)
+    path = write(tmp_path, "id20.txt", text)
+    assert run_cli(["check", path]) == (0, "member of M_20: no; maximal: no\n", "")
 
 
 def _reference_check_output(m, fmt):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tlc import canon, enumeration, geometry
+from tlc import canon, configuration, enumeration, geometry, linalg
 from tlc.configuration import (
     BinaryMatrix,
     _scaled,
@@ -20,6 +20,7 @@ from tlc.configuration import (
     closure,
     is_maximal_in_md,
     parse_matrix,
+    slack_bits,
     slack_matrix,
     spans,
 )
@@ -152,17 +153,21 @@ def test_seed_context_d5_pinned():
 
 
 def test_point_tables_fold_every_subset():
-    u, closed, missed, _ = enumeration._seed_context(4)
-    (and_low, and_high), (or_low, or_high) = enumeration._point_tables(4)
     rng = random.Random(25)
-    for m in [0, 1, 255, 256, (1 << 16) - 1] + [rng.getrandbits(16) for _ in range(300)]:
-        key, span = (1 << len(u)) - 1, 0
-        for j in range(16):
-            if m >> j & 1:
-                key &= closed[j]
-                span |= missed[j]
-        assert and_low[m & 255] & and_high[m >> 8] == key, m
-        assert or_low[m & 255] | or_high[m >> 8] == span, m
+    for d in (4, 5):
+        u, closed, missed, _ = enumeration._seed_context(d)
+        ands, ors = enumeration._point_tables(d)
+        assert len(ands) == len(ors) == max(2, (1 << d) // 8)
+        n = 1 << d
+        for m in [0, 1, 255, 256, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(300)]:
+            key, span = (1 << len(u)) - 1, 0
+            for j in range(n):
+                if m >> j & 1:
+                    key &= closed[j]
+                    span |= missed[j]
+            runs = [m >> (8 * k) & 255 for k in range(len(ands))]
+            assert functools.reduce(operator.and_, map(operator.getitem, ands, runs)) == key, m
+            assert functools.reduce(operator.or_, map(operator.getitem, ors, runs)) == span, m
 
 
 def test_seed_context_sizes():
@@ -255,9 +260,9 @@ def test_orbit_min_matches_brute_force():
         for mask in group:
             want = _brute_orbit_min(d, mask)
             assert enumeration._orbit_min(d, mask) == min(enumeration._orbit_images(d, mask)) == want, (d, mask)
-    # the tables of _seed_context's basis test at d = 5, four bytes a mask
+    # four bytes a mask at d = 5
     for mask in [1, (1 << 32) - 1] + [rng.getrandbits(32) for _ in range(300)]:
-        assert min(enumeration._orbit_images(5, mask)) == _brute_orbit_min(5, mask), mask
+        assert enumeration._orbit_min(5, mask) == _brute_orbit_min(5, mask), mask
 
 
 def test_full_scan_runs_canon_once_per_orbit(monkeypatch):
@@ -277,12 +282,18 @@ def test_full_scan_runs_canon_once_per_orbit(monkeypatch):
     assert enumeration._orbit_form.cache_info().currsize == size and len(calls) == size
 
 
-def test_small_scan_runs_on_masks_only(monkeypatch, enum_results, enum_d4):
+def _refuse_exact_path(monkeypatch):
+    """Make closure, rank and slack_bits raise wherever the scan could reach them."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the d <= 4 scan left the U_d masks")
+        raise AssertionError("the seed scan left the U_d masks")
 
-    for name in ("closure", "rank", "slack_bits"):
-        monkeypatch.setattr(enumeration, name, refuse)
+    for module, name in ((configuration, "closure"), (configuration, "slack_bits"),
+                         (linalg, "rank"), (enumeration, "rank")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_small_scan_runs_on_masks_only(monkeypatch, enum_results, enum_d4):
+    _refuse_exact_path(monkeypatch)
     for d, want in (*enum_results.items(), (4, enum_d4)):
         got = enumerate_maximal(d)
         assert [f.bytes for f in got.classes] == [f.bytes for f in want.classes]
@@ -341,6 +352,79 @@ def test_first_closure_of_a_zero_one_seed_holds_the_unit_vectors(d):
         assert units <= set(first)
         assert spans(first, d)
         seeds += 1
+
+
+def _sampled_masks(seed_limit):
+    """The d = 5 seed sample, drawn as enumerate_maximal draws it."""
+    rng = random.Random(0)
+    seen = set()
+    while len(seen) < seed_limit:
+        m = rng.getrandbits(32)
+        if bin(m).count("1") >= 5:
+            seen.add(m)
+    return sorted(seen, key=lambda m: (bin(m).count("1"), m))
+
+
+def _rational_scan(d, masks):
+    """The classes and spanning seed count of a seed scan on the exact
+    rational path, kept as the oracle of the mask scan: rank each seed,
+    close it twice exactly and run canon on the fixed point's slack bits."""
+    points = all_points(d)
+    forms, memo, spanning = {}, {}, 0
+    for m in masks:
+        vectors = [points[j] for j in range(1 << d) if m >> j & 1]
+        if rank(vectors) != d:
+            continue
+        spanning += 1
+        a = closure(vectors, d)
+        if a not in memo:
+            b = closure(a, d)
+            memo[a] = canon.canonical_form(BinaryMatrix(len(a), len(b), tuple(slack_bits(a, b))))
+        forms[memo[a].bytes] = memo[a]
+    return [forms[k] for k in sorted(forms)], spanning
+
+
+def test_sampled_d5_matches_rational_oracle(monkeypatch):
+    with monkeypatch.context() as patch:
+        _refuse_exact_path(patch)
+        got = enumerate_maximal(5, seed_limit=2000)
+    masks = _sampled_masks(2000)
+    want, spanning = _rational_scan(5, masks)
+    assert [f.bytes for f in got.classes] == [f.bytes for f in want]
+    assert got.stats == enumeration.EnumStats(len(masks), spanning, spanning, 0, len(want))
+    assert (len(want), spanning) == (42, 2000)
+
+
+def test_sampled_d5_jobs_do_not_change_output():
+    # 256 seeds or more, or the scan never starts a pool
+    one = enumerate_maximal(5, jobs=1, seed_limit=300)
+    two = enumerate_maximal(5, jobs=2, seed_limit=300)
+    assert [f.bytes for f in two.classes] == [f.bytes for f in one.classes]
+    assert two.stats == one.stats and one.stats.seeds_total == 300
+
+
+def test_refusals_come_before_the_u5_build(monkeypatch):
+    def refuse(d):
+        raise AssertionError("a refused run built U_d")
+
+    for name in ("_seed_context", "_point_tables", "_orbit_tables"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    limit = enumeration._SAMPLED_SEED_LIMIT
+    cases = [
+        (None, DimensionTooLarge, "dimension 5 needs an explicit seed_limit (sampled, possibly incomplete)"),
+        (0, DimensionTooLarge, "sampled dimension 5 needs seed_limit >= 1"),
+        (-3, DimensionTooLarge, "sampled dimension 5 needs seed_limit >= 1"),
+        (limit + 1, DimensionTooLarge, f"sampled dimension 5 is limited to seed_limit <= {limit}"),
+    ]
+    for seed_limit, error, message in cases:
+        with pytest.raises(error) as info:
+            enumerate_maximal(5, seed_limit=seed_limit)
+        assert str(info.value) == message
+    for d in (1, 2, 3, 4):
+        for seed_limit in (1, 7, limit + 1):
+            with pytest.raises(DimensionMismatch) as info:
+                enumerate_maximal(d, seed_limit=seed_limit)
+            assert str(info.value) == "seed_limit applies only to the sampled dimension 5"
 
 
 def test_enumerate_d5_sampled_runs():

@@ -1,8 +1,8 @@
 """Static checks of the package's names, with the standard library only:
 no module-level import that its module never uses (in the package, the
 tests and the scripts), a `tlc.__all__` whose every name resolves, no
-function, class or method that nothing names, and no error class that
-nothing raises."""
+function, class or method that nothing names, a pinned list of those
+that only the tests name, and no error class that nothing raises."""
 
 import ast
 import importlib
@@ -93,6 +93,29 @@ def test_every_definition_is_named_elsewhere():
     others = [p for top in ("src", "tests", "perfbench", "scripts") for p in sorted((REPO / top).rglob("*.py"))]
     defining = sorted(SRC.glob("*.py"))
     assert _unnamed_definitions(defining, [p for p in others if p not in defining]) == []
+
+
+# the definitions that only the tests name, as "module.name"; pinned so that
+# a new one cannot enter the package unnoticed
+TEST_ONLY = {
+    "compress.GeneratorSet.det_history",
+    "compress.zeta",
+    "corrcone.lifted_rank",
+    "enumeration.oracle_maximal",
+    "geometry.examples_library",
+    "stabset.BipartiteGraph.min_degree",
+    "stabset.simple_vertices",
+    "stabset.zero_vertex_neighbors",
+}
+
+
+def test_test_only_definitions_are_pinned():
+    others = [p for top in ("src", "perfbench", "scripts") for p in sorted((REPO / top).rglob("*.py"))]
+    defining = sorted(SRC.glob("*.py"))
+    unnamed = _unnamed_definitions(defining, [p for p in others if p not in defining])
+    found = {re.sub(r"\.py:\d+: ", ".", label) for label in unnamed}
+    # argparse calls the override, so nothing in the repo names it
+    assert found - {"cli._Parser.error"} == TEST_ONLY
 
 
 def test_unnamed_definition_is_found(tmp_path):
