@@ -15,6 +15,13 @@ generators once, on first use, so every phi reduces against that one form;
 decompress solves all decoded face points in one fraction-free elimination.
 Fractions are built only for the vectors of the Configuration that
 decompress returns.
+
+Only the weighted-graph text is checked as outside input: its parser ranks
+the leading generators, and decoding tests the certificate against every
+facet.  What the round trip derives is carried, not checked again: the
+generators select_generators picks are independent by construction, the
+cut that face_points makes is a face, and the configuration decompress
+returns carries the products its closure decided.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import corrcone, linalg
-from .configuration import Configuration, closure, refuse_trailing
+from .configuration import Configuration, _closure_products, _with_products, refuse_trailing
 from .errors import (
     DimensionMismatch,
     NonBinaryProduct,
@@ -37,7 +44,13 @@ from .linalg import vec
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Ordered 0/1 generators; the first d are independent, k obeys the log bound."""
+    """Ordered 0/1 generators; the first d are independent, k obeys the log bound.
+
+    The constructor checks the widths, the 0/1 entries and the bound, but
+    not the independence: select_generators picks the first d as
+    independent rows, and weighted_graph_parse, the path for generators
+    read from outside, ranks them.
+    """
 
     d: int
     gens: tuple[tuple[int, ...], ...]
@@ -50,8 +63,6 @@ class GeneratorSet:
             raise DimensionMismatch("generators of wrong dimension")
         if any(x not in (0, 1) for g in gens for x in g):
             raise NonBinaryProduct("generators must be 0/1 vectors")
-        if linalg.rank([list(g) for g in gens[:d]]) != d:
-            raise NotSpanning("leading generators are not independent")
         k = len(gens)
         # k <= d + d*log2(d), checked exactly: 2^(k-d) <= d^d (k = 1 at d = 1)
         if (1 << (k - d)) > d ** d:
@@ -92,7 +103,8 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     the first vector outside the current lattice.  Each step computes one
     Hermite form and tests the vectors against it.  The vectors before an
     appended one lie in the smaller lattice, so the next step resumes the
-    search after it.
+    search after it.  The leading d are first_independent rows, so the
+    GeneratorSet does not rank them again.
     """
     bs = sorted(set(tuple(int(x) for x in v) for v in b_vectors))
     if any(len(b) != d for b in bs):
@@ -148,7 +160,13 @@ def phi(b, gens: GeneratorSet) -> tuple[int, ...]:
 
 
 def compress(cfg: Configuration) -> CompressedConfig:
-    """Encode a maximal configuration whose B side is 0/1."""
+    """Encode a maximal configuration whose B side is 0/1.
+
+    The face is the cut of the phi(b) (face_points), and its certificate is
+    encoded without the face test of certificate_encode: every integer
+    vector cuts out a face of the correlation cone, and so does an
+    intersection of such cuts.
+    """
     for v in cfg.B:
         if any(x != 0 and x != 1 for x in v):
             raise NonBinaryProduct("B side must be 0/1; normalize first")
@@ -157,8 +175,7 @@ def compress(cfg: Configuration) -> CompressedConfig:
     gens = select_generators(cfg.B, cfg.d)
     phis = [phi(b, gens) for b in cfg.B]
     a_prime = corrcone.face_points(gens.k, phis)
-    cert = corrcone.certificate_encode(gens.k, a_prime)
-    return CompressedConfig(gens, cert)
+    return CompressedConfig(gens, corrcone._face_certificate(gens.k, a_prime))
 
 
 def decompress(cc: CompressedConfig) -> Configuration:
@@ -169,6 +186,11 @@ def decompress(cc: CompressedConfig) -> Configuration:
     elimination of [G | A'^T], A' the decoded points as rows, solves them
     all: a' is consistent exactly when its column is 0 on every non-pivot
     row, and then a_c = (pivot row's entry) / D on each pivot column c.
+
+    The result carries the products that closure decided, unchecked.  A
+    spans, or closure raises NotSpanning.  B spans: each generator g_i has
+    the 0/1 product <a, g_i> = a'_i with every decoded a, so it lies in
+    closure(A), and the leading d generators are independent.
     """
     gens = cc.gens
     a_prime = corrcone.certificate_decode(cc.cert)
@@ -182,9 +204,7 @@ def decompress(cc: CompressedConfig) -> Configuration:
             if not any(row[p] for row in zero_rows)]
     # nums is never empty: the zero point lies on every facet, so it is
     # decoded, and its column is zero, so consistent
-    a_side = linalg.divide_rows(nums, det)
-    b_side = closure(a_side, d)
-    return Configuration(d, a_side, b_side)
+    return _with_products(d, *_closure_products(linalg.divide_rows(nums, det), d))
 
 
 def weighted_graph_serialize(cc: CompressedConfig) -> str:
@@ -240,7 +260,9 @@ def weighted_graph_parse(text: str) -> CompressedConfig:
     if len(tail) != k:
         raise ParseError(f"expected {k} tail values", line=2 + 2 * k)
     refuse_trailing(lines, 2 + 2 * k, "weighted graph")
-    # the cone's limit on k comes before GeneratorSet ranks the k leading generators
+    # the cone's limit on k comes before the leading generators are ranked
     corrcone._check_dimension(k)
+    if linalg.rank(gen_rows[:d]) != d:
+        raise NotSpanning("leading generators are not independent")
     s = tuple(upper[min(i, j)][abs(i - j)] for i in range(k) for j in range(k)) + tuple(tail)
     return CompressedConfig(GeneratorSet(d, tuple(gen_rows)), corrcone.FaceCertificate(k, s))

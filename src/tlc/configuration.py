@@ -15,6 +15,13 @@ deterministic.  A maximal configuration's class is fixed by its slack
 matrix, and every normal form here is computed from the slack bits alone
 by one rank factorization (_rank_factor): `from_slack_matrix`,
 `normalize_to_binary` and the binary/integral rewrite in `geometry`.
+
+Products are checked once, where vectors come from outside: the
+`Configuration` constructor (JSON input, the tests' oracles) scales both
+sides, ranks them and multiplies every pair.  A configuration the code
+derives carries the products it has already decided instead
+(_with_products): the slack bits of a rank factorization, or the bits that
+closure decides for each vector it keeps (_closure_products).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from . import linalg
@@ -155,7 +163,9 @@ class Configuration:
     The vectors are kept as given, sorted and without repeats (a vector
     that is not all ints and Fractions becomes Fractions), and the products
     checked on construction are kept, row-major over the sorted sides, as
-    the slack matrix's bits.
+    the slack matrix's bits.  Configurations derived inside the package
+    skip the checks and carry the products they already know
+    (_with_products).
     """
 
     d: int
@@ -184,6 +194,25 @@ class Configuration:
         slack matrix (its lines are distinct and its rank is d, as both sides
         span)."""
         return is_maximal_in_md(slack_matrix(self).matrix)
+
+
+def _with_products(d: int, a, b, rows) -> Configuration:
+    """Configuration(d, a, b) for sides whose products are already decided:
+    row i of the iterable rows is (<a[i], b[j]>)_j, each 0 or 1.
+
+    Nothing is checked and nothing is sorted: the caller hands over the
+    sides as __post_init__ would keep them, each a sorted tuple of distinct
+    vectors of ints and Fractions of length d >= 1 spanning R^d.  The
+    callers sort by integer vectors in the same order (the closure's scaled
+    keys, a factorization's numerators over a positive D), which costs less
+    than comparing Fractions.
+    """
+    cfg = object.__new__(Configuration)
+    object.__setattr__(cfg, "d", d)
+    object.__setattr__(cfg, "A", a)
+    object.__setattr__(cfg, "B", b)
+    object.__setattr__(cfg, "_bits", tuple(chain.from_iterable(rows)))
+    return cfg
 
 
 def spans(vectors, d: int) -> bool:
@@ -240,6 +269,22 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     The 2^d patterns are tabulated, so d above _CLOSURE_RANK_LIMIT raises
     DimensionTooLarge before [X | I] is built.
     """
+    return _closure_products(vectors, d)[1]
+
+
+def _closure_products(vectors, d: int):
+    """(X, Y, P): the family's distinct vectors X, Y = closure(X), and the
+    rows of products P, row i being (<x_i, y_j>)_j.
+
+    Closure decides every product of a vector it keeps, so none is
+    multiplied out: on the column of basis vector b_k it is bit k of the
+    pattern s (<y, b_k> = s_k by construction), and on any other column it
+    is sum_{k in s} w_k, the column's subset sum that the filter kept at 0
+    or D, divided by D.  P is an iterator that computes each row when it is
+    read (_pattern_products), so `closure`, which drops it, pays nothing.
+    X and Y come sorted, as a Configuration keeps them: X by its scaled
+    keys (_scaled), Y by its integer numerators over D > 0.
+    """
     keyed, scale = _scaled(vectors)
     if not keyed:
         raise NotSpanning("empty family")
@@ -247,7 +292,7 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
         raise DimensionMismatch("vectors of wrong dimension")
     if d < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    xs = list(keyed)
+    xs = sorted(keyed)
     m = len(xs)
     # a spanning family has rank d: fewer than d vectors cannot span, and a
     # rank above the limit is refused anyway, so neither check needs [X | I]
@@ -266,10 +311,11 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
         rows = [[-x for x in row] for row in rows]
     pivots = [rows[r] for r in piv_rows]
 
-    alive = _zero_one_patterns(pivots, piv_cols, det, m)
     coords = [_subset_sums([scale * row[m + r] for row in pivots]) for r in range(d)]
     ys = list(zip(*coords))
-    return linalg.divide_rows(sorted(ys[s] for s in alive), det)
+    alive = sorted(_zero_one_patterns(pivots, piv_cols, det, m), key=ys.__getitem__)
+    products = _pattern_products(pivots, piv_cols, det, m, alive)
+    return tuple(map(keyed.__getitem__, xs)), linalg.divide_rows([ys[s] for s in alive], det), products
 
 
 def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
@@ -307,6 +353,25 @@ def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
     return alive
 
 
+def _pattern_products(pivots, piv_cols: list[int], det: int, ncols: int, patterns):
+    """Per column j < ncols, in turn, the values (1/D) sum_{k in s} P_k[j]
+    over the given patterns s, each of which _zero_one_patterns kept: bit k
+    of s on the pivot column of P_k, and elsewhere 1 exactly when the subset
+    sum (two half-table lookups, as in the filter) is D, since it is 0 or D."""
+    half = len(pivots) // 2
+    low = (1 << half) - 1
+    pivot_of = {c: k for k, c in enumerate(piv_cols)}
+    for j, col in enumerate(zip(*pivots)):
+        if j == ncols:
+            break
+        k = pivot_of.get(j)
+        if k is not None:
+            yield tuple(s >> k & 1 for s in patterns)
+            continue
+        lo, hi = _subset_sums(col[:half]), _subset_sums(col[half:])
+        yield tuple(int(lo[s & low] + hi[s >> half] == det) for s in patterns)
+
+
 def _zero_one_count(lines: list, ncols: int) -> int:
     """The number of 0/1 vectors in the span of integer lines of length
     ncols: one elimination of the lines, with no augmented columns."""
@@ -327,12 +392,14 @@ def maximal_completion(seed, d: int) -> Configuration:
 
     A := closure(seed); B := closure(A).  The pair is a closure fixed point,
     and B contains the seed.  If closure(seed) fails to span, the seed is
-    rejected rather than silently patched.
+    rejected rather than silently patched.  Nothing else is checked: A
+    spans, closure decides the products of B with A, and B spans because it
+    contains the seed, which closure(seed) needed to span.
     """
     a = closure(seed, d)
     if not spans(a, d):
         raise DegenerateSeed(f"closure of the seed does not span R^{d}")
-    return Configuration(d, a, closure(a, d))
+    return _with_products(d, *_closure_products(a, d))
 
 
 def slack_matrix(cfg: Configuration) -> SlackMatrix:
@@ -345,6 +412,12 @@ def from_slack_matrix(m: BinaryMatrix) -> Configuration:
     """A configuration whose slack matrix is m up to row/column order: the
     rank factorization of m over its first d independent rows (_rank_factor).
     Permutation-equivalent inputs give linearly equivalent outputs.
+
+    The products are m's own bits, so none is checked again.  The sides
+    span: the rows of the basis get the coefficients e_1..e_d, and the
+    columns of R have R's rank d.  They have no repeats: distinct rows of m
+    have distinct coefficients over R, and equal columns of R would give
+    equal columns of m.
     """
     if not m.distinct_lines():
         raise RepeatedLine("slack matrices have no repeated row or column")
@@ -352,15 +425,19 @@ def from_slack_matrix(m: BinaryMatrix) -> Configuration:
     basis = sorted(linalg._bareiss(list(rows), m.cols)[1])
     if not basis:
         raise NotSpanning("zero matrix has no configuration")
-    b_side, a_side = _rank_factor(rows, basis)
-    return Configuration(len(basis), a_side, b_side)
+    b_side, a_side, products = _rank_factor(rows, basis)
+    return _with_products(len(basis), a_side, b_side, products)
 
 
-def _rank_factor(lines, basis) -> tuple[tuple, tuple]:
+def _rank_factor(lines, basis) -> tuple[tuple, tuple, list]:
     """A rank factorization of the 0/1 matrix with the given lines (its rows,
-    say) over R, the d independent lines at the indices `basis`: the columns
-    of R, and each line's coefficients over R.  Line i is sum_k a_i[k] R_k,
-    so its entry j is <a_i, c_j> with c_j column j of R.
+    say) over R, the d independent lines at the indices `basis`: (C, A, P)
+    with C the columns c_j of R, A each line's coefficients a_i over R, and
+    P the lines themselves, P[i][j] = <a_i, c_j>, since line i is
+    sum_k a_i[k] R_k.  C and A come sorted, as a Configuration keeps its
+    sides, and P is permuted to match: the columns are int vectors, and the
+    coefficients sort as their integer numerators over D once D is made
+    positive, with no Fraction compared.
 
     One elimination of R gives d independent columns J of it; one more, of
     [R_J^T | I], gives G = D (R_J^T)^-1 in integers (_bareiss).  Line y's
@@ -378,9 +455,15 @@ def _rank_factor(lines, basis) -> tuple[tuple, tuple]:
     cols = linalg._bareiss(list(r), len(r[0]))[2]
     aug = [[x[j] for x in r] + [int(t == i) for t in range(d)] for i, j in enumerate(cols)]
     aug, inv_rows, _, det = linalg._bareiss(aug, d)
-    g = [aug[k][d:] for k in inv_rows]
+    sign = -1 if det < 0 else 1
+    g = [[sign * x for x in aug[k][d:]] for k in inv_rows]
     nums = [tuple(sum(map(mul, gk, [y[j] for j in cols])) for gk in g) for y in lines]
-    return tuple(zip(*r)), linalg.divide_rows(nums, det)
+    positions = list(zip(*r))
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    line_order = sorted(range(len(lines)), key=nums.__getitem__)
+    return (tuple(map(positions.__getitem__, order)),
+            linalg.divide_rows([nums[i] for i in line_order], sign * det),
+            [[lines[i][j] for j in order] for i in line_order])
 
 
 def is_maximal_in_md(m: BinaryMatrix) -> bool:
@@ -431,15 +514,18 @@ def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
     0/1 products with them and preserves every product exactly.  That is the
     rank factorization of the slack lines labelled by the opposite side (the
     rows for side B, the columns for side A) over their first d independent
-    ones.
+    ones.  The factored lines are cfg's slack lines, so the result carries
+    cfg's slack bits unchecked: a change of basis keeps every product, the
+    number of distinct vectors and the span.
     """
     if side not in (SIDE_A, SIDE_B):
         raise ValueError(f"side must be {SIDE_A!r} or {SIDE_B!r}")
     m = slack_matrix(cfg).matrix
     lines = m.row_tuples() if side == SIDE_B else m.col_tuples()
-    binary, other = _rank_factor(lines, linalg.first_independent(lines, cfg.d))
-    a, b = (other, binary) if side == SIDE_B else (binary, other)
-    return Configuration(cfg.d, a, b)
+    binary, other, products = _rank_factor(lines, linalg.first_independent(lines, cfg.d))
+    if side == SIDE_B:
+        return _with_products(cfg.d, other, binary, products)
+    return _with_products(cfg.d, binary, other, zip(*products))
 
 
 # --- JSON interchange -----------------------------------------------------

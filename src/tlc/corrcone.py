@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
+from .configuration import _subset_sums
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -89,23 +90,21 @@ def all_points(d: int) -> list[Bit]:
 
 
 def face_points(d: int, bs) -> tuple[Bit, ...]:
-    """All x in {0,1}^d with <b,x> in {0,1} for every integer vector b."""
+    """All x in {0,1}^d with <b,x> in {0,1} for every integer vector b, sorted.
+
+    The points are the 0/1 points of a face: each b cuts out one (module
+    docstring), and so does their intersection (the whole cone when bs is
+    empty).  Point x_j has coordinate i equal to bit i of j, so <b, x_j> is
+    entry j of b's table of subset sums: one table per b filters all 2^d
+    points.
+    """
     _check_dimension(d)
     bs = [tuple(int(v) for v in b) for b in bs]
     for b in bs:
         if len(b) != d:
             raise DimensionMismatch("cut vector of wrong dimension")
-    out = []
-    for x in all_points(d):
-        ok = True
-        for b in bs:
-            s = sum(bi * xi for bi, xi in zip(b, x))
-            if s != 0 and s != 1:
-                ok = False
-                break
-        if ok:
-            out.append(x)
-    return tuple(sorted(out))
+    tables = [_subset_sums(b) for b in bs]
+    return tuple(sorted(x for j, x in enumerate(all_points(d)) if all(t[j] in (0, 1) for t in tables)))
 
 
 def _dot(u, v) -> int:
@@ -232,13 +231,26 @@ def _reduced_sum(cert: FaceCertificate) -> tuple[int, ...]:
 def certificate_encode(d: int, points) -> FaceCertificate:
     """Certificate of a face: sum the lifts of a greedy independent subset.
 
-    The subset is picked on the reduced lifts, which are independent exactly
-    when the full ones are: the pivot rows of one elimination of them, the
-    earliest maximal independent subset in sorted order.
+    The points are checked to be the point set of a face (NotAFace
+    otherwise): this is the encoder for points read from outside.  Points
+    that are a face by construction, such as face_points' cuts, go to
+    _face_certificate directly.
     """
     pts = sorted(set(tuple(int(v) for v in p) for p in points))
     if not is_face(d, pts):
         raise NotAFace(f"{pts} is not the point set of a face")
+    return _face_certificate(d, pts)
+
+
+def _face_certificate(d: int, pts) -> FaceCertificate:
+    """The certificate of the face whose sorted, distinct 0/1 points are pts,
+    which is not checked: the sum of the lifts of a greedy independent
+    subset of them.
+
+    The subset is picked on the reduced lifts, which are independent exactly
+    when the full ones are: the pivot rows of one elimination of them, the
+    earliest maximal independent subset in sorted order.
+    """
     nonzero = [x for x in pts if any(x)]
     lifts = [list(_reduced_lift(x)) for x in nonzero]
     _, piv_rows, _, _ = linalg._bareiss(lifts, d * (d + 1) // 2)
@@ -293,7 +305,3 @@ def enumerate_faces(d: int) -> tuple[tuple[Bit, ...], ...]:
                 i = 1 << d
     return tuple(sorted((_points(d, m) for m in faces), key=lambda f: (len(f), f)))
 
-
-def lifted_rank(d: int) -> int:
-    """Rank of all lifted 0/1 vectors; the cone's linear dimension."""
-    return linalg.rank([list(lift_raw(x)) for x in all_points(d)])

@@ -26,7 +26,9 @@ from .configuration import (
     slack_bits,
     spans,
     vectors_from_json_field,
+    _closure_products,
     _rank_factor,
+    _with_products,
 )
 from .corrcone import all_points
 from .errors import (
@@ -65,6 +67,10 @@ def polytope_completion(verts) -> Configuration:
     of closure(rows_h) has product -t with (0, -1), so t is 0 or -1.  At t = 0,
     a.w and -a.w lie in {0,1} for every row, so a.w = 0; the second closure
     runs only on rows that span R^(d+1), so the a's span R^d, and w = 0.
+
+    The result carries the products the second closure decided, unchecked:
+    rows_h spans, as that closure requires, and the completed points span
+    because they hold the seed.
     """
     verts = list(verts)
     if not verts:
@@ -74,7 +80,7 @@ def polytope_completion(verts) -> Configuration:
     if not spans(seed, d + 1):
         raise NotSpanning("points do not affinely span")
     rows_h = closure(seed, d + 1)
-    return Configuration(d + 1, rows_h, closure(rows_h, d + 1))
+    return _with_products(d + 1, *_closure_products(rows_h, d + 1))
 
 
 def complete_maximal_pair(verts) -> tuple[Configuration, tuple[int, ...]]:
@@ -171,12 +177,13 @@ def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore
     vector.  Each D vector is its column's coefficients over the core
     columns; on the core rows they solve L y = m_j, with L the core's unit
     lower triangular slack submatrix, so they are integral.  The slack
-    matrix is preserved entry for entry under the label correspondence.
+    matrix is preserved entry for entry under the label correspondence, so
+    the rewrite carries cfg's slack bits unchecked.
     """
     s = slack_matrix(cfg)
     core = find_triangular_core(s, cfg.d)
-    c_side, d_side = _rank_factor(s.matrix.col_tuples(), core.col_indices)
-    return core, Configuration(cfg.d, c_side, d_side)
+    c_side, d_side, products = _rank_factor(s.matrix.col_tuples(), core.col_indices)
+    return core, _with_products(cfg.d, c_side, d_side, zip(*products))
 
 
 # --- built-in examples ----------------------------------------------------

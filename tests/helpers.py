@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from tlc import linalg
 from tlc.configuration import SIDE_A
+from tlc.corrcone import all_points, lift_raw
 from tlc.errors import DimensionMismatch
 from tlc.geometry import examples_library, polytope_completion
 
@@ -17,6 +18,11 @@ def dot(u, v) -> Fraction:
 
 def mat_vec(rows, v):
     return tuple(dot(r, v) for r in rows)
+
+
+def lifted_rank(d: int) -> int:
+    """Rank of all lifted 0/1 vectors; the correlation cone's linear dimension."""
+    return linalg.rank([list(lift_raw(x)) for x in all_points(d)])
 
 
 def opposite_basis(cfg, side):

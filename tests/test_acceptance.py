@@ -25,7 +25,7 @@ from tlc.configuration import (
 )
 from tlc.enumeration import oracle_is_maximal, oracle_maximal
 
-from helpers import dot, mat_vec, opposite_basis
+from helpers import dot, lifted_rank, mat_vec, opposite_basis
 
 F = Fraction
 
@@ -145,7 +145,7 @@ def test_criterion_04_normalization(enum_results):
 def test_criterion_05_correlation_cone():
     # (a) lifted generators span a space of dimension d(d+1)/2
     for d in (1, 2, 3):
-        assert corrcone.lifted_rank(d) == d * (d + 1) // 2
+        assert lifted_rank(d) == d * (d + 1) // 2
     # (b) every cut family with entries in [-2,2]: single vectors and pairs,
     # deduplicated by resulting point set, all pass the exposed-face test
     for d in (1, 2, 3):

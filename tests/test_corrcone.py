@@ -14,9 +14,10 @@ from tlc.corrcone import (
     face_points,
     is_face,
     lift_raw,
-    lifted_rank,
 )
 from tlc.errors import DimensionMismatch, DimensionTooLarge, NonBinary, NotAFace, NotInCone
+
+from helpers import lifted_rank
 
 # face counts fixed by two independent methods (subset scan with LP, and
 # closing the single-cut faces under intersection)

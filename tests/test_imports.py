@@ -100,7 +100,6 @@ def test_every_definition_is_named_elsewhere():
 TEST_ONLY = {
     "compress.GeneratorSet.det_history",
     "compress.zeta",
-    "corrcone.lifted_rank",
     "enumeration.oracle_maximal",
     "geometry.examples_library",
     "stabset.BipartiteGraph.min_degree",

@@ -244,7 +244,7 @@ def _factored(cfg, side, basis_idx):
     and the slack columns (labelled by B) for side A."""
     m = configuration.slack_matrix(cfg).matrix
     lines = m.row_tuples() if side == SIDE_B else m.col_tuples()
-    binary, other = _rank_factor(lines, basis_idx)
+    binary, other, _ = _rank_factor(lines, basis_idx)
     a, b = (other, binary) if side == SIDE_B else (binary, other)
     return Configuration(cfg.d, a, b)
 

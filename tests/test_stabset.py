@@ -358,15 +358,19 @@ def test_maximal_slack_checks_products_once(monkeypatch):
     for mod in (configuration, geometry, stabset):
         if getattr(mod, "_slack_bits", None) is original:
             monkeypatch.setattr(mod, "_slack_bits", counted)
+    # closure's pattern filter decides each product of the completion once:
+    # neither the completion nor its slack matrix multiplies them out again,
+    # and the validating constructor, the oracle here, does so once
     cycle6 = BipartiteGraph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
     for g in (K2(), P3(), C4(), cycle6):
         calls.clear()
-        stab_maximal_slack(g)
-        assert len(calls) == 1
+        slack = stab_maximal_slack(g)
+        assert calls == []
         cfg = geometry.polytope_completion([stabset._char_vec(s, g.n) for s in stable_sets(g)])
-        calls.clear()
         configuration.slack_matrix(cfg)
         assert calls == []
+        assert configuration.Configuration(cfg.d, cfg.A, cfg.B)._bits == slack.matrix.bits
+        assert len(calls) == 1
 
 
 def test_census_report_json_shape():
