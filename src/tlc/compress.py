@@ -16,12 +16,12 @@ decompress solves all decoded face points in one fraction-free elimination.
 Fractions are built only for the vectors of the Configuration that
 decompress returns.
 
-Only the weighted-graph text is checked as outside input: its parser ranks
-the leading generators, and decoding tests the certificate against every
-facet.  What the round trip derives is carried, not checked again: the
-generators select_generators picks are independent by construction, the
-cut that face_points makes is a face, and the configuration decompress
-returns carries the products its closure decided.
+Generators and certificates are checked as they are built (GeneratorSet
+ranks its leading generators, decoding tests the certificate against every
+facet), as is the weighted-graph text they are read from.  What the round
+trip derives is carried, not checked again: the cut that face_points makes
+is a face, and the configuration decompress returns carries the products
+its closure decided.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import corrcone, linalg
-from .configuration import Configuration, _closure_products, _with_products, refuse_trailing
+from .configuration import Configuration, _with_closure, closure, refuse_trailing
 from .errors import (
     DimensionMismatch,
     NonBinaryProduct,
@@ -44,13 +44,7 @@ from .linalg import vec
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Ordered 0/1 generators; the first d are independent, k obeys the log bound.
-
-    The constructor checks the widths, the 0/1 entries and the bound, but
-    not the independence: select_generators picks the first d as
-    independent rows, and weighted_graph_parse, the path for generators
-    read from outside, ranks them.
-    """
+    """Ordered 0/1 generators; the first d are independent, k obeys the log bound."""
 
     d: int
     gens: tuple[tuple[int, ...], ...]
@@ -63,6 +57,8 @@ class GeneratorSet:
             raise DimensionMismatch("generators of wrong dimension")
         if any(x not in (0, 1) for g in gens for x in g):
             raise NonBinaryProduct("generators must be 0/1 vectors")
+        if linalg.rank([list(g) for g in gens[:d]]) != d:
+            raise NotSpanning("leading generators are not independent")
         k = len(gens)
         # k <= d + d*log2(d), checked exactly: 2^(k-d) <= d^d (k = 1 at d = 1)
         if (1 << (k - d)) > d ** d:
@@ -103,8 +99,7 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     the first vector outside the current lattice.  Each step computes one
     Hermite form and tests the vectors against it.  The vectors before an
     appended one lie in the smaller lattice, so the next step resumes the
-    search after it.  The leading d are first_independent rows, so the
-    GeneratorSet does not rank them again.
+    search after it.
     """
     bs = sorted(set(tuple(int(x) for x in v) for v in b_vectors))
     if any(len(b) != d for b in bs):
@@ -204,7 +199,7 @@ def decompress(cc: CompressedConfig) -> Configuration:
             if not any(row[p] for row in zero_rows)]
     # nums is never empty: the zero point lies on every facet, so it is
     # decoded, and its column is zero, so consistent
-    return _with_products(d, *_closure_products(linalg.divide_rows(nums, det), d))
+    return _with_closure(d, closure(linalg.divide_rows(nums, det), d))
 
 
 def weighted_graph_serialize(cc: CompressedConfig) -> str:
@@ -260,9 +255,7 @@ def weighted_graph_parse(text: str) -> CompressedConfig:
     if len(tail) != k:
         raise ParseError(f"expected {k} tail values", line=2 + 2 * k)
     refuse_trailing(lines, 2 + 2 * k, "weighted graph")
-    # the cone's limit on k comes before the leading generators are ranked
+    # the cone's limit on k comes before GeneratorSet ranks the k leading generators
     corrcone._check_dimension(k)
-    if linalg.rank(gen_rows[:d]) != d:
-        raise NotSpanning("leading generators are not independent")
     s = tuple(upper[min(i, j)][abs(i - j)] for i in range(k) for j in range(k)) + tuple(tail)
     return CompressedConfig(GeneratorSet(d, tuple(gen_rows)), corrcone.FaceCertificate(k, s))

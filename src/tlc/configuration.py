@@ -21,7 +21,7 @@ Products are checked once, where vectors come from outside: the
 sides, ranks them and multiplies every pair.  A configuration the code
 derives carries the products it has already decided instead
 (_with_products): the slack bits of a rank factorization, or the bits that
-closure decides for each vector it keeps (_closure_products).
+closure decides for each vector it keeps (_with_closure).
 """
 
 from __future__ import annotations
@@ -215,6 +215,13 @@ def _with_products(d: int, a, b, rows) -> Configuration:
     return cfg
 
 
+def _with_closure(d: int, y: _Closure) -> Configuration:
+    """Configuration(d, X, y) for y = closure(X, d), with the products that
+    closure decided (_Closure.products).  X spans, or closure would have
+    raised NotSpanning; the caller knows why y spans."""
+    return _with_products(d, y.family, tuple(y), y.products())
+
+
 def spans(vectors, d: int) -> bool:
     return bool(vectors) and linalg.rank([list(v) for v in vectors]) == d
 
@@ -266,24 +273,11 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     sum_{k in s} w_k is 0 or D for every other column, and its y is
     L sum_{k in s} g_k / D.
 
+    The result is a tuple of the y, sorted by their integer numerators over
+    D > 0, which carries what the filter decided (_Closure).
+
     The 2^d patterns are tabulated, so d above _CLOSURE_RANK_LIMIT raises
     DimensionTooLarge before [X | I] is built.
-    """
-    return _closure_products(vectors, d)[1]
-
-
-def _closure_products(vectors, d: int):
-    """(X, Y, P): the family's distinct vectors X, Y = closure(X), and the
-    rows of products P, row i being (<x_i, y_j>)_j.
-
-    Closure decides every product of a vector it keeps, so none is
-    multiplied out: on the column of basis vector b_k it is bit k of the
-    pattern s (<y, b_k> = s_k by construction), and on any other column it
-    is sum_{k in s} w_k, the column's subset sum that the filter kept at 0
-    or D, divided by D.  P is an iterator that computes each row when it is
-    read (_pattern_products), so `closure`, which drops it, pays nothing.
-    X and Y come sorted, as a Configuration keeps them: X by its scaled
-    keys (_scaled), Y by its integer numerators over D > 0.
     """
     keyed, scale = _scaled(vectors)
     if not keyed:
@@ -313,13 +307,44 @@ def _closure_products(vectors, d: int):
 
     coords = [_subset_sums([scale * row[m + r] for row in pivots]) for r in range(d)]
     ys = list(zip(*coords))
-    alive = sorted(_zero_one_patterns(pivots, piv_cols, det, m), key=ys.__getitem__)
-    products = _pattern_products(pivots, piv_cols, det, m, alive)
-    return tuple(map(keyed.__getitem__, xs)), linalg.divide_rows([ys[s] for s in alive], det), products
+    alive, sums = _zero_one_patterns(pivots, piv_cols, det, m)
+    alive.sort(key=ys.__getitem__)
+    out = _Closure(linalg.divide_rows([ys[s] for s in alive], det))
+    out.family = tuple(map(keyed.__getitem__, xs))
+    out._decided = (alive, sums, det, d // 2)
+    return out
+
+
+class _Closure(tuple):
+    """closure(X) as a tuple of its vectors, carrying what closure decided
+    about the family X: `family`, the distinct vectors of X sorted as a
+    Configuration keeps them (by their _scaled keys), and the products of
+    each x_i with every closure vector (products).
+    """
+
+    def products(self):
+        """The rows (<x_i, y_j>)_j over `family`, each computed as it is read.
+
+        Closure decides every product of a vector it keeps, so none is
+        multiplied out.  On the column of basis vector b_k it is bit k of
+        y's pattern s (<y, b_k> = s_k by construction).  On any other column
+        it is sum_{k in s} w_k / D, a subset sum that the filter kept at 0 or
+        D, read from the same two half tables (_zero_one_patterns): 1
+        exactly when it is D.
+        """
+        alive, sums, det, half = self._decided
+        low = (1 << half) - 1
+        for column in sums:
+            if isinstance(column, int):
+                yield tuple(s >> column & 1 for s in alive)
+            else:
+                lo, hi = column
+                yield tuple(int(lo[s & low] + hi[s >> half] == det) for s in alive)
 
 
 def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
-    """The patterns s whose combination (1/D) sum_{k in s} P_k is 0/1.
+    """(S, T): the patterns S whose combination (1/D) sum_{k in s} P_k is
+    0/1, and the tables T that decided them.
 
     The P_k are the pivot rows of a Gauss-Jordan (_bareiss) elimination over
     the first ncols columns, P_k being D on its pivot column and 0 on the
@@ -332,7 +357,9 @@ def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
     A column is summed only over the surviving patterns, each sum being two
     lookups: one in the table of subset sums of the low half of the bits and
     one in that of the high half (2^(d/2) entries each), so no column builds
-    a table of all 2^d sums.  More than _CLOSURE_RANK_LIMIT pivot rows raise
+    a table of all 2^d sums.  T has one entry per column j < ncols: k for
+    the pivot column of P_k, and the two half tables (lo, hi) for any other
+    column.  More than _CLOSURE_RANK_LIMIT pivot rows raise
     DimensionTooLarge before any table is built.
     """
     n = len(pivots)
@@ -342,41 +369,25 @@ def _zero_one_patterns(pivots, piv_cols: list[int], det: int, ncols: int):
     low = (1 << half) - 1
     ok = (0, det)
     alive = range(1 << n)
-    basis = set(piv_cols)
+    pivot_of = {c: k for k, c in enumerate(piv_cols)}
+    tables = []
     for j, col in enumerate(zip(*pivots)):
         if j == ncols:
             break
-        if j in basis:
+        if j in pivot_of:
+            tables.append(pivot_of[j])
             continue
         lo, hi = _subset_sums(col[:half]), _subset_sums(col[half:])
         alive = [s for s in alive if lo[s & low] + hi[s >> half] in ok]
-    return alive
-
-
-def _pattern_products(pivots, piv_cols: list[int], det: int, ncols: int, patterns):
-    """Per column j < ncols, in turn, the values (1/D) sum_{k in s} P_k[j]
-    over the given patterns s, each of which _zero_one_patterns kept: bit k
-    of s on the pivot column of P_k, and elsewhere 1 exactly when the subset
-    sum (two half-table lookups, as in the filter) is D, since it is 0 or D."""
-    half = len(pivots) // 2
-    low = (1 << half) - 1
-    pivot_of = {c: k for k, c in enumerate(piv_cols)}
-    for j, col in enumerate(zip(*pivots)):
-        if j == ncols:
-            break
-        k = pivot_of.get(j)
-        if k is not None:
-            yield tuple(s >> k & 1 for s in patterns)
-            continue
-        lo, hi = _subset_sums(col[:half]), _subset_sums(col[half:])
-        yield tuple(int(lo[s & low] + hi[s >> half] == det) for s in patterns)
+        tables.append((lo, hi))
+    return list(alive), tables
 
 
 def _zero_one_count(lines: list, ncols: int) -> int:
     """The number of 0/1 vectors in the span of integer lines of length
     ncols: one elimination of the lines, with no augmented columns."""
     rows, piv_rows, piv_cols, det = linalg._bareiss(lines, ncols)
-    return len(_zero_one_patterns([rows[r] for r in piv_rows], piv_cols, det, ncols))
+    return len(_zero_one_patterns([rows[r] for r in piv_rows], piv_cols, det, ncols)[0])
 
 
 def _subset_sums(values: list[int]) -> list[int]:
@@ -399,7 +410,7 @@ def maximal_completion(seed, d: int) -> Configuration:
     a = closure(seed, d)
     if not spans(a, d):
         raise DegenerateSeed(f"closure of the seed does not span R^{d}")
-    return _with_products(d, *_closure_products(a, d))
+    return _with_closure(d, closure(a, d))
 
 
 def slack_matrix(cfg: Configuration) -> SlackMatrix:
@@ -501,7 +512,7 @@ def rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
     d = len(piv_rows)
     if not d or not distinct:
         return d, False
-    if len(_zero_one_patterns([elim[r] for r in piv_rows], piv_cols, det, m.cols)) != m.rows:
+    if len(_zero_one_patterns([elim[r] for r in piv_rows], piv_cols, det, m.cols)[0]) != m.rows:
         return d, False
     return d, _zero_one_count(columns, m.rows) == m.cols
 

@@ -26,8 +26,8 @@ from .configuration import (
     slack_bits,
     spans,
     vectors_from_json_field,
-    _closure_products,
     _rank_factor,
+    _with_closure,
     _with_products,
 )
 from .corrcone import all_points
@@ -80,7 +80,7 @@ def polytope_completion(verts) -> Configuration:
     if not spans(seed, d + 1):
         raise NotSpanning("points do not affinely span")
     rows_h = closure(seed, d + 1)
-    return _with_products(d + 1, *_closure_products(rows_h, d + 1))
+    return _with_closure(d + 1, closure(rows_h, d + 1))
 
 
 def complete_maximal_pair(verts) -> tuple[Configuration, tuple[int, ...]]:

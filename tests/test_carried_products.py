@@ -5,14 +5,14 @@ the validating constructor.
 products and checks nothing: no scaling, no rank, no product.  It is fed by
 the rank factorizations (`from_slack_matrix`, `normalize_to_binary`,
 `to_binary_integral_configuration`) and by the bits that closure decides
-(`maximal_completion`, `polytope_completion`, `decompress`).  The tests
+(`_with_closure`: `maximal_completion`, `polytope_completion`,
+`decompress`).  The tests
 here rebuild each such configuration through `Configuration(d, A, B)`, the
 validating path that input read from outside still takes, and require the
 same sides and the same bits; they count the checks that no longer run;
 and they pin what `decompress` returns or refuses to the validating path.
-The oracles for the other carried facts are here too: the leading
-generators that `select_generators` picks are independent, and the
-certificate `compress` encodes without a face test is `certificate_encode`'s.
+The oracle for the other carried fact is here too: the certificate
+`compress` encodes without a face test is `certificate_encode`'s.
 """
 
 import random
@@ -24,13 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlc import compress, configuration, corrcone, linalg, stabset
+from tlc import compress, configuration, corrcone, geometry, linalg, stabset
 from tlc.compress import decompress, phi, select_generators, weighted_graph_parse
 from tlc.configuration import (
     SIDE_A,
     SIDE_B,
     Configuration,
-    _closure_products,
     closure,
     configuration_from_json,
     configuration_to_json,
@@ -130,7 +129,7 @@ def test_maximal_completions_match_validating_constructor():
     assert built > 30
 
 
-def test_closure_products_are_the_products():
+def test_closure_carries_its_products():
     rng = random.Random(77)
     checked = 0
     for _ in range(200):
@@ -138,14 +137,28 @@ def test_closure_products_are_the_products():
         family = [tuple(rng.choice([0, 1, 1, 2, -1, F(1, 2), F(-2, 3)]) for _ in range(d))
                   for _ in range(rng.randint(d, d + 4))]
         try:
-            xs, ys, rows = _closure_products(family, d)
+            ys = closure(family, d)
         except TlcError:
             continue
-        assert ys == closure(family, d)
-        assert xs == tuple(sorted(set(family)))
-        assert list(rows) == [tuple(dot(x, y) for y in ys) for x in xs]
+        assert ys.family == tuple(sorted(set(family)))
+        rows = [tuple(dot(x, y) for y in ys) for x in ys.family]
+        assert list(ys.products()) == rows
+        assert list(ys.products()) == rows  # read again
         checked += 1
     assert checked > 100
+
+
+def test_carried_closures_go_through_closure(enum_results, enum_d4, monkeypatch):
+    calls = []
+    for module in (configuration, compress, geometry):
+        counted = module.closure
+        monkeypatch.setattr(module, "closure", lambda v, d, f=counted: calls.append(d) or f(v, d))
+    for m in _class_matrices(enum_results, enum_d4):
+        decompress(compress.compress(normalize_to_binary(from_slack_matrix(m), SIDE_B)))
+    assert len(calls) == 80
+    maximal_completion([[1, 0], [0, 1]], 2)
+    polytope_completion([(0, 0), (1, 0), (0, 1)])
+    assert len(calls) == 80 + 2 + 2
 
 
 # --- the checks that no longer run -------------------------------------------------
@@ -221,20 +234,11 @@ def test_selected_leading_generators_are_independent(enum_results, enum_d4):
 
 @contextmanager
 def _validating_path():
-    """The checks that reading a weighted graph ran before the round trip
-    carried what it had decided: GeneratorSet ranked its leading generators
-    on construction, before its bound, and decompress built its result with
-    Configuration(d, A, B), which checks the spans and every product."""
-    checked = compress.GeneratorSet.__post_init__
-
-    def post_init(self):
-        if linalg.rank([list(g) for g in self.gens[:self.d]]) != self.d:
-            raise NotSpanning("leading generators are not independent")
-        checked(self)
-
+    """decompress as it was before the round trip carried the products
+    its closure decided: the result built by Configuration(d, A, B), which
+    checks the spans and every product."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compress.GeneratorSet, "__post_init__", post_init)
-        mp.setattr(compress, "_with_products", lambda d, a, b, rows: Configuration(d, a, b))
+        mp.setattr(compress, "_with_closure", lambda d, y: Configuration(d, y.family, y))
         yield
 
 

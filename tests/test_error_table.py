@@ -40,6 +40,10 @@ _REFUSALS = {
         lambda: compress.GeneratorSet(2, ((1, 0, 0),)), DimensionMismatch, "generators of wrong dimension"),
     "GeneratorSet entry 2": (
         lambda: compress.GeneratorSet(1, ((2,),)), NonBinaryProduct, "generators must be 0/1 vectors"),
+    "GeneratorSet dependent leading generators": (
+        lambda: compress.GeneratorSet(2, ((1, 1), (1, 1), (1, 0))), NotSpanning, "leading generators are not independent"),
+    "GeneratorSet fewer than d": (
+        lambda: compress.GeneratorSet(2, ((1, 0),)), NotSpanning, "leading generators are not independent"),
     "weighted_graph_parse dependent generators": (
         lambda: compress.weighted_graph_parse("2 2\n11\n11\n0 0\n0\n0 0\n"),
         NotSpanning, "leading generators are not independent"),
