@@ -10,8 +10,9 @@ configuration into a dimension-k face certificate plus the k x d generator
 matrix: a weighted graph on k nodes with integer weights at most k(k+1)/2.
 
 The round trip runs in integers.  Generator selection computes one Hermite
-form per growth step, and a GeneratorSet computes the form of its
-generators once, on first use, so every phi reduces against that one form;
+form per growth step and hands the last one to the GeneratorSet it returns;
+any other GeneratorSet computes the form of its generators once, on first
+use.  So every phi reduces against that one form;
 decompress solves all decoded face points in one fraction-free elimination.
 Fractions are built only for the vectors of the Configuration that
 decompress returns.
@@ -71,7 +72,8 @@ class GeneratorSet:
     @cached_property
     def hermite(self) -> tuple[list[list[int]], list[list[int]]]:
         """The Hermite form (H, U) of the generator rows, computed on first
-        use; every phi over this set reduces against it."""
+        use unless select_generators handed over its own; every phi over
+        this set reduces against it."""
         return linalg.hnf(self.gens)
 
     @cached_property
@@ -99,7 +101,8 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     the first vector outside the current lattice.  Each step computes one
     Hermite form and tests the vectors against it.  The vectors before an
     appended one lie in the smaller lattice, so the next step resumes the
-    search after it.
+    search after it.  The last step's form is the Hermite form of the
+    returned set's generators, and the set keeps it as its `hermite`.
     """
     bs = sorted(set(tuple(int(x) for x in v) for v in b_vectors))
     if any(len(b) != d for b in bs):
@@ -118,7 +121,10 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
             break
         chosen.append(bs[start])
         start += 1
-    return GeneratorSet(d, tuple(chosen))
+    gens = GeneratorSet(d, tuple(chosen))
+    # the last form is the set's own: hand it over instead of building it again
+    gens.__dict__["hermite"] = (h, u)
+    return gens
 
 
 def zeta(a, gens: GeneratorSet) -> tuple[int, ...]:

@@ -504,7 +504,13 @@ def rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
     One elimination of the rows gives both the rank and the count of 0/1
     vectors in the row space.  A matrix with distinct lines is eliminated
     only up to pivot _CLOSURE_RANK_LIMIT + 1, where the count raises
-    DimensionTooLarge; one with a repeated line gets its full rank."""
+    DimensionTooLarge; one with a repeated line gets its full rank.
+
+    The column space is counted over the d pivot columns of that
+    elimination alone, not all m.cols columns: row operations keep every
+    linear relation among the columns, so the columns of m at the pivot
+    indices are independent, as they are in the echelon form, and d of
+    them span the rank-d column space."""
     lines = m.row_tuples()
     columns = list(zip(*lines))
     distinct = len(set(lines)) == m.rows and len(set(columns)) == m.cols
@@ -514,7 +520,7 @@ def rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
         return d, False
     if len(_zero_one_patterns([elim[r] for r in piv_rows], piv_cols, det, m.cols)[0]) != m.rows:
         return d, False
-    return d, _zero_one_count(columns, m.rows) == m.cols
+    return d, _zero_one_count([columns[c] for c in piv_cols], m.rows) == m.cols
 
 
 def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:

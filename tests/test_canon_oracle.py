@@ -13,10 +13,16 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlc import stabset
-from tlc.canon import canonical_form
+from tlc import canon, stabset
 from tlc.configuration import BinaryMatrix, parse_matrix
 from tlc.errors import NotBipartite
+
+
+def canonical_form(m):
+    """tlc's canonical form of m found by a search of its own: the memo is
+    emptied first, so the search, not the memo, meets the reference."""
+    canon._MEMO.clear()
+    return canon.canonical_form(m)
 
 
 def _render(row, partition):

@@ -52,6 +52,25 @@ def test_select_generators_rejects_nonspanning():
         select_generators([(1, 0)], 2)
 
 
+def test_select_generators_hands_over_its_last_hermite_form(enum_results, enum_d4, monkeypatch):
+    # the handed-over form is the set's own, and phi over it builds no other
+    hnf = linalg.hnf
+    calls = []
+    monkeypatch.setattr(linalg, "hnf", lambda m: calls.append(1) or hnf(m))
+    for res in (*enum_results.values(), enum_d4):
+        for f in res.classes:
+            cfg = normalize_to_binary(from_slack_matrix(parse_matrix(f.bytes.decode())), "B")
+            gens = select_generators(cfg.B, cfg.d)
+            assert "hermite" in vars(gens)
+            assert gens.hermite == hnf(gens.gens)
+            before = len(calls)
+            coords = [phi(b, gens) for b in cfg.B]
+            assert len(calls) == before
+            # _hnf_coords leaves the form as it was
+            assert gens.hermite == hnf(gens.gens)
+            assert coords == [phi(b, GeneratorSet(gens.d, gens.gens)) for b in cfg.B]
+
+
 def test_det_history_decreases_by_integer_factors():
     gens = select_generators([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
     hist = gens.det_history
