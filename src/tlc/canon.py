@@ -71,49 +71,27 @@ the number of rows: on a 2-core x86 machine with Python 3.11, 1,100 rows of
 11 bits (the integers 0..1099) pass the budget after about 1 s, and 10,000
 random rows of 14 bits after about 7 s.
 
-A process-wide memo sits in front of the search.  Its key is m with its rows
-and columns sorted alternately by (number of ones, bits), until a round
-moves no column or for at most _KEY_ROUNDS rounds, plus m's shape.  Sorting
-only reorders lines, so the key is always a row and column permutation of m:
-two matrices with equal keys are equivalent and have the same canonical
-form, and a hit returns the stored form exactly.  Equivalent matrices need
-not get equal keys; such a miss only costs a search.  A miss runs the search
-on m itself, so node counts, the node budget and every DimensionTooLarge
-refusal are those of an input not seen before, and a search that raises
-stores nothing.  The count of ones comes first because it is a property of
-each line that no permutation changes, so equivalent inputs meet far more
-often: on the `queries` benchmark workload the sort by bits alone gives
-1,036 keys for 339 forms, the sort by (ones, bits) 390, and three rounds
-settle every key there.  Searches drop from 3,000 to 390 there, from 399 to
-33 in enumerate_maximal(4), from 360 to 16 in census(6) and from 342 to 149
-in a d = 5 run with seed_limit=20000.  On the `queries` inputs a key costs
-20-33 us and a search 130-220 us (2-core x86, Python 3.11).
-
-The memo holds at most _MEMO_ENTRIES forms and at most _MEMO_CELLS matrix
-cells in all, dropping the least recently used forms first; a matrix of more
-cells than that is never stored.  An entry keeps about two bytes per cell
-(the key's text and the form's) and a few hundred bytes more: 4,096 forms of
-16 x 16 matrices, a full memo, hold 3.6 MB.  It is per process: `--jobs`
-workers each fill their own, and since every answer is exact the output
-cannot depend on which worker saw a class first.
+canonical_form looks up the class memo of `configuration` (its module
+docstring has the key, the argument for it and the bounds) before it
+searches.  A key is always a row and column permutation of its matrix, so
+two matrices with equal keys have the same canonical form, and a hit
+returns the stored form exactly.  A miss runs the search on m itself, so
+node counts, the node budget and every DimensionTooLarge refusal are those
+of an input not seen before, and a search that raises stores nothing.
+Searches drop from 3,000 to 390 on the `queries` benchmark workload, from
+399 to 33 in enumerate_maximal(4), from 360 to 16 in census(6) and from 342
+to 149 in a d = 5 run with seed_limit=20000.  On the `queries` inputs a key
+costs 20-33 us and a search 130-220 us (2-core x86, Python 3.11).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
-from .configuration import BinaryMatrix
+from .configuration import _FORM, BinaryMatrix, _class_answer
 from .errors import DimensionTooLarge
 
 _NODE_LIMIT = 5000
-
-# the memo's key and bounds, fixed here (see the module docstring)
-_KEY_ROUNDS = 4
-_MEMO_ENTRIES = 4096
-_MEMO_CELLS = 1 << 20
-
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -291,62 +269,10 @@ class _Search:
                 self.stack.pop()
 
 
-def _line_weight(line: bytes) -> tuple[int, bytes]:
-    """A line's number of ones (49 is ord("1")), then its bits."""
-    return line.count(49), line
-
-
-def _memo_key(text: bytes, rows: int, cols: int) -> tuple[int, int, bytes]:
-    """The shape and the text of a row and column permutation of the matrix
-    with row-major text: rows and columns sorted alternately by (ones,
-    bits) until a round moves no column, for at most _KEY_ROUNDS rounds."""
-    lines = [text[k:k + cols] for k in range(0, len(text), cols)]
-    for _ in range(_KEY_ROUNDS):
-        lines.sort(key=_line_weight)
-        flat = b"".join(lines)
-        columns = sorted((flat[c::cols] for c in range(cols)), key=_line_weight)
-        flat = b"".join(columns)
-        moved = [flat[i::rows] for i in range(rows)]
-        if moved == lines:
-            break
-        lines = moved
-    return rows, cols, b"".join(lines)
-
-
-class _Memo:
-    """Canonical forms by _memo_key, least recently used first, holding at
-    most _MEMO_ENTRIES forms of at most _MEMO_CELLS matrix cells in all."""
-
-    def __init__(self):
-        self.forms: OrderedDict[tuple[int, int, bytes], CanonicalForm] = OrderedDict()
-        self.cells = 0
-
-    def get(self, key) -> CanonicalForm | None:
-        form = self.forms.get(key)
-        if form is not None:
-            self.forms.move_to_end(key)
-        return form
-
-    def put(self, key, form: CanonicalForm) -> None:
-        cells = len(key[2])
-        if cells > _MEMO_CELLS:
-            return
-        self.forms[key] = form
-        self.cells += cells
-        while self.cells > _MEMO_CELLS or len(self.forms) > _MEMO_ENTRIES:
-            self.cells -= len(self.forms.popitem(last=False)[0][2])
-
-    def clear(self) -> None:
-        self.forms.clear()
-        self.cells = 0
-
-
-_MEMO = _Memo()
-
-
-def _searched_form(m: BinaryMatrix, text: bytes) -> CanonicalForm:
-    """The canonical form of m, whose row-major text is given, by search."""
+def _searched_form(m: BinaryMatrix) -> CanonicalForm:
+    """The canonical form of m, a matrix with entries, by search."""
     n = m.cols
+    text = m.ascii_bits()
     rows = [int(text[k:k + n], 2) for k in range(0, len(text), n)]
     best = _Search(rows, n, len({text[c::n] for c in range(n)})).run()
     out = "".join([f"{m.rows} {n}\n"] + [format(v, f"0{n}b") + "\n" for v in best])
@@ -355,16 +281,10 @@ def _searched_form(m: BinaryMatrix, text: bytes) -> CanonicalForm:
 
 def canonical_form(m: BinaryMatrix) -> CanonicalForm:
     """Shape plus the text serialization of the canonical representative:
-    from the memo when a matrix with the same key was searched before."""
+    from the class memo when a matrix with the same key was searched before."""
     if m.rows == 0 or m.cols == 0:
         return CanonicalForm((m.rows, m.cols), f"{m.rows} {m.cols}\n".encode("ascii") + b"\n" * m.rows)
-    text = bytes(m.bits).translate(_ASCII_BITS)
-    key = _memo_key(text, m.rows, m.cols)
-    form = _MEMO.get(key)
-    if form is None:
-        form = _searched_form(m, text)
-        _MEMO.put(key, form)
-    return form
+    return _class_answer(m, _FORM, _searched_form)
 
 
 def equivalent(m1: BinaryMatrix, m2: BinaryMatrix) -> bool:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import corrcone, linalg
-from .configuration import Configuration, _with_closure, closure, refuse_trailing
+from .configuration import Configuration, _Integral, _with_closure, closure, refuse_trailing
 from .errors import (
     DimensionMismatch,
     NonBinaryProduct,
@@ -187,6 +187,7 @@ def decompress(cc: CompressedConfig) -> Configuration:
     elimination of [G | A'^T], A' the decoded points as rows, solves them
     all: a' is consistent exactly when its column is 0 on every non-pivot
     row, and then a_c = (pivot row's entry) / D on each pivot column c.
+    closure reads these numerators over D as they are (_Integral).
 
     The result carries the products that closure decided, unchecked.  A
     spans, or closure raises NotSpanning.  B spans: each generator g_i has
@@ -205,7 +206,7 @@ def decompress(cc: CompressedConfig) -> Configuration:
             if not any(row[p] for row in zero_rows)]
     # nums is never empty: the zero point lies on every facet, so it is
     # decoded, and its column is zero, so consistent
-    return _with_closure(d, closure(linalg.divide_rows(nums, det), d))
+    return _with_closure(d, closure(_Integral._over(nums, det), d))
 
 
 def weighted_graph_serialize(cc: CompressedConfig) -> str:

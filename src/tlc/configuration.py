@@ -22,14 +22,51 @@ sides, ranks them and multiplies every pair.  A configuration the code
 derives carries the products it has already decided instead
 (_with_products): the slack bits of a rank factorization, or the bits that
 closure decides for each vector it keeps (_with_closure).
+
+Class questions about a 0/1 matrix are answered from one process-wide memo
+(_MEMO).  canon's canonical form and rank_and_maximality are invariants of
+the matrix's class under row and column permutations: the form by its
+definition, and the rank and maximality because a row permutation keeps
+the row space and permutes the coordinates of the column space (a column
+permutation the other way round), so it keeps the rank, whether the lines
+are distinct, and the number of 0/1 vectors in each space.  The memo's key
+(BinaryMatrix._key) is m with its rows and columns sorted alternately by
+(number of ones, bits), until a round moves no column or for at most
+_KEY_ROUNDS rounds, plus m's shape.  Sorting only reorders lines, so the
+key is always a row and column permutation of m: two matrices with equal
+keys are in one class and have the same answers, and a hit returns the
+stored answer exactly.  Equivalent matrices need not get equal keys; such
+a miss only costs a computation.  The count of ones comes first because no
+permutation changes it, so equivalent inputs meet far more often: on the
+`queries` benchmark workload the sort by bits alone gives 1,036 keys for
+339 forms, the sort by (ones, bits) 390, and three rounds settle every key
+there.  A BinaryMatrix is immutable and computes its key at most once, so
+a maximality check followed by a canonical form of one matrix keys it once.
+
+An entry holds the answers computed so far for its key, each filled when it
+is first computed: canon's CanonicalForm and the (rank, maximal) pair.  A
+miss runs the unchanged computation on m itself, so every refusal is that
+of an input not seen before, and a computation that raises (a
+DimensionTooLarge, say) stores nothing.  A matrix with no entries bypasses
+the memo.  The memo holds at most _MEMO_ENTRIES entries and at most
+_MEMO_CELLS matrix cells in all, counting an entry's cells once whatever it
+holds, and drops the least recently used entries first; a matrix of more
+cells than that is neither keyed nor stored.  An entry keeps about two bytes per cell
+(the key's text and the form's) and a few hundred bytes more: 4,096 forms
+of 16 x 16 matrices, a full memo, hold 3.6 MB.  It is per process: `--jobs`
+workers each fill their own, and since every answer is exact the output
+cannot depend on which worker saw a class first.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -50,6 +87,13 @@ SIDE_B = "B"
 # closure keeps 2^d subset sums per coordinate: about 50 MB at d = 16 (the
 # identity matrix check), and 4x more per extra 2 in d
 _CLOSURE_RANK_LIMIT = 16
+
+# the class memo's key and bounds, fixed here (see the module docstring)
+_KEY_ROUNDS = 4
+_MEMO_ENTRIES = 4096
+_MEMO_CELLS = 1 << 20
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -105,6 +149,93 @@ class BinaryMatrix:
         lines = [f"{self.rows} {self.cols}"]
         lines.extend("".join(str(b) for b in self.row_bits(i)) for i in range(self.rows))
         return "\n".join(lines) + "\n"
+
+    def ascii_bits(self) -> bytes:
+        """The row-major bits as the ASCII digits 0 and 1."""
+        return bytes(self.bits).translate(_ASCII_BITS)
+
+    @cached_property
+    def _key(self) -> tuple[int, int, bytes]:
+        """The class memo's key, computed once per matrix (_memo_key)."""
+        return _memo_key(self.ascii_bits(), self.rows, self.cols)
+
+
+def _line_weight(line: bytes) -> tuple[int, bytes]:
+    """A line's number of ones (49 is ord("1")), then its bits."""
+    return line.count(49), line
+
+
+def _memo_key(text: bytes, rows: int, cols: int) -> tuple[int, int, bytes]:
+    """The shape and the text of a row and column permutation of the matrix
+    with row-major text: rows and columns sorted alternately by (ones,
+    bits) until a round moves no column, for at most _KEY_ROUNDS rounds."""
+    lines = [text[k:k + cols] for k in range(0, len(text), cols)]
+    for _ in range(_KEY_ROUNDS):
+        lines.sort(key=_line_weight)
+        flat = b"".join(lines)
+        columns = sorted((flat[c::cols] for c in range(cols)), key=_line_weight)
+        flat = b"".join(columns)
+        moved = [flat[i::rows] for i in range(rows)]
+        if moved == lines:
+            break
+        lines = moved
+    return rows, cols, b"".join(lines)
+
+
+# the slots of a memo entry: canon's CanonicalForm, and (rank, maximal)
+_FORM = 0
+_RANK = 1
+
+
+class _Memo:
+    """Class answers by BinaryMatrix._key, least recently used first,
+    holding at most _MEMO_ENTRIES entries of at most _MEMO_CELLS matrix
+    cells in all.  An entry has one slot per kind of answer, None until
+    that answer is first computed, and counts its cells once."""
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple[int, int, bytes], list] = OrderedDict()
+        self.cells = 0
+
+    def get(self, key, slot: int):
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        self.entries.move_to_end(key)
+        return entry[slot]
+
+    def put(self, key, slot: int, answer) -> None:
+        entry = self.entries.get(key)
+        if entry is not None:
+            entry[slot] = answer
+            return
+        entry = [None, None]
+        entry[slot] = answer
+        self.entries[key] = entry
+        self.cells += len(key[2])
+        while self.cells > _MEMO_CELLS or len(self.entries) > _MEMO_ENTRIES:
+            self.cells -= len(self.entries.popitem(last=False)[0][2])
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.cells = 0
+
+
+_MEMO = _Memo()
+
+
+def _class_answer(m: BinaryMatrix, slot: int, compute):
+    """compute(m), a class invariant, from the memo when a matrix with m's
+    key was answered before.  A matrix with no entries or with more than
+    _MEMO_CELLS cells bypasses the memo, and a compute that raises stores
+    nothing."""
+    if not m.rows or not m.cols or m.rows * m.cols > _MEMO_CELLS:
+        return compute(m)
+    answer = _MEMO.get(m._key, slot)
+    if answer is None:
+        answer = compute(m)
+        _MEMO.put(m._key, slot, answer)
+    return answer
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
@@ -274,19 +405,26 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     L sum_{k in s} g_k / D.
 
     The result is a tuple of the y, sorted by their integer numerators over
-    D > 0, which carries what the filter decided (_Closure).
+    D > 0, which carries what the filter decided (_Closure).  A family that
+    is already an _Integral (a closure, or decompress's solved points)
+    gives the same L and X from its integer numerators (_Integral.scaled),
+    with no Fraction read.
 
     The 2^d patterns are tabulated, so d above _CLOSURE_RANK_LIMIT raises
     DimensionTooLarge before [X | I] is built.
     """
-    keyed, scale = _scaled(vectors)
-    if not keyed:
+    if isinstance(vectors, _Integral):
+        (xs, scale), family = vectors.scaled(), tuple(vectors)
+    else:
+        keyed, scale = _scaled(vectors)
+        xs = sorted(keyed)
+        family = tuple(map(keyed.__getitem__, xs))
+    if not xs:
         raise NotSpanning("empty family")
-    if any(len(v) != d for v in keyed):
+    if any(len(v) != d for v in xs):
         raise DimensionMismatch("vectors of wrong dimension")
     if d < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    xs = sorted(keyed)
     m = len(xs)
     # a spanning family has rank d: fewer than d vectors cannot span, and a
     # rank above the limit is refused anyway, so neither check needs [X | I]
@@ -309,17 +447,51 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     ys = list(zip(*coords))
     alive, sums = _zero_one_patterns(pivots, piv_cols, det, m)
     alive.sort(key=ys.__getitem__)
-    out = _Closure(linalg.divide_rows([ys[s] for s in alive], det))
-    out.family = tuple(map(keyed.__getitem__, xs))
+    out = _Closure._of([ys[s] for s in alive], det)
+    out.family = family
     out._decided = (alive, sums, det, d // 2)
     return out
 
 
-class _Closure(tuple):
+class _Integral(tuple):
+    """Distinct exact vectors, sorted, as a tuple that also carries them as
+    integer numerators `nums` over a positive denominator `den`, sorted the
+    same way, so that closure reads them without scaling Fractions again."""
+
+    @classmethod
+    def _of(cls, nums, den: int):
+        """The vectors nums / den, for sorted distinct nums and den > 0."""
+        out = cls(linalg.divide_rows(nums, den))
+        out.nums, out.den = nums, den
+        return out
+
+    @classmethod
+    def _over(cls, nums, den: int):
+        """The distinct vectors nums / den, sorted: den is made positive
+        first, so that the numerators sort as the vectors do."""
+        if den < 0:
+            den = -den
+            nums = [tuple(-x for x in y) for y in nums]
+        return cls._of(sorted(set(nums)), den)
+
+    def scaled(self) -> tuple[list, int]:
+        """(N, L) as _scaled gives them: L the least common denominator of
+        the entries and N = L times the vectors, sorted.  These are nums and
+        den divided by their greatest common divisor g.  den / g is a common
+        denominator, so L divides it, and nums / g = (den / (g L)) N; a
+        prime factor of den / (g L) would divide den / g and every entry of
+        nums / g, against g being the greatest, so den / g = L."""
+        g = gcd(self.den, *chain.from_iterable(self.nums))
+        if g == 1:
+            return self.nums, self.den
+        return [tuple(x // g for x in y) for y in self.nums], self.den // g
+
+
+class _Closure(_Integral):
     """closure(X) as a tuple of its vectors, carrying what closure decided
     about the family X: `family`, the distinct vectors of X sorted as a
-    Configuration keeps them (by their _scaled keys), and the products of
-    each x_i with every closure vector (products).
+    Configuration keeps them (by their _scaled keys or their numerators),
+    and the products of each x_i with every closure vector (products).
     """
 
     def products(self):
@@ -433,16 +605,17 @@ def from_slack_matrix(m: BinaryMatrix) -> Configuration:
     if not m.distinct_lines():
         raise RepeatedLine("slack matrices have no repeated row or column")
     rows = m.row_tuples()
-    basis = sorted(linalg._bareiss(list(rows), m.cols)[1])
+    _, basis, cols, _ = linalg._bareiss(list(rows), m.cols)
     if not basis:
         raise NotSpanning("zero matrix has no configuration")
-    b_side, a_side, products = _rank_factor(rows, basis)
+    b_side, a_side, products = _rank_factor(rows, sorted(basis), cols)
     return _with_products(len(basis), a_side, b_side, products)
 
 
-def _rank_factor(lines, basis) -> tuple[tuple, tuple, list]:
+def _rank_factor(lines, basis, cols) -> tuple[tuple, tuple, list]:
     """A rank factorization of the 0/1 matrix with the given lines (its rows,
-    say) over R, the d independent lines at the indices `basis`: (C, A, P)
+    say) over R, the d independent lines at the indices `basis`, given d
+    positions `cols` at which R is independent: (C, A, P)
     with C the columns c_j of R, A each line's coefficients a_i over R, and
     P the lines themselves, P[i][j] = <a_i, c_j>, since line i is
     sum_k a_i[k] R_k.  C and A come sorted, as a Configuration keeps its
@@ -450,8 +623,11 @@ def _rank_factor(lines, basis) -> tuple[tuple, tuple, list]:
     coefficients sort as their integer numerators over D once D is made
     positive, with no Fraction compared.
 
-    One elimination of R gives d independent columns J of it; one more, of
-    [R_J^T | I], gives G = D (R_J^T)^-1 in integers (_bareiss).  Line y's
+    The callers have J = cols from their own eliminations: the pivot
+    columns of an elimination of all the lines are independent in R too,
+    since R's rows span the lines and so have the same column relations.
+    Any independent J gives the same coefficients.  One elimination of
+    [R_J^T | I] gives G = D (R_J^T)^-1 in integers (_bareiss).  Line y's
     coefficients are then G y_J / D, one division per distinct entry.
 
     For a configuration whose slack matrix has these lines, the labels of
@@ -463,7 +639,6 @@ def _rank_factor(lines, basis) -> tuple[tuple, tuple, list]:
     """
     r = [lines[i] for i in basis]
     d = len(r)
-    cols = linalg._bareiss(list(r), len(r[0]))[2]
     aug = [[x[j] for x in r] + [int(t == i) for t in range(d)] for i, j in enumerate(cols)]
     aug, inv_rows, _, det = linalg._bareiss(aug, d)
     sign = -1 if det < 0 else 1
@@ -500,11 +675,18 @@ def is_maximal_in_md(m: BinaryMatrix) -> bool:
 
 
 def rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
-    """The rank of m (0 when it has no entries) and is_maximal_in_md(m).
-    One elimination of the rows gives both the rank and the count of 0/1
-    vectors in the row space.  A matrix with distinct lines is eliminated
-    only up to pivot _CLOSURE_RANK_LIMIT + 1, where the count raises
-    DimensionTooLarge; one with a repeated line gets its full rank.
+    """The rank of m (0 when it has no entries) and is_maximal_in_md(m):
+    from the class memo when a matrix with m's key was answered before,
+    by _rank_and_maximality otherwise."""
+    return _class_answer(m, _RANK, _rank_and_maximality)
+
+
+def _rank_and_maximality(m: BinaryMatrix) -> tuple[int, bool]:
+    """rank_and_maximality(m), computed.  One elimination of the rows gives
+    both the rank and the count of 0/1 vectors in the row space.  A matrix
+    with distinct lines is eliminated only up to pivot _CLOSURE_RANK_LIMIT
+    + 1, where the count raises DimensionTooLarge; one with a repeated line
+    gets its full rank.
 
     The column space is counted over the d pivot columns of that
     elimination alone, not all m.cols columns: row operations keep every
@@ -539,7 +721,8 @@ def normalize_to_binary(cfg: Configuration, side: str) -> Configuration:
         raise ValueError(f"side must be {SIDE_A!r} or {SIDE_B!r}")
     m = slack_matrix(cfg).matrix
     lines = m.row_tuples() if side == SIDE_B else m.col_tuples()
-    binary, other, products = _rank_factor(lines, linalg.first_independent(lines, cfg.d))
+    _, basis, cols, _ = linalg._bareiss(list(lines), len(lines[0]))
+    binary, other, products = _rank_factor(lines, sorted(basis), cols)
     if side == SIDE_B:
         return _with_products(cfg.d, other, binary, products)
     return _with_products(cfg.d, binary, other, zip(*products))

@@ -176,13 +176,14 @@ def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore
     D, and each C vector becomes its products with those columns, a 0/1
     vector.  Each D vector is its column's coefficients over the core
     columns; on the core rows they solve L y = m_j, with L the core's unit
-    lower triangular slack submatrix, so they are integral.  The slack
+    lower triangular slack submatrix, so they are integral, and the core
+    rows are positions at which the core columns are independent.  The slack
     matrix is preserved entry for entry under the label correspondence, so
     the rewrite carries cfg's slack bits unchecked.
     """
     s = slack_matrix(cfg)
     core = find_triangular_core(s, cfg.d)
-    c_side, d_side, products = _rank_factor(s.matrix.col_tuples(), core.col_indices)
+    c_side, d_side, products = _rank_factor(s.matrix.col_tuples(), core.col_indices, core.row_indices)
     return core, _with_products(cfg.d, c_side, d_side, zip(*products))
 
 

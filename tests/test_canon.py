@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlc import canon, enumeration, stabset
+from tlc import canon, configuration, enumeration, stabset
 from tlc.canon import canonical_form, equivalent
-from tlc.configuration import BinaryMatrix, parse_matrix
+from tlc.configuration import BinaryMatrix, is_maximal_in_md, parse_matrix
 from tlc.errors import DimensionTooLarge
 
 
@@ -171,7 +171,7 @@ def test_six_cube_slack_matrix_is_fast():
 
 def _fresh(m):
     """canonical_form of m by a search of its own: the memo emptied first."""
-    canon._MEMO.clear()
+    configuration._MEMO.clear()
     return canonical_form(m)
 
 
@@ -224,8 +224,7 @@ def _without(m, row=None, col=None):
 
 
 def _key_matrix(m):
-    text = bytes(m.bits).translate(canon._ASCII_BITS)
-    rows, cols, key = canon._memo_key(text, m.rows, m.cols)
+    rows, cols, key = m._key
     assert (rows, cols) == (m.rows, m.cols)
     return BinaryMatrix(rows, cols, tuple(ch - 48 for ch in key))
 
@@ -270,7 +269,7 @@ def test_memo_answers_equal_fresh_searches(enum_results, enum_d4, searches):
         inputs += [_shuffled(_without(m, col=rng.randrange(m.cols)), rng) for _ in range(2)]
     inputs += _census_incidences()
     inputs += _d5_orbit_matrices(60, 5)
-    canon._MEMO.clear()
+    configuration._MEMO.clear()
     got = [canonical_form(m) for m in inputs]
     # the memo answered most of them
     assert len(searches) < len(inputs) // 2
@@ -302,10 +301,10 @@ def test_memo_answers_equal_fresh_searches_on_random_matrices(data):
 
 
 def test_memo_cap_holds_and_answers_stay_exact(monkeypatch, searches):
-    monkeypatch.setattr(canon, "_MEMO", canon._Memo())
-    monkeypatch.setattr(canon, "_MEMO_CELLS", 120)
-    monkeypatch.setattr(canon, "_MEMO_ENTRIES", 6)
-    memo = canon._MEMO
+    monkeypatch.setattr(configuration, "_MEMO", configuration._Memo())
+    monkeypatch.setattr(configuration, "_MEMO_CELLS", 120)
+    monkeypatch.setattr(configuration, "_MEMO_ENTRIES", 6)
+    memo = configuration._MEMO
     rng = random.Random(33)
     mats = []
     for _ in range(80):
@@ -314,36 +313,155 @@ def test_memo_cap_holds_and_answers_stay_exact(monkeypatch, searches):
     got = []
     for m in mats + mats[::-1]:
         got.append(canonical_form(m))
-        assert memo.cells == sum(len(key[2]) for key in memo.forms) <= 120
-        assert len(memo.forms) <= 6
+        assert memo.cells == sum(len(key[2]) for key in memo.entries) <= 120
+        assert len(memo.entries) <= 6
     assert len(searches) > 80
     assert got == got[:80] + got[:80][::-1]
     # a matrix of more cells than the cap is answered and never stored
     big = BinaryMatrix(11, 11, tuple(rng.randint(0, 1) for _ in range(121)))
-    before = (dict(memo.forms), len(searches))
+    before = (dict(memo.entries), len(searches))
     assert canonical_form(big) == canonical_form(big)
-    assert (dict(memo.forms), len(searches)) == (before[0], before[1] + 2)
+    assert (dict(memo.entries), len(searches)) == (before[0], before[1] + 2)
     with monkeypatch.context() as patch:
-        patch.setattr(canon, "_MEMO", canon._Memo())
+        patch.setattr(configuration, "_MEMO", configuration._Memo())
         for m, form in zip(mats, got):
             assert _fresh(m) == form
 
 
 def test_refused_search_stores_nothing(monkeypatch, searches):
-    monkeypatch.setattr(canon, "_MEMO", canon._Memo())
+    monkeypatch.setattr(configuration, "_MEMO", configuration._Memo())
     small = BinaryMatrix.from_rows([[0, 1], [1, 1]])
     canonical_form(small)
-    before = (dict(canon._MEMO.forms), canon._MEMO.cells)
+    before = (dict(configuration._MEMO.entries), configuration._MEMO.cells)
     m = BinaryMatrix.from_rows([[int(j == i % 5) for j in range(5)] for i in range(30)])
     with monkeypatch.context() as patch:
         patch.setattr(canon, "_NODE_LIMIT", 10)
         for _ in range(2):
             with pytest.raises(DimensionTooLarge):
                 canonical_form(m)
-        assert (dict(canon._MEMO.forms), canon._MEMO.cells) == before
+        assert (dict(configuration._MEMO.entries), configuration._MEMO.cells) == before
     # under the real budget the same input is searched, then remembered
     count = len(searches)
     form = canonical_form(m)
     assert len(searches) == count + 1
     assert canonical_form(_permute(m, list(range(30))[::-1], [4, 3, 2, 1, 0])) == form
     assert len(searches) == count + 1
+
+
+# --- rank and maximality from the same memo ------------------------------------
+
+
+def _fresh_rank(m):
+    """rank_and_maximality of m computed anew: the memo emptied first."""
+    configuration._MEMO.clear()
+    return configuration.rank_and_maximality(m)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The matrices rank_and_maximality computed for during the test."""
+    seen = []
+    compute = configuration._rank_and_maximality
+    monkeypatch.setattr(configuration, "_rank_and_maximality", lambda m: seen.append(m) or compute(m))
+    return seen
+
+
+def _with_repeats(m, rng):
+    """m with a repeated row, a repeated column, or both."""
+    rows = m.row_tuples()
+    rows.append(rows[rng.randrange(m.rows)])
+    out = BinaryMatrix.from_rows(rows)
+    if rng.getrandbits(1):
+        out = _without(out.transpose(), row=None).transpose()
+        cols = out.col_tuples()
+        cols.append(cols[rng.randrange(out.cols)])
+        out = BinaryMatrix.from_rows(cols).transpose()
+    return _shuffled(out, rng)
+
+
+def test_memo_rank_and_maximality_equal_fresh_ones(enum_results, enum_d4, eliminations):
+    rng = random.Random(30)
+    inputs = []
+    for m in _golden_matrices(enum_results, enum_d4):
+        inputs += [m] + [_shuffled(m, rng) for _ in range(3)]
+        inputs += [_shuffled(_without(m, row=rng.randrange(m.rows)), rng) for _ in range(2)]
+        inputs += [_shuffled(_without(m, col=rng.randrange(m.cols)), rng) for _ in range(2)]
+        inputs += [_with_repeats(m, rng) for _ in range(2)]
+    inputs += _census_incidences()
+    configuration._MEMO.clear()
+    got = [configuration.rank_and_maximality(m) for m in inputs]
+    # the memo answered most of them
+    assert len(eliminations) < len(inputs) // 2
+    assert sum(maximal for _, maximal in got) > 80
+    assert any(d and not maximal for d, maximal in got)
+    for m, answer in zip(inputs, got):
+        assert _fresh_rank(m) == configuration._rank_and_maximality(m) == answer
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_memo_rank_and_maximality_on_random_matrices(data):
+    rows = data.draw(st.integers(1, 7))
+    cols = data.draw(st.integers(1, 7))
+    m = BinaryMatrix(rows, cols, tuple(data.draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))))
+    twin = _permute(m, data.draw(st.permutations(range(rows))), data.draw(st.permutations(range(cols))))
+    # the memo is shared across examples, so earlier examples can answer these
+    got = [is_maximal_in_md(twin), configuration.rank_and_maximality(m), configuration.rank_and_maximality(twin),
+           configuration.rank_and_maximality(m.transpose())]
+    assert got[1:] == [_fresh_rank(m), _fresh_rank(twin), _fresh_rank(m.transpose())]
+    assert got[0] == got[1][1] and got[1] == got[2]
+
+
+def test_maximality_then_canon_keys_the_matrix_once(monkeypatch, searches, eliminations):
+    keys = []
+    memo_key = configuration._memo_key
+    monkeypatch.setattr(configuration, "_memo_key", lambda *args: keys.append(args) or memo_key(*args))
+    configuration._MEMO.clear()
+    m = BinaryMatrix.from_rows([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    maximal = is_maximal_in_md(m)
+    form = canonical_form(m)
+    assert (len(keys), len(eliminations), len(searches)) == (1, 1, 1)
+    # a permuted copy is keyed once and answered from the memo
+    twin = _permute(m, [3, 1, 0, 2], [2, 0, 1])
+    assert canonical_form(twin) == form and is_maximal_in_md(twin) == maximal
+    assert (len(keys), len(eliminations), len(searches)) == (2, 1, 1)
+
+
+def test_refused_maximality_stores_nothing(monkeypatch, eliminations):
+    monkeypatch.setattr(configuration, "_MEMO", configuration._Memo())
+    memo = configuration._MEMO
+    configuration.rank_and_maximality(BinaryMatrix.from_rows([[0, 1], [1, 1]]))
+    before = ({k: list(v) for k, v in memo.entries.items()}, memo.cells)
+    # distinct lines of rank 17: refused, on every call
+    m = BinaryMatrix.from_rows([[int(i == j) for j in range(17)] for i in range(17)])
+    for _ in range(2):
+        with pytest.raises(DimensionTooLarge):
+            is_maximal_in_md(m)
+    assert ({k: list(v) for k, v in memo.entries.items()}, memo.cells) == before
+    # its canonical form is stored, and the refusal still comes after it
+    form = canonical_form(m)
+    with pytest.raises(DimensionTooLarge):
+        configuration.rank_and_maximality(_permute(m, list(range(17))[::-1], list(range(17))))
+    assert memo.entries[m._key] == [form, None]
+    assert len(eliminations) == 4
+
+
+def test_an_entry_with_both_answers_counts_its_cells_once(monkeypatch, searches, eliminations):
+    monkeypatch.setattr(configuration, "_MEMO", configuration._Memo())
+    monkeypatch.setattr(configuration, "_MEMO_CELLS", 24)
+    memo = configuration._MEMO
+    a = BinaryMatrix.from_rows([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    b = BinaryMatrix.from_rows([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
+    answers = []
+    for m in (a, b):
+        answers.append((configuration.rank_and_maximality(m), canonical_form(m)))
+        assert memo.cells == sum(len(key[2]) for key in memo.entries) <= 24
+    # both matrices fill the cap exactly and hold both answers each
+    assert memo.cells == 24 and list(memo.entries.values()) == [[f, r] for r, f in answers]
+    for m, (rank_max, form) in zip((b, a), answers[::-1]):
+        assert (configuration.rank_and_maximality(m), canonical_form(m)) == (rank_max, form)
+    assert (len(eliminations), len(searches)) == (2, 2)
+    # a third matrix evicts the least recently used entry, now b
+    c = BinaryMatrix.from_rows([[0, 1], [1, 1]])
+    configuration.rank_and_maximality(c)
+    assert list(memo.entries) == [a._key, c._key] and memo.cells == 16

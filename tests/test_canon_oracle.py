@@ -13,7 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlc import canon, stabset
+from tlc import canon, configuration, stabset
 from tlc.configuration import BinaryMatrix, parse_matrix
 from tlc.errors import NotBipartite
 
@@ -21,7 +21,7 @@ from tlc.errors import NotBipartite
 def canonical_form(m):
     """tlc's canonical form of m found by a search of its own: the memo is
     emptied first, so the search, not the memo, meets the reference."""
-    canon._MEMO.clear()
+    configuration._MEMO.clear()
     return canon.canonical_form(m)
 
 

@@ -148,6 +148,41 @@ def test_closure_carries_its_products():
     assert checked > 100
 
 
+def _closure_outcome(family, d):
+    """closure(family, d), or the type and message of its refusal."""
+    try:
+        return closure(family, d)
+    except TlcError as e:
+        return type(e), str(e)
+
+
+def test_closure_reads_integers_over_a_denominator_as_their_fractions():
+    # decompress and the completions hand closure numerators over D; D may
+    # come negative and the numerators repeated or unsorted
+    rng = random.Random(30)
+    checked = 0
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        den = rng.choice([1, 2, 3, 6, -1, -2, -4])
+        nums = [tuple(rng.choice([0, 1, 1, 2, -1, -2, 3]) for _ in range(d)) for _ in range(rng.randint(d, d + 4))]
+        nums += [rng.choice(nums) for _ in range(rng.randint(0, 2))]
+        family = configuration._Integral._over(nums, den)
+        fractions = linalg.divide_rows(nums, den)
+        assert family == tuple(sorted(set(fractions)))
+        assert family.den > 0 and family.nums == sorted(family.nums)
+        keyed, scale = configuration._scaled(fractions)
+        assert family.scaled() == (sorted(keyed), scale)
+        got, want = _closure_outcome(family, d), _closure_outcome(fractions, d)
+        assert got == want
+        if isinstance(got, configuration._Closure):
+            assert got.family == want.family
+            assert list(got.products()) == list(want.products())
+            # a closure read as integers gives the closure of its own vectors
+            assert _closure_outcome(got, d) == _closure_outcome(tuple(got), d)
+            checked += 1
+    assert checked > 100
+
+
 def test_carried_closures_go_through_closure(enum_results, enum_d4, monkeypatch):
     calls = []
     for module in (configuration, compress, geometry):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlc import canon, cli, compress, linalg, stabset
+from tlc import canon, cli, compress, configuration, linalg, stabset
 from tlc.configuration import (
     BinaryMatrix,
     _zero_one_count,
@@ -769,6 +769,7 @@ def test_check_refuses_rank_above_limit_after_seventeen_pivots(tmp_path, monkeyp
     rows = ["".join(str(rng.getrandbits(1)) for _ in range(150)) for _ in range(150)]
     text = "150 150\n" + "\n".join(rows) + "\n"
     assert parse_matrix(text).distinct_lines()
+    configuration._MEMO.clear()
     pivots = []
     original = linalg._bareiss
 

@@ -238,13 +238,22 @@ def _rational_copy(cfg, rng):
 # the earlier T^-1 / T^T in Fractions.
 
 
-def _factored(cfg, side, basis_idx):
+def _independent_positions(lines, basis_idx, last=False):
+    """d positions at which the lines at basis_idx are independent: the
+    first ones in position order, or the last ones."""
+    n = len(lines[0])
+    order = list(range(n))[::-1] if last else list(range(n))
+    r = [[lines[i][j] for j in order] for i in basis_idx]
+    return [order[c] for c in linalg._bareiss(r, n)[2]]
+
+
+def _factored(cfg, side, basis_idx, last=False):
     """_rank_factor of cfg's slack bits over the lines at basis_idx, as a
     configuration: the lines are the slack rows (labelled by A) for side B
     and the slack columns (labelled by B) for side A."""
     m = configuration.slack_matrix(cfg).matrix
     lines = m.row_tuples() if side == SIDE_B else m.col_tuples()
-    binary, other, _ = _rank_factor(lines, basis_idx)
+    binary, other, _ = _rank_factor(lines, basis_idx, _independent_positions(lines, basis_idx, last))
     a, b = (other, binary) if side == SIDE_B else (binary, other)
     return Configuration(cfg.d, a, b)
 
@@ -273,6 +282,8 @@ def test_unit_basis_matches_reference_on_fractional_sides(enum_results, enum_d4,
         want = reference_unit_basis(cfg, side, [opposite[i] for i in idx])
         assert got == want
         assert got._bits == want._bits
+        # any independent positions give the same factorization
+        assert _factored(cfg, side, idx, last=True) == got
     assert fractional == 40
 
 
