@@ -187,7 +187,8 @@ def decompress(cc: CompressedConfig) -> Configuration:
     elimination of [G | A'^T], A' the decoded points as rows, solves them
     all: a' is consistent exactly when its column is 0 on every non-pivot
     row, and then a_c = (pivot row's entry) / D on each pivot column c.
-    closure reads these numerators over D as they are (_Integral).
+    closure reads the solved points as these numerators over D
+    (_Integral), not by scaling their Fractions back to integers.
 
     The result carries the products that closure decided, unchecked.  A
     spans, or closure raises NotSpanning.  B spans: each generator g_i has
