@@ -88,7 +88,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configuration import _FORM, BinaryMatrix, _class_answer
+from .configuration import _ASCII_BITS, _FORM, BinaryMatrix, _class_answer
 from .errors import DimensionTooLarge
 
 _NODE_LIMIT = 5000
@@ -272,9 +272,9 @@ class _Search:
 def _searched_form(m: BinaryMatrix) -> CanonicalForm:
     """The canonical form of m, a matrix with entries, by search."""
     n = m.cols
-    text = m.ascii_bits()
+    text = m.bits.translate(_ASCII_BITS)
     rows = [int(text[k:k + n], 2) for k in range(0, len(text), n)]
-    best = _Search(rows, n, len({text[c::n] for c in range(n)})).run()
+    best = _Search(rows, n, len({m.bits[c::n] for c in range(n)})).run()
     out = "".join([f"{m.rows} {n}\n"] + [format(v, f"0{n}b") + "\n" for v in best])
     return CanonicalForm((m.rows, n), out.encode("ascii"))
 

@@ -51,7 +51,7 @@ class GeneratorSet:
     gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        gens = tuple(tuple(int(x) for x in g) for g in self.gens)
+        gens = tuple(linalg.integers(g, NonBinaryProduct, "generators must be 0/1 vectors") for g in self.gens)
         object.__setattr__(self, "gens", gens)
         d = self.d
         if any(len(g) != d for g in gens):
@@ -104,7 +104,8 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     search after it.  The last step's form is the Hermite form of the
     returned set's generators, and the set keeps it as its `hermite`.
     """
-    bs = sorted(set(tuple(int(x) for x in v) for v in b_vectors))
+    bs = sorted({linalg.integers(v, NonBinaryProduct, "point side must be 0/1 before generator selection")
+                 for v in b_vectors})
     if any(len(b) != d for b in bs):
         raise DimensionMismatch("vectors of wrong dimension")
     if any(x not in (0, 1) for b in bs for x in b):
@@ -148,7 +149,7 @@ def phi(b, gens: GeneratorSet) -> tuple[int, ...]:
     Any valid coordinate vector satisfies <zeta(a), phi(b)> = <a, b>, so the
     representative only affects serialized bytes, not decoded content.
     """
-    bt = tuple(int(x) for x in b)
+    bt = linalg.integers(b, NotInLattice, "{} is not in the generator lattice")
     if len(bt) != gens.d:
         raise DimensionMismatch("vector of wrong dimension")
     for i, g in enumerate(gens.gens):

@@ -21,7 +21,12 @@ Products are checked once, where vectors come from outside: the
 sides, ranks them and multiplies every pair.  A configuration the code
 derives carries the products it has already decided instead
 (_with_products): the slack bits of a rank factorization, or the bits that
-closure decides for each vector it keeps (_with_closure).
+closure decides for each vector it keeps (_with_closure).  Either way a
+configuration keeps its products as one BinaryMatrix, which slack_matrix
+returns on every call.  A BinaryMatrix keeps its bits as one bytes object;
+its lines, transpose, text and memo key are slices and joins of it, and
+its constructor, the one place bits are checked, costs no Python step per
+bit on bytes, ints or bools, so matrices of decided bits go through it too.
 
 Class questions about a 0/1 matrix are answered from one process-wide memo
 (_MEMO).  canon's canonical form and rank_and_maximality are invariants of
@@ -52,7 +57,7 @@ the memo.  The memo holds at most _MEMO_ENTRIES entries and at most
 _MEMO_CELLS matrix cells in all, counting an entry's cells once whatever it
 holds, and drops the least recently used entries first; a matrix of more
 cells than that is neither keyed nor stored.  An entry keeps about two bytes per cell
-(the key's text and the form's) and a few hundred bytes more: 4,096 forms
+(the key's bits and the form's text) and a few hundred bytes more: 4,096 forms
 of 16 x 16 matrices, a full memo, hold 3.6 MB.  It is per process: `--jobs`
 workers each fill their own, and since every answer is exact the output
 cannot depend on which worker saw a class first.
@@ -65,8 +70,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import gcd
 from operator import mul
 
 from . import linalg
@@ -93,83 +96,87 @@ _KEY_ROUNDS = 4
 _MEMO_ENTRIES = 4096
 _MEMO_CELLS = 1 << 20
 
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+# swaps the digits "0" and "1" with the bytes 0 and 1, both ways
+_ASCII_BITS = bytes.maketrans(b"\x00\x0101", b"01\x00\x01")
 
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """0/1 matrix, row-major bits.  Distinctness of lines is not enforced here."""
+    """0/1 matrix, its bits one bytes object of 0s and 1s in row-major
+    order, built from any iterable of 0/1 values.  Distinctness of lines is
+    not enforced here."""
 
     rows: int
     cols: int
-    bits: tuple[int, ...]
+    bits: bytes
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise DimensionMismatch("negative shape")
-        bits = tuple(int(b) for b in self.bits)
-        if len(bits) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} bits, got {len(bits)}"
-            )
-        if any(b not in (0, 1) for b in bits):
+        bits = self.bits if isinstance(self.bits, (bytes, tuple, list)) else tuple(self.bits)
+        n = self.rows * self.cols
+        if len(bits) != n:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} matrix needs {n} bits, got {len(bits)}")
+        try:
+            bits = bytes(bits)
+        except (TypeError, ValueError):
+            # an entry that is no int in range(256), read exactly: 1.0 is 1, 1.5 fails
+            bits = bytes(b if b in (0, 1) else 2 for b in linalg.integers(bits, ValueError, "entries must be 0 or 1"))
+        if bits.translate(None, b"\x00\x01"):
             raise ValueError("entries must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_rows(cls, rows) -> "BinaryMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
-        m = len(rows)
+        rows = [tuple(r) for r in rows]
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("ragged rows")
-        return cls(m, n, tuple(x for r in rows for x in r))
+        return cls(len(rows), n, [x for r in rows for x in r])
+
+    def _lines(self) -> list[bytes]:
+        c = self.cols
+        return [self.bits[i * c:(i + 1) * c] for i in range(self.rows)]
 
     def row_bits(self, i) -> tuple[int, ...]:
-        return self.bits[i * self.cols:(i + 1) * self.cols]
+        return tuple(self.bits[i * self.cols:(i + 1) * self.cols])
 
     def col_bits(self, j) -> tuple[int, ...]:
-        return tuple(self.bits[i * self.cols + j] for i in range(self.rows))
+        return tuple(self.bits[j::self.cols])
 
     def row_tuples(self) -> list[tuple[int, ...]]:
-        return [self.row_bits(i) for i in range(self.rows)]
+        return list(map(tuple, self._lines()))
 
     def col_tuples(self) -> list[tuple[int, ...]]:
         return [self.col_bits(j) for j in range(self.cols)]
 
     def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix.from_rows(self.col_tuples()) if self.rows * self.cols else BinaryMatrix(self.cols, self.rows, ())
+        return BinaryMatrix(self.cols, self.rows, b"".join(self.bits[j::self.cols] for j in range(self.cols)))
 
     def distinct_lines(self) -> bool:
-        rows = self.row_tuples()
-        cols = self.col_tuples()
+        rows, cols = self._lines(), self.transpose()._lines()
         return len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
 
     def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        lines.extend("".join(str(b) for b in self.row_bits(i)) for i in range(self.rows))
-        return "\n".join(lines) + "\n"
-
-    def ascii_bits(self) -> bytes:
-        """The row-major bits as the ASCII digits 0 and 1."""
-        return bytes(self.bits).translate(_ASCII_BITS)
+        text, c = self.bits.translate(_ASCII_BITS).decode("ascii"), self.cols
+        return "".join([f"{self.rows} {c}\n"] + [text[i * c:(i + 1) * c] + "\n" for i in range(self.rows)])
 
     @cached_property
     def _key(self) -> tuple[int, int, bytes]:
         """The class memo's key, computed once per matrix (_memo_key)."""
-        return _memo_key(self.ascii_bits(), self.rows, self.cols)
+        return _memo_key(self.bits, self.rows, self.cols)
 
 
 def _line_weight(line: bytes) -> tuple[int, bytes]:
-    """A line's number of ones (49 is ord("1")), then its bits."""
-    return line.count(49), line
+    """A line's number of ones, then its bits."""
+    return line.count(1), line
 
 
-def _memo_key(text: bytes, rows: int, cols: int) -> tuple[int, int, bytes]:
-    """The shape and the text of a row and column permutation of the matrix
-    with row-major text: rows and columns sorted alternately by (ones,
+def _memo_key(bits: bytes, rows: int, cols: int) -> tuple[int, int, bytes]:
+    """The shape and the bits of a row and column permutation of the matrix
+    with row-major bits: rows and columns sorted alternately by (ones,
     bits) until a round moves no column, for at most _KEY_ROUNDS rounds."""
-    lines = [text[k:k + cols] for k in range(0, len(text), cols)]
+    lines = [bits[k:k + cols] for k in range(0, len(bits), cols)]
     for _ in range(_KEY_ROUNDS):
         lines.sort(key=_line_weight)
         flat = b"".join(lines)
@@ -252,19 +259,20 @@ def parse_matrix(text: str) -> BinaryMatrix:
         raise ParseError("header must be two integers", line=1) from None
     if m < 0 or n < 0:
         raise ParseError("negative shape", line=1)
-    bits: list[int] = []
+    rows = []
     for i in range(m):
         if 1 + i >= len(lines):
             raise ParseError(f"expected {m} bit rows, found {i}", line=len(lines))
         row = lines[1 + i].rstrip()
         if len(row) != n:
             raise ParseError(f"expected {n} characters", line=2 + i, column=len(row) + 1)
-        for j, ch in enumerate(row):
-            if ch not in "01":
-                raise ParseError(f"invalid character {ch!r}", line=2 + i, column=j + 1)
-            bits.append(int(ch))
+        # stripping the digits leaves nothing exactly when the row has no other character
+        if row.strip("01"):
+            j = next(j for j, ch in enumerate(row) if ch not in "01")
+            raise ParseError(f"invalid character {row[j]!r}", line=2 + i, column=j + 1)
+        rows.append(row)
     refuse_trailing(lines, 1 + m, "matrix")
-    return BinaryMatrix(m, n, tuple(bits))
+    return BinaryMatrix(m, n, "".join(rows).encode("ascii").translate(_ASCII_BITS))
 
 
 def refuse_trailing(lines: list[str], start: int, what: str) -> None:
@@ -293,16 +301,16 @@ class Configuration:
 
     The vectors are kept as given, sorted and without repeats (a vector
     that is not all ints and Fractions becomes Fractions), and the products
-    checked on construction are kept, row-major over the sorted sides, as
-    the slack matrix's bits.  Configurations derived inside the package
-    skip the checks and carry the products they already know
+    checked on construction are kept as the slack matrix, one BinaryMatrix
+    whose lines follow the sorted sides.  Configurations derived inside the
+    package skip the checks and carry the products they already know
     (_with_products).
     """
 
     d: int
     A: tuple[Vec, ...]
     B: tuple[Vec, ...]
-    _bits: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
+    _slack: BinaryMatrix = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -318,7 +326,7 @@ class Configuration:
                 raise DimensionMismatch(f"side {name} has vectors of wrong dimension")
             if not keyed or linalg.rank(list(keyed)) != self.d:
                 raise NotSpanning(f"side {name} does not span R^{self.d}")
-        object.__setattr__(self, "_bits", tuple(_slack_bits(*sides[0], *sides[1])))
+        object.__setattr__(self, "_slack", BinaryMatrix(len(self.A), len(self.B), _slack_bits(*sides[0], *sides[1])))
 
     def is_maximal(self) -> bool:
         """Whether A and B are each other's closures: is_maximal_in_md of the
@@ -342,7 +350,7 @@ def _with_products(d: int, a, b, rows) -> Configuration:
     object.__setattr__(cfg, "d", d)
     object.__setattr__(cfg, "A", a)
     object.__setattr__(cfg, "B", b)
-    object.__setattr__(cfg, "_bits", tuple(chain.from_iterable(rows)))
+    object.__setattr__(cfg, "_slack", BinaryMatrix(len(a), len(b), b"".join(map(bytes, rows))))
     return cfg
 
 
@@ -406,15 +414,15 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
 
     The result is a tuple of the y, sorted by their integer numerators over
     D > 0, which carries what the filter decided (_Closure).  A family that
-    is already an _Integral (a closure, or decompress's solved points)
-    gives the same L and X from its integer numerators (_Integral.scaled),
-    with no Fraction read.
+    is already an _Integral (a closure, or decompress's solved points) is
+    read as its numerators over their denominator, c X and c L for some
+    c > 0: that keeps the pivots, the kept patterns and y = L G / D.
 
     The 2^d patterns are tabulated, so d above _CLOSURE_RANK_LIMIT raises
     DimensionTooLarge before [X | I] is built.
     """
     if isinstance(vectors, _Integral):
-        (xs, scale), family = vectors.scaled(), tuple(vectors)
+        xs, scale, family = vectors.nums, vectors.den, tuple(vectors)
     else:
         keyed, scale = _scaled(vectors)
         xs = sorted(keyed)
@@ -473,18 +481,6 @@ class _Integral(tuple):
             den = -den
             nums = [tuple(-x for x in y) for y in nums]
         return cls._of(sorted(set(nums)), den)
-
-    def scaled(self) -> tuple[list, int]:
-        """(N, L) as _scaled gives them: L the least common denominator of
-        the entries and N = L times the vectors, sorted.  These are nums and
-        den divided by their greatest common divisor g.  den / g is a common
-        denominator, so L divides it, and nums / g = (den / (g L)) N; a
-        prime factor of den / (g L) would divide den / g and every entry of
-        nums / g, against g being the greatest, so den / g = L."""
-        g = gcd(self.den, *chain.from_iterable(self.nums))
-        if g == 1:
-            return self.nums, self.den
-        return [tuple(x // g for x in y) for y in self.nums], self.den // g
 
 
 class _Closure(_Integral):
@@ -586,9 +582,9 @@ def maximal_completion(seed, d: int) -> Configuration:
 
 
 def slack_matrix(cfg: Configuration) -> SlackMatrix:
-    """Matrix of all pairwise products, lines ordered by the sorted vectors."""
-    m = BinaryMatrix(len(cfg.A), len(cfg.B), cfg._bits)
-    return SlackMatrix(m, cfg.A, cfg.B)
+    """Matrix of all pairwise products, lines ordered by the sorted vectors:
+    the one BinaryMatrix cfg keeps, so its memo key is computed once."""
+    return SlackMatrix(cfg._slack, cfg.A, cfg.B)
 
 
 def from_slack_matrix(m: BinaryMatrix) -> Configuration:

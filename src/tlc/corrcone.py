@@ -64,7 +64,7 @@ def _check_dimension(d: int) -> None:
 
 
 def _binary(x) -> Bit:
-    x = tuple(int(v) for v in x)
+    x = linalg.integers(x, NonBinary, "lift of non-binary vector {}")
     if any(v not in (0, 1) for v in x):
         raise NonBinary(f"lift of non-binary vector {x}")
     return x
@@ -99,7 +99,7 @@ def face_points(d: int, bs) -> tuple[Bit, ...]:
     points.
     """
     _check_dimension(d)
-    bs = [tuple(int(v) for v in b) for b in bs]
+    bs = [linalg.integers(b, ValueError, "cut vector {} is not integral") for b in bs]
     for b in bs:
         if len(b) != d:
             raise DimensionMismatch("cut vector of wrong dimension")
@@ -185,7 +185,7 @@ def _points(d: int, mask: int) -> tuple[Bit, ...]:
 def is_face(d: int, points) -> bool:
     """Face test: the points are exactly the 0/1 points of a face (a fixed point of _close)."""
     _check_dimension(d)
-    pts = [_binary(x) for x in sorted(set(tuple(int(v) for v in p) for p in points))]
+    pts = sorted(set(map(_binary, points)))
     if not pts:
         return False
     if any(len(x) != d for x in pts):
@@ -203,7 +203,7 @@ class FaceCertificate:
 
     def __post_init__(self):
         d = self.d
-        s = tuple(int(v) for v in self.s)
+        s = linalg.integers(self.s, NotInCone, "certificate entries must be integers")
         object.__setattr__(self, "s", s)
         if d < 0:
             raise DimensionMismatch(f"dimension must be nonnegative, got {d}")
@@ -236,7 +236,7 @@ def certificate_encode(d: int, points) -> FaceCertificate:
     that are a face by construction, such as face_points' cuts, go to
     _face_certificate directly.
     """
-    pts = sorted(set(tuple(int(v) for v in p) for p in points))
+    pts = sorted(set(map(_binary, points)))
     if not is_face(d, pts):
         raise NotAFace(f"{pts} is not the point set of a face")
     return _face_certificate(d, pts)

@@ -177,7 +177,7 @@ def _mask_slack(d: int, key: int) -> BinaryMatrix:
     _, closed, _, ones = _seed_context(d)
     rows = list(_bits(key))
     cols = [j for j in _points_in_closure_order(d) if key & ~closed[j] == 0]
-    return BinaryMatrix(len(rows), len(cols), tuple(ones[j] >> i & 1 for i in rows for j in cols))
+    return BinaryMatrix(len(rows), len(cols), bytes(ones[j] >> i & 1 for i in rows for j in cols))
 
 
 def _point_images(d: int, sigma) -> list[int]:
@@ -385,10 +385,9 @@ def oracle_is_maximal(m: BinaryMatrix) -> bool:
     outside its rows (resp. columns): appending such a vector is an extension
     inside the class, and any strictly larger matrix provides one.
     """
-    rows = m.row_tuples()
-    cols = m.col_tuples()
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+    if not m.distinct_lines():
         return False
+    rows, cols = m.row_tuples(), m.col_tuples()
     row_basis, row_piv = _space_echelon(rows)
     if not row_basis:
         return False
@@ -418,8 +417,7 @@ def oracle_maximal(d: int) -> tuple[CanonicalForm, ...]:
     for r in range(1, 5):
         for c in range(1, 5):
             for bits_mask in range(1 << (r * c)):
-                bits = tuple((bits_mask >> i) & 1 for i in range(r * c))
-                m = BinaryMatrix(r, c, bits)
+                m = BinaryMatrix(r, c, [(bits_mask >> i) & 1 for i in range(r * c)])
                 if not m.distinct_lines():
                     continue
                 if rank(m.row_tuples()) != d:

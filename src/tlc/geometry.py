@@ -136,7 +136,7 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
     m = s.matrix
     if size < 1 or size > min(m.rows, m.cols):
         raise NoCore(f"no core of size {size} in a {m.rows}x{m.cols} matrix")
-    masks = [sum(b << j for j, b in enumerate(m.row_bits(i))) for i in range(m.rows)]
+    masks = [int(line[::-1], 2) for line in m.to_text().splitlines()[1:]]
     row_order = sorted(range(m.rows), key=lambda i: (masks[i].bit_count(), i))
     chosen: list[tuple[int, int]] = []
     nodes = 0

@@ -62,6 +62,20 @@ def scale_rows(rows) -> tuple[list[tuple], list[tuple[int, ...]], int]:
     return exact, [tuple(x.numerator * (scale // x.denominator) for x in r) for r in exact], scale
 
 
+def integers(values, error, message: str) -> tuple[int, ...]:
+    """The values as ints, each accepted exactly when int(x) == x (True, 2.0,
+    Fraction(4, 2)); 1.5, "1" or None raise error(message.format(values))
+    where int() alone would truncate or parse them."""
+    values = tuple(values)
+    try:
+        out = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out != values:
+        raise error(message.format(values))
+    return out
+
+
 def divide_rows(nums, den: int) -> tuple[Vec, ...]:
     """The integer rows nums divided by den, one Fraction per distinct numerator."""
     fracs = {n: Fraction(n, den) for n in set().union(*nums)}
@@ -237,7 +251,7 @@ def lattice_coords(gens, v) -> Optional[tuple[int, ...]]:
     """Integer coordinates of v over the generator rows, or None when v is
     not an integer combination of them."""
     rows = _check_int_matrix(gens)
-    v = [int(x) for x in v]
+    v = list(integers(v, ValueError, "integer vector required"))
     if not rows:
         return None if any(v) else ()
     if len(v) != len(rows[0]):

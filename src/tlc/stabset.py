@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 from . import canon, geometry
 from .configuration import BinaryMatrix, SlackMatrix, slack_bits, slack_matrix
+from .linalg import integers
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -31,7 +31,6 @@ from .errors import (
 from .parallel import chunked_map
 
 _CENSUS_LIMIT = 7
-_CLASS_LIMIT = 6
 # a graph on n nodes has up to 2^n stable sets, each a slack column; at
 # n = 15 the maximal slack's closure runs at its rank limit n + 1 = 16, and
 # the slowest graphs take about 1 s (the star K_{1,14}, basic slack) and
@@ -77,8 +76,8 @@ def _checked_edges(n: int, edges) -> list[tuple[int, int]]:
     """The edges as (low, high) node pairs, each checked to join two distinct
     nodes in range."""
     out = []
-    for u, v in edges:
-        u, v = int(u), int(v)
+    for edge in edges:
+        u, v = integers(edge, ParseError, "edge endpoints must be integers")
         if u == v:
             raise ParseError(f"loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -171,7 +170,7 @@ def _basic_slack(g: BipartiteGraph):
 def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:
     """Slack of every stable set against the basic rows (see _basic_slack)."""
     rows, _, points, bits = _basic_slack(g)
-    return SlackMatrix(BinaryMatrix(len(rows), len(points), tuple(bits)), rows, points)
+    return SlackMatrix(BinaryMatrix(len(rows), len(points), bits), rows, points)
 
 
 def stab_maximal_slack(g: BipartiteGraph) -> SlackMatrix:
@@ -219,8 +218,8 @@ class CensusReport:
     n: int
     labeled_bipartite: int
     labeled_bipartite_min_degree2: int
-    isomorphism_classes_min_degree2: Optional[int]
-    maximal_slack_forms_min_degree2: Optional[int]
+    isomorphism_classes_min_degree2: int
+    maximal_slack_forms_min_degree2: int
     lower_exponent_float: float
     upper_exponent: Fraction
     within_lower: bool
@@ -284,11 +283,8 @@ def graph_from_mask(n: int, mask: int) -> BipartiteGraph:
 
 
 def census(n: int, jobs: int = 1) -> CensusReport:
-    """Scan all labeled graphs on n nodes and compile the bipartite counts.
-
-    Isomorphism classes and slack forms are computed up to n = 6; at n = 7
-    only the labeled counts are produced.
-    """
+    """Scan all labeled graphs on n nodes for the bipartite counts, and the
+    isomorphism classes and maximal slack forms of minimum degree 2."""
     if n < 1:
         raise DimensionMismatch(f"node count must be at least 1, got {n}")
     if n > _CENSUS_LIMIT:
@@ -298,19 +294,14 @@ def census(n: int, jobs: int = 1) -> CensusReport:
     bip = sum(p[0] for p in parts)
     kept = sorted(x for p in parts for x in p[1])
 
-    iso_classes = None
-    slack_forms = None
-    if n <= _CLASS_LIMIT:
-        # simple graphs are isomorphic exactly when their node x edge
-        # incidence matrices are equal up to row and column order
-        reps: dict[bytes, BipartiteGraph] = {}
-        for mask in kept:
-            g = graph_from_mask(n, mask)
-            incidence = BinaryMatrix.from_rows([[int(v in e) for e in g.edges] for v in range(n)])
-            reps.setdefault(canon.canonical_form(incidence).bytes, g)
-        iso_classes = len(reps)
-        forms = {canon.canonical_form(stab_maximal_slack(g).matrix).bytes for g in reps.values()}
-        slack_forms = len(forms)
+    # simple graphs are isomorphic exactly when their node x edge incidence
+    # matrices are equal up to row and column order
+    reps: dict[bytes, BipartiteGraph] = {}
+    for mask in kept:
+        g = graph_from_mask(n, mask)
+        incidence = BinaryMatrix.from_rows([[int(v in e) for e in g.edges] for v in range(n)])
+        reps.setdefault(canon.canonical_form(incidence).bytes, g)
+    forms = {canon.canonical_form(stab_maximal_slack(g).matrix).bytes for g in reps.values()}
 
     upper_exp = Fraction(n * n, 4) + n
     lower_float = float(upper_exp) - 2 * math.log2(n)
@@ -322,8 +313,8 @@ def census(n: int, jobs: int = 1) -> CensusReport:
         n=n,
         labeled_bipartite=bip,
         labeled_bipartite_min_degree2=len(kept),
-        isomorphism_classes_min_degree2=iso_classes,
-        maximal_slack_forms_min_degree2=slack_forms,
+        isomorphism_classes_min_degree2=len(reps),
+        maximal_slack_forms_min_degree2=len(forms),
         lower_exponent_float=lower_float,
         upper_exponent=upper_exp,
         within_lower=within_lower,

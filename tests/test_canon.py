@@ -112,7 +112,7 @@ def test_canonical_agrees_with_brute_force_minimum():
             for cp in permutations(range(cols))
         )
         got = parse_matrix(canonical_form(m).bytes.decode())
-        assert got.bits == smallest
+        assert tuple(got.bits) == smallest
 
 
 def test_class_count_of_2x2_distinct_line_matrices():
@@ -226,7 +226,7 @@ def _without(m, row=None, col=None):
 def _key_matrix(m):
     rows, cols, key = m._key
     assert (rows, cols) == (m.rows, m.cols)
-    return BinaryMatrix(rows, cols, tuple(ch - 48 for ch in key))
+    return BinaryMatrix(rows, cols, key)
 
 
 def _census_incidences():

@@ -468,7 +468,7 @@ def test_from_slack_matrix_matches_old_path(enum_results, enum_d4):
             continue
         new, old = from_slack_matrix(m), _reference_from_slack_matrix(m)
         assert new == old
-        assert new._bits == old._bits
+        assert new._slack == old._slack
         compared += 1
     assert compared > 800
 

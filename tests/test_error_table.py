@@ -3,10 +3,11 @@ and the exact bytes of the JSON outputs that no other test prints: one
 table of library calls and one of CLI runs."""
 
 import os
+from fractions import Fraction
 
 import pytest
 
-from tlc import compress, corrcone, geometry, linalg
+from tlc import compress, corrcone, geometry, linalg, stabset
 from tlc.configuration import (
     BinaryMatrix,
     SlackMatrix,
@@ -15,7 +16,17 @@ from tlc.configuration import (
     normalize_to_binary,
     slack_matrix,
 )
-from tlc.errors import DimensionMismatch, NoCore, NonBinaryProduct, NotSpanning, StoreConflict
+from tlc.errors import (
+    DimensionMismatch,
+    NoCore,
+    NonBinary,
+    NonBinaryProduct,
+    NotInCone,
+    NotInLattice,
+    NotSpanning,
+    ParseError,
+    StoreConflict,
+)
 from tlc.store import Store
 
 from test_cli import run_cli, write
@@ -73,6 +84,31 @@ _REFUSALS = {
         lambda: linalg.lp_feasible([[1]], [1, 2], [True]), DimensionMismatch, "1 rows vs 2 right-hand sides"),
     "lp_feasible ragged": (
         lambda: linalg.lp_feasible([[1, 0], [1]], [1, 2], [True, True]), DimensionMismatch, "ragged rows"),
+    # a number that is not an integer is refused, not truncated by int()
+    "BinaryMatrix entry 1.5": (lambda: BinaryMatrix(1, 1, (1.5,)), ValueError, "entries must be 0 or 1"),
+    "BinaryMatrix.from_rows entry 0.5": (
+        lambda: BinaryMatrix.from_rows([(0, 0.5)]), ValueError, "entries must be 0 or 1"),
+    "GeneratorSet entry 1.9": (
+        lambda: compress.GeneratorSet(2, ((1, 0), (0, 1.9))), NonBinaryProduct, "generators must be 0/1 vectors"),
+    "select_generators entry 0.5": (
+        lambda: compress.select_generators([(1, 0), (0, 1), (0.5, 1)], 2),
+        NonBinaryProduct, "point side must be 0/1 before generator selection"),
+    "phi entry 0.5": (
+        lambda: compress.phi((0.5,), _UNIT), NotInLattice, "(0.5,) is not in the generator lattice"),
+    "lift_raw entry 0.5": (
+        lambda: corrcone.lift_raw((0, 0.5)), NonBinary, "lift of non-binary vector (0, 0.5)"),
+    "face_points entry 0.5": (
+        lambda: corrcone.face_points(2, [(1, 0.5)]), ValueError, "cut vector (1, 0.5) is not integral"),
+    "is_face entry 0.5": (
+        lambda: corrcone.is_face(2, [(0, 0), (0.5, 1)]), NonBinary, "lift of non-binary vector (0.5, 1)"),
+    "certificate_encode entry 0.5": (
+        lambda: corrcone.certificate_encode(2, [(0, 0), (0.5, 1)]), NonBinary, "lift of non-binary vector (0.5, 1)"),
+    "FaceCertificate entry 1/2": (
+        lambda: corrcone.FaceCertificate(1, (Fraction(1, 2), 1)), NotInCone, "certificate entries must be integers"),
+    "lattice_coords entry 0.5": (
+        lambda: linalg.lattice_coords([[1, 0], [0, 1]], (0.5, 1)), ValueError, "integer vector required"),
+    "BipartiteGraph edge 1.5": (
+        lambda: stabset.BipartiteGraph.from_edges(3, [(0, 1.5)]), ParseError, "edge endpoints must be integers"),
     "lp_feasible sign flags": (
         lambda: linalg.lp_feasible([[1, 0]], [1], [True]), DimensionMismatch, "1 sign flags for 2 variables"),
 }

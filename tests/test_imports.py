@@ -159,9 +159,39 @@ def _traced_targets() -> list:
     return ast.literal_eval(value)
 
 
+def _tlc_references(path: Path) -> set:
+    """The tlc names a file imports or reads off a tlc module it imported,
+    as dotted paths under tlc: `from tlc.m import a` gives "m.a", and
+    `from tlc import m` followed by `m.f.g` gives "m", "m.f" and "m.f.g"."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "tlc":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = ".".join([*node.module.split(".")[1:], alias.name])
+    refs = set(bound.values())
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            refs.add(".".join([bound[node.id], *chain]))
+    return refs
+
+
+def _resolves(dotted: str) -> bool:
+    head, *rest = dotted.split(".")
+    obj = importlib.import_module(f"tlc.{head}") if (SRC / f"{head}.py").exists() else getattr(tlc, head, None)
+    for part in rest:
+        obj = getattr(obj, part, None)
+    return obj is not None
+
+
 def test_benchmark_hooks_resolve():
-    # the benchmark wraps these names and swaps out the seed-mask source; a
-    # name missing here breaks a traced benchmark run, not an untraced one
+    # the benchmark wraps these names, and its workloads, input generators
+    # and fixtures import or call these: a name missing here breaks a
+    # benchmark run, traced or not
     targets = _traced_targets()
     missing = []
     for module, target, _ in targets:
@@ -170,5 +200,17 @@ def test_benchmark_hooks_resolve():
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(f"{module}.{target}")
+    refs = set().union(*map(_tlc_references, sorted((REPO / "perfbench").glob("*.py"))))
     assert targets and missing == []
-    assert callable(importlib.import_module("tlc.enumeration")._seed_masks)
+    assert {"configuration.BinaryMatrix", "configuration.parse_matrix", "configuration.SIDE_B",
+            "compress.weighted_graph_parse", "enumeration.enumerate_maximal", "enumeration._seed_masks",
+            "store.Store"} <= refs
+    assert sorted(name for name in refs if not _resolves(name)) == []
+
+
+def test_tlc_reference_is_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from tlc import canon as c, store\nfrom tlc.configuration import parse_matrix\n"
+                    "import os\n\nc.canonical_form(x).bytes\nstore.Store(p).put\nos.sep\n")
+    assert _tlc_references(path) == {"canon", "canon.canonical_form", "store", "store.Store",
+                                     "configuration.parse_matrix"}

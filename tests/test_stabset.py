@@ -25,8 +25,8 @@ F = Fraction
 # inclusion-exclusion over the four triangles on 4 nodes, the 355 from the
 # 3+3 and 2+4 bipartition case split)
 BIPARTITE_COUNTS = {1: 1, 2: 2, 3: 7, 4: 41}
-MIN_DEG2_COUNTS = {1: 0, 2: 0, 3: 0, 4: 3, 5: 10, 6: 355}
-ISO_CLASS_COUNTS = {4: 1, 5: 1, 6: 5}
+MIN_DEG2_COUNTS = {1: 0, 2: 0, 3: 0, 4: 3, 5: 10, 6: 355, 7: 7616}
+ISO_CLASS_COUNTS = {4: 1, 5: 1, 6: 5, 7: 9}
 
 
 def K2():
@@ -239,6 +239,14 @@ def test_census_n5():
     assert rep.within_lower and rep.within_upper
 
 
+def test_census_n7_finds_classes():
+    rep = census(7, jobs=2)
+    assert rep.labeled_bipartite == 103237
+    assert rep.labeled_bipartite_min_degree2 == MIN_DEG2_COUNTS[7]
+    assert rep.isomorphism_classes_min_degree2 == ISO_CLASS_COUNTS[7]
+    assert rep.maximal_slack_forms_min_degree2 == ISO_CLASS_COUNTS[7]
+
+
 def test_census_limit():
     with pytest.raises(DimensionTooLarge):
         census(8)
@@ -369,7 +377,7 @@ def test_maximal_slack_checks_products_once(monkeypatch):
         cfg = geometry.polytope_completion([stabset._char_vec(s, g.n) for s in stable_sets(g)])
         configuration.slack_matrix(cfg)
         assert calls == []
-        assert configuration.Configuration(cfg.d, cfg.A, cfg.B)._bits == slack.matrix.bits
+        assert configuration.Configuration(cfg.d, cfg.A, cfg.B)._slack == slack.matrix
         assert len(calls) == 1
 
 
