@@ -68,6 +68,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--b-vectors", required=True)
     q = sub.add_parser("face-enum", help="enumerate all faces of the correlation cone")
     q.add_argument("--dim", type=int, required=True)
+    q.add_argument("--certificates", action="store_true", help="list each face's certificate")
     q = sub.add_parser("core", help="triangular core and binary/integral form of a polytope")
     q.add_argument("polytope")
     q = sub.add_parser("stab-slack", help="slack matrix of a bipartite stable set polytope")
@@ -187,19 +188,23 @@ def _cmd_face(args, out) -> int:
 
 def _cmd_face_enum(args, out) -> int:
     faces = corrcone.enumerate_faces(args.dim)
+    points = [["".join(str(b) for b in p) for p in f] for f in faces]
+    lines = [" ".join(ps) for ps in points]
     store = _store_from(args)
-    for f in faces:
-        payload = (" ".join("".join(str(b) for b in p) for p in f) + "\n").encode("ascii")
-        store.put(f"faces/{args.dim}", payload, ".face")
+    for line in lines:
+        store.put(f"faces/{args.dim}", (line + "\n").encode("ascii"), ".face")
+    certs = [corrcone.certificate_encode(args.dim, f).s for f in faces] if args.certificates else None
     if args.format == "json":
-        out.write(json.dumps({
-            "d": args.dim,
-            "faces": [["".join(str(b) for b in p) for p in f] for f in faces],
-        }, sort_keys=True) + "\n")
+        payload = {"d": args.dim, "faces": points}
+        if certs is not None:
+            payload["certificates"] = certs
+        out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         out.write(f"faces: {len(faces)}\n")
-        for f in faces:
-            out.write(" ".join("".join(str(b) for b in p) for p in f) + "\n")
+        for k, line in enumerate(lines):
+            if certs is not None:
+                line += "  certificate: " + " ".join(map(str, certs[k]))
+            out.write(line + "\n")
     return EXIT_OK
 
 

@@ -40,7 +40,6 @@ from .errors import (
     NotSpanning,
     ParseError,
 )
-from .linalg import vec
 
 
 @dataclass(frozen=True)
@@ -75,13 +74,6 @@ class GeneratorSet:
         use unless select_generators handed over its own; every phi over
         this set reduces against it."""
         return linalg.hnf(self.gens)
-
-    @cached_property
-    def det_history(self) -> tuple[int, ...]:
-        """The lattice determinant of the first d, d + 1, .., k generators.
-        For a set grown by select_generators each value divides the one
-        before it with a quotient of at least 2."""
-        return tuple(linalg.lattice_determinant_rect(self.gens[:k]) for k in range(self.d, self.k + 1))
 
 
 @dataclass(frozen=True)
@@ -126,21 +118,6 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     # the last form is the set's own: hand it over instead of building it again
     gens.__dict__["hermite"] = (h, u)
     return gens
-
-
-def zeta(a, gens: GeneratorSet) -> tuple[int, ...]:
-    """(<a,b_1>, .., <a,b_k>); every product must come out 0 or 1."""
-    av = vec(a)
-    if len(av) != gens.d:
-        raise DimensionMismatch(f"dot of lengths {len(av)} and {gens.d}")
-    out = []
-    for g in gens.gens:
-        # a generator is 0/1: the product sums a's entries where it has a 1
-        p = sum(x for x, bit in zip(av, g) if bit)
-        if p not in (0, 1):
-            raise NonBinaryProduct(f"product {p} of {a} with generator {g}")
-        out.append(int(p))
-    return tuple(out)
 
 
 def phi(b, gens: GeneratorSet) -> tuple[int, ...]:

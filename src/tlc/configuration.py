@@ -138,17 +138,11 @@ class BinaryMatrix:
         c = self.cols
         return [self.bits[i * c:(i + 1) * c] for i in range(self.rows)]
 
-    def row_bits(self, i) -> tuple[int, ...]:
-        return tuple(self.bits[i * self.cols:(i + 1) * self.cols])
-
-    def col_bits(self, j) -> tuple[int, ...]:
-        return tuple(self.bits[j::self.cols])
-
     def row_tuples(self) -> list[tuple[int, ...]]:
         return list(map(tuple, self._lines()))
 
     def col_tuples(self) -> list[tuple[int, ...]]:
-        return [self.col_bits(j) for j in range(self.cols)]
+        return [tuple(self.bits[j::self.cols]) for j in range(self.cols)]
 
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(self.cols, self.rows, b"".join(self.bits[j::self.cols] for j in range(self.cols)))

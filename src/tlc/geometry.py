@@ -30,7 +30,6 @@ from .configuration import (
     _with_closure,
     _with_products,
 )
-from .corrcone import all_points
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -39,10 +38,13 @@ from .errors import (
 )
 from .linalg import Vec
 
-# find_triangular_core places at most this many (row, column) pairs.  On 2
-# cores with Python 3.11.7 the 6-node path's stable-set polytope, the largest
-# test input, takes 29,750 in 0.05-0.08 s; the 7- and 8-node paths' stop here
-# after 0.1-0.2 s (unbounded, the 7-node path's takes 4,277,771 in 10 s).
+# find_triangular_core places at most this many (row, column) pairs.  With
+# its rank test, the stable-set polytopes of the 7-, 8- and 9-node paths take
+# 17, 20 and 23, and those of all 5,604 labelled bipartite graphs on at most
+# 6 nodes at most 39.  On 2 cores with Python 3.11.7, a search whose every
+# rank test passes stops here after 0.6-1.1 s on the 7- to 12-node paths'
+# polytopes (28 to 48 slack rows); without the test it stopped after
+# 0.1-0.2 s, and the 7-node path took 4,277,771 placements unbounded.
 _CORE_NODE_LIMIT = 50_000
 
 
@@ -97,12 +99,11 @@ def complete_maximal_pair(verts) -> tuple[Configuration, tuple[int, ...]]:
     # rank of their 0/1 slack columns restricted to R.
     seed = {v + (-1,) for v in verts}
     cols = [j for j, u in enumerate(cfg.B) if u in seed]
-    s = slack_matrix(cfg).matrix
-    basis = [s.row_bits(k) for k in linalg.first_independent(s.row_tuples(), cfg.d)]
+    rows = slack_matrix(cfg).matrix.row_tuples()
+    basis = [rows[k] for k in linalg.first_independent(rows, cfg.d)]
     non_facet = []
     for i, r in enumerate(cfg.A):
-        bits = s.row_bits(i)
-        tight = [j for j in cols if not bits[j]]
+        tight = [j for j in cols if not rows[i][j]]
         if any(r[:d]) and linalg.rank([[row[j] for j in tight] for row in basis]) < d:
             non_facet.append(i)
     return cfg, tuple(non_facet)
@@ -125,17 +126,30 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
     the last index backwards, so a new row only has to be 0 on the columns
     already chosen; rows are bitmasks and the chosen columns one mask.
 
-    That test is the only one the search needs.  A chosen row is 1 on its
+    That test is the only one a placement needs.  A chosen row is 1 on its
     own column, so the test skips it, and a row that passes it has no chosen
     column left to try.  The chosen rows, in the order they were placed and
     restricted to the chosen columns, form a unit triangular matrix, so they
     are independent, and a nonzero row that is 0 on those columns is
-    independent of them too.  A search that places more than
-    _CORE_NODE_LIMIT pairs raises DimensionTooLarge.
+    independent of them too.
+
+    A placement that leaves k positions open is kept only if the rows that
+    are 0 on every chosen column have rank at least k.  The rows still to be
+    placed are among them, since each is 0 on the columns chosen before it,
+    and they are independent by the argument above, so a placement that
+    fails the test has no core below it.  The test prunes only such
+    placements, so the first core in depth-first order is found as without
+    it.  The pivot columns of one elimination of the matrix are a basis of
+    its columns, so any set of rows has the rank of its entries on them, and
+    the test ranks those.  Each placement is counted before its test, and a
+    search that places more than _CORE_NODE_LIMIT pairs raises
+    DimensionTooLarge.
     """
     m = s.matrix
     if size < 1 or size > min(m.rows, m.cols):
         raise NoCore(f"no core of size {size} in a {m.rows}x{m.cols} matrix")
+    basis = linalg._bareiss(m.row_tuples(), m.cols)[2]
+    lines = [[row[j] for j in basis] for row in m.row_tuples()]
     masks = [int(line[::-1], 2) for line in m.to_text().splitlines()[1:]]
     row_order = sorted(range(m.rows), key=lambda i: (masks[i].bit_count(), i))
     chosen: list[tuple[int, int]] = []
@@ -154,8 +168,13 @@ def find_triangular_core(s: SlackMatrix, size: int) -> TriangularCore:
                 nodes += 1
                 if nodes > _CORE_NODE_LIMIT:
                     raise DimensionTooLarge(f"triangular core search exceeds {_CORE_NODE_LIMIT} nodes")
+                below = used | low
+                if pos:
+                    rest = [lines[i] for i in range(m.rows) if not masks[i] & below]
+                    if len(linalg._bareiss(rest, len(basis), pos)[1]) < pos:
+                        continue
                 chosen.append((ri, low.bit_length() - 1))
-                if pos == 0 or place(pos - 1, used | low):
+                if pos == 0 or place(pos - 1, below):
                     return True
                 chosen.pop()
         return False
@@ -185,24 +204,6 @@ def to_binary_integral_configuration(cfg: Configuration) -> tuple[TriangularCore
     core = find_triangular_core(s, cfg.d)
     c_side, d_side, products = _rank_factor(s.matrix.col_tuples(), core.col_indices, core.row_indices)
     return core, _with_products(cfg.d, c_side, d_side, zip(*products))
-
-
-# --- built-in examples ----------------------------------------------------
-
-
-def simplex_vertices(d: int) -> tuple[tuple[int, ...], ...]:
-    return ((0,) * d,) + tuple(tuple(int(j == i) for j in range(d)) for i in range(d))
-
-
-def examples_library() -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Vertex sets of the built-in two-level polytopes, keyed by name."""
-    lib: dict[str, tuple[tuple[int, ...], ...]] = {"segment": tuple(all_points(1))}
-    for d in (2, 3, 4):
-        lib[f"cube{d}"] = tuple(all_points(d))
-        lib[f"simplex{d}"] = simplex_vertices(d)
-    lib["simplex1"] = simplex_vertices(1)
-    lib["cross2"] = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    return lib
 
 
 # --- JSON interchange -----------------------------------------------------

@@ -68,9 +68,6 @@ class BipartiteGraph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def min_degree(self) -> int:
-        return min(self.degree(v) for v in range(self.n))
-
 
 def _checked_edges(n: int, edges) -> list[tuple[int, int]]:
     """The edges as (low, high) node pairs, each checked to join two distinct
@@ -179,37 +176,6 @@ def stab_maximal_slack(g: BipartiteGraph) -> SlackMatrix:
     return slack_matrix(geometry.polytope_completion(verts))
 
 
-def _tight_sets(g: BipartiteGraph) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The stable sets and, for each, the mask of the basic rows tight at its
-    point (slack bit 0), isolated nodes' rows x_v <= 1 included."""
-    rows, cols, _, bits = _basic_slack(g)
-    ncols = len(cols)
-    return cols, [sum(1 << i for i in range(len(rows)) if not bits[i * ncols + j]) for j in range(ncols)]
-
-
-def simple_vertices(g: BipartiteGraph) -> list[tuple[int, ...]]:
-    """Stable sets lying on exactly n rows of the basic description."""
-    cols, tight = _tight_sets(g)
-    return [s for s, t in zip(cols, tight) if t.bit_count() == g.n]
-
-
-def zero_vertex_neighbors(g: BipartiteGraph) -> list[tuple[int, ...]]:
-    """Stable sets adjacent to the empty set on the polytope.
-
-    Uses combinatorial adjacency over an exact bounded row description: two
-    vertices are adjacent exactly when no third vertex is tight on every row
-    tight at both.
-    """
-    cols, tight = _tight_sets(g)
-    empty = cols.index(())
-    out = []
-    for j, s in enumerate(cols):
-        common = tight[empty] & tight[j]
-        if j != empty and not any(t & common == common for k, t in enumerate(tight) if k not in (empty, j)):
-            out.append(s)
-    return out
-
-
 # --- census ----------------------------------------------------------------
 
 
@@ -248,9 +214,10 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _scan_masks(n: int, lo: int, hi: int):
+def _scan_masks(piece):
     """The count of bipartite edge masks in [lo, hi) and the list of those
-    with minimum degree 2."""
+    with minimum degree 2, for the piece (n, lo, hi)."""
+    n, lo, hi = piece
     edges = _edge_list(n)
     bip = 0
     kept = []
@@ -272,10 +239,6 @@ def _scan_masks(n: int, lo: int, hi: int):
     return bip, kept
 
 
-def _scan_worker(args):
-    return _scan_masks(*args)
-
-
 def graph_from_mask(n: int, mask: int) -> BipartiteGraph:
     edges = _edge_list(n)
     chosen = [edges[e] for e in range(len(edges)) if (mask >> e) & 1]
@@ -290,7 +253,7 @@ def census(n: int, jobs: int = 1) -> CensusReport:
     if n > _CENSUS_LIMIT:
         raise DimensionTooLarge(f"census is limited to 1 <= n <= {_CENSUS_LIMIT}")
     total = 1 << len(_edge_list(n))
-    parts = chunked_map(_scan_worker, total, jobs if total >= 4096 else 1, lambda lo, hi: (n, lo, hi))
+    parts = chunked_map(_scan_masks, total, jobs if total >= 4096 else 1, lambda lo, hi: (n, lo, hi))
     bip = sum(p[0] for p in parts)
     kept = sorted(x for p in parts for x in p[1])
 

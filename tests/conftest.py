@@ -1,6 +1,6 @@
 import pytest
 
-from tlc import enumeration
+from tlc import enumeration, stabset
 
 
 @pytest.fixture(scope="session")
@@ -13,3 +13,10 @@ def enum_results():
 def enum_d4():
     """Full d = 4 enumeration; expensive, computed once per session."""
     return enumeration.enumerate_maximal(4, jobs=4)
+
+
+@pytest.fixture(scope="session")
+def census_n7():
+    """The n = 7 stable-set census (2^21 labelled graphs); computed once per
+    session."""
+    return stabset.census(7, jobs=4)

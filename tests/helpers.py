@@ -1,12 +1,16 @@
-"""Inputs and basis choices shared by several test modules."""
+"""Inputs, basis choices and the checks of the paper's facts shared by
+several test modules."""
 
 from fractions import Fraction
 
 from tlc import linalg
+from tlc.compress import GeneratorSet
 from tlc.configuration import SIDE_A
 from tlc.corrcone import all_points, lift_raw
-from tlc.errors import DimensionMismatch
-from tlc.geometry import examples_library, polytope_completion
+from tlc.errors import DimensionMismatch, NonBinaryProduct
+from tlc.geometry import polytope_completion
+from tlc.linalg import vec
+from tlc.stabset import BipartiteGraph, _basic_slack
 
 
 def dot(u, v) -> Fraction:
@@ -39,3 +43,71 @@ def core_inputs():
     verts.append(((0, 0), (0, 1), (1, 0)))
     verts.append(((Fraction(3),), (Fraction(7),)))
     return [polytope_completion(v) for v in verts]
+
+
+def simplex_vertices(d: int) -> tuple[tuple[int, ...], ...]:
+    return ((0,) * d,) + tuple(tuple(int(j == i) for j in range(d)) for i in range(d))
+
+
+def examples_library() -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Vertex sets of the built-in two-level polytopes, keyed by name."""
+    lib: dict[str, tuple[tuple[int, ...], ...]] = {"segment": tuple(all_points(1))}
+    for d in (2, 3, 4):
+        lib[f"cube{d}"] = tuple(all_points(d))
+        lib[f"simplex{d}"] = simplex_vertices(d)
+    lib["simplex1"] = simplex_vertices(1)
+    lib["cross2"] = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    return lib
+
+
+def zeta(a, gens: GeneratorSet) -> tuple[int, ...]:
+    """(<a,b_1>, .., <a,b_k>); every product must come out 0 or 1."""
+    av = vec(a)
+    if len(av) != gens.d:
+        raise DimensionMismatch(f"dot of lengths {len(av)} and {gens.d}")
+    out = []
+    for g in gens.gens:
+        # a generator is 0/1: the product sums a's entries where it has a 1
+        p = sum(x for x, bit in zip(av, g) if bit)
+        if p not in (0, 1):
+            raise NonBinaryProduct(f"product {p} of {a} with generator {g}")
+        out.append(int(p))
+    return tuple(out)
+
+
+def det_history(gens: GeneratorSet) -> tuple[int, ...]:
+    """The lattice determinant of the first d, d + 1, .., k generators.
+    For a set grown by select_generators each value divides the one
+    before it with a quotient of at least 2."""
+    return tuple(linalg.lattice_determinant_rect(gens.gens[:k]) for k in range(gens.d, gens.k + 1))
+
+
+def _tight_sets(g: BipartiteGraph) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The stable sets and, for each, the mask of the basic rows tight at its
+    point (slack bit 0), isolated nodes' rows x_v <= 1 included."""
+    rows, cols, _, bits = _basic_slack(g)
+    ncols = len(cols)
+    return cols, [sum(1 << i for i in range(len(rows)) if not bits[i * ncols + j]) for j in range(ncols)]
+
+
+def simple_vertices(g: BipartiteGraph) -> list[tuple[int, ...]]:
+    """Stable sets lying on exactly n rows of the basic description."""
+    cols, tight = _tight_sets(g)
+    return [s for s, t in zip(cols, tight) if t.bit_count() == g.n]
+
+
+def zero_vertex_neighbors(g: BipartiteGraph) -> list[tuple[int, ...]]:
+    """Stable sets adjacent to the empty set on the polytope.
+
+    Uses combinatorial adjacency over an exact bounded row description: two
+    vertices are adjacent exactly when no third vertex is tight on every row
+    tight at both.
+    """
+    cols, tight = _tight_sets(g)
+    empty = cols.index(())
+    out = []
+    for j, s in enumerate(cols):
+        common = tight[empty] & tight[j]
+        if j != empty and not any(t & common == common for k, t in enumerate(tight) if k not in (empty, j)):
+            out.append(s)
+    return out

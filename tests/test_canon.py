@@ -233,7 +233,7 @@ def _census_incidences():
     """The node x edge incidence matrices of the graphs census(n) groups, n <= 6."""
     out = []
     for n in range(1, 7):
-        kept = stabset._scan_worker((n, 0, 1 << len(stabset._edge_list(n))))[1]
+        kept = stabset._scan_masks((n, 0, 1 << len(stabset._edge_list(n))))[1]
         for mask in kept:
             g = stabset.graph_from_mask(n, mask)
             out.append(BinaryMatrix.from_rows([[int(v in e) for e in g.edges] for v in range(n)]))

@@ -39,9 +39,9 @@ from tlc.configuration import (
     parse_matrix,
 )
 from tlc.errors import NotAFace, NotBipartite, NotSpanning, TlcError
-from tlc.geometry import examples_library, polytope_completion, to_binary_integral_configuration
+from tlc.geometry import polytope_completion, to_binary_integral_configuration
 
-from helpers import core_inputs, dot
+from helpers import core_inputs, dot, examples_library
 from test_cli import _weighted_graph_text, run_cli
 
 F = Fraction

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlc import canon, cli, compress, configuration, linalg, stabset
+from tlc import canon, cli, compress, configuration, corrcone, geometry, linalg, stabset
 from tlc.configuration import (
     BinaryMatrix,
     _zero_one_count,
@@ -187,13 +187,35 @@ def test_core_ineqs_are_checked_but_not_used(tmp_path):
     assert err.startswith("error: NonBinarySlack")
 
 
+def _path_polytope(tmp_path, n):
+    """The vertices of the stable-set polytope of the n-node path, and the
+    polytope JSON file that holds them."""
+    g = stabset.BipartiteGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    verts = [[int(v in s) for v in range(n)] for s in stabset.stable_sets(g)]
+    return verts, write(tmp_path, f"path{n}.json", json.dumps({"d": n, "ineqs": [], "verts": verts}))
+
+
+def test_core_answers_the_seven_node_path(tmp_path):
+    # the search without its rank test stopped at its budget here
+    verts, poly = _path_polytope(tmp_path, 7)
+    code, out, err = run_cli(["core", poly])
+    assert code == 0 and err == ""
+    core = json.loads(out)["core"]
+    rows = configuration.slack_matrix(geometry.polytope_completion(verts)).matrix.row_tuples()
+    assert len(core["rows"]) == len(core["cols"]) == 8
+    for i, r in enumerate(core["rows"]):
+        assert rows[r][core["cols"][i]] == 1
+        assert all(rows[r][c] == 0 for c in core["cols"][i + 1:])
+
+
 def test_core_search_budget(tmp_path):
-    # the stable-set polytope of the 8-node path: 55 vertices in R^8
-    g = stabset.BipartiteGraph.from_edges(8, [(v, v + 1) for v in range(7)])
-    verts = [[int(v in s) for v in range(8)] for s in stabset.stable_sets(g)]
-    poly = write(tmp_path, "path8.json", json.dumps({"d": 8, "ineqs": [], "verts": verts}))
-    proc = run_process(["core", poly], timeout=120)
-    assert proc.returncode == 3
+    # the stable-set polytope of the 8-node path: 55 vertices in R^8, whose
+    # core takes 20 placements, so a budget of 16 refuses it
+    _, poly = _path_polytope(tmp_path, 8)
+    code = "import sys; from tlc import cli, geometry; geometry._CORE_NODE_LIMIT = 16; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, "core", poly], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=_env(), timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "DimensionTooLarge" in proc.stderr
 
@@ -231,19 +253,50 @@ def test_face_dimension_above_facet_budget(tmp_path):
     assert err == "error: DimensionTooLarge: correlation cone facets are limited to d <= 5\n"
 
 
-def test_face_atlas_closed_stdout():
-    # the d = 4 atlas is about 690 kB, far more than a pipe holds, so closing
-    # the pipe after three lines makes a later write fail
-    root = Path(cli.__file__).parents[2]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    with subprocess.Popen([sys.executable, str(root / "scripts" / "run_face_atlas.py"), "--dim", "4"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+@pytest.fixture(scope="module")
+def face_store(tmp_path_factory):
+    """One store for the d = 4 face runs, so only the first writes its 7,814
+    face files."""
+    return tmp_path_factory.mktemp("faces")
+
+
+def test_face_enum_certificates_closed_stdout(face_store):
+    # the d = 4 listing with certificates is about 680 kB, far more than a
+    # pipe holds, so closing the pipe after three lines makes a later write fail
+    with subprocess.Popen([sys.executable, "-m", "tlc.cli", "--store", str(face_store), "face-enum", "--dim", "4",
+                           "--certificates"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()) as proc:
         head = [proc.stdout.readline() for _ in range(3)]
         proc.stdout.close()
         assert proc.wait(timeout=120) == 1
         err = proc.stderr.read()
-    assert head[0] == b"faces of the dimension-4 correlation cone: 7814\n"
+    assert head[0] == b"faces: 7814\n"
+    assert all(b"  certificate: " in line for line in head[1:])
     assert b"Traceback" not in err
+
+
+def test_face_enum_certificates_decode_to_their_faces(face_store):
+    for d, count in ((1, 2), (2, 8), (3, 106), (4, 7814)):
+        args = ["face-enum", "--dim", str(d)]
+        code, plain, _ = run_cli(args, store=face_store)
+        assert code == 0
+        code, text, _ = run_cli([*args, "--certificates"], store=face_store)
+        assert code == 0
+        code, out, _ = run_cli(["--format", "json", *args, "--certificates"], store=face_store)
+        assert code == 0
+        payload = json.loads(out)
+        lines = text.splitlines()
+        assert lines[0] == f"faces: {count}" and len(lines) == count + 1
+        assert len(payload["faces"]) == len(payload["certificates"]) == count
+        faces = []
+        for line, points, entries in zip(lines[1:], payload["faces"], payload["certificates"]):
+            face, cert = line.split("  certificate: ")
+            faces.append(face)
+            assert face.split() == points
+            assert list(map(int, cert.split())) == entries
+            decoded = corrcone.certificate_decode(corrcone.FaceCertificate(d, tuple(entries)))
+            assert ["".join(map(str, p)) for p in decoded] == points
+        # the flag only appends: the listing without it is the faces alone
+        assert plain == "".join(f"{line}\n" for line in [lines[0], *faces])
 
 
 def test_face_enum_negative_dimension(tmp_path):
@@ -287,11 +340,15 @@ def test_jobs_do_not_change_output(tmp_path):
     assert out1 == out2
 
 
+def _env():
+    """The environment of a fresh interpreter that imports this checkout's tlc."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
 def run_process(args, stdout=subprocess.PIPE, timeout=60):
     """The CLI in a fresh interpreter, so a traceback would reach stderr."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "tlc.cli"] + args, stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env, timeout=timeout)
+                          text=True, env=_env(), timeout=timeout)
 
 
 def test_stab_slack_out_of_range_edge(tmp_path):

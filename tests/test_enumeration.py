@@ -35,6 +35,8 @@ from tlc.enumeration import (
 from tlc.errors import DimensionMismatch, DimensionTooLarge
 from tlc.linalg import _bareiss, rank
 
+from helpers import examples_library
+
 # class counts produced by the full scans and reproduced by independent
 # reruns (reversed seed order, pre/post memoization); artifacts of this
 # computation, not published values
@@ -451,7 +453,7 @@ def test_classes_closed_under_transposition(enum_results):
 
 
 def test_polytope_classes_appear(enum_results):
-    lib = geometry.examples_library()
+    lib = examples_library()
     by_dim = {2: ["segment"], 3: ["cube2", "simplex2", "cross2"]}
     for d, names in by_dim.items():
         byte_set = {f.bytes for f in enum_results[d].classes}
@@ -462,7 +464,7 @@ def test_polytope_classes_appear(enum_results):
 
 
 def test_polytope_classes_appear_d4(enum_d4):
-    lib = geometry.examples_library()
+    lib = examples_library()
     byte_set = {f.bytes for f in enum_d4.classes}
     assert len(enum_d4.classes) == CLASS_COUNTS[4]
     for name in ("cube3", "simplex3"):

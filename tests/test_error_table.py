@@ -29,6 +29,7 @@ from tlc.errors import (
 )
 from tlc.store import Store
 
+from helpers import zeta
 from test_cli import run_cli, write
 
 _UNIT = compress.GeneratorSet(1, ((1,),))
@@ -73,7 +74,7 @@ _REFUSALS = {
         lambda: geometry.find_triangular_core(slack_matrix(geometry.polytope_completion([(0,), (1,)])), 0),
         NoCore, "no core of size 0 in a 4x3 matrix"),
     "zeta unequal lengths": (
-        lambda: compress.zeta((1,), compress.GeneratorSet(2, ((1, 0), (0, 1)))),
+        lambda: zeta((1,), compress.GeneratorSet(2, ((1, 0), (0, 1)))),
         DimensionMismatch, "dot of lengths 1 and 2"),
     "inverse_and_det non-square": (
         lambda: linalg.inverse_and_det([[1, 2]]), DimensionMismatch, "inverse of a non-square matrix"),

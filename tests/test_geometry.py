@@ -10,12 +10,13 @@ from tlc.corrcone import all_points
 from tlc.errors import DimensionTooLarge, NoCore, NotSpanning, ParseError
 from tlc.geometry import (
     complete_maximal_pair,
-    examples_library,
     find_triangular_core,
     polytope_completion,
     polytope_from_json,
     to_binary_integral_configuration,
 )
+
+from helpers import examples_library
 
 F = Fraction
 
@@ -101,7 +102,7 @@ def test_homogenize_square():
 def test_polytope_configuration_zero_column():
     s = slack_matrix(_completed("cube2"))
     zero_col = s.col_labels.index(tuple([F(0)] * 3))
-    assert all(s.matrix.col_bits(zero_col)[i] == 0 for i in range(s.matrix.rows))
+    assert all(s.matrix.col_tuples()[zero_col][i] == 0 for i in range(s.matrix.rows))
 
 
 def test_polytope_configuration_is_maximal():
@@ -123,9 +124,9 @@ def test_cone_configuration_orthant():
 
 def _core_pattern_ok(s: SlackMatrix, core, size):
     for i in range(size):
-        assert s.matrix.row_bits(core.row_indices[i])[core.col_indices[i]] == 1
+        assert s.matrix.row_tuples()[core.row_indices[i]][core.col_indices[i]] == 1
         for j in range(i + 1, size):
-            assert s.matrix.row_bits(core.row_indices[i])[core.col_indices[j]] == 0
+            assert s.matrix.row_tuples()[core.row_indices[i]][core.col_indices[j]] == 0
     labels = [list(s.row_labels[r]) for r in core.row_indices]
     assert linalg.rank(labels) == size
 

@@ -39,7 +39,7 @@ from tlc.errors import DimensionMismatch, DimensionTooLarge, NoCore, NonBinarySl
 from tlc.geometry import complete_maximal_pair, polytope_completion
 from tlc.linalg import frac, vec
 
-from helpers import core_inputs, dot, mat_vec
+from helpers import core_inputs, dot, examples_library, mat_vec
 
 F = Fraction
 _ERRORS = (DimensionMismatch, NonBinarySlack, NotSpanning, ParseError)
@@ -143,8 +143,8 @@ def reference_find_triangular_core(s, size):
     m = s.matrix
     if size < 1 or size > min(m.rows, m.cols):
         raise NoCore(f"no core of size {size} in a {m.rows}x{m.cols} matrix")
-    row_order = sorted(range(m.rows), key=lambda i: (sum(m.row_bits(i)), i))
-    rows_bits = [m.row_bits(i) for i in range(m.rows)]
+    rows_bits = m.row_tuples()
+    row_order = sorted(range(m.rows), key=lambda i: (sum(rows_bits[i]), i))
     chosen_rows, chosen_cols = [], []
 
     def independent_with(idx):
@@ -180,8 +180,8 @@ def reference_bit_rank_core(s, size):
     m = s.matrix
     if size < 1 or size > min(m.rows, m.cols):
         raise NoCore(f"no core of size {size} in a {m.rows}x{m.cols} matrix")
-    row_order = sorted(range(m.rows), key=lambda i: (sum(m.row_bits(i)), i))
-    rows_bits = [m.row_bits(i) for i in range(m.rows)]
+    rows_bits = m.row_tuples()
+    row_order = sorted(range(m.rows), key=lambda i: (sum(rows_bits[i]), i))
     chosen_rows, chosen_cols = [], []
     nodes = 0
 
@@ -230,7 +230,7 @@ def _outcome(fn, *args):
 _ENTRY = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 1, 2]))
 _POLYTOPES = {
     name: polytope_completion(verts)
-    for name, verts in geometry.examples_library().items()
+    for name, verts in examples_library().items()
     if len(verts[0]) <= 3
 }
 _CONES = [cfg for cfg in _POLYTOPES.values() if cfg.d <= 3] + [
@@ -401,7 +401,7 @@ def _stable_set_completions(max_nodes):
 
 
 def test_binary_integral_matches_two_step_reference(enum_results, enum_d4):
-    corpus = [polytope_completion(verts) for verts in geometry.examples_library().values()]
+    corpus = [polytope_completion(verts) for verts in examples_library().values()]
     corpus += [maximal_completion([[int(i == j) for j in range(d)] for i in range(d)], d) for d in (1, 2, 3, 4)]
     corpus += _stable_set_completions(5)
     for res in [*enum_results.values(), enum_d4]:
@@ -450,7 +450,7 @@ def _labelled_stable_set_completions(max_nodes):
 
 
 def test_bitmask_core_search_matches_bit_rank_search(monkeypatch):
-    corpus = [polytope_completion(verts) for verts in geometry.examples_library().values()]
+    corpus = [polytope_completion(verts) for verts in examples_library().values()]
     corpus += _labelled_stable_set_completions(5)
     assert len(corpus) == 436
 
@@ -465,13 +465,19 @@ def test_bitmask_core_search_matches_bit_rank_search(monkeypatch):
         s = slack_matrix(cfg)
         core = geometry.find_triangular_core(s, cfg.d)
         assert core == reference_bit_rank_core(s, cfg.d)
-        assert linalg.rank([s.matrix.row_bits(i) for i in core.row_indices]) == cfg.d
-        # the same placements are counted: both stop at the same budget
+        assert linalg.rank([s.matrix.row_tuples()[i] for i in core.row_indices]) == cfg.d
+        # with a budget of 8 placements, the same core wherever the reference
+        # finishes, and never more placements: under the least budget the
+        # reference finishes with, the search finishes too
         with monkeypatch.context() as patch:
-            patch.setattr(geometry, "_CORE_NODE_LIMIT", 8)
-            got = outcome(geometry.find_triangular_core, s, cfg.d)
-            assert got == outcome(reference_bit_rank_core, s, cfg.d)
-            refused += got is DimensionTooLarge
+            for budget in range(1, 9):
+                patch.setattr(geometry, "_CORE_NODE_LIMIT", budget)
+                want = outcome(reference_bit_rank_core, s, cfg.d)
+                if want is not DimensionTooLarge:
+                    assert outcome(geometry.find_triangular_core, s, cfg.d) == want
+                    break
+            else:
+                refused += 1
     assert 0 < refused < len(corpus)
 
 
@@ -485,11 +491,11 @@ def reference_label_rank_facets(verts):
     cols = [j for j, u in enumerate(cfg.B) if u in seed]
     s = slack_matrix(cfg).matrix
     return tuple(i for i, r in enumerate(cfg.A)
-                 if any(r[:d]) and linalg.rank([cfg.B[j] for j in cols if not s.row_bits(i)[j]]) < d)
+                 if any(r[:d]) and linalg.rank([cfg.B[j] for j in cols if not s.row_tuples()[i][j]]) < d)
 
 
 def test_facet_flags_match_label_rank_test():
-    corpus = list(geometry.examples_library().values()) + _path_and_edgeless_stable_sets()
+    corpus = list(examples_library().values()) + _path_and_edgeless_stable_sets()
     flagged = 0
     for verts in corpus:
         _, non_facet = complete_maximal_pair(verts)

@@ -1,6 +1,6 @@
 """Static checks of the package's names, with the standard library only:
-no module-level import that its module never uses (in the package, the
-tests and the scripts), a `tlc.__all__` whose every name resolves, no
+no module-level import that its module never uses (in the package and
+the tests), a `tlc.__all__` whose every name resolves, no
 function, class or method that nothing names, a pinned list of those
 that only the tests name, and no error class that nothing raises."""
 
@@ -38,9 +38,8 @@ def test_no_unused_module_imports():
     for path in sorted(SRC.glob("*.py")):
         # __init__ imports only to re-export
         unused += _unused_imports(path, set(tlc.__all__) if path.name == "__init__.py" else set())
-    for top in ("tests", "scripts"):
-        for path in sorted((REPO / top).rglob("*.py")):
-            unused += _unused_imports(path, set())
+    for path in sorted((REPO / "tests").rglob("*.py")):
+        unused += _unused_imports(path, set())
     assert unused == []
 
 
@@ -90,26 +89,18 @@ def _unnamed_definitions(defining: list, others: list) -> list[str]:
 
 
 def test_every_definition_is_named_elsewhere():
-    others = [p for top in ("src", "tests", "perfbench", "scripts") for p in sorted((REPO / top).rglob("*.py"))]
+    others = [p for top in ("src", "tests", "perfbench") for p in sorted((REPO / top).rglob("*.py"))]
     defining = sorted(SRC.glob("*.py"))
     assert _unnamed_definitions(defining, [p for p in others if p not in defining]) == []
 
 
 # the definitions that only the tests name, as "module.name"; pinned so that
 # a new one cannot enter the package unnoticed
-TEST_ONLY = {
-    "compress.GeneratorSet.det_history",
-    "compress.zeta",
-    "enumeration.oracle_maximal",
-    "geometry.examples_library",
-    "stabset.BipartiteGraph.min_degree",
-    "stabset.simple_vertices",
-    "stabset.zero_vertex_neighbors",
-}
+TEST_ONLY = {"enumeration.oracle_maximal"}
 
 
 def test_test_only_definitions_are_pinned():
-    others = [p for top in ("src", "perfbench", "scripts") for p in sorted((REPO / top).rglob("*.py"))]
+    others = [p for top in ("src", "perfbench") for p in sorted((REPO / top).rglob("*.py"))]
     defining = sorted(SRC.glob("*.py"))
     unnamed = _unnamed_definitions(defining, [p for p in others if p not in defining])
     found = {re.sub(r"\.py:\d+: ", ".", label) for label in unnamed}

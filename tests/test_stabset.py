@@ -11,12 +11,12 @@ from tlc.stabset import (
     census,
     graph_from_mask,
     graph_from_text,
-    simple_vertices,
     stab_basic_slack,
     stab_maximal_slack,
     stable_sets,
-    zero_vertex_neighbors,
 )
+
+from helpers import simple_vertices, zero_vertex_neighbors
 
 F = Fraction
 
@@ -171,7 +171,7 @@ def _simple_by_facets(g):
     sets = stable_sets(g)
     cfg, non_facet = geometry.complete_maximal_pair([[int(v in s) for v in range(n)] for s in sets])
     m = configuration.slack_matrix(cfg).matrix
-    facets = [m.row_bits(i) for i, r in enumerate(cfg.A) if any(r[:n]) and i not in non_facet]
+    facets = [m.row_tuples()[i] for i, r in enumerate(cfg.A) if any(r[:n]) and i not in non_facet]
     col = {u: j for j, u in enumerate(cfg.B)}
     points = [col[tuple(int(v in s) for v in range(n)) + (-1,)] for s in sets]
     return [s for s, j in zip(sets, points) if sum(1 for f in facets if not f[j]) == n]
@@ -239,8 +239,8 @@ def test_census_n5():
     assert rep.within_lower and rep.within_upper
 
 
-def test_census_n7_finds_classes():
-    rep = census(7, jobs=2)
+def test_census_n7_finds_classes(census_n7):
+    rep = census_n7
     assert rep.labeled_bipartite == 103237
     assert rep.labeled_bipartite_min_degree2 == MIN_DEG2_COUNTS[7]
     assert rep.isomorphism_classes_min_degree2 == ISO_CLASS_COUNTS[7]
@@ -273,7 +273,7 @@ def _permutation_classes(n, masks):
 
 def test_census_classes_match_permutation_grouping():
     for n in (4, 5, 6):
-        _, masks = stabset._scan_masks(n, 0, 1 << (n * (n - 1) // 2))
+        _, masks = stabset._scan_masks((n, 0, 1 << (n * (n - 1) // 2)))
         reps = _permutation_classes(n, masks)
         forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes for m in reps}
         rep = census(n)
