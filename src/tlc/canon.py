@@ -64,12 +64,12 @@ candidate), so at most n of them are stacked at a time.
 
 The search takes at most _NODE_LIMIT nodes (a node is one chosen candidate,
 with its copies) and raises DimensionTooLarge past it.  The most any input
-of the test suite, of the benchmark or of `stab-census --nodes 1..7` takes
-is 86 nodes (a 32 x 16 maximal slack matrix of the census at n = 6); the
-14 x 65 slack matrix of the 6-cube takes 35.  A node costs time linear in
-the number of rows: on a 2-core x86 machine with Python 3.11, 1,100 rows of
-11 bits (the integers 0..1099) pass the budget after about 1 s, and 10,000
-random rows of 14 bits after about 7 s.
+of the test suite, the benchmark, `stab-census --nodes 1..7` or
+`enum --dim 5` (70) takes is 86 nodes (a 32 x 16 maximal slack matrix of
+the census at n = 6); the 14 x 65 slack matrix of the 6-cube takes 35.  A
+node costs time linear in the number of rows: on a 2-core x86 machine with
+Python 3.11, 1,100 rows of 11 bits (the integers 0..1099) pass the budget
+after about 1 s, and 10,000 random rows of 14 bits after about 7 s.
 
 canonical_form looks up the class memo of `configuration` (its module
 docstring has the key, the argument for it and the bounds) before it
@@ -79,8 +79,8 @@ returns the stored form exactly.  A miss runs the search on m itself, so
 node counts, the node budget and every DimensionTooLarge refusal are those
 of an input not seen before, and a search that raises stores nothing.
 Searches drop from 3,000 to 390 on the `queries` benchmark workload, from
-399 to 33 in enumerate_maximal(4), from 360 to 16 in census(6) and from 342
-to 149 in a d = 5 run with seed_limit=20000.  On the `queries` inputs a key
+399 to 33 in enumerate_maximal(4), from 360 to 16 in census(6) and from
+46,439 to 625 in enumerate_maximal(5).  On the `queries` inputs a key
 costs 20-33 us and a search 130-220 us (2-core x86, Python 3.11).
 """
 

@@ -58,7 +58,6 @@ def _build_parser() -> _Parser:
     q.add_argument("matrix")
     q = sub.add_parser("enum", help="enumerate maximal classes")
     q.add_argument("--dim", type=int, required=True)
-    q.add_argument("--seed-limit", type=int, default=None)
     q = sub.add_parser("compress", help="encode a maximal configuration as a weighted graph")
     q.add_argument("config")
     q = sub.add_parser("decompress", help="decode a weighted-graph file back to a configuration")
@@ -120,7 +119,7 @@ def _cmd_canon(args, out) -> int:
 
 def _cmd_enum(args, out) -> int:
     store = _store_from(args)
-    res = enumeration.enumerate_maximal(args.dim, jobs=args.jobs, store=store, seed_limit=args.seed_limit)
+    res = enumeration.enumerate_maximal(args.dim, jobs=args.jobs, store=store)
     if args.format == "json":
         out.write(json.dumps({
             "dim": res.d,
@@ -253,8 +252,8 @@ def _cmd_report(args, out) -> int:
                 forms.append(form)
             classes[d] = forms
     if args.format == "json":
-        dims = [{"dim": d, "classes": len(forms), "classes_mod_transpose": enumeration.transpose_identified_count(forms),
-                 "lower_bound": d == enumeration._SAMPLED_DIM} for d, forms in sorted(classes.items())]
+        dims = [{"dim": d, "classes": len(forms), "classes_mod_transpose": enumeration.transpose_identified_count(forms)}
+                for d, forms in sorted(classes.items())]
         out.write(json.dumps({"dims": dims}, sort_keys=True) + "\n")
     else:
         out.write(enumeration.report(classes))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from tlc import enumeration, stabset
@@ -20,3 +22,17 @@ def census_n7():
     """The n = 7 stable-set census (2^21 labelled graphs); computed once per
     session."""
     return stabset.census(7, jobs=4)
+
+
+@pytest.fixture(scope="session")
+def d5_classes():
+    """The canonical bytes of the 422 classes of d = 5 in byte order, read
+    from tests/data/classes_d5.txt (test_enumeration's fixture test says
+    how to regenerate it)."""
+    lines = (Path(__file__).parent / "data" / "classes_d5.txt").read_bytes().splitlines(keepends=True)
+    forms, i = [], 0
+    while i < len(lines):
+        rows = int(lines[i].split()[0])
+        forms.append(b"".join(lines[i:i + rows + 1]))
+        i += rows + 1
+    return forms

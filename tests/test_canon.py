@@ -241,9 +241,9 @@ def _census_incidences():
 
 
 def _d5_orbit_matrices(count, seed):
-    """Slack matrices of sampled d = 5 seeds: each seed's first closure and
-    the least image of its intent under the coordinate permutations, the
-    two matrices the sampled scan may search for one class."""
+    """Slack matrices of random d = 5 seeds: each seed's first closure and
+    the least image of its intent under the coordinate permutations, two
+    matrices of one class."""
     closed, missed = enumeration._seed_context(5)[1:3]
     hyperplanes = functools.reduce(operator.or_, missed)
     rng = random.Random(seed)

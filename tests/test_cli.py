@@ -124,9 +124,8 @@ def test_enum_and_report(tmp_path):
     assert "2 | 2 | 1" in rep1
 
 
-def test_report_json(tmp_path):
-    # one sorted-keys line with the keys of enum --format json; only the
-    # sampled d = 5 counts are lower bounds
+def test_report_json(tmp_path, d5_classes):
+    # one sorted-keys line with the keys of enum --format json
     store = tmp_path / "store"
     assert run_cli(["--format", "json", "report"], store=store) == (0, '{"dims": []}\n', "")
     for d in (1, 2):
@@ -134,17 +133,17 @@ def test_report_json(tmp_path):
     code, out, err = run_cli(["--format", "json", "report"], store=store)
     assert (code, err) == (0, "")
     assert out == json.dumps({"dims": [
-        {"dim": 1, "classes": 1, "classes_mod_transpose": 1, "lower_bound": False},
-        {"dim": 2, "classes": 2, "classes_mod_transpose": 1, "lower_bound": False},
+        {"dim": 1, "classes": 1, "classes_mod_transpose": 1},
+        {"dim": 2, "classes": 2, "classes_mod_transpose": 1},
     ]}, sort_keys=True) + "\n"
-    assert run_cli(["enum", "--dim", "5", "--seed-limit", "1"], store=store)[0] == 0
+    # md/5 as `tlc enum --dim 5` writes it
+    md = Store(store)
+    for form in d5_classes:
+        md.put("md/5", form, ".mat")
     code, out, _ = run_cli(["--format", "json", "report"], store=store)
     assert code == 0 and len(out.splitlines()) == 1
-    dims = json.loads(out)["dims"]
-    assert [(r["dim"], r["lower_bound"]) for r in dims] == [(1, False), (2, False), (5, True)]
-    assert dims[2]["classes"] == 1
-    # the text table is unchanged
-    assert run_cli(["report"], store=store)[1].splitlines()[-1].startswith("d = 5 comes from a sampled")
+    assert json.loads(out)["dims"][2] == {"dim": 5, "classes": 422, "classes_mod_transpose": 213}
+    assert run_cli(["report"], store=store)[1].splitlines()[-1].startswith("5 | 422 | 213 | ")
 
 
 def test_face_subcommand(tmp_path):
@@ -220,23 +219,13 @@ def test_core_search_budget(tmp_path):
     assert "DimensionTooLarge" in proc.stderr
 
 
-def test_enum_sampled_seed_budget(tmp_path):
-    start = time.perf_counter()
-    code, out, err = run_cli(["enum", "--dim", "5", "--seed-limit", "5000000000"], store=tmp_path / "store")
-    assert time.perf_counter() - start < 1
-    assert code == 3 and out == ""
-    assert err.startswith("error: DimensionTooLarge")
-
-
-def test_enum_seed_limit_out_of_range(tmp_path):
-    # no positive sample size at d = 5, and no sampling at d <= 4
-    for args, error in ((["--dim", "5", "--seed-limit", "0"], "DimensionTooLarge"),
-                        (["--dim", "5", "--seed-limit", "-3"], "DimensionTooLarge"),
-                        (["--dim", "2", "--seed-limit", "7"], "DimensionMismatch")):
-        proc = run_process(["--store", str(tmp_path / "store"), "enum", *args])
-        assert proc.returncode == 3 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"error: {error}")
+def test_enum_seed_limit_is_a_usage_error(tmp_path):
+    # d = 5 is exhaustive, so there is no seed budget to set
+    proc = run_process(["--store", str(tmp_path / "store"), "enum", "--dim", "5", "--seed-limit", "1"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error:")
+    assert not (tmp_path / "store").exists()
 
 
 def test_enum_nonpositive_dimension(tmp_path):

@@ -77,14 +77,6 @@ def test_enumerate_d3_count_and_determinism(monkeypatch, enum_results):
 def test_enumerate_rejects_large_dimension():
     with pytest.raises(DimensionTooLarge):
         enumerate_maximal(6)
-    with pytest.raises(DimensionTooLarge):
-        enumerate_maximal(5)  # needs an explicit sampled budget
-    with pytest.raises(DimensionTooLarge):
-        enumerate_maximal(5, seed_limit=enumeration._SAMPLED_SEED_LIMIT + 1)
-    with pytest.raises(DimensionTooLarge):
-        enumerate_maximal(5, seed_limit=0)
-    with pytest.raises(DimensionMismatch):
-        enumerate_maximal(4, seed_limit=10)
 
 
 def _decoded_u(d):
@@ -356,11 +348,12 @@ def test_first_closure_of_a_zero_one_seed_holds_the_unit_vectors(d):
         seeds += 1
 
 
-def _sampled_masks(seed_limit):
-    """The d = 5 seed sample, drawn as enumerate_maximal draws it."""
+def _sampled_masks(count):
+    """count distinct d = 5 seeds of at least five points, drawn from
+    random.Random(0) and sorted by (popcount, mask)."""
     rng = random.Random(0)
     seen = set()
-    while len(seen) < seed_limit:
+    while len(seen) < count:
         m = rng.getrandbits(32)
         if bin(m).count("1") >= 5:
             seen.add(m)
@@ -386,23 +379,19 @@ def _rational_scan(d, masks):
     return [forms[k] for k in sorted(forms)], spanning
 
 
-def test_sampled_d5_matches_rational_oracle(monkeypatch):
-    with monkeypatch.context() as patch:
-        _refuse_exact_path(patch)
-        got = enumerate_maximal(5, seed_limit=2000)
-    masks = _sampled_masks(2000)
-    want, spanning = _rational_scan(5, masks)
-    assert [f.bytes for f in got.classes] == [f.bytes for f in want]
-    assert got.stats == enumeration.EnumStats(len(masks), spanning, spanning, 0, len(want))
+def test_rational_oracle_on_d5_seeds_lands_in_the_fixture(d5_classes):
+    want, spanning = _rational_scan(5, _sampled_masks(2000))
     assert (len(want), spanning) == (42, 2000)
+    assert {f.bytes for f in want} <= set(d5_classes)
 
 
-def test_sampled_d5_jobs_do_not_change_output():
-    # 256 seeds or more, or the scan never starts a pool
-    one = enumerate_maximal(5, jobs=1, seed_limit=300)
-    two = enumerate_maximal(5, jobs=2, seed_limit=300)
-    assert [f.bytes for f in two.classes] == [f.bytes for f in one.classes]
-    assert two.stats == one.stats and one.stats.seeds_total == 300
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_orbit_search_matches_the_seed_scan(d, monkeypatch, enum_results, enum_d4):
+    _refuse_exact_path(monkeypatch)
+    forms, seeds, spanning = enumeration._orbit_search(d)
+    want = enum_d4 if d == 4 else enum_results[d]
+    assert [forms[k].bytes for k in sorted(forms)] == [f.bytes for f in want.classes]
+    assert 0 < spanning <= seeds
 
 
 def test_refusals_come_before_the_u5_build(monkeypatch):
@@ -411,29 +400,29 @@ def test_refusals_come_before_the_u5_build(monkeypatch):
 
     for name in ("_seed_context", "_point_tables", "_orbit_tables"):
         monkeypatch.setattr(enumeration, name, refuse)
-    limit = enumeration._SAMPLED_SEED_LIMIT
-    cases = [
-        (None, DimensionTooLarge, "dimension 5 needs an explicit seed_limit (sampled, possibly incomplete)"),
-        (0, DimensionTooLarge, "sampled dimension 5 needs seed_limit >= 1"),
-        (-3, DimensionTooLarge, "sampled dimension 5 needs seed_limit >= 1"),
-        (limit + 1, DimensionTooLarge, f"sampled dimension 5 is limited to seed_limit <= {limit}"),
-    ]
-    for seed_limit, error, message in cases:
+    for d, error, message in ((0, DimensionMismatch, "dimension must be at least 1, got 0"),
+                              (6, DimensionTooLarge, "enumeration is limited to d <= 5")):
         with pytest.raises(error) as info:
-            enumerate_maximal(5, seed_limit=seed_limit)
+            enumerate_maximal(d)
         assert str(info.value) == message
-    for d in (1, 2, 3, 4):
-        for seed_limit in (1, 7, limit + 1):
-            with pytest.raises(DimensionMismatch) as info:
-                enumerate_maximal(d, seed_limit=seed_limit)
-            assert str(info.value) == "seed_limit applies only to the sampled dimension 5"
 
 
-def test_enumerate_d5_sampled_runs():
-    res = enumerate_maximal(5, seed_limit=40)
-    assert res.stats.seeds_total == 40
-    for f in res.classes:
-        assert is_maximal_in_md(parse_matrix(f.bytes.decode()))
+def test_d5_fixture_holds_the_422_classes(d5_classes):
+    """tests/data/classes_d5.txt is the output of `tlc --store S enum --dim 5`
+    (about 40 s): the 422 files of S/md/5 sorted by content and concatenated,
+
+        python -c "import pathlib, sys; sys.stdout.buffer.write(b''.join(sorted(
+            p.read_bytes() for p in pathlib.Path('S/md/5').glob('*.mat'))))" > tests/data/classes_d5.txt
+    """
+    assert len(d5_classes) == len(set(d5_classes)) == 422
+    assert hashlib.sha256(b"".join(d5_classes)).hexdigest().startswith("898829c95772")
+    forms = []
+    for form in d5_classes:
+        m = parse_matrix(form.decode())
+        forms.append(canon.canonical_form(m))
+        assert forms[-1].bytes == form
+        assert rank(m.row_tuples()) == 5 and is_maximal_in_md(m)
+    assert transpose_identified_count(forms) == 213
 
 
 def test_every_class_is_maximal(enum_results):
@@ -522,14 +511,13 @@ def test_report_deterministic(enum_results):
     assert "sampled" not in text1
 
 
-def test_report_marks_sampled_dimension_5(enum_results):
+def test_report_rows_for_dimension_5(enum_results, d5_classes):
     exact = {d: res.classes for d, res in enum_results.items()}
-    sampled = enumerate_maximal(5, seed_limit=50).classes
-    text = report({**exact, 5: sampled})
+    forms = [canon.canonical_form(parse_matrix(form.decode())) for form in d5_classes]
+    text = report({**exact, 5: forms})
     assert text.startswith(report(exact))
     rows = text.splitlines()[len(report(exact).splitlines()):]
-    assert rows[0].startswith(f"5 | {len(sampled)} | ")
-    assert rows[1:] == ["d = 5 comes from a sampled --seed-limit run: its counts are lower bounds"]
+    assert len(rows) == 1 and rows[0].startswith("5 | 422 | 213 | ")
 
 
 def test_stats_fields(enum_results):
