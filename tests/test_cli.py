@@ -219,12 +219,25 @@ def test_core_search_budget(tmp_path):
     assert "DimensionTooLarge" in proc.stderr
 
 
-def test_enum_seed_limit_is_a_usage_error(tmp_path):
-    # d = 5 is exhaustive, so there is no seed budget to set
-    proc = run_process(["--store", str(tmp_path / "store"), "enum", "--dim", "5", "--seed-limit", "1"])
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("usage error:")
+def test_enum_sampled_seed_budget(tmp_path):
+    # d = 5 is exhaustive, so there is no seed budget to set: even a huge one
+    # is refused at once, before the store is made
+    start = time.perf_counter()
+    code, out, err = run_cli(["enum", "--dim", "5", "--seed-limit", "5000000000"], store=tmp_path / "store")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+    assert not (tmp_path / "store").exists()
+
+
+def test_enum_seed_limit_out_of_range(tmp_path):
+    # the flag is gone at every dimension and for every value
+    for args in (["--dim", "5", "--seed-limit", "1"], ["--dim", "5", "--seed-limit", "0"],
+                 ["--dim", "5", "--seed-limit", "-3"], ["--dim", "2", "--seed-limit", "7"]):
+        proc = run_process(["--store", str(tmp_path / "store"), "enum", *args])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage error:")
     assert not (tmp_path / "store").exists()
 
 
