@@ -3,7 +3,7 @@
 Exit codes: 1 for usage errors and for a standard output closed before
 everything was written, 2 for input parse errors, 3 for domain errors.
 Every subcommand is deterministic given identical inputs; --jobs only
-changes how work is partitioned.
+splits the stab-census scan across processes.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="tlc", description="exact toolkit for two-level configurations")
     p.add_argument("--store", default=None, help="result store directory (env TLC_STORE)")
-    p.add_argument("--jobs", type=int, default=1, help="worker count for scans")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for stab-census")
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -119,7 +119,7 @@ def _cmd_canon(args, out) -> int:
 
 def _cmd_enum(args, out) -> int:
     store = _store_from(args)
-    res = enumeration.enumerate_maximal(args.dim, jobs=args.jobs, store=store)
+    res = enumeration.enumerate_maximal(args.dim, store=store)
     if args.format == "json":
         out.write(json.dumps({
             "dim": res.d,

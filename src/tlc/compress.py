@@ -3,7 +3,9 @@
 Given a maximal configuration with 0/1 point side B, a short generator list
 b_1..b_k is grown from d independent vectors by appending members of B that
 lie outside the current integer lattice; each append divides the lattice
-determinant by an integer factor of at least 2, so k <= d + d*log2(d).  The
+determinant by an integer factor of at least 2, so k <= d + d*log2(d).  When
+that gives k > d but some d members of B already generate B's lattice, the
+first such d (in lexicographic order) are taken instead, so k = d.  The
 maps zeta(a) = (<a,b_1>,..,<a,b_k>) and phi(b) = integer coordinates of b
 over the generators satisfy <zeta(a), phi(b)> = <a,b>, which turns the whole
 configuration into a dimension-k face certificate plus the k x d generator
@@ -27,6 +29,7 @@ its closure decided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +43,11 @@ from .errors import (
     NotSpanning,
     ParseError,
 )
+
+
+# prefixes, of any length, that _basis_in ranks before it gives up: at d = 5
+# that is under 0.1 s, and the four d = 5 class orientations that need it rank 7
+_SUBSET_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,11 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     appended one lie in the smaller lattice, so the next step resumes the
     search after it.  The last step's form is the Hermite form of the
     returned set's generators, and the set keeps it as its `hermite`.
+
+    When that set has more than d generators, its form's diagonal gives the
+    lattice determinant of B, and the first d-subset of B with that
+    determinant (_basis_in), if one is found, is returned instead: it is a
+    basis of the same lattice.
     """
     bs = sorted({linalg.integers(v, NonBinaryProduct, "point side must be 0/1 before generator selection")
                  for v in b_vectors})
@@ -114,10 +127,47 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
             break
         chosen.append(bs[start])
         start += 1
+    if len(chosen) > d:
+        basis = _basis_in(bs, d, math.prod(h[i][i] for i in range(d)))
+        if basis is not None:
+            return GeneratorSet(d, tuple(basis))
     gens = GeneratorSet(d, tuple(chosen))
     # the last form is the set's own: hand it over instead of building it again
     gens.__dict__["hermite"] = (h, u)
     return gens
+
+
+def _basis_in(bs, d: int, det: int):
+    """The first d-subset of bs, in lexicographic order, whose determinant
+    is +-det, or None when there is none or it ranked _SUBSET_BUDGET
+    prefixes first.
+
+    A depth-first walk in that order extends only independent prefixes: a
+    subset holding a dependent one has determinant 0.  One fraction-free
+    elimination ranks each prefix; for d rows its last pivot is the
+    determinant up to sign.
+    """
+    budget = _SUBSET_BUDGET
+
+    def extend(prefix, start):
+        nonlocal budget
+        for i in range(start, len(bs) - d + len(prefix) + 1):
+            if budget == 0:
+                return None
+            budget -= 1
+            rows = [*prefix, bs[i]]
+            _, pivots, _, last = linalg._bareiss([list(r) for r in rows], d)
+            if len(pivots) < len(rows):
+                continue
+            if len(rows) < d:
+                found = extend(rows, i + 1)
+                if found is not None:
+                    return found
+            elif abs(last) == det:
+                return rows
+        return None
+
+    return extend([], 0)
 
 
 def phi(b, gens: GeneratorSet) -> tuple[int, ...]:

@@ -27,7 +27,6 @@ from .configuration import BinaryMatrix, _subset_sums, parse_matrix
 from .corrcone import all_points
 from .errors import DimensionMismatch, DimensionTooLarge
 from .linalg import _bareiss, rank
-from .parallel import chunked_map
 
 _MAX_DIM = 5
 _ORACLE_DIM_LIMIT = 2
@@ -94,8 +93,8 @@ def _seed_context(d: int):
     sorts).  Each y in U_d is kept as the integer row (q, q y), q the least
     positive integer that makes q y integral; no Fraction is built.
     closed[j] masks the y in U_d with <y, x_j> in {0,1}: a seed's
-    closure is the AND of its points' masks.  ones[j] masks the y with
-    <y, x_j> = 1; both come from one table of subset sums.  missed[j] masks
+    closure is the AND of its points' masks.  ones[i] masks the points x_j
+    with <u_i, x_j> = 1; both come from one table of subset sums.  missed[j] masks
     the hyperplanes spanned by 0/1 points (normals: the columns of D M^-1)
     that miss x_j; a proper span of 0/1 points lies in one, so a seed spans
     iff their missed masks OR to all.
@@ -140,7 +139,7 @@ def _seed_context(d: int):
     u = sorted(found, key=lambda v: [x * (scale // v[0]) for x in v[1:]])
     products = [(den, _subset_sums(y)) for den, *y in u]
     closed = _column_masks([[p == 0 or p == den for p in sums] for den, sums in products])
-    ones = _column_masks([[p == den for p in sums] for den, sums in products])
+    ones = tuple(sum(1 << j for j, p in enumerate(sums) if p == den) for den, sums in products)
     missed = _column_masks(sorted(cuts))
     return tuple(u), closed, missed, ones
 
@@ -163,15 +162,16 @@ def _points_in_closure_order(d: int) -> tuple[int, ...]:
     return tuple(sorted(range(1 << d), key=all_points(d).__getitem__))
 
 
-def _mask_slack(d: int, key: int) -> BinaryMatrix:
+def _mask_slack(d: int, key: int, intent: int) -> BinaryMatrix:
     """The slack matrix of the completion whose first closure is key, a mask
-    over U_d: the rows are the set bits of key, the columns the points x_j
-    with key inside closed[j] (its closure, see _seed_context) in closure's
-    order, and bit (i, j) is whether <u_i, x_j> = 1."""
-    _, closed, _, ones = _seed_context(d)
+    over U_d, and whose intent (its closure, see _seed_context) is intent, a
+    mask over {0,1}^d: the rows are the set bits of key, the columns the
+    points of intent in closure's order, and bit (i, j) is whether
+    <u_i, x_j> = 1, read off the small mask ones[i]."""
+    ones = _seed_context(d)[3]
     rows = list(_bits(key))
-    cols = [j for j in _points_in_closure_order(d) if key & ~closed[j] == 0]
-    return BinaryMatrix(len(rows), len(cols), bytes(ones[j] >> i & 1 for i in rows for j in cols))
+    cols = [j for j in _points_in_closure_order(d) if intent >> j & 1]
+    return BinaryMatrix(len(rows), len(cols), bytes(ones[i] >> j & 1 for i in rows for j in cols))
 
 
 def _point_images(d: int, sigma) -> list[int]:
@@ -226,11 +226,12 @@ def _orbit_form(d: int, rep: int):
     """
     closed = _seed_context(d)[1]
     key = functools.reduce(int.__and__, map(closed.__getitem__, _bits(rep)))
-    return canon.canonical_form(_mask_slack(d, key))
+    return canon.canonical_form(_mask_slack(d, key, rep))
 
 
-def _enum_worker(args):
-    """Completion classes of a run of seed masks, d <= 4, with the seed counts.
+def _seed_scan(d: int, masks) -> tuple[dict, int, int]:
+    """The canonical forms of the completion classes of the seed masks,
+    d <= 4, by their bytes, with the numbers of seeds and of those that span.
 
     A seed's first closure X' holds every e_i, so it spans and X'' lies
     inside {0,1}^d (see _seed_context): at every d, degenerate_seeds is 0
@@ -248,7 +249,6 @@ def _enum_worker(args):
     closure.  So (PA, PB) has the slack matrix of (A, B) with its rows and
     columns reordered, and the class depends only on the intent's orbit.
     """
-    d, masks = args
     forms = {}
     spanning = 0
     # seeds sharing a first closure (its mask over U_d) share the whole completion
@@ -267,7 +267,7 @@ def _enum_worker(args):
             intent = sum(1 << j for j, c in enumerate(closed) if key & ~c == 0)
             cached = memo[key] = _orbit_form(d, _orbit_min(d, intent))
         forms[cached.bytes] = cached
-    return forms, spanning
+    return forms, len(masks), spanning
 
 
 def _orbit_search(d: int) -> tuple[dict, int, int]:
@@ -277,7 +277,7 @@ def _orbit_search(d: int) -> tuple[dict, int, int]:
     Every intent X'' (a closed 0/1 point set, a mask over {0,1}^d) ends a
     chain that starts at the closure of the empty seed and adds one point
     at a time, closing after each step, and a coordinate permutation
-    commutes with closure (see _enum_worker).  So expanding the least image
+    commutes with closure (see _seed_scan).  So expanding the least image
     (_orbit_min) of each intent met by every point outside it reaches every
     S_d orbit of intents: closed-set generation (Ganter and Reuter, Order
     1991) pruned by orbits (McKay, J. Algorithms 1998).  With key the first
@@ -305,7 +305,7 @@ def _orbit_search(d: int) -> tuple[dict, int, int]:
             key = functools.reduce(int.__and__, map(getitem, ands, runs))
             spans[rep] = functools.reduce(int.__or__, map(getitem, ors, runs)) == hyperplanes
             if spans[rep]:
-                form = canon.canonical_form(_mask_slack(d, key))
+                form = canon.canonical_form(_mask_slack(d, key, rep))
                 forms[form.bytes] = form
             free = [(1 << i, outside[i]) for i in range(1 << d) if not rep >> i & 1]
             for k in [key & closed[j] for j in range(1 << d) if not rep >> j & 1]:
@@ -321,25 +321,15 @@ def enumerate_maximal(d: int, jobs: int = 1, store=None) -> EnumerationResult:
     For d <= 4 it seeds every spanning subset of {0,1}^d in (popcount,
     mask) order, which is complete because each class has a 0/1 point-side
     representative that reappears as its own seed.  At d = 5 it runs the
-    orbit search (_orbit_search), serially whatever jobs is: 422 classes,
-    with 46,439 canon calls answered by 625 searches.
+    orbit search (_orbit_search): 422 classes, with 46,439 canon calls
+    answered by 625 searches.  Both run serially in this process; jobs has
+    no effect and is kept for callers that pass it.
     """
     if d < 1:
         raise DimensionMismatch(f"dimension must be at least 1, got {d}")
     if d > _MAX_DIM:
         raise DimensionTooLarge(f"enumeration is limited to d <= {_MAX_DIM}")
-    if d == _MAX_DIM:
-        forms, seeds, spanning = _orbit_search(d)
-    else:
-        masks = _seed_masks(d)
-        # built here, so forked --jobs workers inherit them
-        _point_tables(d)
-        _orbit_tables(d)
-        forms, seeds, spanning = {}, len(masks), 0
-        for f, s in chunked_map(_enum_worker, len(masks), jobs if len(masks) >= 256 else 1,
-                                lambda lo, hi: (d, masks[lo:hi])):
-            forms.update(f)
-            spanning += s
+    forms, seeds, spanning = _orbit_search(d) if d == _MAX_DIM else _seed_scan(d, _seed_masks(d))
 
     classes = tuple(forms[k] for k in sorted(forms))
     if store is not None:

@@ -13,7 +13,8 @@ def enum_results():
 
 @pytest.fixture(scope="session")
 def enum_d4():
-    """Full d = 4 enumeration; expensive, computed once per session."""
+    """Full d = 4 enumeration; expensive, computed once per session.  It
+    passes jobs=4, which enumerate_maximal accepts and ignores."""
     return enumeration.enumerate_maximal(4, jobs=4)
 
 

@@ -75,6 +75,12 @@ def zeta(a, gens: GeneratorSet) -> tuple[int, ...]:
     return tuple(out)
 
 
+# seven 0/1 vectors that generate Z^6, none six of which do: every
+# independent 6-subset has determinant +-2, +-3 or +-4
+NO_BASIS_INSIDE = [(0, 0, 0, 1, 0, 1), (0, 0, 1, 0, 1, 0), (0, 1, 0, 0, 1, 1), (1, 0, 0, 0, 0, 1),
+                   (1, 0, 0, 1, 1, 1), (1, 0, 1, 1, 0, 1), (1, 1, 0, 1, 1, 0)]
+
+
 def det_history(gens: GeneratorSet) -> tuple[int, ...]:
     """The lattice determinant of the first d, d + 1, .., k generators.
     For a set grown by select_generators each value divides the one

@@ -182,9 +182,11 @@ def test_every_built_matrix_keeps_bytes():
     g = stabset.BipartiteGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     m = parse_matrix("3 2\n01\n10\n11\n")
     cfg = from_slack_matrix(m)
+    closed = enumeration._seed_context(3)[1]
+    key = closed[5]
     built = [
         m, BinaryMatrix.from_rows([[0, 1], [1, 1]]), m.transpose(), slack_matrix(cfg).matrix,
-        enumeration._mask_slack(3, enumeration._seed_context(3)[1][5]),
+        enumeration._mask_slack(3, key, sum(1 << j for j, c in enumerate(closed) if key & ~c == 0)),
         stabset.stab_basic_slack(g).matrix, stabset.stab_maximal_slack(g).matrix,
         *(slack_matrix(c).matrix for c in _completions()),
     ]

@@ -256,7 +256,7 @@ def _d5_orbit_matrices(count, seed):
         intent = sum(1 << j for j in range(32) if key & ~closed[j] == 0)
         rep = enumeration._orbit_min(5, intent)
         rep_key = functools.reduce(operator.and_, (closed[j] for j in range(32) if rep >> j & 1))
-        out += [enumeration._mask_slack(5, key), enumeration._mask_slack(5, rep_key)]
+        out += [enumeration._mask_slack(5, key, intent), enumeration._mask_slack(5, rep_key, rep)]
     return out
 
 

@@ -41,7 +41,7 @@ from tlc.configuration import (
 from tlc.errors import NotAFace, NotBipartite, NotSpanning, TlcError
 from tlc.geometry import polytope_completion, to_binary_integral_configuration
 
-from helpers import core_inputs, dot, examples_library
+from helpers import NO_BASIS_INSIDE, core_inputs, dot, examples_library
 from test_cli import _weighted_graph_text, run_cli
 
 F = Fraction
@@ -251,6 +251,8 @@ def test_selected_leading_generators_are_independent(enum_results, enum_d4):
     point_sets = [normalize_to_binary(from_slack_matrix(m), SIDE_B).B for m in _class_matrices(enum_results, enum_d4)]
     point_sets += [[tuple(rng.randint(0, 1) for _ in range(d)) for _ in range(3 * d)]
                    for d in (2, 3, 4, 5, 6) for _ in range(20)]
+    # the random sets all hold a basis of their lattice, this one does not
+    point_sets.append(NO_BASIS_INSIDE)
     grown = 0
     for pts in point_sets:
         d = len(pts[0])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +25,7 @@ from tlc.configuration import (
 )
 from tlc.errors import NonBinaryProduct, NotInCone, NotInLattice, NotMaximal, NotSpanning, ParseError, TlcError
 
-from helpers import det_history, zeta
+from helpers import NO_BASIS_INSIDE, det_history, zeta
 
 F = Fraction
 
@@ -38,9 +38,30 @@ def test_select_generators_square():
 
 
 def test_select_generators_needs_extra():
-    gens = select_generators([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
-    assert gens.k == 4
+    assert {abs(linalg.inverse_and_det(list(s))[1]) for s in combinations(NO_BASIS_INSIDE, 6)
+            if linalg.rank(list(s)) == 6} == {2, 3, 4}
+    gens = select_generators(NO_BASIS_INSIDE, 6)
+    assert gens.gens == tuple(NO_BASIS_INSIDE)
+    assert gens.k == 7
     assert det_history(gens) == (2, 1)
+
+
+def test_select_generators_takes_a_basis_from_b():
+    # greedy takes (0,1,1), (1,0,1), (1,1,0) of determinant 2 and then
+    # (1,1,1); the first 3-subset of determinant 1 replaces all four
+    gens = select_generators([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
+    assert gens.gens == ((0, 1, 1), (1, 0, 1), (1, 1, 1))
+    assert det_history(gens) == (1,)
+
+
+def test_select_generators_gives_up_after_its_budget(monkeypatch):
+    # the search ranks (0,1,1); (0,1,1), (1,0,1); then (1,1,0) and (1,1,1)
+    # as the third vector, and the fourth prefix has determinant 1
+    monkeypatch.setattr(compress, "_SUBSET_BUDGET", 3)
+    gens = select_generators([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
+    assert gens.k == 4 and det_history(gens) == (2, 1)
+    monkeypatch.setattr(compress, "_SUBSET_BUDGET", 4)
+    assert select_generators([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3).k == 3
 
 
 def test_select_generators_d1():
@@ -73,7 +94,7 @@ def test_select_generators_hands_over_its_last_hermite_form(enum_results, enum_d
 
 
 def test_det_history_decreases_by_integer_factors():
-    gens = select_generators([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
+    gens = select_generators(NO_BASIS_INSIDE, 6)
     hist = det_history(gens)
     for a, b in zip(hist, hist[1:]):
         assert a % b == 0 and a // b >= 2
@@ -81,9 +102,11 @@ def test_det_history_decreases_by_integer_factors():
 
 def test_zeta_examples():
     gens = select_generators([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
-    # sorted generator order: (0,1,1), (1,0,1), (1,1,0), (1,1,1)
-    assert zeta((1, 0, 0), gens) == (0, 1, 1, 1)
-    assert zeta((0, 0, 0), gens) == (0, 0, 0, 0)
+    # generator order: (0,1,1), (1,0,1), (1,1,1)
+    assert zeta((1, 0, 0), gens) == (0, 1, 1)
+    assert zeta((0, 0, 0), gens) == (0, 0, 0)
+    extra = select_generators(NO_BASIS_INSIDE, 6)
+    assert zeta((0, 0, 0, 0, 0, 1), extra) == (1, 0, 1, 1, 1, 1, 0)
     # generators sort lexicographically, so the standard basis comes out as
     # ((0,1),(1,0)) and zeta permutes coordinates accordingly
     basis = select_generators([(1, 0), (0, 1)], 2)
@@ -98,7 +121,7 @@ def test_zeta_rejects_non_binary_product():
 
 
 def test_phi_generator_override():
-    gens = select_generators([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3)
+    gens = select_generators(NO_BASIS_INSIDE, 6)
     for i, g in enumerate(gens.gens):
         e = tuple(1 if j == i else 0 for j in range(gens.k))
         assert phi(g, gens) == e
@@ -144,6 +167,30 @@ def test_phi_exists_exactly_on_the_lattice():
                 with pytest.raises(NotInLattice):
                     phi(b, gens)
     assert seen == {True, False}
+
+
+def test_every_d5_class_and_its_transpose_round_trips(d5_classes):
+    # greedy selection starts from the first 5 independent vectors of sorted
+    # B; on entries 290 and 298 and on the transposes of 348 and 359 they
+    # generate a proper sublattice, greedy grows k = 6 and the cone refuses
+    # it, but each B holds a 5-subset of B's determinant
+    grown = []
+    for i, form in enumerate(d5_classes):
+        m = parse_matrix(form.decode())
+        for side, oriented in (("form", m), ("transpose", m.transpose())):
+            cfg = normalize_to_binary(from_slack_matrix(oriented), "B")
+            bs = sorted(cfg.B)
+            start = tuple(bs[j] for j in linalg.first_independent(bs, 5))
+            cc = compress.compress(cfg)
+            assert cc.gens.k == 5
+            assert linalg.lattice_determinant_rect(cc.gens.gens) == linalg.lattice_determinant_rect(bs)
+            if linalg.lattice_determinant_rect(start) == linalg.lattice_determinant_rect(bs):
+                assert cc.gens.gens == start
+            else:
+                grown.append((i, side))
+            back = decompress(weighted_graph_parse(weighted_graph_serialize(cc)))
+            assert canon.canonical_form(slack_matrix(back).matrix) == canon.canonical_form(oriented)
+    assert grown == [(290, "form"), (298, "form"), (348, "transpose"), (359, "transpose")]
 
 
 def test_compress_d1():

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import multiprocessing.pool
 import operator
 import random
 import subprocess
@@ -125,7 +126,7 @@ def _reference_seed_context(d):
         return tuple(sum(b << i for i, b in enumerate(column)) for column in zip(*table))
 
     closed = masks([[p == 0 or p == den for p in sums] for den, sums in products])
-    ones = masks([[p == den for p in sums] for den, sums in products])
+    ones = tuple(sum((p == den) << j for j, p in enumerate(sums)) for den, sums in products)
     return tuple(u), closed, masks(sorted(cuts)), ones
 
 
@@ -140,7 +141,7 @@ def test_seed_context_matches_every_basis(d):
 def test_seed_context_d5_pinned():
     # U_5 as the full scan over all 169,911 bases built it
     u, closed, missed, ones = enumeration._seed_context(5)
-    assert len(u) == 28250 and len(closed) == len(missed) == len(ones) == 32
+    assert len(u) == len(ones) == 28250 and len(closed) == len(missed) == 32
     assert functools.reduce(operator.or_, missed).bit_count() == 625
     assert hashlib.sha256(repr(u).encode()).hexdigest() == (
         "30fff2bceb22e3f17d0186943c990f190058b47df050f9e6cc8af1c04506f621")
@@ -167,23 +168,24 @@ def test_point_tables_fold_every_subset():
 def test_seed_context_sizes():
     for d, size, hyperplanes in ((1, 2, 1), (2, 6, 3), (3, 36, 9), (4, 580, 45)):
         u, closed, missed, ones = enumeration._seed_context(d)
-        assert len(u) == size and len(closed) == len(missed) == len(ones) == 1 << d
+        assert len(u) == len(ones) == size and len(closed) == len(missed) == 1 << d
         # integer rows (q, q y) in lowest terms, no Fraction
         assert all(type(x) is int for row in u for x in row)
         assert all(q > 0 and len(y) == d and math.gcd(q, *y) == 1 for q, *y in u)
         assert functools.reduce(operator.or_, missed).bit_count() == hyperplanes
         # the zero point has product 0 with every y and lies on every hyperplane
-        assert closed[0] == (1 << size) - 1 and missed[0] == 0 and ones[0] == 0
+        assert closed[0] == (1 << size) - 1 and missed[0] == 0 and not any(o & 1 for o in ones)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_seed_context_masks_are_exact_products(d):
     _, closed, _, ones = enumeration._seed_context(d)
     u = _decoded_u(d)
-    for j, x in enumerate(all_points(d)):
-        products = [sum(a * b for a, b in zip(y, x)) for y in u]
-        assert ones[j] == sum(1 << i for i, p in enumerate(products) if p == 1), j
-        assert closed[j] == sum(1 << i for i, p in enumerate(products) if p in (0, 1)), j
+    products = [[sum(a * b for a, b in zip(y, x)) for x in all_points(d)] for y in u]
+    for i, row in enumerate(products):
+        assert ones[i] == sum(1 << j for j, p in enumerate(row) if p == 1), i
+    for j, column in enumerate(zip(*products)):
+        assert closed[j] == sum(1 << i for i, p in enumerate(column) if p in (0, 1)), j
 
 
 @functools.cache
@@ -218,7 +220,31 @@ def test_mask_slack_matches_exact_miss_path(d):
         b = closure(a, d)
         assert all(x in (0, 1) for y in b for x in y)
         want = BinaryMatrix(len(a), len(b), tuple(_slack_bits(*_scaled(a), *_scaled(b))))
-        assert enumeration._mask_slack(d, key) == want
+        assert enumeration._mask_slack(d, key, _intent(d, key)) == want
+
+
+def test_mask_slack_matches_exact_products_at_d5():
+    # the same oracle on spanning d = 5 seeds of 5 to 12 points: each
+    # seed's first closure and intent, and the least image of that intent
+    u = _decoded_u(5)
+    closed, missed = enumeration._seed_context(5)[1:3]
+    hyperplanes = functools.reduce(operator.or_, missed)
+    rng = random.Random(37)
+    pairs = []
+    while len(pairs) < 120:
+        seed = rng.sample(range(32), rng.randint(5, 12))
+        if functools.reduce(operator.or_, (missed[j] for j in seed)) != hyperplanes:
+            continue
+        key = functools.reduce(operator.and_, (closed[j] for j in seed))
+        rep = enumeration._orbit_min(5, _intent(5, key))
+        rep_key = functools.reduce(operator.and_, (closed[j] for j in range(32) if rep >> j & 1))
+        pairs += [(key, _intent(5, key)), (rep_key, rep)]
+    for key, intent in pairs:
+        a = tuple(u[i] for i in range(len(u)) if key >> i & 1)
+        b = closure(a, 5)
+        assert set(b) == {x for j, x in enumerate(all_points(5)) if intent >> j & 1}
+        want = BinaryMatrix(len(a), len(b), tuple(_slack_bits(*_scaled(a), *_scaled(b))))
+        assert enumeration._mask_slack(5, key, intent) == want
 
 
 def _intent(d, key):
@@ -242,7 +268,7 @@ def test_orbit_form_matches_per_key_canon(d):
     keys = _first_closure_keys(d)
     assert len(keys) == {1: 1, 2: 4, 3: 72, 4: 6963}[d]
     for key in keys:
-        want = canon.canonical_form(enumeration._mask_slack(d, key))
+        want = canon.canonical_form(enumeration._mask_slack(d, key, _intent(d, key)))
         assert enumeration._orbit_form(d, enumeration._orbit_min(d, _intent(d, key))) == want
 
 
@@ -463,10 +489,22 @@ def test_polytope_classes_appear_d4(enum_d4):
 
 
 def test_d4_class_set_pinned(enum_d4):
-    # the fixture runs with jobs=4, so on a multi-core machine the scan is
-    # split across a process pool
+    # the fixture passes jobs=4, which has no effect: the scan is serial
     assert enum_d4.stats.seeds_total == 64839 and enum_d4.stats.seeds_spanning == 62924
     digest = hashlib.sha256(b"".join(sorted(f.bytes for f in enum_d4.classes))).hexdigest()
+    assert digest == D4_CLASS_SET_SHA256
+
+
+def test_enumeration_starts_no_process_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_maximal started a process pool")
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
+    with pytest.raises(AssertionError):
+        multiprocessing.Pool(2)
+    res = enumerate_maximal(4, jobs=4)
+    assert res.stats == enumeration.EnumStats(64839, 62924, 62924, 0, 31)
+    digest = hashlib.sha256(b"".join(sorted(f.bytes for f in res.classes))).hexdigest()
     assert digest == D4_CLASS_SET_SHA256
 
 

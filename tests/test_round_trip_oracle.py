@@ -2,8 +2,10 @@
 
 The `reference_*` functions are the earlier code, kept here as oracles:
 `reference_lattice_coords` converts every entry through a Fraction and
-builds a Hermite form for each vector it tests, `reference_select_generators`
-and `reference_phi` call it once per vector, `reference_decompress` runs one
+builds a Hermite form for each vector it tests, `reference_greedy_generators`
+and `reference_phi` call it once per vector, `reference_select_generators`
+tries every d-subset of B in lexicographic order when greedy growth gives
+more than d generators, `reference_decompress` runs one
 `linalg.solve` per decoded face point, `reference_unit_basis` applies
 T^-1 and T^T as Fraction matrices to the vectors of both sides, and
 `reference_zero_one_patterns` builds a full subset-sum table for every
@@ -16,6 +18,7 @@ and sums of the surviving patterns only.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -37,7 +40,7 @@ from tlc.configuration import (
 from tlc.errors import DimensionMismatch, NonBinaryProduct, NotInLattice, NotSpanning, TlcError
 from tlc.geometry import find_triangular_core, polytope_completion, to_binary_integral_configuration
 
-from helpers import core_inputs, det_history, examples_library, mat_vec, opposite_basis
+from helpers import NO_BASIS_INSIDE, core_inputs, det_history, examples_library, mat_vec, opposite_basis
 
 F = Fraction
 
@@ -106,7 +109,7 @@ class ReferenceGenerators:
         return len(self.gens)
 
 
-def reference_select_generators(b_vectors, d):
+def reference_greedy_generators(b_vectors, d):
     bs = sorted(set(tuple(int(x) for x in v) for v in b_vectors))
     if any(len(b) != d for b in bs):
         raise DimensionMismatch("vectors of wrong dimension")
@@ -124,6 +127,17 @@ def reference_select_generators(b_vectors, d):
         chosen.append(extra)
         dets.append(reference_determinant(chosen))
     return ReferenceGenerators(d, tuple(chosen), tuple(dets))
+
+
+def reference_select_generators(b_vectors, d):
+    """Greedy growth, or the first d-subset of sorted B with B's lattice
+    determinant when greedy gives k > d and one exists."""
+    greedy = reference_greedy_generators(b_vectors, d)
+    if greedy.k > d:
+        for subset in combinations(sorted({tuple(int(x) for x in v) for v in b_vectors}), d):
+            if linalg.rank(list(subset)) == d and reference_determinant(subset) == greedy.det_history[-1]:
+                return ReferenceGenerators(d, subset, (greedy.det_history[-1],))
+    return greedy
 
 
 def reference_phi(b, gens):
@@ -326,17 +340,18 @@ def test_generators_phi_and_decode_match_reference_on_golden_classes(enum_result
 
 
 def _hand_made_generator_sets():
-    """Generator sets with k > d (no d <= 4 class needs one), built by
-    select_generators from point sets whose lattice needs an extra vector."""
+    """Generator sets with k > d (no d <= 4 class needs one), grown greedily
+    from point sets whose lattice needs an extra vector.  select_generators
+    takes a basis from each point set instead, so they are built directly."""
     point_sets = [
         [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
         [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0)],
     ]
-    return [select_generators(p, len(p[0])) for p in point_sets]
+    return [GeneratorSet(len(p[0]), reference_greedy_generators(p, len(p[0])).gens) for p in point_sets]
 
 
 def test_det_history_of_hand_built_sets_matches_reference():
-    # the last set is not one select_generators grows, so its history does
+    # the last set is not one greedy growth gives, so its history does
     # not halve
     sets = _hand_made_generator_sets() + [GeneratorSet(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))]
     for gens in sets:
@@ -351,7 +366,8 @@ def test_generators_and_phi_match_reference_on_random_point_sets():
     for _ in range(300):
         d = rng.randint(2, 7)
         sets.append([tuple(rng.randint(0, 1) for _ in range(d)) for _ in range(rng.randint(d, 4 * d))])
-    grown = 0
+    sets.append(NO_BASIS_INSIDE)
+    grown = based = 0
     for pts in sets:
         d = len(pts[0])
         want = outcome(reference_select_generators, pts, d)
@@ -361,9 +377,11 @@ def test_generators_and_phi_match_reference_on_random_point_sets():
             continue
         assert (got.gens, det_history(got)) == (want.gens, want.det_history)
         grown += got.k > d
+        based += got.k < reference_greedy_generators(pts, d).k
         for b in [tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(20)] + list(pts):
             assert outcome(phi, b, got) == outcome(reference_phi, b, want)
-    assert grown >= 15
+    # greedy growth gives k > d on 23 sets, and 22 of them hold a basis
+    assert (grown, based) == (1, 22)
 
 
 def test_generator_set_builds_its_hermite_form_once(monkeypatch):
