@@ -2,8 +2,8 @@
 
 Exit codes: 1 for usage errors and for a standard output closed before
 everything was written, 2 for input parse errors, 3 for domain errors.
-Every subcommand is deterministic given identical inputs; --jobs only
-splits the stab-census scan across processes.
+Every subcommand is deterministic given identical inputs and runs in one
+process; --jobs is accepted for older scripts and has no effect.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="tlc", description="exact toolkit for two-level configurations")
     p.add_argument("--store", default=None, help="result store directory (env TLC_STORE)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for stab-census")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: every command runs in one process")
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -226,9 +226,9 @@ def _cmd_stab_slack(args, out) -> int:
 
 
 def _cmd_stab_census(args, out) -> int:
-    rep = stabset.census(args.nodes, jobs=args.jobs)
-    _store_from(args).put("census", rep.to_json().encode("ascii"), ".json")
-    out.write(rep.to_json() + "\n")
+    text = stabset.census(args.nodes).to_json()
+    _store_from(args).put("census", text.encode("ascii"), ".json")
+    out.write(text + "\n")
     return EXIT_OK
 
 

@@ -58,9 +58,7 @@ _MEMO_CELLS matrix cells in all, counting an entry's cells once whatever it
 holds, and drops the least recently used entries first; a matrix of more
 cells than that is neither keyed nor stored.  An entry keeps about two bytes per cell
 (the key's bits and the form's text) and a few hundred bytes more: 4,096 forms
-of 16 x 16 matrices, a full memo, hold 3.6 MB.  It is per process: `--jobs`
-workers each fill their own, and since every answer is exact the output
-cannot depend on which worker saw a class first.
+of 16 x 16 matrices, a full memo, hold 3.6 MB.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ For a bipartite graph the polytope is cut out by the rows x_v >= 0, the
 edge rows x_u + x_v <= 1 and x_v <= 1 for each isolated node, and every
 stable set's characteristic vector has slack 0 or 1 against every row.  The
 maximal slack matrix is that of the polytope's completion from its stable
-sets (`geometry.polytope_completion`).  The census scans all 2^C(n,2)
-labeled graphs, counts the bipartite ones, filters to minimum degree 2,
-groups those into isomorphism classes by the canonical form of their node x
-edge incidence matrices, and compares the class count with the number of
-distinct canonical maximal-slack forms.
+sets (`geometry.polytope_completion`).  The census builds the edge masks
+of the labeled bipartite graphs on n nodes from their 2-colourings, counts
+them, filters to minimum degree 2, groups those into isomorphism classes
+by the canonical form of their node x edge incidence matrices, and
+compares the class count with the number of distinct canonical
+maximal-slack forms.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import canon, geometry
-from .configuration import BinaryMatrix, SlackMatrix, slack_bits, slack_matrix
+from .configuration import BinaryMatrix, SlackMatrix, _subset_sums, slack_bits, slack_matrix
 from .linalg import integers
 from .errors import (
     DimensionMismatch,
@@ -28,7 +29,6 @@ from .errors import (
     NotBipartite,
     ParseError,
 )
-from .parallel import chunked_map
 
 _CENSUS_LIMIT = 7
 # a graph on n nodes has up to 2^n stable sets, each a slack column; at
@@ -214,29 +214,20 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _scan_masks(piece):
-    """The count of bipartite edge masks in [lo, hi) and the list of those
-    with minimum degree 2, for the piece (n, lo, hi)."""
-    n, lo, hi = piece
+def _bipartite_masks(n: int) -> tuple[int, list[int]]:
+    """The number of bipartite edge masks on n nodes and the sorted list of
+    those with minimum degree 2.  A graph is bipartite exactly when its edges
+    lie among the cross edges of some 2-colouring, so the masks are the ORs
+    of the subsets of each colouring's cross edges (sums of distinct bits),
+    with node n-1 kept on side 0 (the other half of the colourings repeats
+    these)."""
     edges = _edge_list(n)
-    bip = 0
-    kept = []
-    for mask in range(lo, hi):
-        adj = [0] * n
-        mm = mask
-        while mm:
-            low = mm & -mm
-            e = low.bit_length() - 1
-            u, v = edges[e]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            mm ^= low
-        if not _bipartite(adj):
-            continue
-        bip += 1
-        if all(bin(a).count("1") >= 2 for a in adj):
-            kept.append(mask)
-    return bip, kept
+    masks = set()
+    for side in range(1 << (n - 1)):
+        cross = [1 << e for e, (u, v) in enumerate(edges) if (side >> u ^ side >> v) & 1]
+        masks.update(_subset_sums(cross))
+    incident = [sum(1 << e for e, edge in enumerate(edges) if v in edge) for v in range(n)]
+    return len(masks), sorted(m for m in masks if all((m & inc).bit_count() >= 2 for inc in incident))
 
 
 def graph_from_mask(n: int, mask: int) -> BipartiteGraph:
@@ -245,17 +236,14 @@ def graph_from_mask(n: int, mask: int) -> BipartiteGraph:
     return BipartiteGraph.from_edges(n, chosen)
 
 
-def census(n: int, jobs: int = 1) -> CensusReport:
-    """Scan all labeled graphs on n nodes for the bipartite counts, and the
+def census(n: int) -> CensusReport:
+    """The bipartite counts of the labeled graphs on n nodes, and the
     isomorphism classes and maximal slack forms of minimum degree 2."""
     if n < 1:
         raise DimensionMismatch(f"node count must be at least 1, got {n}")
     if n > _CENSUS_LIMIT:
         raise DimensionTooLarge(f"census is limited to 1 <= n <= {_CENSUS_LIMIT}")
-    total = 1 << len(_edge_list(n))
-    parts = chunked_map(_scan_masks, total, jobs if total >= 4096 else 1, lambda lo, hi: (n, lo, hi))
-    bip = sum(p[0] for p in parts)
-    kept = sorted(x for p in parts for x in p[1])
+    bip, kept = _bipartite_masks(n)
 
     # simple graphs are isomorphic exactly when their node x edge incidence
     # matrices are equal up to row and column order

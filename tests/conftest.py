@@ -20,9 +20,9 @@ def enum_d4():
 
 @pytest.fixture(scope="session")
 def census_n7():
-    """The n = 7 stable-set census (2^21 labelled graphs); computed once per
-    session."""
-    return stabset.census(7, jobs=4)
+    """The n = 7 stable-set census (103,237 labelled bipartite graphs);
+    computed once per session."""
+    return stabset.census(7)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from tlc.corrcone import all_points, lift_raw
 from tlc.errors import DimensionMismatch, NonBinaryProduct
 from tlc.geometry import polytope_completion
 from tlc.linalg import vec
-from tlc.stabset import BipartiteGraph, _basic_slack
+from tlc.stabset import BipartiteGraph, _basic_slack, _bipartite, _edge_list
 
 
 def dot(u, v) -> Fraction:
@@ -117,3 +117,28 @@ def zero_vertex_neighbors(g: BipartiteGraph) -> list[tuple[int, ...]]:
         if j != empty and not any(t & common == common for k, t in enumerate(tight) if k not in (empty, j)):
             out.append(s)
     return out
+
+
+def reference_bipartite_scan(n: int) -> tuple[int, list[int]]:
+    """The count of bipartite edge masks on n nodes and the sorted list of
+    those with minimum degree 2, by testing every one of the 2^C(n,2)
+    labeled graphs for an odd cycle: the oracle of
+    `stabset._bipartite_masks`."""
+    edges = _edge_list(n)
+    bip = 0
+    kept = []
+    for mask in range(1 << len(edges)):
+        adj = [0] * n
+        mm = mask
+        while mm:
+            low = mm & -mm
+            u, v = edges[low.bit_length() - 1]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            mm ^= low
+        if not _bipartite(adj):
+            continue
+        bip += 1
+        if all(a.bit_count() >= 2 for a in adj):
+            kept.append(mask)
+    return bip, kept

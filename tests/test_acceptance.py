@@ -261,7 +261,7 @@ def test_criterion_08_count_sandwich(census_n7):
     expected = {2: 2, 3: 7}
     findings = []
     for n in range(2, 8):
-        rep = census_n7 if n == 7 else stabset.census(n, jobs=4)
+        rep = census_n7 if n == 7 else stabset.census(n)
         if n in expected:
             assert rep.labeled_bipartite == expected[n]
         if not (rep.within_lower and rep.within_upper):

@@ -13,6 +13,8 @@ from tlc.canon import canonical_form, equivalent
 from tlc.configuration import BinaryMatrix, is_maximal_in_md, parse_matrix
 from tlc.errors import DimensionTooLarge
 
+from helpers import reference_bipartite_scan
+
 
 def _permute(m, row_perm, col_perm):
     rows = m.row_tuples()
@@ -233,8 +235,7 @@ def _census_incidences():
     """The node x edge incidence matrices of the graphs census(n) groups, n <= 6."""
     out = []
     for n in range(1, 7):
-        kept = stabset._scan_masks((n, 0, 1 << len(stabset._edge_list(n))))[1]
-        for mask in kept:
+        for mask in reference_bipartite_scan(n)[1]:
             g = stabset.graph_from_mask(n, mask)
             out.append(BinaryMatrix.from_rows([[int(v in e) for e in g.edges] for v in range(n)]))
     return out

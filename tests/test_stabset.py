@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -16,7 +17,7 @@ from tlc.stabset import (
     stable_sets,
 )
 
-from helpers import simple_vertices, zero_vertex_neighbors
+from helpers import reference_bipartite_scan, simple_vertices, zero_vertex_neighbors
 
 F = Fraction
 
@@ -247,6 +248,23 @@ def test_census_n7_finds_classes(census_n7):
     assert rep.maximal_slack_forms_min_degree2 == ISO_CLASS_COUNTS[7]
 
 
+# sha256 of the n = 7 minimum-degree-2 masks, in increasing order as
+# decimal numbers joined by spaces, from reference_bipartite_scan(7) (about
+# 8 s)
+N7_MIN_DEG2_MASKS_SHA256 = "c97d685d2a9b9ec7896f16b62dbd36fc13f5bc4a01a952a70c1ef861de772fa5"
+
+
+def test_bipartite_masks_match_the_scan():
+    for n in range(1, 7):
+        assert stabset._bipartite_masks(n) == reference_bipartite_scan(n)
+
+
+def test_bipartite_masks_n7_pinned():
+    bip, kept = stabset._bipartite_masks(7)
+    assert (bip, len(kept)) == (103237, MIN_DEG2_COUNTS[7])
+    assert hashlib.sha256(" ".join(map(str, kept)).encode("ascii")).hexdigest() == N7_MIN_DEG2_MASKS_SHA256
+
+
 def test_census_limit():
     with pytest.raises(DimensionTooLarge):
         census(8)
@@ -273,7 +291,7 @@ def _permutation_classes(n, masks):
 
 def test_census_classes_match_permutation_grouping():
     for n in (4, 5, 6):
-        _, masks = stabset._scan_masks((n, 0, 1 << (n * (n - 1) // 2)))
+        _, masks = reference_bipartite_scan(n)
         reps = _permutation_classes(n, masks)
         forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes for m in reps}
         rep = census(n)
