@@ -226,7 +226,7 @@ def _cmd_stab_slack(args, out) -> int:
 
 
 def _cmd_stab_census(args, out) -> int:
-    text = stabset.census(args.nodes).to_json()
+    text = json.dumps(stabset.census(args.nodes), sort_keys=True)
     _store_from(args).put("census", text.encode("ascii"), ".json")
     out.write(text + "\n")
     return EXIT_OK

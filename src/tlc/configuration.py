@@ -563,14 +563,17 @@ def maximal_completion(seed, d: int) -> Configuration:
 
     A := closure(seed); B := closure(A).  The pair is a closure fixed point,
     and B contains the seed.  If closure(seed) fails to span, the seed is
-    rejected rather than silently patched.  Nothing else is checked: A
-    spans, closure decides the products of B with A, and B spans because it
-    contains the seed, which closure(seed) needed to span.
+    rejected rather than silently patched: the second closure's elimination
+    decides that.  Nothing else is checked: A spans, closure decides the
+    products of B with A, and B spans because it contains the seed, which
+    closure(seed) needed to span.
     """
     a = closure(seed, d)
-    if not spans(a, d):
-        raise DegenerateSeed(f"closure of the seed does not span R^{d}")
-    return _with_closure(d, closure(a, d))
+    try:
+        b = closure(a, d)
+    except NotSpanning:
+        raise DegenerateSeed(f"closure of the seed does not span R^{d}") from None
+    return _with_closure(d, b)
 
 
 def slack_matrix(cfg: Configuration) -> SlackMatrix:

@@ -70,18 +70,19 @@ def polytope_completion(verts) -> Configuration:
     a.w and -a.w lie in {0,1} for every row, so a.w = 0; the second closure
     runs only on rows that span R^(d+1), so the a's span R^d, and w = 0.
 
-    The result carries the products the second closure decided, unchecked:
-    rows_h spans, as that closure requires, and the completed points span
-    because they hold the seed.
+    The first closure decides whether the points affinely span, that is
+    whether the seed spans R^(d+1).  The result carries the products the
+    second closure decided, unchecked: rows_h spans, as that closure
+    requires, and the completed points span because they hold the seed.
     """
     verts = list(verts)
     if not verts:
         raise NotSpanning("empty point set")
     d = len(verts[0])
-    seed = _lifted(verts, d)
-    if not spans(seed, d + 1):
-        raise NotSpanning("points do not affinely span")
-    rows_h = closure(seed, d + 1)
+    try:
+        rows_h = closure(_lifted(verts, d), d + 1)
+    except NotSpanning:
+        raise NotSpanning("points do not affinely span") from None
     return _with_closure(d + 1, closure(rows_h, d + 1))
 
 

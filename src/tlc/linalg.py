@@ -125,6 +125,15 @@ def _bareiss(rows: list[list[int]], ncols: int, limit: int = -1) -> tuple[list[l
     return rows, piv_rows, piv_cols, prev
 
 
+def _width(rows) -> int:
+    """The common length of the rows, 0 for no rows (DimensionMismatch when
+    they are ragged)."""
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("ragged rows")
+    return n
+
+
 def _sign(perm: list[int]) -> int:
     """Sign of the permutation k -> perm[k]."""
     inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
@@ -134,7 +143,7 @@ def _sign(perm: list[int]) -> int:
 def rank(m) -> int:
     """Rank over the rationals, computed by fraction-free elimination."""
     rows = scale_rows(m)[1]
-    return len(_bareiss(rows, len(rows[0]))[1]) if rows else 0
+    return len(_bareiss(rows, _width(rows))[1])
 
 
 def solve(m, y) -> Optional[Vec]:
@@ -148,9 +157,9 @@ def solve(m, y) -> Optional[Vec]:
     y = list(y)
     if len(rows) != len(y):
         raise DimensionMismatch(f"{len(rows)} rows vs {len(y)} right-hand sides")
+    n = _width(rows)
     if not rows:
         return ()
-    n = len(rows[0])
     aug, piv_rows, piv_cols, det = _bareiss(scale_rows((*r, v) for r, v in zip(rows, y))[1], n)
     pivots = set(piv_rows)
     if any(row[n] for i, row in enumerate(aug) if i not in pivots):
@@ -183,7 +192,7 @@ def inverse_and_det(rows) -> Optional[tuple[list[list[Fraction]], Fraction]]:
 def first_independent(vectors, d) -> Optional[list[int]]:
     """Indices of the first d linearly independent vectors, in given order."""
     rows = scale_rows(vectors)[1]
-    chosen = sorted(_bareiss(rows, len(rows[0]))[1]) if rows else []
+    chosen = sorted(_bareiss(rows, _width(rows))[1])
     return chosen[:d] if len(chosen) >= d else None
 
 
@@ -197,8 +206,7 @@ def _check_int_matrix(rows) -> list[list[int]]:
     if scale != 1:
         raise ValueError("integer matrix required")
     out = [list(r) for r in ints]
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise DimensionMismatch("ragged rows")
+    _width(out)
     return out
 
 
@@ -318,9 +326,7 @@ def lp_feasible(aeq, beq, nonneg: Sequence[bool]) -> Optional[Vec]:
     b = [frac(v) for v in beq]
     if len(rows) != len(b):
         raise DimensionMismatch(f"{len(rows)} rows vs {len(b)} right-hand sides")
-    n = len(rows[0]) if rows else 0
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("ragged rows")
+    n = _width(rows)
     if len(nonneg) != n:
         raise DimensionMismatch(f"{len(nonneg)} sign flags for {n} variables")
     if not rows:

@@ -7,14 +7,14 @@ maximal slack matrix is that of the polytope's completion from its stable
 sets (`geometry.polytope_completion`).  The census builds the edge masks
 of the labeled bipartite graphs on n nodes from their 2-colourings, counts
 them, filters to minimum degree 2, groups those into isomorphism classes
-by the canonical form of their node x edge incidence matrices, and
-compares the class count with the number of distinct canonical
-maximal-slack forms.
+by the canonical form of their node x edge incidence matrices, read off
+the masks, and compares the class count with the number of distinct
+canonical maximal-slack forms, building a graph only for each class's
+first mask.  Its result is the JSON object `stab-census` prints.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,37 +179,6 @@ def stab_maximal_slack(g: BipartiteGraph) -> SlackMatrix:
 # --- census ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    n: int
-    labeled_bipartite: int
-    labeled_bipartite_min_degree2: int
-    isomorphism_classes_min_degree2: int
-    maximal_slack_forms_min_degree2: int
-    lower_exponent_float: float
-    upper_exponent: Fraction
-    within_lower: bool
-    within_upper: bool
-
-    def to_json(self) -> str:
-        payload = {
-            "nodes": self.n,
-            "labeled_bipartite": self.labeled_bipartite,
-            "labeled_bipartite_min_degree2": self.labeled_bipartite_min_degree2,
-            "isomorphism_classes_min_degree2": self.isomorphism_classes_min_degree2,
-            "maximal_slack_forms_min_degree2": self.maximal_slack_forms_min_degree2,
-            "bounds": {
-                "lower_log2": self.lower_exponent_float,
-                "lower_log2_exact_part": str(self.upper_exponent),
-                "lower_log2_note": "exact part minus 2*log2(n)",
-                "upper_log2": str(self.upper_exponent),
-            },
-            "within_lower": self.within_lower,
-            "within_upper": self.within_upper,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
 def _edge_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
@@ -236,9 +205,10 @@ def graph_from_mask(n: int, mask: int) -> BipartiteGraph:
     return BipartiteGraph.from_edges(n, chosen)
 
 
-def census(n: int) -> CensusReport:
-    """The bipartite counts of the labeled graphs on n nodes, and the
-    isomorphism classes and maximal slack forms of minimum degree 2."""
+def census(n: int) -> dict:
+    """The census's JSON object: the bipartite counts of the labeled graphs
+    on n nodes, the isomorphism classes and maximal slack forms of minimum
+    degree 2, and the count sandwich's exponents and exact tests."""
     if n < 1:
         raise DimensionMismatch(f"node count must be at least 1, got {n}")
     if n > _CENSUS_LIMIT:
@@ -246,28 +216,33 @@ def census(n: int) -> CensusReport:
     bip, kept = _bipartite_masks(n)
 
     # simple graphs are isomorphic exactly when their node x edge incidence
-    # matrices are equal up to row and column order
-    reps: dict[bytes, BipartiteGraph] = {}
+    # matrices are equal up to row and column order.  A mask's matrix joins
+    # the incidence columns of its edges, and row v is every n-th byte from
+    # v; the masks are bipartite, so only each class's first mask becomes a
+    # graph.
+    columns = [bytes(v in edge for v in range(n)) for edge in _edge_list(n)]
+    reps: dict[bytes, int] = {}
     for mask in kept:
-        g = graph_from_mask(n, mask)
-        incidence = BinaryMatrix.from_rows([[int(v in e) for e in g.edges] for v in range(n)])
-        reps.setdefault(canon.canonical_form(incidence).bytes, g)
-    forms = {canon.canonical_form(stab_maximal_slack(g).matrix).bytes for g in reps.values()}
+        flat = b"".join([col for e, col in enumerate(columns) if mask >> e & 1])
+        incidence = BinaryMatrix.from_rows([flat[v::n] for v in range(n)])
+        reps.setdefault(canon.canonical_form(incidence).bytes, mask)
+    forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes for m in reps.values()}
 
     upper_exp = Fraction(n * n, 4) + n
-    lower_float = float(upper_exp) - 2 * math.log2(n)
     # exact sandwich tests: count^4 vs 2^(n^2+4n) and (count*n^2)^4 vs same
     power = n * n + 4 * n
-    within_upper = bip ** 4 <= 2 ** power
-    within_lower = (bip * n * n) ** 4 >= 2 ** power
-    return CensusReport(
-        n=n,
-        labeled_bipartite=bip,
-        labeled_bipartite_min_degree2=len(kept),
-        isomorphism_classes_min_degree2=len(reps),
-        maximal_slack_forms_min_degree2=len(forms),
-        lower_exponent_float=lower_float,
-        upper_exponent=upper_exp,
-        within_lower=within_lower,
-        within_upper=within_upper,
-    )
+    return {
+        "nodes": n,
+        "labeled_bipartite": bip,
+        "labeled_bipartite_min_degree2": len(kept),
+        "isomorphism_classes_min_degree2": len(reps),
+        "maximal_slack_forms_min_degree2": len(forms),
+        "bounds": {
+            "lower_log2": float(upper_exp) - 2 * math.log2(n),
+            "lower_log2_exact_part": str(upper_exp),
+            "lower_log2_note": "exact part minus 2*log2(n)",
+            "upper_log2": str(upper_exp),
+        },
+        "within_lower": (bip * n * n) ** 4 >= 2 ** power,
+        "within_upper": bip ** 4 <= 2 ** power,
+    }

@@ -240,8 +240,8 @@ def test_criterion_07_stabset_family():
             assert zero_vertex_neighbors(g) == singles, (n, mask)
         # isomorphism classes vs distinct canonical maximal-slack forms
         rep = stabset.census(n)
-        assert rep.isomorphism_classes_min_degree2 == rep.maximal_slack_forms_min_degree2
-        assert rep.labeled_bipartite_min_degree2 == len(masks)
+        assert rep["isomorphism_classes_min_degree2"] == rep["maximal_slack_forms_min_degree2"]
+        assert rep["labeled_bipartite_min_degree2"] == len(masks)
     assert total_graphs == 3 + 10 + 355
     # relabeling invariance spot check on the 6-cycle
     rng = random.Random(6)
@@ -263,17 +263,17 @@ def test_criterion_08_count_sandwich(census_n7):
     for n in range(2, 8):
         rep = census_n7 if n == 7 else stabset.census(n)
         if n in expected:
-            assert rep.labeled_bipartite == expected[n]
-        if not (rep.within_lower and rep.within_upper):
-            findings.append((n, rep.labeled_bipartite))
+            assert rep["labeled_bipartite"] == expected[n]
+        if not (rep["within_lower"] and rep["within_upper"]):
+            findings.append((n, rep["labeled_bipartite"]))
     # violations are findings, not failures
     if findings:
         print(f"count sandwich findings (reported, not asserted): {findings}")
     # fixed regression values: n=2 count 2 in [2, 8]; n=3 count 7 in [~4.2, ~38]
     rep2 = stabset.census(2)
-    assert rep2.labeled_bipartite == 2 and rep2.within_lower and rep2.within_upper
+    assert rep2["labeled_bipartite"] == 2 and rep2["within_lower"] and rep2["within_upper"]
     rep3 = stabset.census(3)
-    assert rep3.labeled_bipartite == 7 and rep3.within_lower and rep3.within_upper
+    assert rep3["labeled_bipartite"] == 7 and rep3["within_lower"] and rep3["within_upper"]
 
 
 @criterion(9, "geometry adapters")

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import json
 import os
@@ -325,6 +326,24 @@ def test_stab_census_subcommand(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["labeled_bipartite"] == 7
+
+
+# sha256 of the stdout of `stab-census --nodes n` for n = 1..7, one JSON
+# line each, 2,354 bytes in all
+CENSUS_1_TO_7_SHA256 = "76c4251c54799260da6753520f7f29415468ef6f74adbeb8236d9d446744f6c8"
+
+
+def test_stab_census_bytes_pinned(tmp_path, monkeypatch, census_n7):
+    # n = 7 is answered by the session's census, so it runs once per suite
+    computed = stabset.census
+    monkeypatch.setattr(stabset, "census", lambda n: census_n7 if n == 7 else computed(n))
+    out = ""
+    for n in range(1, 8):
+        code, line, err = run_cli(["stab-census", "--nodes", str(n)], store=tmp_path / "store")
+        assert (code, err) == (0, "")
+        out += line
+    assert len(out) == 2354
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == CENSUS_1_TO_7_SHA256
 
 
 def test_stab_census_nonpositive_nodes(tmp_path):

@@ -13,11 +13,14 @@ from tlc.configuration import (
     SlackMatrix,
     closure,
     from_slack_matrix,
+    maximal_completion,
     normalize_to_binary,
     slack_matrix,
 )
 from tlc.errors import (
+    DegenerateSeed,
     DimensionMismatch,
+    DimensionTooLarge,
     NoCore,
     NonBinary,
     NonBinaryProduct,
@@ -33,6 +36,8 @@ from helpers import zeta
 from test_cli import run_cli, write
 
 _UNIT = compress.GeneratorSet(1, ((1,),))
+# the origin, e_1..e_15 and e_1 + e_2: 17 points of R^16 on the hyperplane x_16 = 0
+_FLAT_16 = [(0,) * 16, *(tuple(int(i == k) for i in range(16)) for k in range(15)), (1, 1) + (0,) * 14]
 
 _REFUSALS = {
     "BinaryMatrix negative shape": (lambda: BinaryMatrix(-1, 2, ()), DimensionMismatch, "negative shape"),
@@ -70,12 +75,28 @@ _REFUSALS = {
     "FaceCertificate entry count": (
         lambda: corrcone.FaceCertificate(2, (0,)), DimensionMismatch, "certificate needs 6 entries"),
     "polytope_completion empty": (lambda: geometry.polytope_completion([]), NotSpanning, "empty point set"),
+    "polytope_completion short vertex": (
+        lambda: geometry.polytope_completion([(0, 0), (1,), (0, 1)]), DimensionMismatch, "vectors of wrong dimension"),
+    "polytope_completion flat points": (
+        lambda: geometry.polytope_completion([(0, 0), (1, 0)]), NotSpanning, "points do not affinely span"),
+    # the rank limit is met before spanning is decided
+    "polytope_completion flat points above the rank limit": (
+        lambda: geometry.polytope_completion(_FLAT_16), DimensionTooLarge, "closure is limited to rank <= 16"),
+    # the points span, but the first closure does not: not a 2-level polytope
+    "polytope_completion not two-level": (
+        lambda: geometry.polytope_completion([(0, 0), (1, 0), (0, 1), (1, 2)]), NotSpanning, "family does not span R^3"),
+    "maximal_completion degenerate seed": (
+        lambda: maximal_completion([(1,), (2,)], 1), DegenerateSeed, "closure of the seed does not span R^1"),
     "find_triangular_core size 0": (
         lambda: geometry.find_triangular_core(slack_matrix(geometry.polytope_completion([(0,), (1,)])), 0),
         NoCore, "no core of size 0 in a 4x3 matrix"),
     "zeta unequal lengths": (
         lambda: zeta((1,), compress.GeneratorSet(2, ((1, 0), (0, 1)))),
         DimensionMismatch, "dot of lengths 1 and 2"),
+    "rank ragged": (lambda: linalg.rank([[1, 0, 0], [1]]), DimensionMismatch, "ragged rows"),
+    "first_independent ragged": (
+        lambda: linalg.first_independent([[1], [0, 1]], 1), DimensionMismatch, "ragged rows"),
+    "solve ragged": (lambda: linalg.solve([[1], [0, 1]], [1, 1]), DimensionMismatch, "ragged rows"),
     "inverse_and_det non-square": (
         lambda: linalg.inverse_and_det([[1, 2]]), DimensionMismatch, "inverse of a non-square matrix"),
     "lattice_coords wrong length": (
@@ -149,6 +170,9 @@ _RUNS = {
         ["check", "{file}"], "2 2\n01\n", 2, "", "parse error: expected 2 bit rows, found 1 (line 2)\n"),
     "stab-slack edge endpoint": (
         ["stab-slack", "{file}"], "3\n0 x\n", 2, "", "parse error: edge endpoints must be integers (line 2)\n"),
+    "complete degenerate seed": (
+        ["complete", "{file}"], '{"d": 1, "B": [[1], [2]]}\n', 3, "",
+        "error: DegenerateSeed: closure of the seed does not span R^1\n"),
     "enum json": (
         ["--format", "json", "enum", "--dim", "2"], None, 0,
         '{"classes": 2, "classes_mod_transpose": 1, "degenerate_seeds": 0, "dim": 2, "seeds_spanning": 8}\n', ""),

@@ -224,28 +224,28 @@ def test_zero_vertex_neighbors():
 def test_census_small_counts():
     for n in (1, 2, 3, 4):
         rep = census(n)
-        assert rep.labeled_bipartite == BIPARTITE_COUNTS[n]
-        assert rep.labeled_bipartite_min_degree2 == MIN_DEG2_COUNTS[n]
+        assert rep["labeled_bipartite"] == BIPARTITE_COUNTS[n]
+        assert rep["labeled_bipartite_min_degree2"] == MIN_DEG2_COUNTS[n]
         if n >= 4:
-            assert rep.isomorphism_classes_min_degree2 == ISO_CLASS_COUNTS[n]
-            assert rep.maximal_slack_forms_min_degree2 == ISO_CLASS_COUNTS[n]
+            assert rep["isomorphism_classes_min_degree2"] == ISO_CLASS_COUNTS[n]
+            assert rep["maximal_slack_forms_min_degree2"] == ISO_CLASS_COUNTS[n]
 
 
 def test_census_n5():
     rep = census(5)
-    assert rep.labeled_bipartite == 376
-    assert rep.labeled_bipartite_min_degree2 == MIN_DEG2_COUNTS[5]
-    assert rep.isomorphism_classes_min_degree2 == 1  # K_{2,3} only
-    assert rep.maximal_slack_forms_min_degree2 == 1
-    assert rep.within_lower and rep.within_upper
+    assert rep["labeled_bipartite"] == 376
+    assert rep["labeled_bipartite_min_degree2"] == MIN_DEG2_COUNTS[5]
+    assert rep["isomorphism_classes_min_degree2"] == 1  # K_{2,3} only
+    assert rep["maximal_slack_forms_min_degree2"] == 1
+    assert rep["within_lower"] and rep["within_upper"]
 
 
 def test_census_n7_finds_classes(census_n7):
     rep = census_n7
-    assert rep.labeled_bipartite == 103237
-    assert rep.labeled_bipartite_min_degree2 == MIN_DEG2_COUNTS[7]
-    assert rep.isomorphism_classes_min_degree2 == ISO_CLASS_COUNTS[7]
-    assert rep.maximal_slack_forms_min_degree2 == ISO_CLASS_COUNTS[7]
+    assert rep["labeled_bipartite"] == 103237
+    assert rep["labeled_bipartite_min_degree2"] == MIN_DEG2_COUNTS[7]
+    assert rep["isomorphism_classes_min_degree2"] == ISO_CLASS_COUNTS[7]
+    assert rep["maximal_slack_forms_min_degree2"] == ISO_CLASS_COUNTS[7]
 
 
 # sha256 of the n = 7 minimum-degree-2 masks, in increasing order as
@@ -263,6 +263,17 @@ def test_bipartite_masks_n7_pinned():
     bip, kept = stabset._bipartite_masks(7)
     assert (bip, len(kept)) == (103237, MIN_DEG2_COUNTS[7])
     assert hashlib.sha256(" ".join(map(str, kept)).encode("ascii")).hexdigest() == N7_MIN_DEG2_MASKS_SHA256
+
+
+def test_census_builds_one_graph_per_class(monkeypatch):
+    # only the first mask of each of the 5 classes at n = 6 becomes a
+    # BipartiteGraph; the other 350 minimum-degree-2 masks are read as bits
+    built = []
+    checked = BipartiteGraph.__post_init__
+    monkeypatch.setattr(BipartiteGraph, "__post_init__", lambda g: built.append(g.n) or checked(g))
+    rep = census(6)
+    assert rep["isomorphism_classes_min_degree2"] == 5
+    assert built == [6] * 5
 
 
 def test_census_limit():
@@ -295,8 +306,8 @@ def test_census_classes_match_permutation_grouping():
         reps = _permutation_classes(n, masks)
         forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes for m in reps}
         rep = census(n)
-        assert rep.isomorphism_classes_min_degree2 == len(reps)
-        assert rep.maximal_slack_forms_min_degree2 == len(forms)
+        assert rep["isomorphism_classes_min_degree2"] == len(reps)
+        assert rep["maximal_slack_forms_min_degree2"] == len(forms)
 
 
 def test_node_limit_precedes_allocation():
@@ -403,7 +414,8 @@ def test_census_report_json_shape():
     import json
 
     rep = census(3)
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep, sort_keys=True))
+    assert payload == rep
     assert payload["nodes"] == 3
     assert payload["labeled_bipartite"] == 7
     assert payload["within_lower"] and payload["within_upper"]
