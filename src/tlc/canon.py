@@ -79,9 +79,11 @@ returns the stored form exactly.  A miss runs the search on m itself, so
 node counts, the node budget and every DimensionTooLarge refusal are those
 of an input not seen before, and a search that raises stores nothing.
 Searches drop from 3,000 to 390 on the `queries` benchmark workload, from
-399 to 33 in enumerate_maximal(4), from 360 to 16 in census(6) and from
-46,439 to 625 in enumerate_maximal(5).  On the `queries` inputs a key
-costs 20-33 us and a search 130-220 us (2-core x86, Python 3.11).
+399 to 33 in enumerate_maximal(4) and from 46,439 to 625 in
+enumerate_maximal(5).  census(6) calls canonical_form 5 times, once on
+each class's maximal slack matrix, since it groups its graphs by node
+relabelling.  On the `queries` inputs a key costs 20-33 us and a search
+130-220 us (2-core x86, Python 3.11).
 """
 
 from __future__ import annotations

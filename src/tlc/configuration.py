@@ -124,14 +124,6 @@ class BinaryMatrix:
             raise ValueError("entries must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
-    @classmethod
-    def from_rows(cls, rows) -> "BinaryMatrix":
-        rows = [tuple(r) for r in rows]
-        n = len(rows[0]) if rows else 0
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatch("ragged rows")
-        return cls(len(rows), n, [x for r in rows for x in r])
-
     def _lines(self) -> list[bytes]:
         c = self.cols
         return [self.bits[i * c:(i + 1) * c] for i in range(self.rows)]

@@ -65,13 +65,14 @@ def scale_rows(rows) -> tuple[list[tuple], list[tuple[int, ...]], int]:
 def integers(values, error, message: str) -> tuple[int, ...]:
     """The values as ints, each accepted exactly when int(x) == x (True, 2.0,
     Fraction(4, 2)); 1.5, "1" or None raise error(message.format(values))
-    where int() alone would truncate or parse them."""
-    values = tuple(values)
+    where int() alone would truncate or parse them, and so does a value
+    that is not iterable (5, None)."""
     try:
+        values = tuple(values)
         out = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out != values:
+    if out is None or out != values:
         raise error(message.format(values))
     return out
 

@@ -7,10 +7,10 @@ maximal slack matrix is that of the polytope's completion from its stable
 sets (`geometry.polytope_completion`).  The census builds the edge masks
 of the labeled bipartite graphs on n nodes from their 2-colourings, counts
 them, filters to minimum degree 2, groups those into isomorphism classes
-by the canonical form of their node x edge incidence matrices, read off
-the masks, and compares the class count with the number of distinct
-canonical maximal-slack forms, building a graph only for each class's
-first mask.  Its result is the JSON object `stab-census` prints.
+as the orbits of the node relabellings on the masks, and compares the class
+count with the number of distinct canonical maximal-slack forms, building
+a graph only for each class's least mask.  Its result is the JSON object
+`stab-census` prints.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from . import canon, geometry
 from .configuration import BinaryMatrix, SlackMatrix, _subset_sums, slack_bits, slack_matrix
@@ -73,13 +73,18 @@ def _checked_edges(n: int, edges) -> list[tuple[int, int]]:
     """The edges as (low, high) node pairs, each checked to join two distinct
     nodes in range."""
     out = []
-    for edge in edges:
-        u, v = integers(edge, ParseError, "edge endpoints must be integers")
-        if u == v:
-            raise ParseError(f"loop at node {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u},{v}) out of range")
-        out.append((min(u, v), max(u, v)))
+    # a TypeError or ValueError here comes from iterating a non-iterable
+    # edge list or from unpacking an edge that is not two endpoints
+    try:
+        for edge in edges:
+            u, v = integers(edge, ParseError, "edge endpoints must be integers")
+            if u == v:
+                raise ParseError(f"loop at node {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"edge ({u},{v}) out of range")
+            out.append((min(u, v), max(u, v)))
+    except (TypeError, ValueError):
+        raise ParseError("edges must be pairs of nodes") from None
     return out
 
 
@@ -200,9 +205,7 @@ def _bipartite_masks(n: int) -> tuple[int, list[int]]:
 
 
 def graph_from_mask(n: int, mask: int) -> BipartiteGraph:
-    edges = _edge_list(n)
-    chosen = [edges[e] for e in range(len(edges)) if (mask >> e) & 1]
-    return BipartiteGraph.from_edges(n, chosen)
+    return BipartiteGraph.from_edges(n, [edge for e, edge in enumerate(_edge_list(n)) if mask >> e & 1])
 
 
 def census(n: int) -> dict:
@@ -215,18 +218,21 @@ def census(n: int) -> dict:
         raise DimensionTooLarge(f"census is limited to 1 <= n <= {_CENSUS_LIMIT}")
     bip, kept = _bipartite_masks(n)
 
-    # simple graphs are isomorphic exactly when their node x edge incidence
-    # matrices are equal up to row and column order.  A mask's matrix joins
-    # the incidence columns of its edges, and row v is every n-th byte from
-    # v; the masks are bipartite, so only each class's first mask becomes a
-    # graph.
-    columns = [bytes(v in edge for v in range(n)) for edge in _edge_list(n)]
-    reps: dict[bytes, int] = {}
+    # two graphs are isomorphic exactly when a node relabelling p carries one
+    # edge set onto the other, edge (u, v) to the edge {p(u), p(v)}.  The kept
+    # masks are closed under relabelling (bipartiteness and degrees are
+    # invariants), so in sorted order a mask not yet placed is the least of a
+    # new class and its n! images are the whole class; only that least mask
+    # becomes a graph.  moves[e] holds, for each relabelling, the bit that
+    # edge e moves to, so an image sums one column of its edges' rows.
+    bit = {pair: 1 << e for e, (u, v) in enumerate(_edge_list(n)) for pair in ((u, v), (v, u))}
+    moves = [[bit[p[u], p[v]] for p in permutations(range(n))] for u, v in _edge_list(n)]
+    unplaced, reps = set(kept), []
     for mask in kept:
-        flat = b"".join([col for e, col in enumerate(columns) if mask >> e & 1])
-        incidence = BinaryMatrix.from_rows([flat[v::n] for v in range(n)])
-        reps.setdefault(canon.canonical_form(incidence).bytes, mask)
-    forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes for m in reps.values()}
+        if mask in unplaced:
+            reps.append(mask)
+            unplaced.difference_update(map(sum, zip(*[row for e, row in enumerate(moves) if mask >> e & 1])))
+    forms = {canon.canonical_form(stab_maximal_slack(graph_from_mask(n, m)).matrix).bytes for m in reps}
 
     upper_exp = Fraction(n * n, 4) + n
     # exact sandwich tests: count^4 vs 2^(n^2+4n) and (count*n^2)^4 vs same

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from tlc import linalg
 from tlc.compress import GeneratorSet
-from tlc.configuration import SIDE_A
+from tlc.configuration import SIDE_A, BinaryMatrix
 from tlc.corrcone import all_points, lift_raw
 from tlc.errors import DimensionMismatch, NonBinaryProduct
 from tlc.geometry import polytope_completion
@@ -18,6 +18,16 @@ def dot(u, v) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def matrix_from_rows(rows) -> BinaryMatrix:
+    """The 0/1 matrix with the given rows; DimensionMismatch when their
+    lengths differ."""
+    rows = [tuple(r) for r in rows]
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("ragged rows")
+    return BinaryMatrix(len(rows), n, [x for r in rows for x in r])
 
 
 def mat_vec(rows, v):

@@ -13,7 +13,7 @@ from tlc import canon, configuration, enumeration, geometry, stabset
 from tlc.configuration import BinaryMatrix, from_slack_matrix, parse_matrix, slack_matrix
 from tlc.errors import DimensionMismatch, ParseError
 
-from helpers import examples_library
+from helpers import examples_library, matrix_from_rows
 
 
 # --- the earlier per-bit implementations, on the bits as a tuple of ints ---
@@ -185,7 +185,7 @@ def test_every_built_matrix_keeps_bytes():
     closed = enumeration._seed_context(3)[1]
     key = closed[5]
     built = [
-        m, BinaryMatrix.from_rows([[0, 1], [1, 1]]), m.transpose(), slack_matrix(cfg).matrix,
+        m, matrix_from_rows([[0, 1], [1, 1]]), m.transpose(), slack_matrix(cfg).matrix,
         enumeration._mask_slack(3, key, sum(1 << j for j, c in enumerate(closed) if key & ~c == 0)),
         stabset.stab_basic_slack(g).matrix, stabset.stab_maximal_slack(g).matrix,
         *(slack_matrix(c).matrix for c in _completions()),

@@ -13,12 +13,12 @@ from tlc.canon import canonical_form, equivalent
 from tlc.configuration import BinaryMatrix, is_maximal_in_md, parse_matrix
 from tlc.errors import DimensionTooLarge
 
-from helpers import reference_bipartite_scan
+from helpers import matrix_from_rows, reference_bipartite_scan
 
 
 def _permute(m, row_perm, col_perm):
     rows = m.row_tuples()
-    return BinaryMatrix.from_rows(
+    return matrix_from_rows(
         [[rows[row_perm[i]][col_perm[j]] for j in range(m.cols)] for i in range(m.rows)]
     )
 
@@ -35,26 +35,26 @@ def _brute_force_equivalent(m1, m2):
 
 
 def test_row_reversal_invariant():
-    m = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 1, 0]])
-    rev = BinaryMatrix.from_rows(list(reversed(m.row_tuples())))
+    m = matrix_from_rows([[0, 1, 1], [1, 0, 0], [1, 1, 0]])
+    rev = matrix_from_rows(list(reversed(m.row_tuples())))
     assert canonical_form(m) == canonical_form(rev)
 
 
 def test_transpose_not_identified():
-    m = BinaryMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
+    m = matrix_from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
     assert canonical_form(m).shape != canonical_form(m.transpose()).shape
     assert not equivalent(m, m.transpose())
 
 
 def test_distinct_forms_for_inequivalent_rows():
-    m1 = BinaryMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
-    m2 = BinaryMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    m1 = matrix_from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
+    m2 = matrix_from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
     assert not _brute_force_equivalent(m1, m2)
     assert canonical_form(m1) != canonical_form(m2)
 
 
 def test_self_and_column_permutation_equivalent():
-    m = BinaryMatrix.from_rows([[0, 1], [1, 1]])
+    m = matrix_from_rows([[0, 1], [1, 1]])
     assert equivalent(m, m)
     assert equivalent(m, _permute(m, (0, 1), (1, 0)))
 
@@ -96,10 +96,10 @@ def test_idempotent():
 
 
 def test_canonical_bytes_parse_back():
-    m = BinaryMatrix.from_rows([[1, 0], [0, 1]])
+    m = matrix_from_rows([[1, 0], [0, 1]])
     f = canonical_form(m)
     assert f.shape == (2, 2)
-    assert parse_matrix(f.bytes.decode("ascii")) == BinaryMatrix.from_rows([[0, 1], [1, 0]])
+    assert parse_matrix(f.bytes.decode("ascii")) == matrix_from_rows([[0, 1], [1, 0]])
 
 
 def test_canonical_agrees_with_brute_force_minimum():
@@ -207,7 +207,7 @@ def test_node_counts_of_the_golden_classes(enum_results, enum_d4, searches):
 
 
 def test_node_budget_raises_dimension_too_large(monkeypatch):
-    m = BinaryMatrix.from_rows([[int(j == i % 5) for j in range(5)] for i in range(30)])
+    m = matrix_from_rows([[int(j == i % 5) for j in range(5)] for i in range(30)])
     monkeypatch.setattr(canon, "_NODE_LIMIT", 10)
     with pytest.raises(DimensionTooLarge):
         _fresh(m)
@@ -222,7 +222,7 @@ def _shuffled(m, rng):
 
 def _without(m, row=None, col=None):
     rows = [r for i, r in enumerate(m.row_tuples()) if i != row]
-    return BinaryMatrix.from_rows([[x for j, x in enumerate(r) if j != col] for r in rows])
+    return matrix_from_rows([[x for j, x in enumerate(r) if j != col] for r in rows])
 
 
 def _key_matrix(m):
@@ -232,12 +232,15 @@ def _key_matrix(m):
 
 
 def _census_incidences():
-    """The node x edge incidence matrices of the graphs census(n) groups, n <= 6."""
+    """The node x edge incidence matrices of the minimum-degree-2 bipartite
+    graphs on n <= 6 nodes.  The census groups these graphs by node
+    relabelling now; the matrices remain here as a corpus of small inputs
+    with many repeated classes for canon."""
     out = []
     for n in range(1, 7):
         for mask in reference_bipartite_scan(n)[1]:
             g = stabset.graph_from_mask(n, mask)
-            out.append(BinaryMatrix.from_rows([[int(v in e) for e in g.edges] for v in range(n)]))
+            out.append(matrix_from_rows([[int(v in e) for e in g.edges] for v in range(n)]))
     return out
 
 
@@ -331,10 +334,10 @@ def test_memo_cap_holds_and_answers_stay_exact(monkeypatch, searches):
 
 def test_refused_search_stores_nothing(monkeypatch, searches):
     monkeypatch.setattr(configuration, "_MEMO", configuration._Memo())
-    small = BinaryMatrix.from_rows([[0, 1], [1, 1]])
+    small = matrix_from_rows([[0, 1], [1, 1]])
     canonical_form(small)
     before = (dict(configuration._MEMO.entries), configuration._MEMO.cells)
-    m = BinaryMatrix.from_rows([[int(j == i % 5) for j in range(5)] for i in range(30)])
+    m = matrix_from_rows([[int(j == i % 5) for j in range(5)] for i in range(30)])
     with monkeypatch.context() as patch:
         patch.setattr(canon, "_NODE_LIMIT", 10)
         for _ in range(2):
@@ -371,12 +374,12 @@ def _with_repeats(m, rng):
     """m with a repeated row, a repeated column, or both."""
     rows = m.row_tuples()
     rows.append(rows[rng.randrange(m.rows)])
-    out = BinaryMatrix.from_rows(rows)
+    out = matrix_from_rows(rows)
     if rng.getrandbits(1):
         out = _without(out.transpose(), row=None).transpose()
         cols = out.col_tuples()
         cols.append(cols[rng.randrange(out.cols)])
-        out = BinaryMatrix.from_rows(cols).transpose()
+        out = matrix_from_rows(cols).transpose()
     return _shuffled(out, rng)
 
 
@@ -418,7 +421,7 @@ def test_maximality_then_canon_keys_the_matrix_once(monkeypatch, searches, elimi
     memo_key = configuration._memo_key
     monkeypatch.setattr(configuration, "_memo_key", lambda *args: keys.append(args) or memo_key(*args))
     configuration._MEMO.clear()
-    m = BinaryMatrix.from_rows([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    m = matrix_from_rows([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
     maximal = is_maximal_in_md(m)
     form = canonical_form(m)
     assert (len(keys), len(eliminations), len(searches)) == (1, 1, 1)
@@ -431,10 +434,10 @@ def test_maximality_then_canon_keys_the_matrix_once(monkeypatch, searches, elimi
 def test_refused_maximality_stores_nothing(monkeypatch, eliminations):
     monkeypatch.setattr(configuration, "_MEMO", configuration._Memo())
     memo = configuration._MEMO
-    configuration.rank_and_maximality(BinaryMatrix.from_rows([[0, 1], [1, 1]]))
+    configuration.rank_and_maximality(matrix_from_rows([[0, 1], [1, 1]]))
     before = ({k: list(v) for k, v in memo.entries.items()}, memo.cells)
     # distinct lines of rank 17: refused, on every call
-    m = BinaryMatrix.from_rows([[int(i == j) for j in range(17)] for i in range(17)])
+    m = matrix_from_rows([[int(i == j) for j in range(17)] for i in range(17)])
     for _ in range(2):
         with pytest.raises(DimensionTooLarge):
             is_maximal_in_md(m)
@@ -451,8 +454,8 @@ def test_an_entry_with_both_answers_counts_its_cells_once(monkeypatch, searches,
     monkeypatch.setattr(configuration, "_MEMO", configuration._Memo())
     monkeypatch.setattr(configuration, "_MEMO_CELLS", 24)
     memo = configuration._MEMO
-    a = BinaryMatrix.from_rows([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
-    b = BinaryMatrix.from_rows([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
+    a = matrix_from_rows([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    b = matrix_from_rows([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]])
     answers = []
     for m in (a, b):
         answers.append((configuration.rank_and_maximality(m), canonical_form(m)))
@@ -463,6 +466,6 @@ def test_an_entry_with_both_answers_counts_its_cells_once(monkeypatch, searches,
         assert (configuration.rank_and_maximality(m), canonical_form(m)) == (rank_max, form)
     assert (len(eliminations), len(searches)) == (2, 2)
     # a third matrix evicts the least recently used entry, now b
-    c = BinaryMatrix.from_rows([[0, 1], [1, 1]])
+    c = matrix_from_rows([[0, 1], [1, 1]])
     configuration.rank_and_maximality(c)
     assert list(memo.entries) == [a._key, c._key] and memo.cells == 16

@@ -17,6 +17,8 @@ from tlc import canon, configuration, stabset
 from tlc.configuration import BinaryMatrix, parse_matrix
 from tlc.errors import NotBipartite
 
+from helpers import matrix_from_rows
+
 
 def canonical_form(m):
     """tlc's canonical form of m found by a search of its own: the memo is
@@ -92,7 +94,7 @@ def _shuffled(m: BinaryMatrix, rng: random.Random) -> BinaryMatrix:
     rng.shuffle(rows)
     cp = list(range(m.cols))
     rng.shuffle(cp)
-    return BinaryMatrix.from_rows([[r[c] for c in cp] for r in rows])
+    return matrix_from_rows([[r[c] for c in cp] for r in rows])
 
 
 @settings(max_examples=300, deadline=None)

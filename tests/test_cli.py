@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from tlc import canon, cli, compress, configuration, corrcone, geometry, linalg, stabset
 from tlc.configuration import (
-    BinaryMatrix,
     _zero_one_count,
     closure,
     maximal_completion,
@@ -27,6 +26,8 @@ from tlc.configuration import (
 from tlc.errors import NotSpanning, ParseError
 from tlc.linalg import rank
 from tlc.store import Store
+
+from helpers import matrix_from_rows
 
 
 def run_cli(args, store=None):
@@ -277,6 +278,19 @@ def test_face_enum_certificates_closed_stdout(face_store):
     assert b"Traceback" not in err
 
 
+# sha256 of the text and JSON stdout of face-enum --dim d --certificates
+_FACE_CERTIFICATE_SHA256 = {
+    1: ("52dfff7baed79ac0be548a3a540dc4e7c3ed55ca41243734818ce93e6001f258",
+        "88b55b84bdc8c9ffaa5121633a0774191b780ff71986ef751ec2cc0f1a53e710"),
+    2: ("00062ae69aff5dea63f34de54bac8c0c2ff53664c6a36e7bd6d29b6590d90a4f",
+        "289c7bc0ccac108a569ecdf50e7570571d204528f0172bf1486643694e23cbb7"),
+    3: ("72eb6485a4abfd00262f686b8fa3fec5de986120a34c483552c60d4399fbb9d7",
+        "454e8dbd65ace8a776381d30ea93366b7590411c609be9a1cf451b3c2b181667"),
+    4: ("566e925c6cbff12a32184e24a6a733bc6e7a626b48f8ff39b21bf8073d74af33",
+        "e639b28eb2c37cc7aa45fdc05258ee61b2212e012e8a54b3ac9d829c0e80ee48"),
+}
+
+
 def test_face_enum_certificates_decode_to_their_faces(face_store):
     for d, count in ((1, 2), (2, 8), (3, 106), (4, 7814)):
         args = ["face-enum", "--dim", str(d)]
@@ -286,6 +300,9 @@ def test_face_enum_certificates_decode_to_their_faces(face_store):
         assert code == 0
         code, out, _ = run_cli(["--format", "json", *args, "--certificates"], store=face_store)
         assert code == 0
+        # decoding accepts any independent subset; the digests pin the one chosen
+        digests = tuple(hashlib.sha256(o.encode("ascii")).hexdigest() for o in (text, out))
+        assert digests == _FACE_CERTIFICATE_SHA256[d]
         payload = json.loads(out)
         lines = text.splitlines()
         assert lines[0] == f"faces: {count}" and len(lines) == count + 1
@@ -877,8 +894,8 @@ def test_check_bytes_match_reference_on_classes_and_deletions(tmp_path, enum_res
         m = parse_matrix(text)
         inputs.append(m)
         rows, cols = m.row_tuples(), m.col_tuples()
-        inputs += [BinaryMatrix.from_rows(rows[:i] + rows[i + 1:]) for i in range(m.rows) if m.rows > 1]
-        inputs += [BinaryMatrix.from_rows(cols[:j] + cols[j + 1:]).transpose() for j in range(m.cols) if m.cols > 1]
+        inputs += [matrix_from_rows(rows[:i] + rows[i + 1:]) for i in range(m.rows) if m.rows > 1]
+        inputs += [matrix_from_rows(cols[:j] + cols[j + 1:]).transpose() for j in range(m.cols) if m.cols > 1]
     path = tmp_path / "m.txt"
     seen = set()
     for m in inputs:

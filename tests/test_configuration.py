@@ -32,7 +32,7 @@ from tlc.errors import (
     RepeatedLine,
 )
 
-from helpers import dot, mat_vec, opposite_basis
+from helpers import dot, mat_vec, matrix_from_rows, opposite_basis
 
 F = Fraction
 
@@ -223,28 +223,28 @@ def test_configuration_rejects_nonspanning_side():
 
 
 def test_is_maximal_d1_class():
-    assert is_maximal_in_md(BinaryMatrix.from_rows([[0, 0], [0, 1]]))
+    assert is_maximal_in_md(matrix_from_rows([[0, 0], [0, 1]]))
 
 
 def test_is_maximal_rejects_submatrix():
-    assert not is_maximal_in_md(BinaryMatrix.from_rows([[1]]))
+    assert not is_maximal_in_md(matrix_from_rows([[1]]))
 
 
 def test_is_maximal_4x3():
-    m = BinaryMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
+    m = matrix_from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
     assert is_maximal_in_md(m)
 
 
 def test_is_maximal_rejects_repeats_and_zero():
-    assert not is_maximal_in_md(BinaryMatrix.from_rows([[0, 0], [0, 0]]))
-    assert not is_maximal_in_md(BinaryMatrix.from_rows([[0]]))
+    assert not is_maximal_in_md(matrix_from_rows([[0, 0], [0, 0]]))
+    assert not is_maximal_in_md(matrix_from_rows([[0]]))
 
 
 # --- rank factorization --------------------------------------------------------
 
 
 def test_from_slack_matrix_d1():
-    cfg = from_slack_matrix(BinaryMatrix.from_rows([[0, 0], [0, 1]]))
+    cfg = from_slack_matrix(matrix_from_rows([[0, 0], [0, 1]]))
     assert cfg.d == 1
     s = slack_matrix(cfg)
     assert sorted(s.matrix.row_tuples()) == [(0, 0), (0, 1)]
@@ -252,14 +252,14 @@ def test_from_slack_matrix_d1():
 
 def test_from_slack_matrix_rejects_repeats():
     with pytest.raises(RepeatedLine):
-        from_slack_matrix(BinaryMatrix.from_rows([[0, 1], [0, 1]]))
+        from_slack_matrix(matrix_from_rows([[0, 1], [0, 1]]))
 
 
 def test_from_slack_matrix_permutation_equivalent_inputs():
     from tlc import canon
 
-    m = BinaryMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
-    perm = BinaryMatrix.from_rows([[0, 1, 1], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
+    m = matrix_from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
+    perm = matrix_from_rows([[0, 1, 1], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
     c1 = from_slack_matrix(m)
     c2 = from_slack_matrix(perm)
     assert canon.equivalent(slack_matrix(c1).matrix, slack_matrix(c2).matrix)
@@ -305,9 +305,9 @@ def _reference_is_maximal_in_md(m):
 def _one_line_deletions(m):
     rows, cols = m.row_tuples(), m.col_tuples()
     for i in range(m.rows):
-        yield BinaryMatrix.from_rows(rows[:i] + rows[i + 1:]) if m.rows > 1 else BinaryMatrix(0, m.cols, ())
+        yield matrix_from_rows(rows[:i] + rows[i + 1:]) if m.rows > 1 else BinaryMatrix(0, m.cols, ())
     for j in range(m.cols):
-        yield BinaryMatrix.from_rows(cols[:j] + cols[j + 1:]).transpose() if m.cols > 1 else BinaryMatrix(m.rows, 0, ())
+        yield matrix_from_rows(cols[:j] + cols[j + 1:]).transpose() if m.cols > 1 else BinaryMatrix(m.rows, 0, ())
 
 
 def _golden_classes(enum_results, enum_d4):
@@ -428,7 +428,7 @@ def test_configuration_is_maximal_matches_closures(enum_results, enum_d4):
 def test_rank_17_identity_raises_as_before():
     from tlc.errors import DimensionTooLarge
 
-    m = BinaryMatrix.from_rows([[int(i == j) for j in range(17)] for i in range(17)])
+    m = matrix_from_rows([[int(i == j) for j in range(17)] for i in range(17)])
     with pytest.raises(DimensionTooLarge) as new:
         is_maximal_in_md(m)
     with pytest.raises(DimensionTooLarge) as old:
@@ -437,7 +437,7 @@ def test_rank_17_identity_raises_as_before():
     with pytest.raises(DimensionTooLarge) as cfg:
         from_slack_matrix(m).is_maximal()
     assert str(cfg.value) == str(old.value)
-    sixteen = BinaryMatrix.from_rows([[int(i == j) for j in range(16)] for i in range(16)])
+    sixteen = matrix_from_rows([[int(i == j) for j in range(16)] for i in range(16)])
     assert is_maximal_in_md(sixteen) is False
 
 
@@ -454,7 +454,7 @@ def test_bytes_at_the_rational_boundary(enum_results, enum_d4):
                 h.update(configuration_to_json(c).encode() + b"\n")
     assert h.hexdigest() == "f9188db03016c8ee3a7eea5648bbfef9c1b614ea55b6c96fa27109435b3065b1"
     # a side built of ints is stored as ints
-    assert type(from_slack_matrix(BinaryMatrix.from_rows([(0, 0), (0, 1), (1, 0), (1, 1)])).B[0][0]) is int
+    assert type(from_slack_matrix(matrix_from_rows([(0, 0), (0, 1), (1, 0), (1, 1)])).B[0][0]) is int
 
 
 def test_from_slack_matrix_matches_old_path(enum_results, enum_d4):

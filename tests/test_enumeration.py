@@ -36,7 +36,7 @@ from tlc.enumeration import (
 from tlc.errors import DimensionMismatch, DimensionTooLarge
 from tlc.linalg import _bareiss, rank
 
-from helpers import examples_library
+from helpers import examples_library, matrix_from_rows
 
 # class counts produced by the full scans and reproduced by independent
 # reruns (reversed seed order, pre/post memoization); artifacts of this
@@ -525,10 +525,10 @@ def test_oracle_limits():
 
 
 def test_oracle_is_maximal_examples():
-    assert oracle_is_maximal(BinaryMatrix.from_rows([[0, 0], [0, 1]]))
-    assert not oracle_is_maximal(BinaryMatrix.from_rows([[1]]))
-    assert not oracle_is_maximal(BinaryMatrix.from_rows([[0]]))
-    assert oracle_is_maximal(BinaryMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]]))
+    assert oracle_is_maximal(matrix_from_rows([[0, 0], [0, 1]]))
+    assert not oracle_is_maximal(matrix_from_rows([[1]]))
+    assert not oracle_is_maximal(matrix_from_rows([[0]]))
+    assert oracle_is_maximal(matrix_from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]]))
 
 
 def test_oracle_agrees_with_closure_test_sampled():

@@ -43,7 +43,6 @@ _REFUSALS = {
     "BinaryMatrix negative shape": (lambda: BinaryMatrix(-1, 2, ()), DimensionMismatch, "negative shape"),
     "BinaryMatrix bit count": (lambda: BinaryMatrix(1, 2, (0,)), DimensionMismatch, "1x2 matrix needs 2 bits, got 1"),
     "BinaryMatrix entry 2": (lambda: BinaryMatrix(1, 1, (2,)), ValueError, "entries must be 0 or 1"),
-    "BinaryMatrix.from_rows ragged": (lambda: BinaryMatrix.from_rows([(0, 1), (0,)]), DimensionMismatch, "ragged rows"),
     "SlackMatrix label count": (
         lambda: SlackMatrix(BinaryMatrix(1, 1, (0,)), (), ((0,),)),
         DimensionMismatch, "label counts do not match matrix shape"),
@@ -108,8 +107,6 @@ _REFUSALS = {
         lambda: linalg.lp_feasible([[1, 0], [1]], [1, 2], [True, True]), DimensionMismatch, "ragged rows"),
     # a number that is not an integer is refused, not truncated by int()
     "BinaryMatrix entry 1.5": (lambda: BinaryMatrix(1, 1, (1.5,)), ValueError, "entries must be 0 or 1"),
-    "BinaryMatrix.from_rows entry 0.5": (
-        lambda: BinaryMatrix.from_rows([(0, 0.5)]), ValueError, "entries must be 0 or 1"),
     "GeneratorSet entry 1.9": (
         lambda: compress.GeneratorSet(2, ((1, 0), (0, 1.9))), NonBinaryProduct, "generators must be 0/1 vectors"),
     "select_generators entry 0.5": (
@@ -131,6 +128,21 @@ _REFUSALS = {
         lambda: linalg.lattice_coords([[1, 0], [0, 1]], (0.5, 1)), ValueError, "integer vector required"),
     "BipartiteGraph edge 1.5": (
         lambda: stabset.BipartiteGraph.from_edges(3, [(0, 1.5)]), ParseError, "edge endpoints must be integers"),
+    # a value that is not iterable, or an edge that is not two endpoints
+    "BipartiteGraph edge 5": (
+        lambda: stabset.BipartiteGraph(3, (5,)), ParseError, "edge endpoints must be integers"),
+    "BipartiteGraph edge of three nodes": (
+        lambda: stabset.BipartiteGraph(3, ((0, 1, 2),)), ParseError, "edges must be pairs of nodes"),
+    "BipartiteGraph edge of one node": (
+        lambda: stabset.BipartiteGraph(3, ((0,),)), ParseError, "edges must be pairs of nodes"),
+    "BipartiteGraph edges None": (
+        lambda: stabset.BipartiteGraph(3, None), ParseError, "edges must be pairs of nodes"),
+    "is_face point 5": (lambda: corrcone.is_face(2, [5]), NonBinary, "lift of non-binary vector 5"),
+    "phi vector 5": (lambda: compress.phi(5, _UNIT), NotInLattice, "5 is not in the generator lattice"),
+    "GeneratorSet generator 5": (
+        lambda: compress.GeneratorSet(1, (5,)), NonBinaryProduct, "generators must be 0/1 vectors"),
+    "FaceCertificate entries 5": (
+        lambda: corrcone.FaceCertificate(1, 5), NotInCone, "certificate entries must be integers"),
     "lp_feasible sign flags": (
         lambda: linalg.lp_feasible([[1, 0]], [1], [True]), DimensionMismatch, "1 sign flags for 2 variables"),
 }

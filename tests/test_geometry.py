@@ -5,7 +5,7 @@ import pytest
 
 from tlc import canon, linalg
 from tlc import geometry
-from tlc.configuration import BinaryMatrix, Configuration, SlackMatrix, maximal_completion, slack_matrix
+from tlc.configuration import Configuration, SlackMatrix, maximal_completion, slack_matrix
 from tlc.corrcone import all_points
 from tlc.errors import DimensionTooLarge, NoCore, NotSpanning, ParseError
 from tlc.geometry import (
@@ -16,7 +16,7 @@ from tlc.geometry import (
     to_binary_integral_configuration,
 )
 
-from helpers import examples_library
+from helpers import examples_library, matrix_from_rows
 
 F = Fraction
 
@@ -149,7 +149,7 @@ def test_core_search_node_budget(monkeypatch):
 
 
 def test_no_core_in_zero_matrix():
-    m = BinaryMatrix.from_rows([[0, 0], [0, 0]])
+    m = matrix_from_rows([[0, 0], [0, 0]])
     labels = ((F(1), F(0)), (F(0), F(1)))
     s = SlackMatrix(m, labels, labels)
     with pytest.raises(NoCore):

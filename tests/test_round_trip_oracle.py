@@ -27,7 +27,6 @@ from tlc.compress import CompressedConfig, GeneratorSet, decompress, phi, select
 from tlc.configuration import (
     SIDE_A,
     SIDE_B,
-    BinaryMatrix,
     Configuration,
     _rank_factor,
     _subset_sums,
@@ -40,7 +39,7 @@ from tlc.configuration import (
 from tlc.errors import DimensionMismatch, NonBinaryProduct, NotInLattice, NotSpanning, TlcError
 from tlc.geometry import find_triangular_core, polytope_completion, to_binary_integral_configuration
 
-from helpers import NO_BASIS_INSIDE, core_inputs, det_history, examples_library, mat_vec, opposite_basis
+from helpers import NO_BASIS_INSIDE, core_inputs, det_history, examples_library, mat_vec, matrix_from_rows, opposite_basis
 
 F = Fraction
 
@@ -220,7 +219,7 @@ def _permuted_configurations(enum_results, enum_d4):
             for rows in (m.row_tuples(), m.col_tuples()):
                 rows = rng.sample(rows, len(rows))
                 cols = rng.sample(list(zip(*rows)), len(rows[0]))
-                out.append(from_slack_matrix(BinaryMatrix.from_rows(zip(*cols))))
+                out.append(from_slack_matrix(matrix_from_rows(zip(*cols))))
     assert len(out) == 80
     return out
 

@@ -276,6 +276,18 @@ def test_census_builds_one_graph_per_class(monkeypatch):
     assert built == [6] * 5
 
 
+def test_census_canonicalises_only_slack_matrices(monkeypatch):
+    # the classes are relabelling orbits of the masks, so canon sees only the
+    # maximal slack matrix of each class's least mask: 5 calls at n = 6
+    least = _permutation_classes(6, reference_bipartite_scan(6)[1])
+    expected = [stab_maximal_slack(graph_from_mask(6, m)).matrix for m in least]
+    calls = []
+    form = stabset.canon.canonical_form
+    monkeypatch.setattr(stabset.canon, "canonical_form", lambda m: calls.append(m) or form(m))
+    census(6)
+    assert calls == expected
+
+
 def test_census_limit():
     with pytest.raises(DimensionTooLarge):
         census(8)
