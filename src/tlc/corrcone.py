@@ -71,14 +71,18 @@ def _binary(x) -> Bit:
 
 
 def lift_raw(x) -> tuple[int, ...]:
-    x = _binary(x)
+    return _lift(_binary(x))
+
+
+def _lift(x: Bit) -> tuple[int, ...]:
+    """The lift of a 0/1 tuple, which is not checked."""
     d = len(x)
     return tuple(x[i] * x[j] for i in range(d) for j in range(d)) + x
 
 
-def _reduced_lift(x) -> tuple[int, ...]:
-    """(x_i x_j for i < j, then x): the lift in its independent coordinates."""
-    x = _binary(x)
+def _reduced_lift(x: Bit) -> tuple[int, ...]:
+    """(x_i x_j for i < j, then x): the lift in its independent coordinates,
+    of a 0/1 tuple, which is not checked."""
     d = len(x)
     return tuple(x[i] * x[j] for i in range(d) for j in range(i + 1, d)) + x
 
@@ -254,7 +258,7 @@ def _face_certificate(d: int, pts) -> FaceCertificate:
     nonzero = [x for x in pts if any(x)]
     lifts = [list(_reduced_lift(x)) for x in nonzero]
     _, piv_rows, _, _ = linalg._bareiss(lifts, d * (d + 1) // 2)
-    chosen = [lift_raw(nonzero[i]) for i in sorted(piv_rows)]
+    chosen = [_lift(nonzero[i]) for i in sorted(piv_rows)]
     dim = d * d + d
     s = [0] * dim
     for z in chosen:

@@ -162,6 +162,23 @@ def test_face_enum_subcommand(tmp_path):
     assert out.startswith("faces: 8\n")
 
 
+def test_face_enum_rerun_leaves_the_store_as_it_was(tmp_path):
+    # a second run finds every face file there and rewrites none of them
+    store = tmp_path / "store"
+    base = store / "faces" / "3"
+
+    def files():
+        return sorted((p.name, p.stat().st_ino, p.stat().st_mtime_ns) for p in base.iterdir())
+
+    first = run_cli(["face-enum", "--dim", "3"], store=store)
+    assert first[0] == 0 and first[1].startswith("faces: 106\n")
+    before = files()
+    assert len(before) == 106
+    assert run_cli(["face-enum", "--dim", "3"], store=store) == first
+    assert files() == before
+    assert not any(name.startswith(".tmp-") for name, _, _ in before)
+
+
 def test_core_subcommand(tmp_path):
     poly = write(
         tmp_path,

@@ -122,12 +122,12 @@ def test_is_face_matches_reference_on_sampled_d4():
 
 
 def reference_certificate_encode(d, points):
-    """The earlier encoder: rank the reduced lifts, then eliminate them again
-    in first_independent."""
+    """The certificate from the checked full lifts alone: rank the lift_raw
+    of the nonzero points, then sum their earliest maximal independent
+    subset in sorted order."""
     pts = sorted(set(tuple(int(v) for v in p) for p in points))
-    nonzero = [x for x in pts if any(x)]
-    lifts = [corrcone._reduced_lift(x) for x in nonzero]
-    chosen = [lift_raw(nonzero[i]) for i in linalg.first_independent(lifts, linalg.rank(lifts))]
+    lifts = [lift_raw(x) for x in pts if any(x)]
+    chosen = [lifts[i] for i in linalg.first_independent(lifts, linalg.rank(lifts))]
     s = [0] * (d * d + d)
     for z in chosen:
         for i in range(len(s)):
@@ -136,13 +136,15 @@ def reference_certificate_encode(d, points):
 
 
 def test_certificate_encode_matches_reference():
-    # every face for d <= 3 and a seeded sample of the d = 4 faces
+    # every face for d <= 3 and a seeded sample of the d = 4 faces, through
+    # the checked encoder and through _face_certificate's unchecked lifts
     faces = [(d, f) for d in (0, 1, 2, 3) for f in corrcone.enumerate_faces(d)]
     faces += [(4, f) for f in random.Random(44).sample(corrcone.enumerate_faces(4), 400)]
     for d, f in faces:
         cert = certificate_encode(d, f)
         assert cert == reference_certificate_encode(d, f)
         assert cert.to_text() == reference_certificate_encode(d, f).to_text()
+        assert corrcone._face_certificate(d, f) == cert
 
 
 def test_face_and_class_round_trips_run_no_lp(enum_results):
