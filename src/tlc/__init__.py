@@ -1,9 +1,10 @@
 """Exact toolkit for two-level configurations.
 
 Core objects: 0/1 matrices with distinct lines, configurations (A, B) with
-all pairwise products in {0,1}, their slack matrices, canonical forms under
-row/column permutations, correlation-cone face certificates, and the
-weighted-graph compression of maximal classes.
+all pairwise products in {0,1}, their slack matrices, the two-level
+completion of a polytope's vertex set, canonical forms under row/column
+permutations, correlation-cone face certificates, and the weighted-graph
+compression of maximal classes.
 """
 
 from .configuration import (
@@ -20,6 +21,7 @@ from .configuration import (
 )
 from .canon import CanonicalForm, canonical_form, equivalent
 from .errors import TlcError
+from .geometry import polytope_completion
 
 __version__ = "0.1.0"
 
@@ -37,6 +39,7 @@ __all__ = [
     "maximal_completion",
     "normalize_to_binary",
     "parse_matrix",
+    "polytope_completion",
     "slack_matrix",
     "__version__",
 ]

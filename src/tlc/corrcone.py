@@ -189,7 +189,12 @@ def _points(d: int, mask: int) -> tuple[Bit, ...]:
 def is_face(d: int, points) -> bool:
     """Face test: the points are exactly the 0/1 points of a face (a fixed point of _close)."""
     _check_dimension(d)
-    pts = sorted(set(map(_binary, points)))
+    return _is_face(d, sorted(set(map(_binary, points))))
+
+
+def _is_face(d: int, pts) -> bool:
+    """is_face on sorted, distinct 0/1 points, which are not checked again,
+    in a dimension already checked."""
     if not pts:
         return False
     if any(len(x) != d for x in pts):
@@ -241,7 +246,8 @@ def certificate_encode(d: int, points) -> FaceCertificate:
     _face_certificate directly.
     """
     pts = sorted(set(map(_binary, points)))
-    if not is_face(d, pts):
+    _check_dimension(d)
+    if not _is_face(d, pts):
         raise NotAFace(f"{pts} is not the point set of a face")
     return _face_certificate(d, pts)
 

@@ -3,8 +3,10 @@
 For a bipartite graph the polytope is cut out by the rows x_v >= 0, the
 edge rows x_u + x_v <= 1 and x_v <= 1 for each isolated node, and every
 stable set's characteristic vector has slack 0 or 1 against every row.  The
-maximal slack matrix is that of the polytope's completion from its stable
-sets (`geometry.polytope_completion`).  The census builds the edge masks
+maximal slack matrix, that of the polytope's completion, is read off the
+graph with no closure: its rows are the clique rows x(A) >= 0 and
+x(A) <= 1, its points the stable sets and the apex, and each product a
+bit count of two node masks (`stab_maximal_slack`).  The census builds the edge masks
 of the labeled bipartite graphs on n nodes from their 2-colourings, counts
 them, filters to minimum degree 2, groups those into isomorphism classes
 as the orbits of the node relabellings on the masks, and compares the class
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from . import canon, geometry
-from .configuration import BinaryMatrix, SlackMatrix, _subset_sums, slack_bits, slack_matrix
+from . import canon
+from .configuration import BinaryMatrix, SlackMatrix, _subset_sums, _with_products, slack_bits, slack_matrix
 from .linalg import integers
 from .errors import (
     DimensionMismatch,
@@ -32,9 +34,10 @@ from .errors import (
 
 _CENSUS_LIMIT = 7
 # a graph on n nodes has up to 2^n stable sets, each a slack column; at
-# n = 15 the maximal slack's closure runs at its rank limit n + 1 = 16, and
-# the slowest graphs take about 1 s (the star K_{1,14}, basic slack) and
-# 85 s (the edgeless graph, maximal slack), 3-4x more per extra node
+# n = 15, on 2 cores with Python 3.11.7, the slowest graphs take about 1 s
+# in a fresh `tlc stab-slack` (the edgeless graph and the star K_{1,14},
+# basic slack) and 0.7 s (the edgeless graph, maximal slack), about 2x more
+# per extra node
 _NODE_LIMIT = 15
 
 
@@ -134,18 +137,23 @@ def graph_from_text(text: str) -> BipartiteGraph:
     return BipartiteGraph.from_edges(n, edges)
 
 
-def stable_sets(g: BipartiteGraph) -> list[tuple[int, ...]]:
-    """All stable sets, as sorted node tuples.  Node by node, each stable
-    set found so far that holds no neighbour of v gains a copy with v; the
-    sets so far hold only nodes below v, so only the lower endpoints of v's
-    edges are checked."""
+def _stable_masks(g: BipartiteGraph) -> list[int]:
+    """All stable sets, as node bitmasks.  Node by node, each stable set
+    found so far that holds no neighbour of v gains a copy with v; the sets
+    so far hold only nodes below v, so only the lower endpoints of v's edges
+    are checked."""
     lower = [0] * g.n
     for u, v in g.edges:
         lower[v] |= 1 << u
     sets = [0]
     for v in range(g.n):
         sets += [s | 1 << v for s in sets if not s & lower[v]]
-    return sorted(tuple(v for v in range(g.n) if s >> v & 1) for s in sets)
+    return sets
+
+
+def stable_sets(g: BipartiteGraph) -> list[tuple[int, ...]]:
+    """All stable sets, as sorted node tuples (see _stable_masks)."""
+    return sorted(tuple(v for v in range(g.n) if s >> v & 1) for s in _stable_masks(g))
 
 
 def _char_vec(s, n: int) -> tuple[int, ...]:
@@ -176,9 +184,44 @@ def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:
 
 
 def stab_maximal_slack(g: BipartiteGraph) -> SlackMatrix:
-    """Maximal slack matrix of the stable set polytope."""
-    verts = [_char_vec(s, g.n) for s in stable_sets(g)]
-    return slack_matrix(geometry.polytope_completion(verts))
+    """Maximal slack matrix of the stable set polytope: the slack matrix of
+    its completion from the stable sets, built from the graph with no
+    closure.
+
+    The rows are (1_A, 0) and (-1_A, -1) for each clique A (the empty set,
+    the single nodes and the edges of a bipartite graph), and the points
+    are (1_S, -1) for each stable set S and the apex 0 (Chvatal, JCTB 1975):
+    1. The empty set and every singleton are stable.  Against (0, -1) a row
+       (a, b) has product -b, so b is 0 or -1, and against (e_v, -1) it has
+       a_v - b, so a = 1_A when b = 0 and a = -1_A when b = -1, for A the
+       nodes with a_v nonzero.
+    2. The products of those rows with (1_S, -1) are |A n S| and
+       1 - |A n S|.  These are 0/1 for every stable S exactly when A is a
+       clique: a set that is not one holds two nodes with no edge between
+       them, a stable pair.
+    3. Closing those rows again, a point (x, t) has product -t with the
+       row (0, -1), so t is 0 or -1.  At t = 0 the rows (e_v, 0) and
+       (-e_v, -1) give x_v and -x_v in {0,1}, so x = 0.  At t = -1 the
+       rows (e_v, 0) make x a 0/1 vector 1_S, and each edge row
+       (-1_uv, -1) gives 1 - x_u - x_v in {0,1}, so S is stable.
+    Rows and points are sorted as int tuples, the order closure gives its
+    numerators over a positive denominator.  No product is multiplied out:
+    each is (a & s).bit_count() for the row (1_A, 0), its complement
+    (xor 1) for (-1_A, -1), and 0 against the apex.
+    """
+    n = g.n
+    cliques = [0] + [1 << v for v in range(n)] + [1 << u | 1 << v for u, v in g.edges]
+    # (row, clique mask, 1 for the row (-1_A, -1))
+    rows = sorted(
+        (tuple(sign if a >> v & 1 else 0 for v in range(n)) + (-flip,), a, flip)
+        for a in cliques
+        for sign, flip in ((1, 0), (-1, 1))
+    )
+    # (point, stable-set mask, or None for the apex)
+    points = [(tuple(s >> v & 1 for v in range(n)) + (-1,), s) for s in _stable_masks(g)]
+    points = sorted(points + [((0,) * (n + 1), None)])
+    bits = [[0 if s is None else (a & s).bit_count() ^ flip for _, s in points] for _, a, flip in rows]
+    return slack_matrix(_with_products(n + 1, tuple(r for r, _, _ in rows), tuple(p for p, _ in points), bits))
 
 
 # --- census ----------------------------------------------------------------
@@ -200,8 +243,11 @@ def _bipartite_masks(n: int) -> tuple[int, list[int]]:
     for side in range(1 << (n - 1)):
         cross = [1 << e for e, (u, v) in enumerate(edges) if (side >> u ^ side >> v) & 1]
         masks.update(_subset_sums(cross))
-    incident = [sum(1 << e for e, edge in enumerate(edges) if v in edge) for v in range(n)]
-    return len(masks), sorted(m for m in masks if all((m & inc).bit_count() >= 2 for inc in incident))
+    kept = list(masks)
+    for v in range(n):
+        inc = sum(1 << e for e, edge in enumerate(edges) if v in edge)
+        kept = [m for m in kept if (m & inc).bit_count() >= 2]
+    return len(masks), sorted(kept)
 
 
 def graph_from_mask(n: int, mask: int) -> BipartiteGraph:

@@ -213,9 +213,11 @@ def test_derived_configurations_run_no_check(enum_results, enum_d4, monkeypatch)
 
 
 def test_compress_runs_no_face_test(enum_results, enum_d4, monkeypatch):
+    # the face test itself is _is_face, which is_face and certificate_encode
+    # both call once their points are checked
     calls = []
-    is_face = corrcone.is_face
-    monkeypatch.setattr(corrcone, "is_face", lambda d, points: calls.append(d) or is_face(d, points))
+    is_face = corrcone._is_face
+    monkeypatch.setattr(corrcone, "_is_face", lambda d, points: calls.append(d) or is_face(d, points))
     for m in _class_matrices(enum_results, enum_d4):
         compress.compress(normalize_to_binary(from_slack_matrix(m), SIDE_B))
     assert calls == []

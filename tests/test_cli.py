@@ -846,6 +846,15 @@ def test_stab_slack_node_budget(tmp_path):
             assert "DimensionTooLarge" in proc.stderr
 
 
+def test_stab_slack_maximal_at_the_node_limit(tmp_path):
+    # the 15-node edgeless graph: 2^15 stable sets and the apex against the
+    # 32 rows of its 16 cliques (the empty set and the nodes)
+    g = write(tmp_path, "edgeless15.txt", "15\n")
+    proc = run_process(["stab-slack", g, "--maximal"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n", 1)[0] == "32 32769"
+
+
 def test_check_identity_beyond_closure_rank_limit(tmp_path):
     n = 24
     rows = ["".join("1" if j == i else "0" for j in range(n)) for i in range(n)]

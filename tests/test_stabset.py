@@ -407,9 +407,11 @@ def test_maximal_slack_checks_products_once(monkeypatch):
     for mod in (configuration, geometry, stabset):
         if getattr(mod, "_slack_bits", None) is original:
             monkeypatch.setattr(mod, "_slack_bits", counted)
-    # closure's pattern filter decides each product of the completion once:
-    # neither the completion nor its slack matrix multiplies them out again,
-    # and the validating constructor, the oracle here, does so once
+    # the clique/stable-set construction decides each product of the
+    # completion once, from bitmasks: neither it nor its slack matrix
+    # multiplies them out, nor does polytope_completion (whose products come
+    # from closure's pattern filter), and the validating constructor, the
+    # oracle here, does so once
     cycle6 = BipartiteGraph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
     for g in (K2(), P3(), C4(), cycle6):
         calls.clear()
@@ -420,6 +422,55 @@ def test_maximal_slack_checks_products_once(monkeypatch):
         assert calls == []
         assert configuration.Configuration(cfg.d, cfg.A, cfg.B)._slack == slack.matrix
         assert len(calls) == 1
+
+
+def completion_slack(g):
+    """The oracle for stab_maximal_slack: the slack matrix of the completion
+    of g's stable-set vertices by two closures."""
+    return configuration.slack_matrix(geometry.polytope_completion([stabset._char_vec(s, g.n) for s in stable_sets(g)]))
+
+
+def assert_maximal_slack_matches_completion(g):
+    got, want = stab_maximal_slack(g), completion_slack(g)
+    assert got.matrix == want.matrix, (g.n, g.edges)
+    assert got.row_labels == want.row_labels, (g.n, g.edges)
+    assert got.col_labels == want.col_labels, (g.n, g.edges)
+
+
+def test_maximal_slack_matches_completion_on_all_small_graphs():
+    seen = 0
+    for n in range(1, 6):
+        for mask in range(1 << n * (n - 1) // 2):
+            try:
+                g = graph_from_mask(n, mask)
+            except NotBipartite:
+                continue
+            assert_maximal_slack_matches_completion(g)
+            seen += 1
+    assert seen == 427
+
+
+def test_maximal_slack_matches_completion_on_census_classes(monkeypatch):
+    graphs = []
+    maximal = stabset.stab_maximal_slack
+    monkeypatch.setattr(stabset, "stab_maximal_slack", lambda g: graphs.append(g) or maximal(g))
+    for n in (6, 7):
+        census(n)
+    assert len(graphs) == ISO_CLASS_COUNTS[6] + ISO_CLASS_COUNTS[7]
+    for g in graphs:
+        assert_maximal_slack_matches_completion(g)
+
+
+def test_maximal_slack_matches_completion_on_named_graphs():
+    for n in (8, 10):
+        named = (
+            [],
+            [(0, v) for v in range(1, n)],
+            [(v, v + 1) for v in range(n - 1)],
+            [(2 * i, 2 * i + 1) for i in range(n // 2)],
+        )
+        for edges in named:
+            assert_maximal_slack_matches_completion(BipartiteGraph.from_edges(n, edges))
 
 
 def test_census_report_json_shape():
