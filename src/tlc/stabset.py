@@ -204,6 +204,8 @@ def stab_maximal_slack(g: BipartiteGraph) -> SlackMatrix:
        (-e_v, -1) give x_v and -x_v in {0,1}, so x = 0.  At t = -1 the
        rows (e_v, 0) make x a 0/1 vector 1_S, and each edge row
        (-1_uv, -1) gives 1 - x_u - x_v in {0,1}, so S is stable.
+    Both sides span R^(n+1), as _with_products requires: the rows hold
+    (0, -1) and each (e_v, 0), the points (0, -1) and each (e_v, -1).
     Rows and points are sorted as int tuples, the order closure gives its
     numerators over a positive denominator.  No product is multiplied out:
     each is (a & s).bit_count() for the row (1_A, 0), its complement
