@@ -14,8 +14,11 @@ matrix: a weighted graph on k nodes with integer weights at most k(k+1)/2.
 The round trip runs in integers.  Generator selection computes one Hermite
 form per growth step and hands the last one to the GeneratorSet it returns;
 any other GeneratorSet computes the form of its generators once, on first
-use.  So every phi reduces against that one form;
-decompress solves all decoded face points in one fraction-free elimination.
+use, and phi reduces against that one form.  When the first d independent
+vectors of B already generate its lattice, the selection's one pass has
+reduced every b against their form, and compress reads phi(b) off those
+coordinates instead of reducing b again.  decompress solves all decoded
+face points in one fraction-free elimination.
 Fractions are built only for the vectors of the Configuration that
 decompress returns.
 
@@ -115,6 +118,17 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
         raise DimensionMismatch("vectors of wrong dimension")
     if any(x not in (0, 1) for b in bs for x in b):
         raise NonBinaryProduct("point side must be 0/1 before generator selection")
+    return _select_generators(bs, d)[0]
+
+
+def _select_generators(bs, d: int) -> tuple[GeneratorSet, list[tuple[int, ...]] | None]:
+    """select_generators of sorted, distinct 0/1 int tuples of length d,
+    which are not checked again, and phi of each of them when the search
+    found them all in the lattice of the first d, else None.
+
+    Then the one step tested every vector against the returned set's form,
+    and the coordinates it found are phi's: with k = d they are unique.
+    """
     idx = linalg.first_independent(bs, d)
     if idx is None:
         raise NotSpanning(f"point side does not span R^{d}")
@@ -122,19 +136,26 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     start = 0
     while True:
         h, u = linalg.hnf(chosen)
-        start = next((i for i in range(start, len(bs)) if linalg._hnf_coords(h, u, bs[i]) is None), None)
-        if start is None:
+        coords = []
+        for i in range(start, len(bs)):
+            c = linalg._hnf_coords(h, u, bs[i])
+            if c is None:
+                break
+            coords.append(c)
+        else:
             break
-        chosen.append(bs[start])
-        start += 1
+        chosen.append(bs[i])
+        start = i + 1
     if len(chosen) > d:
         basis = _basis_in(bs, d, math.prod(h[i][i] for i in range(d)))
         if basis is not None:
-            return GeneratorSet(d, tuple(basis))
+            return GeneratorSet(d, tuple(basis)), None
+        # the vectors before the last appended one met only smaller lattices
+        coords = None
     gens = GeneratorSet(d, tuple(chosen))
     # the last form is the set's own: hand it over instead of building it again
     gens.__dict__["hermite"] = (h, u)
-    return gens
+    return gens, coords
 
 
 def _basis_in(bs, d: int, det: int):
@@ -179,13 +200,19 @@ def phi(b, gens: GeneratorSet) -> tuple[int, ...]:
     bt = linalg.integers(b, NotInLattice, "{} is not in the generator lattice")
     if len(bt) != gens.d:
         raise DimensionMismatch("vector of wrong dimension")
-    for i, g in enumerate(gens.gens):
-        if bt == g:
-            return tuple(1 if j == i else 0 for j in range(gens.k))
-    coords = linalg._hnf_coords(*gens.hermite, bt)
+    coords = _phi(bt, gens)
     if coords is None:
         raise NotInLattice(f"{b} is not in the generator lattice")
     return coords
+
+
+def _phi(b: tuple[int, ...], gens: GeneratorSet) -> tuple[int, ...] | None:
+    """phi of an int tuple of length d, which is not checked again, or None
+    when b is not in the generator lattice."""
+    for i, g in enumerate(gens.gens):
+        if b == g:
+            return tuple(1 if j == i else 0 for j in range(gens.k))
+    return linalg._hnf_coords(*gens.hermite, b)
 
 
 def compress(cfg: Configuration) -> CompressedConfig:
@@ -194,15 +221,21 @@ def compress(cfg: Configuration) -> CompressedConfig:
     The face is the cut of the phi(b) (face_points), and its certificate is
     encoded without the face test of certificate_encode: every integer
     vector cuts out a face of the correlation cone, and so does an
-    intersection of such cuts.
+    intersection of such cuts.  The phi(b) are the coordinates generator
+    selection found when it kept the first d independent vectors, so each b
+    is reduced once; other generator sets reduce each b again in phi.
     """
     for v in cfg.B:
         if any(x != 0 and x != 1 for x in v):
             raise NonBinaryProduct("B side must be 0/1; normalize first")
     if not cfg.is_maximal():
         raise NotMaximal("only maximal configurations are compressed")
-    gens = select_generators(cfg.B, cfg.d)
-    phis = [phi(b, gens) for b in cfg.B]
+    # B is sorted and distinct, and each entry 0 or 1 (checked above)
+    bs = [tuple(map(int, b)) for b in cfg.B]
+    gens, phis = _select_generators(bs, cfg.d)
+    if phis is None:
+        # every b lies in the generators' lattice, so no phi is None
+        phis = [_phi(b, gens) for b in bs]
     a_prime = corrcone.face_points(gens.k, phis)
     return CompressedConfig(gens, corrcone._face_certificate(gens.k, a_prime))
 

@@ -14,7 +14,9 @@ Only d(d+1)/2 of the d^2 + d coordinates are independent on the lifts: the
 block is symmetric and its diagonal equals the tail, because x_i^2 = x_i.
 The cone is kept as its facets in the reduced lift (x_i x_j for i < j, then
 x), which maps the span of the lifts one to one onto R^(d(d+1)/2), and every
-face question is a closure on bitmasks over all_points(d).  The certificate
+face question is a closure on bitmasks over all_points(d).  The points, their
+sorted order, each point's index and its two lifts are one table per
+dimension (_table), built on first use.  The certificate
 entries, their text and the weighted-graph text keep the full d^2 + d
 layout; a certificate whose block is not symmetric, or whose diagonal is
 not its tail, lies outside the span and so outside the cone.
@@ -29,6 +31,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .configuration import _subset_sums
@@ -93,6 +97,30 @@ def all_points(d: int) -> list[Bit]:
     return [tuple((i >> j) & 1 for j in range(d)) for i in range(1 << d)]
 
 
+class _Table(NamedTuple):
+    """The points of {0,1}^d and what the face questions read off them."""
+
+    points: tuple[Bit, ...]  # all_points(d), index order
+    order: tuple[int, ...]  # the indices of the points in sorted order
+    index: dict[Bit, int]  # point -> its index
+    reduced: tuple[tuple[int, ...], ...]  # _reduced_lift of each point, index order
+    lifts: tuple[tuple[int, ...], ...]  # _lift of each point, index order
+
+
+@functools.cache
+def _table(d: int) -> _Table:
+    """The point table of a dimension d <= _DIM_LIMIT, built on first use
+    (32 points at d = 5).  Point 0 is the zero vector, so its lifts are 0."""
+    points = tuple(all_points(d))
+    return _Table(
+        points,
+        tuple(sorted(range(len(points)), key=points.__getitem__)),
+        {x: i for i, x in enumerate(points)},
+        tuple(map(_reduced_lift, points)),
+        tuple(map(_lift, points)),
+    )
+
+
 def face_points(d: int, bs) -> tuple[Bit, ...]:
     """All x in {0,1}^d with <b,x> in {0,1} for every integer vector b, sorted.
 
@@ -107,12 +135,9 @@ def face_points(d: int, bs) -> tuple[Bit, ...]:
     for b in bs:
         if len(b) != d:
             raise DimensionMismatch("cut vector of wrong dimension")
-    tables = [_subset_sums(b) for b in bs]
-    return tuple(sorted(x for j, x in enumerate(all_points(d)) if all(t[j] in (0, 1) for t in tables)))
-
-
-def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    sums = [_subset_sums(b) for b in bs]
+    t = _table(d)
+    return tuple(t.points[j] for j in t.order if all(s[j] in (0, 1) for s in sums))
 
 
 def _orthogonal_basis(vectors, width: int) -> list[list[int]]:
@@ -148,15 +173,15 @@ def _facets(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     lift where both do (counting unprocessed lifts lets redundant rays in).
     """
     n = d * (d + 1) // 2
-    lifts = [_reduced_lift(x) for x in all_points(d)]
+    lifts = _table(d).reduced
     start = [k + 1 for k in linalg.first_independent(lifts[1:], n)]
     rays = []  # (normal, mask of the processed lifts it vanishes on)
     for k in start:
         (a,) = _orthogonal_basis([lifts[j] for j in start if j != k], n)
-        g = math.gcd(*a) if _dot(a, lifts[k]) > 0 else -math.gcd(*a)
+        g = math.gcd(*a) if sum(map(mul, a, lifts[k])) > 0 else -math.gcd(*a)
         rays.append(([v // g for v in a], sum(1 << j for j in start if j != k)))
     for k in sorted(set(range(1, len(lifts))) - set(start)):
-        vals = [_dot(a, lifts[k]) for a, _ in rays]
+        vals = [sum(map(mul, a, lifts[k])) for a, _ in rays]
         new = [(a, z | (1 << k) if not v else z) for (a, z), v in zip(rays, vals) if v >= 0]
         for (p, zp), vp in zip(rays, vals):
             for (q, zq), vq in zip(rays, vals):
@@ -170,7 +195,7 @@ def _facets(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
                 new.append(([v // g for v in a], common | (1 << k)))
         rays = new
     return tuple(sorted(
-        (tuple(a), sum(1 << i for i, z in enumerate(lifts) if not _dot(a, z))) for a, _ in rays))
+        (tuple(a), sum(1 << i for i, z in enumerate(lifts) if not sum(map(mul, a, z)))) for a, _ in rays))
 
 
 def _close(d: int, mask: int) -> int:
@@ -183,7 +208,9 @@ def _close(d: int, mask: int) -> int:
 
 
 def _points(d: int, mask: int) -> tuple[Bit, ...]:
-    return tuple(sorted(x for i, x in enumerate(all_points(d)) if (mask >> i) & 1))
+    """The points of mask, sorted."""
+    t = _table(d)
+    return tuple(t.points[i] for i in t.order if mask >> i & 1)
 
 
 def is_face(d: int, points) -> bool:
@@ -199,7 +226,8 @@ def _is_face(d: int, pts) -> bool:
         return False
     if any(len(x) != d for x in pts):
         raise DimensionMismatch(f"face points must have {d} coordinates")
-    mask = sum(1 << sum(b << j for j, b in enumerate(x)) for x in pts)
+    index = _table(d).index
+    mask = sum(1 << index[x] for x in pts)
     return _close(d, mask) == mask
 
 
@@ -261,16 +289,13 @@ def _face_certificate(d: int, pts) -> FaceCertificate:
     when the full ones are: the pivot rows of one elimination of them, the
     earliest maximal independent subset in sorted order.
     """
-    nonzero = [x for x in pts if any(x)]
-    lifts = [list(_reduced_lift(x)) for x in nonzero]
-    _, piv_rows, _, _ = linalg._bareiss(lifts, d * (d + 1) // 2)
-    chosen = [_lift(nonzero[i]) for i in sorted(piv_rows)]
-    dim = d * d + d
-    s = [0] * dim
-    for z in chosen:
-        for i in range(dim):
-            s[i] += z[i]
-    return FaceCertificate(d, tuple(s))
+    t = _table(d)
+    # the zero point, index 0, has zero lifts and is never a pivot
+    nonzero = [i for i in map(t.index.__getitem__, pts) if i]
+    _, piv_rows, _, _ = linalg._bareiss([list(t.reduced[i]) for i in nonzero], d * (d + 1) // 2)
+    chosen = [t.lifts[nonzero[r]] for r in sorted(piv_rows)]
+    # the zero lift gives the sum its d^2 + d entries when nothing is chosen
+    return FaceCertificate(d, tuple(map(sum, zip(t.lifts[0], *chosen))))
 
 
 def certificate_decode(cert: FaceCertificate) -> tuple[Bit, ...]:
@@ -286,7 +311,7 @@ def certificate_decode(cert: FaceCertificate) -> tuple[Bit, ...]:
     s = _reduced_sum(cert)
     face = (1 << (1 << d)) - 1
     for a, m in _facets(d):
-        v = _dot(a, s)
+        v = sum(map(mul, a, s))
         if v < 0:
             raise NotInCone(_NOT_IN_CONE)
         if not v:

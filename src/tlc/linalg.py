@@ -80,7 +80,7 @@ def integers(values, error, message: str) -> tuple[int, ...]:
 def divide_rows(nums, den: int) -> tuple[Vec, ...]:
     """The integer rows nums divided by den, one Fraction per distinct numerator."""
     fracs = {n: Fraction(n, den) for n in set().union(*nums)}
-    return tuple(tuple(fracs[n] for n in y) for y in nums)
+    return tuple(tuple(map(fracs.__getitem__, y)) for y in nums)
 
 
 def _bareiss(rows: list[list[int]], ncols: int, limit: int = -1) -> tuple[list[list[int]], list[int], list[int], int]:
@@ -273,11 +273,11 @@ def _hnf_coords(h, u, v) -> Optional[tuple[int, ...]]:
     (H, U) = hnf(G), or None when v is not in their lattice.
 
     Reduces v against H row by row; the quotients mu satisfy v = mu H =
-    (mu U) G, so mu U is a coordinate vector.  One form serves any number
-    of vectors.
+    (mu U) G, so mu U is a coordinate vector, summed row by row of U as
+    each quotient is found.  One form serves any number of vectors.
     """
-    mu = [0] * len(h)
-    for i, row in enumerate(h):
+    coords = [0] * len(h)
+    for row, urow in zip(h, u):
         c = next((j for j, x in enumerate(row) if x), None)
         if c is None:
             break
@@ -285,11 +285,11 @@ def _hnf_coords(h, u, v) -> Optional[tuple[int, ...]]:
             q, rem = divmod(v[c], row[c])
             if rem:
                 return None
-            mu[i] = q
             v = [a - q * b for a, b in zip(v, row)]
+            coords = [a + q * b for a, b in zip(coords, urow)]
     if any(v):
         return None
-    return tuple(sum(m * r[j] for m, r in zip(mu, u)) for j in range(len(h)))
+    return tuple(coords)
 
 
 def lattice_member(gens, v) -> bool:

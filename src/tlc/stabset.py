@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import canon
-from .configuration import BinaryMatrix, SlackMatrix, _subset_sums, _with_products, slack_bits, slack_matrix
+from .configuration import BinaryMatrix, SlackMatrix, _subset_sums, _with_products, slack_matrix
 from .linalg import integers
 from .errors import (
     DimensionMismatch,
@@ -166,15 +166,22 @@ def _basic_slack(g: BipartiteGraph):
     (x, -1), and the row-major slack bits of the rows against the points.
 
     The rows are x_v >= 0, x_u + x_v <= 1 for every edge, and x_v <= 1 for
-    every isolated node v, which keeps the description bounded.
+    every isolated node v, which keeps the description bounded: (1_A, 0)
+    for A = {v}, and (-1_A, -1) for A an edge or an isolated node.  Against
+    the point (1_S, -1) of a stable set S they have the products |A n S|
+    and 1 - |A n S|, and |A n S| is 0 or 1 because S holds at most one end
+    of an edge, so each product is a bit count of two node masks.
     """
     n = g.n
-    rows = [tuple(1 if i == v else 0 for i in range(n)) + (0,) for v in range(n)]
-    rows += [tuple(-1 if i in (u, v) else 0 for i in range(n)) + (-1,) for u, v in g.edges]
-    rows += [tuple(-1 if i == v else 0 for i in range(n)) + (-1,) for v in range(n) if g.degree(v) == 0]
+    # (node mask of A, 1 for the row (-1_A, -1))
+    lines = [(1 << v, 0) for v in range(n)]
+    lines += [(1 << u | 1 << v, 1) for u, v in g.edges]
+    lines += [(1 << v, 1) for v in range(n) if g.degree(v) == 0]
+    rows = tuple(tuple((-1 if flip else 1) if a >> i & 1 else 0 for i in range(n)) + (-flip,) for a, flip in lines)
     cols = stable_sets(g)
+    masks = [sum(1 << v for v in s) for s in cols]
     points = tuple(_char_vec(s, n) + (-1,) for s in cols)
-    return tuple(rows), cols, points, slack_bits(rows, points)
+    return rows, cols, points, [(a & s).bit_count() ^ flip for a, flip in lines for s in masks]
 
 
 def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:

@@ -193,6 +193,53 @@ def test_every_d5_class_and_its_transpose_round_trips(d5_classes):
     assert grown == [(290, "form"), (298, "form"), (348, "transpose"), (359, "transpose")]
 
 
+# the d = 5 orientations whose greedy growth gives k = 6 (see the test above):
+# their basis from B is not the search's set, so phi reduces each b again
+_GROWN = [(5, 290, "form"), (5, 298, "form"), (5, 348, "transpose"), (5, 359, "transpose")]
+
+
+@pytest.fixture(scope="module")
+def orientations(enum_results, enum_d4, d5_classes):
+    """((d, class index, orientation), side-B binary configuration) of every
+    class of d = 1..5 and of its transpose: 80 at d <= 4 and 844 at d = 5."""
+    forms = [(res.d, i, f.bytes) for res in (*enum_results.values(), enum_d4) for i, f in enumerate(res.classes)]
+    forms += [(5, i, form) for i, form in enumerate(d5_classes)]
+    out = []
+    for d, i, form in forms:
+        m = parse_matrix(form.decode())
+        for side, oriented in (("form", m), ("transpose", m.transpose())):
+            out.append(((d, i, side), normalize_to_binary(from_slack_matrix(oriented), "B")))
+    assert len(out) == 80 + 844
+    return out
+
+
+def test_compress_reduces_each_b_once(orientations, monkeypatch):
+    reduced = []
+    coords = linalg._hnf_coords
+    monkeypatch.setattr(linalg, "_hnf_coords", lambda h, u, v: reduced.append(tuple(v)) or coords(h, u, v))
+    again = []
+    for key, cfg in orientations:
+        reduced.clear()
+        compress.compress(cfg)
+        assert set(reduced) <= set(cfg.B)
+        if len(reduced) > len(set(reduced)):
+            again.append(key)
+    assert again == _GROWN
+
+
+def test_handed_over_coordinates_equal_phi(orientations):
+    grown = []
+    for key, cfg in orientations:
+        gens, coords = compress._select_generators(list(cfg.B), cfg.d)
+        assert gens == select_generators(cfg.B, cfg.d)
+        if coords is None:
+            grown.append(key)
+            continue
+        # phi over a set that builds its own Hermite form
+        assert coords == [phi(b, GeneratorSet(gens.d, gens.gens)) for b in cfg.B]
+    assert grown == _GROWN
+
+
 def test_compress_d1():
     cfg = maximal_completion([(0,), (1,)], 1)
     cc = compress.compress(cfg)

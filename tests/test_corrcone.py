@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +107,26 @@ def test_enumerate_faces_limit():
     # d = 5 has 4,846,510 faces
     with pytest.raises(DimensionTooLarge):
         enumerate_faces(5)
+
+
+def test_point_tables_are_not_built_at_import():
+    # the tables and facets are built on first use, not by importing the CLI
+    src = str(Path(corrcone.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tlc.cli, tlc.corrcone as c; "
+            "print(c._table.cache_info().currsize, c._facets.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "0 0\n"
+
+
+def test_point_tables_hold_the_points_and_their_lifts():
+    for d in range(corrcone._DIM_LIMIT + 1):
+        points = all_points(d)
+        t = corrcone._table(d)
+        assert list(t.points) == points
+        assert [t.points[i] for i in t.order] == sorted(points)
+        assert t.index == {x: i for i, x in enumerate(points)}
+        assert list(t.reduced) == [corrcone._reduced_lift(x) for x in points]
+        assert list(t.lifts) == [lift_raw(x) for x in points]
 
 
 def test_facets_are_certified():

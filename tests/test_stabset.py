@@ -178,6 +178,26 @@ def _simple_by_facets(g):
     return [s for s, j in zip(sets, points) if sum(1 for f in facets if not f[j]) == n]
 
 
+def reference_basic_slack(g):
+    """The earlier `_basic_slack`: every product multiplied out and checked
+    by `configuration.slack_bits`."""
+    n = g.n
+    rows = [tuple(1 if i == v else 0 for i in range(n)) + (0,) for v in range(n)]
+    rows += [tuple(-1 if i in (u, v) else 0 for i in range(n)) + (-1,) for u, v in g.edges]
+    rows += [tuple(-1 if i == v else 0 for i in range(n)) + (-1,) for v in range(n) if g.degree(v) == 0]
+    cols = stable_sets(g)
+    points = tuple(stabset._char_vec(s, n) + (-1,) for s in cols)
+    return tuple(rows), cols, points, configuration.slack_bits(rows, points)
+
+
+def test_basic_slack_bit_counts_match_the_products_on_all_small_graphs():
+    count = 0
+    for g in _bipartite_graphs(5):
+        assert stabset._basic_slack(g) == reference_basic_slack(g), (g.n, g.edges)
+        count += 1
+    assert count == 427
+
+
 def test_simple_vertices_match_facet_count_on_all_small_graphs():
     graphs = list(_bipartite_graphs(5))
     assert len(graphs) == 427
