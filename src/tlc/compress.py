@@ -126,8 +126,9 @@ def _select_generators(bs, d: int) -> tuple[GeneratorSet, list[tuple[int, ...]] 
     which are not checked again, and phi of each of them when the search
     found them all in the lattice of the first d, else None.
 
-    Then the one step tested every vector against the returned set's form,
-    and the coordinates it found are phi's: with k = d they are unique.
+    In that case the search made one step, which tested every vector
+    against the returned set's Hermite form, and the coordinates it found
+    are phi's: over k = d generators they are unique.
     """
     idx = linalg.first_independent(bs, d)
     if idx is None:
@@ -200,19 +201,13 @@ def phi(b, gens: GeneratorSet) -> tuple[int, ...]:
     bt = linalg.integers(b, NotInLattice, "{} is not in the generator lattice")
     if len(bt) != gens.d:
         raise DimensionMismatch("vector of wrong dimension")
-    coords = _phi(bt, gens)
+    for i, g in enumerate(gens.gens):
+        if bt == g:
+            return tuple(1 if j == i else 0 for j in range(gens.k))
+    coords = linalg._hnf_coords(*gens.hermite, bt)
     if coords is None:
         raise NotInLattice(f"{b} is not in the generator lattice")
     return coords
-
-
-def _phi(b: tuple[int, ...], gens: GeneratorSet) -> tuple[int, ...] | None:
-    """phi of an int tuple of length d, which is not checked again, or None
-    when b is not in the generator lattice."""
-    for i, g in enumerate(gens.gens):
-        if b == g:
-            return tuple(1 if j == i else 0 for j in range(gens.k))
-    return linalg._hnf_coords(*gens.hermite, b)
 
 
 def compress(cfg: Configuration) -> CompressedConfig:
@@ -234,8 +229,7 @@ def compress(cfg: Configuration) -> CompressedConfig:
     bs = [tuple(map(int, b)) for b in cfg.B]
     gens, phis = _select_generators(bs, cfg.d)
     if phis is None:
-        # every b lies in the generators' lattice, so no phi is None
-        phis = [_phi(b, gens) for b in bs]
+        phis = [phi(b, gens) for b in bs]
     a_prime = corrcone.face_points(gens.k, phis)
     return CompressedConfig(gens, corrcone._face_certificate(gens.k, a_prime))
 

@@ -34,10 +34,9 @@ from .errors import (
 
 _CENSUS_LIMIT = 7
 # a graph on n nodes has up to 2^n stable sets, each a slack column; at
-# n = 15, on 2 cores with Python 3.11.7, the slowest graphs take about 1.2 s
-# in a fresh `tlc stab-slack` (the edgeless graph, basic slack) and
-# 0.7-0.95 s (the edgeless graph, maximal slack, at 40 MB peak), about 2x
-# more per extra node
+# n = 15, on 2 cores with Python 3.11.7, the slowest graph, the edgeless
+# one, takes 0.6-0.95 s in a fresh `tlc stab-slack --maximal` and about
+# 0.4 s for its basic slack, at 40 MB peak, about 2x more per extra node
 _NODE_LIMIT = 15
 
 

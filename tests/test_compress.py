@@ -238,6 +238,9 @@ def test_handed_over_coordinates_equal_phi(orientations):
         # phi over a set that builds its own Hermite form
         assert coords == [phi(b, GeneratorSet(gens.d, gens.gens)) for b in cfg.B]
     assert grown == _GROWN
+    # a grown set that keeps its k = 7 generators hands over nothing either
+    gens, coords = compress._select_generators(sorted(NO_BASIS_INSIDE), 6)
+    assert gens.k == 7 and coords is None
 
 
 def test_compress_d1():
