@@ -16,9 +16,9 @@ form per growth step and hands the last one to the GeneratorSet it returns;
 any other GeneratorSet computes the form of its generators once, on first
 use, and phi reduces against that one form.  When the first d independent
 vectors of B already generate its lattice, the selection's one pass has
-reduced every b against their form, and compress reads phi(b) off those
-coordinates instead of reducing b again.  decompress solves all decoded
-face points in one fraction-free elimination.
+reduced every b against their form, and it hands those coordinates over
+too, so phi looks each b up instead of reducing it again.  decompress
+solves all decoded face points in one fraction-free elimination.
 Fractions are built only for the vectors of the Configuration that
 decompress returns.
 
@@ -86,6 +86,13 @@ class GeneratorSet:
         this set reduces against it."""
         return linalg.hnf(self.gens)
 
+    @cached_property
+    def coordinates(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """phi of the vectors whose coordinates are already known: those
+        select_generators found in its one pass when it kept k = d
+        generators, handed over with its Hermite form; none otherwise."""
+        return {}
+
 
 @dataclass(frozen=True)
 class CompressedConfig:
@@ -106,6 +113,9 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     appended one lie in the smaller lattice, so the next step resumes the
     search after it.  The last step's form is the Hermite form of the
     returned set's generators, and the set keeps it as its `hermite`.
+    When no vector was appended, that one step reduced every vector of B
+    against it, and the set keeps those coordinates as its `coordinates`:
+    over k = d generators they are unique, so they are phi's.
 
     When that set has more than d generators, its form's diagonal gives the
     lattice determinant of B, and the first d-subset of B with that
@@ -118,18 +128,6 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
         raise DimensionMismatch("vectors of wrong dimension")
     if any(x not in (0, 1) for b in bs for x in b):
         raise NonBinaryProduct("point side must be 0/1 before generator selection")
-    return _select_generators(bs, d)[0]
-
-
-def _select_generators(bs, d: int) -> tuple[GeneratorSet, list[tuple[int, ...]] | None]:
-    """select_generators of sorted, distinct 0/1 int tuples of length d,
-    which are not checked again, and phi of each of them when the search
-    found them all in the lattice of the first d, else None.
-
-    In that case the search made one step, which tested every vector
-    against the returned set's Hermite form, and the coordinates it found
-    are phi's: over k = d generators they are unique.
-    """
     idx = linalg.first_independent(bs, d)
     if idx is None:
         raise NotSpanning(f"point side does not span R^{d}")
@@ -137,12 +135,12 @@ def _select_generators(bs, d: int) -> tuple[GeneratorSet, list[tuple[int, ...]] 
     start = 0
     while True:
         h, u = linalg.hnf(chosen)
-        coords = []
+        coords = {}
         for i in range(start, len(bs)):
             c = linalg._hnf_coords(h, u, bs[i])
             if c is None:
                 break
-            coords.append(c)
+            coords[bs[i]] = c
         else:
             break
         chosen.append(bs[i])
@@ -150,13 +148,13 @@ def _select_generators(bs, d: int) -> tuple[GeneratorSet, list[tuple[int, ...]] 
     if len(chosen) > d:
         basis = _basis_in(bs, d, math.prod(h[i][i] for i in range(d)))
         if basis is not None:
-            return GeneratorSet(d, tuple(basis)), None
-        # the vectors before the last appended one met only smaller lattices
-        coords = None
+            return GeneratorSet(d, tuple(basis))
     gens = GeneratorSet(d, tuple(chosen))
     # the last form is the set's own: hand it over instead of building it again
     gens.__dict__["hermite"] = (h, u)
-    return gens, coords
+    if len(chosen) == d:
+        gens.__dict__["coordinates"] = coords
+    return gens
 
 
 def _basis_in(bs, d: int, det: int):
@@ -201,6 +199,9 @@ def phi(b, gens: GeneratorSet) -> tuple[int, ...]:
     bt = linalg.integers(b, NotInLattice, "{} is not in the generator lattice")
     if len(bt) != gens.d:
         raise DimensionMismatch("vector of wrong dimension")
+    coords = gens.coordinates.get(bt)
+    if coords is not None:
+        return coords
     for i, g in enumerate(gens.gens):
         if bt == g:
             return tuple(1 if j == i else 0 for j in range(gens.k))
@@ -216,20 +217,17 @@ def compress(cfg: Configuration) -> CompressedConfig:
     The face is the cut of the phi(b) (face_points), and its certificate is
     encoded without the face test of certificate_encode: every integer
     vector cuts out a face of the correlation cone, and so does an
-    intersection of such cuts.  The phi(b) are the coordinates generator
-    selection found when it kept the first d independent vectors, so each b
-    is reduced once; other generator sets reduce each b again in phi.
+    intersection of such cuts.  When generator selection kept the first d
+    independent vectors, phi reads each phi(b) off the coordinates the
+    selection handed over, so each b is reduced once.
     """
     for v in cfg.B:
         if any(x != 0 and x != 1 for x in v):
             raise NonBinaryProduct("B side must be 0/1; normalize first")
     if not cfg.is_maximal():
         raise NotMaximal("only maximal configurations are compressed")
-    # B is sorted and distinct, and each entry 0 or 1 (checked above)
-    bs = [tuple(map(int, b)) for b in cfg.B]
-    gens, phis = _select_generators(bs, cfg.d)
-    if phis is None:
-        phis = [phi(b, gens) for b in bs]
+    gens = select_generators(cfg.B, cfg.d)
+    phis = [phi(b, gens) for b in cfg.B]
     a_prime = corrcone.face_points(gens.k, phis)
     return CompressedConfig(gens, corrcone._face_certificate(gens.k, a_prime))
 

@@ -98,10 +98,11 @@ def all_points(d: int) -> list[Bit]:
 
 
 class _Table(NamedTuple):
-    """The points of {0,1}^d and what the face questions read off them."""
+    """The points of {0,1}^d and what the face questions, and enumeration's
+    slack matrices, read off them."""
 
     points: tuple[Bit, ...]  # all_points(d), index order
-    order: tuple[int, ...]  # the indices of the points in sorted order
+    order: tuple[int, ...]  # the indices of the points in sorted order, closure's order
     index: dict[Bit, int]  # point -> its index
     reduced: tuple[tuple[int, ...], ...]  # _reduced_lift of each point, index order
     lifts: tuple[tuple[int, ...], ...]  # _lift of each point, index order

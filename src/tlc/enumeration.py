@@ -24,7 +24,7 @@ from operator import getitem, itemgetter
 from . import canon
 from .canon import CanonicalForm
 from .configuration import BinaryMatrix, _subset_sums, parse_matrix
-from .corrcone import all_points
+from .corrcone import _table, all_points
 from .errors import DimensionMismatch, DimensionTooLarge
 from .linalg import _bareiss, rank
 
@@ -156,12 +156,6 @@ def _point_tables(d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int,
     return _byte_tables(closed, int.__and__, (1 << len(u)) - 1), _byte_tables(missed, int.__or__, 0)
 
 
-@functools.cache
-def _points_in_closure_order(d: int) -> tuple[int, ...]:
-    """The indices j of the points x_j of {0,1}^d, sorted as closure sorts."""
-    return tuple(sorted(range(1 << d), key=all_points(d).__getitem__))
-
-
 def _mask_slack(d: int, key: int, intent: int) -> BinaryMatrix:
     """The slack matrix of the completion whose first closure is key, a mask
     over U_d, and whose intent (its closure, see _seed_context) is intent, a
@@ -170,7 +164,7 @@ def _mask_slack(d: int, key: int, intent: int) -> BinaryMatrix:
     <u_i, x_j> = 1, read off the small mask ones[i]."""
     ones = _seed_context(d)[3]
     rows = list(_bits(key))
-    cols = [j for j in _points_in_closure_order(d) if intent >> j & 1]
+    cols = [j for j in _table(d).order if intent >> j & 1]
     return BinaryMatrix(len(rows), len(cols), bytes(ones[i] >> j & 1 for i in rows for j in cols))
 
 

@@ -160,27 +160,35 @@ def _char_vec(s, n: int) -> tuple[int, ...]:
     return tuple(1 if v in members else 0 for v in range(n))
 
 
+def _clique_line(n: int, a: int, flip: int, masks) -> tuple[tuple[int, ...], list[int]]:
+    """The row of the clique A of node mask a, (1_A, 0), or (-1_A, -1) when
+    flip is 1, and its products with the points (1_S, -1) of the stable
+    sets S of node masks masks.  These are |A n S| and 1 - |A n S|, and
+    |A n S| is 0 or 1 because S holds at most one node of a clique, so each
+    product is (a & s).bit_count(), xor flip: none is multiplied out."""
+    row = tuple((-1 if flip else 1) if a >> v & 1 else 0 for v in range(n)) + (-flip,)
+    return row, [(a & s).bit_count() ^ flip for s in masks]
+
+
 def _basic_slack(g: BipartiteGraph):
     """The basic rows (a, b) of x.a >= b, the stable sets, their points
     (x, -1), and the row-major slack bits of the rows against the points.
 
     The rows are x_v >= 0, x_u + x_v <= 1 for every edge, and x_v <= 1 for
     every isolated node v, which keeps the description bounded: (1_A, 0)
-    for A = {v}, and (-1_A, -1) for A an edge or an isolated node.  Against
-    the point (1_S, -1) of a stable set S they have the products |A n S|
-    and 1 - |A n S|, and |A n S| is 0 or 1 because S holds at most one end
-    of an edge, so each product is a bit count of two node masks.
+    for A = {v}, and (-1_A, -1) for A an edge or an isolated node, each a
+    clique (_clique_line).
     """
     n = g.n
-    # (node mask of A, 1 for the row (-1_A, -1))
-    lines = [(1 << v, 0) for v in range(n)]
-    lines += [(1 << u | 1 << v, 1) for u, v in g.edges]
-    lines += [(1 << v, 1) for v in range(n) if g.degree(v) == 0]
-    rows = tuple(tuple((-1 if flip else 1) if a >> i & 1 else 0 for i in range(n)) + (-flip,) for a, flip in lines)
     cols = stable_sets(g)
     masks = [sum(1 << v for v in s) for s in cols]
+    # (node mask of A, 1 for the row (-1_A, -1))
+    cliques = [(1 << v, 0) for v in range(n)]
+    cliques += [(1 << u | 1 << v, 1) for u, v in g.edges]
+    cliques += [(1 << v, 1) for v in range(n) if g.degree(v) == 0]
+    lines = [_clique_line(n, a, flip, masks) for a, flip in cliques]
     points = tuple(_char_vec(s, n) + (-1,) for s in cols)
-    return rows, cols, points, [(a & s).bit_count() ^ flip for a, flip in lines for s in masks]
+    return tuple(r for r, _ in lines), cols, points, [x for _, bits in lines for x in bits]
 
 
 def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:
@@ -214,22 +222,21 @@ def stab_maximal_slack(g: BipartiteGraph) -> SlackMatrix:
     (0, -1) and each (e_v, 0), the points (0, -1) and each (e_v, -1).
     Rows and points are sorted as int tuples, the order closure gives its
     numerators over a positive denominator.  No product is multiplied out:
-    each is (a & s).bit_count() for the row (1_A, 0), its complement
-    (xor 1) for (-1_A, -1), and 0 against the apex.
+    each row and its products against the stable sets are a _clique_line,
+    and every product with the apex is 0.
     """
     n = g.n
     cliques = [0] + [1 << v for v in range(n)] + [1 << u | 1 << v for u, v in g.edges]
-    # (row, clique mask, 1 for the row (-1_A, -1))
-    rows = sorted(
-        (tuple(sign if a >> v & 1 else 0 for v in range(n)) + (-flip,), a, flip)
-        for a in cliques
-        for sign, flip in ((1, 0), (-1, 1))
-    )
-    # (point, stable-set mask, or None for the apex)
-    points = [(tuple(s >> v & 1 for v in range(n)) + (-1,), s) for s in _stable_masks(g)]
-    points = sorted(points + [((0,) * (n + 1), None)])
-    bits = [[0 if s is None else (a & s).bit_count() ^ flip for _, s in points] for _, a, flip in rows]
-    return slack_matrix(_with_products(n + 1, tuple(r for r, _, _ in rows), tuple(p for p, _ in points), bits))
+    # (point, stable-set mask), sorted
+    points = sorted((tuple(s >> v & 1 for v in range(n)) + (-1,), s) for s in _stable_masks(g))
+    masks = [s for _, s in points]
+    # the rows are distinct, so the sort compares no bits
+    lines = sorted(_clique_line(n, a, flip, masks) for a in cliques for flip in (0, 1))
+    # the apex (0, 0) sorts right after the empty set's point (0, -1)
+    points.insert(1, ((0,) * (n + 1), None))
+    for _, bits in lines:
+        bits.insert(1, 0)
+    return slack_matrix(_with_products(n + 1, tuple(r for r, _ in lines), tuple(p for p, _ in points), [b for _, b in lines]))
 
 
 # --- census ----------------------------------------------------------------

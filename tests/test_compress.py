@@ -230,17 +230,18 @@ def test_compress_reduces_each_b_once(orientations, monkeypatch):
 def test_handed_over_coordinates_equal_phi(orientations):
     grown = []
     for key, cfg in orientations:
-        gens, coords = compress._select_generators(list(cfg.B), cfg.d)
-        assert gens == select_generators(cfg.B, cfg.d)
-        if coords is None:
+        gens = select_generators(cfg.B, cfg.d)
+        if not gens.coordinates:
             grown.append(key)
             continue
-        # phi over a set that builds its own Hermite form
-        assert coords == [phi(b, GeneratorSet(gens.d, gens.gens)) for b in cfg.B]
+        # phi over a set that builds its own Hermite form and knows no coordinates
+        fresh = GeneratorSet(gens.d, gens.gens)
+        assert gens.coordinates == {tuple(map(int, b)): phi(b, fresh) for b in cfg.B}
+        assert fresh.coordinates == {}
     assert grown == _GROWN
     # a grown set that keeps its k = 7 generators hands over nothing either
-    gens, coords = compress._select_generators(sorted(NO_BASIS_INSIDE), 6)
-    assert gens.k == 7 and coords is None
+    gens = select_generators(NO_BASIS_INSIDE, 6)
+    assert gens.k == 7 and gens.coordinates == {}
 
 
 def test_compress_d1():

@@ -432,12 +432,10 @@ def test_lattice_coords_matches_reference():
 
 
 def test_compress_builds_no_fraction_in_generators_or_phi(enum_results, enum_d4, monkeypatch):
-    # compress selects its generators and reads every phi(b) off the
-    # selection's one reduction of b (_hnf_coords)
     cfgs = [normalize_to_binary(cfg, SIDE_B) for cfg in _golden_configurations(enum_results, enum_d4)]
     inside = [0]
     built = [0]
-    calls = {"_select_generators": 0, "_hnf_coords": 0}
+    calls = {"select_generators": 0, "phi": 0}
     real_new = Fraction.__new__
 
     def counting_new(cls, *args, **kwargs):
@@ -455,12 +453,12 @@ def test_compress_builds_no_fraction_in_generators_or_phi(enum_results, enum_d4,
         return wrapper
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    monkeypatch.setattr(compress, "_select_generators", watched(compress._select_generators))
-    monkeypatch.setattr(linalg, "_hnf_coords", watched(linalg._hnf_coords))
+    monkeypatch.setattr(compress, "select_generators", watched(select_generators))
+    monkeypatch.setattr(compress, "phi", watched(phi))
     for cfg in cfgs:
         compress.compress(cfg)
     assert built[0] == 0
-    assert calls["_select_generators"] == 40 and calls["_hnf_coords"] > 300
+    assert calls["select_generators"] == 40 and calls["phi"] > 300
     # the counter sees a Fraction built inside a watched call
     inside[0] += 1
     Fraction(1, 2)
