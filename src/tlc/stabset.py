@@ -186,9 +186,13 @@ def _basic_slack(g: BipartiteGraph):
     cliques = [(1 << v, 0) for v in range(n)]
     cliques += [(1 << u | 1 << v, 1) for u, v in g.edges]
     cliques += [(1 << v, 1) for v in range(n) if g.degree(v) == 0]
-    lines = [_clique_line(n, a, flip, masks) for a, flip in cliques]
+    rows, bits = [], []
+    for a, flip in cliques:
+        row, line = _clique_line(n, a, flip, masks)
+        rows.append(row)
+        bits += line
     points = tuple(_char_vec(s, n) + (-1,) for s in cols)
-    return tuple(r for r, _ in lines), cols, points, [x for _, bits in lines for x in bits]
+    return tuple(rows), cols, points, bits
 
 
 def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:
