@@ -167,9 +167,10 @@ def _read_b_vectors(path: str, d: int):
 
 
 def _cmd_face(args, out) -> int:
-    bs = _read_b_vectors(args.b_vectors, args.dim)
-    pts = corrcone.face_points(args.dim, bs)
-    cert = corrcone.certificate_encode(args.dim, pts)
+    corrcone._check_dimension(args.dim)
+    pts = corrcone.face_points(args.dim, _read_b_vectors(args.b_vectors, args.dim))
+    # a cut is a face by construction, so its certificate skips certificate_encode's face test
+    cert = corrcone._face_certificate(args.dim, pts)
     if args.format == "json":
         out.write(json.dumps({
             "d": args.dim,

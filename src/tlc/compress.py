@@ -22,12 +22,13 @@ solves all decoded face points in one fraction-free elimination.
 Fractions are built only for the vectors of the Configuration that
 decompress returns.
 
-Generators and certificates are checked as they are built (GeneratorSet
-ranks its leading generators, decoding tests the certificate against every
-facet), as is the weighted-graph text they are read from.  What the round
-trip derives is carried, not checked again: the cut that face_points makes
-is a face, and the configuration decompress returns carries the products
-its closure decided.
+What is read from outside is checked: the weighted-graph text, and the
+GeneratorSet and FaceCertificate built from it (the set ranks its leading
+generators, decoding tests the certificate against every facet).  What
+the round trip derives is built unchecked (configuration._derived) and
+carries what the code decided: the selection's generator sets, the cut of
+the phi(b), which is a face, its certificate, and the configuration
+decompress returns, with the products its closure decided.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import corrcone, linalg
-from .configuration import Configuration, _Integral, _with_closure, closure, refuse_trailing
+from .configuration import Configuration, _derived, _Integral, _with_closure, closure, refuse_trailing
 from .errors import (
     DimensionMismatch,
     NonBinaryProduct,
@@ -55,7 +56,12 @@ _SUBSET_BUDGET = 4096
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Ordered 0/1 generators; the first d are independent, k obeys the log bound."""
+    """Ordered 0/1 generators; the first d are independent, k obeys the log bound.
+
+    The constructor checks all three, for generators read from outside.
+    select_generators builds its sets unchecked (configuration._derived),
+    as they hold by construction.
+    """
 
     d: int
     gens: tuple[tuple[int, ...], ...]
@@ -121,6 +127,11 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     lattice determinant of B, and the first d-subset of B with that
     determinant (_basis_in), if one is found, is returned instead: it is a
     basis of the same lattice.
+
+    The set is built unchecked (configuration._derived), as it is a
+    GeneratorSet by construction: its generators are 0/1 members of B, its
+    leading d independent, and each append at least halves the lattice
+    determinant, which starts at most d^(d/2) (Hadamard), so 2^(k-d) <= d^d.
     """
     bs = sorted({linalg.integers(v, NonBinaryProduct, "point side must be 0/1 before generator selection")
                  for v in b_vectors})
@@ -148,13 +159,9 @@ def select_generators(b_vectors, d: int) -> GeneratorSet:
     if len(chosen) > d:
         basis = _basis_in(bs, d, math.prod(h[i][i] for i in range(d)))
         if basis is not None:
-            return GeneratorSet(d, tuple(basis))
-    gens = GeneratorSet(d, tuple(chosen))
-    # the last form is the set's own: hand it over instead of building it again
-    gens.__dict__["hermite"] = (h, u)
-    if len(chosen) == d:
-        gens.__dict__["coordinates"] = coords
-    return gens
+            return _derived(GeneratorSet, d=d, gens=tuple(basis))
+        return _derived(GeneratorSet, d=d, gens=tuple(chosen), hermite=(h, u))
+    return _derived(GeneratorSet, d=d, gens=tuple(chosen), hermite=(h, u), coordinates=coords)
 
 
 def _basis_in(bs, d: int, det: int):
@@ -214,12 +221,14 @@ def phi(b, gens: GeneratorSet) -> tuple[int, ...]:
 def compress(cfg: Configuration) -> CompressedConfig:
     """Encode a maximal configuration whose B side is 0/1.
 
-    The face is the cut of the phi(b) (face_points), and its certificate is
-    encoded without the face test of certificate_encode: every integer
+    The face is the cut of the phi(b) (face_points, without its checks of
+    the phi(b), which are integer vectors of length k), and its certificate
+    is encoded without the face test of certificate_encode: every integer
     vector cuts out a face of the correlation cone, and so does an
-    intersection of such cuts.  When generator selection kept the first d
-    independent vectors, phi reads each phi(b) off the coordinates the
-    selection handed over, so each b is reduced once.
+    intersection of such cuts.  The cone's limit on k is still checked.
+    When generator selection kept the first d independent vectors, phi
+    reads each phi(b) off the coordinates the selection handed over, so
+    each b is reduced once.
     """
     for v in cfg.B:
         if any(x != 0 and x != 1 for x in v):
@@ -228,8 +237,9 @@ def compress(cfg: Configuration) -> CompressedConfig:
         raise NotMaximal("only maximal configurations are compressed")
     gens = select_generators(cfg.B, cfg.d)
     phis = [phi(b, gens) for b in cfg.B]
-    a_prime = corrcone.face_points(gens.k, phis)
-    return CompressedConfig(gens, corrcone._face_certificate(gens.k, a_prime))
+    corrcone._check_dimension(gens.k)
+    cert = corrcone._face_certificate(gens.k, corrcone._cut(gens.k, phis))
+    return _derived(CompressedConfig, gens=gens, cert=cert)
 
 
 def decompress(cc: CompressedConfig) -> Configuration:

@@ -20,8 +20,11 @@ Products are checked once, where vectors come from outside: the
 `Configuration` constructor (JSON input, the tests' oracles) scales both
 sides, ranks them and multiplies every pair.  A configuration the code
 derives carries the products it has already decided instead
-(_with_products): the slack bits of a rank factorization, or the bits that
-closure decides for each vector it keeps (_with_closure).  Either way a
+(_with_products, one call of _derived): the slack bits of a rank
+factorization, or the bits that closure decides for each vector it keeps
+(_with_closure).  _derived is the one place the package builds an
+instance without its __post_init__; compress and corrcone build their
+derived generator sets and certificates through it too.  Either way a
 configuration keeps its products as one BinaryMatrix, which slack_matrix
 returns on every call.  A BinaryMatrix keeps its bits as one bytes object;
 its lines, transpose, text and memo key are slices and joins of it, and
@@ -330,12 +333,17 @@ def _with_products(d: int, a, b, rows) -> Configuration:
     keys, a factorization's numerators over a positive D), which costs less
     than comparing Fractions.
     """
-    cfg = object.__new__(Configuration)
-    object.__setattr__(cfg, "d", d)
-    object.__setattr__(cfg, "A", a)
-    object.__setattr__(cfg, "B", b)
-    object.__setattr__(cfg, "_slack", BinaryMatrix(len(a), len(b), b"".join(map(bytes, rows))))
-    return cfg
+    return _derived(Configuration, d=d, A=a, B=b, _slack=BinaryMatrix(len(a), len(b), b"".join(map(bytes, rows))))
+
+
+def _derived(cls, **values):
+    """An instance of the dataclass cls that holds values, built without its
+    __post_init__: every field, as the checked constructor would keep it,
+    and any cached property the caller already knows.  The one place the
+    package builds an instance unchecked, for values it derived itself."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 def _with_closure(d: int, y: _Closure) -> Configuration:

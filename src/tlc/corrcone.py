@@ -35,7 +35,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import linalg
-from .configuration import _subset_sums
+from .configuration import _derived, _subset_sums
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -136,6 +136,12 @@ def face_points(d: int, bs) -> tuple[Bit, ...]:
     for b in bs:
         if len(b) != d:
             raise DimensionMismatch("cut vector of wrong dimension")
+    return _cut(d, bs)
+
+
+def _cut(d: int, bs) -> tuple[Bit, ...]:
+    """face_points of integer vectors of length d, in a dimension already
+    checked, which are not checked again."""
     sums = [_subset_sums(b) for b in bs]
     t = _table(d)
     return tuple(t.points[j] for j in t.order if all(s[j] in (0, 1) for s in sums))
@@ -234,7 +240,12 @@ def _is_face(d: int, pts) -> bool:
 
 @dataclass(frozen=True)
 class FaceCertificate:
-    """Sum of at most d(d+1)/2 independent lifted points of one face."""
+    """Sum of at most d(d+1)/2 independent lifted points of one face.
+
+    The constructor checks the dimension and the entries, for certificates
+    read from outside; _face_certificate builds its sums unchecked
+    (configuration._derived), as they hold by construction.
+    """
 
     d: int
     s: tuple[int, ...]
@@ -296,7 +307,7 @@ def _face_certificate(d: int, pts) -> FaceCertificate:
     _, piv_rows, _, _ = linalg._bareiss([list(t.reduced[i]) for i in nonzero], d * (d + 1) // 2)
     chosen = [t.lifts[nonzero[r]] for r in sorted(piv_rows)]
     # the zero lift gives the sum its d^2 + d entries when nothing is chosen
-    return FaceCertificate(d, tuple(map(sum, zip(t.lifts[0], *chosen))))
+    return _derived(FaceCertificate, d=d, s=tuple(map(sum, zip(t.lifts[0], *chosen))))
 
 
 def certificate_decode(cert: FaceCertificate) -> tuple[Bit, ...]:

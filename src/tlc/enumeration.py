@@ -213,13 +213,14 @@ def _orbit_form(d: int, rep: int):
     set, a mask over {0,1}^d, d <= 4) is rep.
 
     The intent's first closure is the AND of closed[j] over its points
-    (see _seed_context), and it is the first closure of every seed whose
+    (see _seed_context), read off the byte tables of _point_tables as
+    _seed_scan reads it, and it is the first closure of every seed whose
     intent this is.  The cache is process-wide and unbounded: it holds at
     most one entry per S_d orbit of spanning intents, 1, 3, 19 and 399 at
     d = 1..4; the d = 5 search (_orbit_search) would add 46,439.
     """
-    closed = _seed_context(d)[1]
-    key = functools.reduce(int.__and__, map(closed.__getitem__, _bits(rep)))
+    a0, a1 = _point_tables(d)[0]
+    key = a0[rep & 255] & a1[rep >> 8]
     return canon.canonical_form(_mask_slack(d, key, rep))
 
 

@@ -342,6 +342,14 @@ def test_face_enum_negative_dimension(tmp_path):
     assert err == "error: DimensionMismatch: dimension must be nonnegative, got -1\n"
 
 
+def test_face_checks_the_dimension_before_the_vectors(tmp_path):
+    # the vectors have the wrong length for --dim -1, but the dimension is refused first, as face-enum refuses it
+    cut = write(tmp_path, "cut.txt", "1 0\n")
+    code, out, err = run_cli(["face", "--dim", "-1", "--b-vectors", cut])
+    assert code == 3 and out == ""
+    assert err == "error: DimensionMismatch: dimension must be nonnegative, got -1\n"
+
+
 def test_stab_slack_subcommand(tmp_path):
     g = write(tmp_path, "k2.txt", "2\n0 1\n")
     code, out, _ = run_cli(["stab-slack", g])

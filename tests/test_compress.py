@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tlc import canon, compress, corrcone, linalg
 from tlc.compress import (
+    CompressedConfig,
     GeneratorSet,
     decompress,
     phi,
@@ -23,7 +24,16 @@ from tlc.configuration import (
     parse_matrix,
     slack_matrix,
 )
-from tlc.errors import NonBinaryProduct, NotInCone, NotInLattice, NotMaximal, NotSpanning, ParseError, TlcError
+from tlc.errors import (
+    DimensionTooLarge,
+    NonBinaryProduct,
+    NotInCone,
+    NotInLattice,
+    NotMaximal,
+    NotSpanning,
+    ParseError,
+    TlcError,
+)
 
 from helpers import NO_BASIS_INSIDE, det_history, zeta
 
@@ -242,6 +252,37 @@ def test_handed_over_coordinates_equal_phi(orientations):
     # a grown set that keeps its k = 7 generators hands over nothing either
     gens = select_generators(NO_BASIS_INSIDE, 6)
     assert gens.k == 7 and gens.coordinates == {}
+
+
+def test_checked_constructors_accept_every_derived_value(orientations):
+    # the round trip builds its generator sets, certificates and cuts
+    # unchecked; the checked constructors and face_points are the oracle.
+    # The orientations reach all three selections: k = d from the first
+    # independent vectors, and from _basis_in (_GROWN)
+    for _, cfg in orientations:
+        cc = compress.compress(cfg)
+        gens, cert = cc.gens, cc.cert
+        assert GeneratorSet(gens.d, gens.gens) == gens
+        assert corrcone.FaceCertificate(cert.d, cert.s) == cert
+        assert CompressedConfig(gens, cert) == cc
+        phis = [phi(b, gens) for b in cfg.B]
+        assert corrcone._cut(gens.k, phis) == corrcone.face_points(gens.k, phis)
+    # a grown set that keeps its k = 7 generators
+    gens = select_generators(NO_BASIS_INSIDE, 6)
+    assert gens.k == 7 and GeneratorSet(gens.d, gens.gens) == gens
+    # the certificates face-enum prints
+    for d in range(5):
+        for face in corrcone.enumerate_faces(d):
+            cert = corrcone._face_certificate(d, face)
+            assert corrcone.FaceCertificate(cert.d, cert.s) == cert
+
+
+def test_compress_refuses_more_than_five_generators():
+    # {0,1}^6 holds a basis of its lattice, so k = 6, above the cone's limit
+    cfg = maximal_completion([tuple(int(i == j) for j in range(6)) for i in range(6)], 6)
+    with pytest.raises(DimensionTooLarge) as e:
+        compress.compress(cfg)
+    assert str(e.value) == "correlation cone facets are limited to d <= 5"
 
 
 def test_compress_d1():

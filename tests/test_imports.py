@@ -2,7 +2,8 @@
 no module-level import that its module never uses (in the package and
 the tests), a `tlc.__all__` whose every name resolves, no
 function, class or method that nothing names, a pinned list of those
-that only the tests name, and no error class that nothing raises."""
+that only the tests name, no error class that nothing raises, and no
+instance built unchecked outside `configuration._derived`."""
 
 import ast
 import importlib
@@ -142,6 +143,47 @@ def test_unraised_error_is_found(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("from . import errors\n\ndef f(x):\n    if x:\n        raise errors.A('a')\n    raise B\n\nC('c')\n")
     assert _unraised(["A", "B", "C"], [path]) == ["C"]
+
+
+def _is_dict(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+
+def _unchecked_builds(path: Path) -> list[tuple[str, int]]:
+    """(top-level function or class, line) of each object.__new__ call and
+    each write into a __dict__ (a key assigned or deleted, or a method
+    called on it) in a file, sorted; the name is "" at module level."""
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        name = getattr(top, "name", "")
+        for n in ast.walk(top):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                owner = n.func.value
+                new = n.func.attr == "__new__" and isinstance(owner, ast.Name) and owner.id == "object"
+                hit = new or _is_dict(owner)
+            else:
+                hit = isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load) and _is_dict(n.value)
+            if hit:
+                found.append((name, n.lineno))
+    return sorted(found)
+
+
+def test_only_derived_builds_unchecked_instances():
+    # configuration._derived is the one place the package builds an
+    # instance without its __post_init__
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py")) for name, _ in _unchecked_builds(path)}
+    assert found == {("configuration.py", "_derived")}
+
+
+def test_unchecked_build_is_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def _derived(cls):\n    return object.__new__(cls)\n\n"
+        "class A:\n    def f(self):\n        self.__dict__['x'] = 1\n        del self.__dict__['x']\n"
+        "        self.__dict__.update(y=2)\n        return self.__dict__, self.__dict__['y'], object()\n\n"
+        "vars(A).__dict__['z'] = 3\n"
+    )
+    assert _unchecked_builds(path) == [("", 11), ("A", 6), ("A", 7), ("A", 8), ("_derived", 2)]
 
 
 def _traced_targets() -> list:
