@@ -50,32 +50,37 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("check", help="membership and maximality of a 0/1 matrix")
+    def command(name, handler, help):
+        q = sub.add_parser(name, help=help)
+        q.set_defaults(handler=handler)
+        return q
+
+    q = command("check", _cmd_check, "membership and maximality of a 0/1 matrix")
     q.add_argument("matrix")
-    q = sub.add_parser("complete", help="maximal completion seeded by the B side of a configuration JSON")
+    q = command("complete", _cmd_complete, "maximal completion seeded by the B side of a configuration JSON")
     q.add_argument("config")
-    q = sub.add_parser("canon", help="canonical representative of a 0/1 matrix")
+    q = command("canon", _cmd_canon, "canonical representative of a 0/1 matrix")
     q.add_argument("matrix")
-    q = sub.add_parser("enum", help="enumerate maximal classes")
+    q = command("enum", _cmd_enum, "enumerate maximal classes")
     q.add_argument("--dim", type=int, required=True)
-    q = sub.add_parser("compress", help="encode a maximal configuration as a weighted graph")
+    q = command("compress", _cmd_compress, "encode a maximal configuration as a weighted graph")
     q.add_argument("config")
-    q = sub.add_parser("decompress", help="decode a weighted-graph file back to a configuration")
+    q = command("decompress", _cmd_decompress, "decode a weighted-graph file back to a configuration")
     q.add_argument("graph")
-    q = sub.add_parser("face", help="face points and certificate for a set of integer vectors")
+    q = command("face", _cmd_face, "face points and certificate for a set of integer vectors")
     q.add_argument("--dim", type=int, required=True)
     q.add_argument("--b-vectors", required=True)
-    q = sub.add_parser("face-enum", help="enumerate all faces of the correlation cone")
+    q = command("face-enum", _cmd_face_enum, "enumerate all faces of the correlation cone")
     q.add_argument("--dim", type=int, required=True)
     q.add_argument("--certificates", action="store_true", help="list each face's certificate")
-    q = sub.add_parser("core", help="triangular core and binary/integral form of a polytope")
+    q = command("core", _cmd_core, "triangular core and binary/integral form of a polytope")
     q.add_argument("polytope")
-    q = sub.add_parser("stab-slack", help="slack matrix of a bipartite stable set polytope")
+    q = command("stab-slack", _cmd_stab_slack, "slack matrix of a bipartite stable set polytope")
     q.add_argument("graph")
     q.add_argument("--maximal", action="store_true")
-    q = sub.add_parser("stab-census", help="bipartite graph census")
+    q = command("stab-census", _cmd_stab_census, "bipartite graph census")
     q.add_argument("--nodes", type=int, required=True)
-    sub.add_parser("report", help="class-count table from the store")
+    command("report", _cmd_report, "class-count table from the store")
     return p
 
 
@@ -249,8 +254,11 @@ def _cmd_report(args, out) -> int:
                 payload = path.read_bytes()
                 if store.path_for(f"md/{sub.name}", payload, path.suffix) != path:
                     raise StoreConflict(f"{path} is not named by the sha256 of its content")
-                form = canon.canonical_form(parse_matrix(payload.decode()))
-                if form.bytes != payload:
+                try:
+                    form = canon.canonical_form(parse_matrix(payload.decode()))
+                except (UnicodeDecodeError, ParseError):
+                    form = None
+                if form is None or form.bytes != payload:
                     raise StoreConflict(f"{path} is not a canonical form")
                 forms.append(form)
             classes[d] = forms
@@ -263,22 +271,6 @@ def _cmd_report(args, out) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "complete": _cmd_complete,
-    "canon": _cmd_canon,
-    "enum": _cmd_enum,
-    "compress": _cmd_compress,
-    "decompress": _cmd_decompress,
-    "face": _cmd_face,
-    "face-enum": _cmd_face_enum,
-    "core": _cmd_core,
-    "stab-slack": _cmd_stab_slack,
-    "stab-census": _cmd_stab_census,
-    "report": _cmd_report,
-}
-
-
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -289,7 +281,7 @@ def run(argv, out=None, err=None) -> int:
         err.write(f"usage error: {e}\n")
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args, out)
+        return args.handler(args, out)
     except ParseError as e:
         err.write(f"parse error: {e}\n")
         return EXIT_PARSE

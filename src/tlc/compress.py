@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import corrcone, linalg
-from .configuration import Configuration, _derived, _Integral, _with_closure, closure, refuse_trailing
+from .configuration import Configuration, _derived, _Integral, _with_closure, closure, read_header, refuse_trailing
 from .errors import (
     DimensionMismatch,
     NonBinaryProduct,
@@ -289,16 +289,10 @@ def weighted_graph_serialize(cc: CompressedConfig) -> str:
 
 
 def weighted_graph_parse(text: str) -> CompressedConfig:
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines:
         raise ParseError("empty weighted-graph text", line=1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("header must be 'k d'", line=1)
-    try:
-        k, d = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError("header must be two integers", line=1) from None
+    k, d = read_header(lines, "k d")
     if k < 1 or d < 1:
         raise ParseError("header needs k >= 1 and d >= 1", line=1)
     if len(lines) < 1 + k + k + 1:

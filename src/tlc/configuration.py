@@ -237,13 +237,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", line=1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("header must be 'm n'", line=1)
-    try:
-        m, n = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError("header must be two integers", line=1) from None
+    m, n = read_header(lines, "m n")
     if m < 0 or n < 0:
         raise ParseError("negative shape", line=1)
     rows = []
@@ -260,6 +254,18 @@ def parse_matrix(text: str) -> BinaryMatrix:
         rows.append(row)
     refuse_trailing(lines, 1 + m, "matrix")
     return BinaryMatrix(m, n, "".join(rows).encode("ascii").translate(_ASCII_BITS))
+
+
+def read_header(lines: list[str], form: str) -> tuple[int, int]:
+    """The two integers of the header line lines[0], whose form, as 'm n',
+    names them in the error when it has not two words."""
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError(f"header must be '{form}'", line=1)
+    try:
+        return int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError("header must be two integers", line=1) from None
 
 
 def refuse_trailing(lines: list[str], start: int, what: str) -> None:

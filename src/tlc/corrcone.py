@@ -147,26 +147,6 @@ def _cut(d: int, bs) -> tuple[Bit, ...]:
     return tuple(t.points[j] for j in t.order if all(s[j] in (0, 1) for s in sums))
 
 
-def _orthogonal_basis(vectors, width: int) -> list[list[int]]:
-    """Integer vectors spanning the orthogonal complement of the vectors in R^width.
-
-    In the fraction-free echelon each pivot row holds D on its own pivot
-    column and 0 on the others, so a non-pivot column f gives the vector
-    with D at f and minus the column's entry of each pivot row at that row's
-    pivot column, orthogonal to every pivot row and so to every vector.
-    """
-    rows, piv_rows, piv_cols, det = linalg._bareiss([list(v) for v in vectors], width)
-    basis = []
-    for f in range(width):
-        if f not in piv_cols:
-            n = [0] * width
-            n[f] = det
-            for r, c in zip(piv_rows, piv_cols):
-                n[c] = -rows[r][f]
-            basis.append(n)
-    return basis
-
-
 @functools.cache
 def _facets(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The facets as sorted pairs (primitive integer normal in the reduced
@@ -175,17 +155,21 @@ def _facets(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     Double description (Fukuda and Prodon 1996) of the cone {a : <a, z> >= 0
     for every reduced lift z}, whose extreme rays are the normals.  It starts
     from n = d(d+1)/2 independent lifts, each ray orthogonal to all but one,
-    and adds the other lifts one at a time.  Rays of opposite sign on the
-    new lift combine when adjacent: no third ray vanishes on every processed
-    lift where both do (counting unprocessed lifts lets redundant rays in).
+    and adds the other lifts one at a time.  With L the matrix of the start
+    lifts, column i of D L^-1 (one elimination of [L | I], as closure takes
+    its inverses) has product D with the i-th start lift and 0 with the
+    others, so its ray is that column over its gcd, with the sign of D.
+    Rays of opposite sign on the new lift combine when adjacent: no third
+    ray vanishes on every processed lift where both do (counting
+    unprocessed lifts lets redundant rays in).
     """
     n = d * (d + 1) // 2
     lifts = _table(d).reduced
     start = [k + 1 for k in linalg.first_independent(lifts[1:], n)]
+    aug, piv_rows, _, det = linalg._bareiss([[*lifts[k], *(int(t == i) for t in range(n))] for i, k in enumerate(start)], n)
     rays = []  # (normal, mask of the processed lifts it vanishes on)
-    for k in start:
-        (a,) = _orthogonal_basis([lifts[j] for j in start if j != k], n)
-        g = math.gcd(*a) if sum(map(mul, a, lifts[k])) > 0 else -math.gcd(*a)
+    for k, a in zip(start, zip(*(aug[r][n:] for r in piv_rows))):
+        g = math.gcd(*a) if det > 0 else -math.gcd(*a)
         rays.append(([v // g for v in a], sum(1 << j for j in start if j != k)))
     for k in sorted(set(range(1, len(lifts))) - set(start)):
         vals = [sum(map(mul, a, lifts[k])) for a, _ in rays]

@@ -71,7 +71,12 @@ def polytope_completion(verts) -> Configuration:
     runs only on rows that span R^(d+1), so the a's span R^d, and w = 0.
 
     The first closure decides whether the points affinely span, that is
-    whether the seed spans R^(d+1).  The result carries the products the
+    whether the seed spans R^(d+1), and refuses them with NotSpanning
+    ("points do not affinely span") when they do not.  Points that span can
+    still be refused by the second closure, with its own NotSpanning
+    ("family does not span R^(d+1)"), when the rows with 0/1 slacks, rows_h,
+    do not span: the points (0,0), (1,0), (0,1), (1,2), whose polytope is
+    not two-level, are refused so.  The result carries the products the
     second closure decided, unchecked: rows_h spans, as that closure
     requires, and the completed points span because they hold the seed.
     """

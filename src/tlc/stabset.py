@@ -18,7 +18,7 @@ a graph only for each class's least mask.  Its result is the JSON object
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -42,10 +42,15 @@ _NODE_LIMIT = 15
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Simple labeled bipartite graph on nodes 0..n-1."""
+    """Simple labeled bipartite graph on nodes 0..n-1.
+
+    The constructor keeps each node's neighbours as one node mask (_adj),
+    which the bipartite test reads and the stable sets are built from.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    _adj: tuple[int, ...] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n > _NODE_LIMIT:
@@ -62,13 +67,11 @@ class BipartiteGraph:
         if len(set(edges)) != len(edges):
             raise ParseError("parallel edge")
         object.__setattr__(self, "edges", tuple(sorted(edges)))
+        object.__setattr__(self, "_adj", tuple(adj))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "BipartiteGraph":
         return cls(n, tuple(edges))
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 def _checked_edges(n: int, edges) -> list[tuple[int, int]]:
@@ -138,26 +141,11 @@ def graph_from_text(text: str) -> BipartiteGraph:
 
 def _stable_masks(g: BipartiteGraph) -> list[int]:
     """All stable sets, as node bitmasks.  Node by node, each stable set
-    found so far that holds no neighbour of v gains a copy with v; the sets
-    so far hold only nodes below v, so only the lower endpoints of v's edges
-    are checked."""
-    lower = [0] * g.n
-    for u, v in g.edges:
-        lower[v] |= 1 << u
+    found so far that holds no neighbour of v gains a copy with v."""
     sets = [0]
     for v in range(g.n):
-        sets += [s | 1 << v for s in sets if not s & lower[v]]
+        sets += [s | 1 << v for s in sets if not s & g._adj[v]]
     return sets
-
-
-def stable_sets(g: BipartiteGraph) -> list[tuple[int, ...]]:
-    """All stable sets, as sorted node tuples (see _stable_masks)."""
-    return sorted(tuple(v for v in range(g.n) if s >> v & 1) for s in _stable_masks(g))
-
-
-def _char_vec(s, n: int) -> tuple[int, ...]:
-    members = set(s)
-    return tuple(1 if v in members else 0 for v in range(n))
 
 
 def _clique_line(n: int, a: int, flip: int, masks) -> tuple[tuple[int, ...], list[int]]:
@@ -171,8 +159,9 @@ def _clique_line(n: int, a: int, flip: int, masks) -> tuple[tuple[int, ...], lis
 
 
 def _basic_slack(g: BipartiteGraph):
-    """The basic rows (a, b) of x.a >= b, the stable sets, their points
-    (x, -1), and the row-major slack bits of the rows against the points.
+    """The basic rows (a, b) of x.a >= b, the points (1_S, -1) of the stable
+    sets S in the order of their sorted node tuples, and the row-major
+    slack bits of the rows against the points.
 
     The rows are x_v >= 0, x_u + x_v <= 1 for every edge, and x_v <= 1 for
     every isolated node v, which keeps the description bounded: (1_A, 0)
@@ -180,24 +169,23 @@ def _basic_slack(g: BipartiteGraph):
     clique (_clique_line).
     """
     n = g.n
-    cols = stable_sets(g)
-    masks = [sum(1 << v for v in s) for s in cols]
+    masks = sorted(_stable_masks(g), key=lambda s: [v for v in range(n) if s >> v & 1])
     # (node mask of A, 1 for the row (-1_A, -1))
     cliques = [(1 << v, 0) for v in range(n)]
     cliques += [(1 << u | 1 << v, 1) for u, v in g.edges]
-    cliques += [(1 << v, 1) for v in range(n) if g.degree(v) == 0]
+    cliques += [(1 << v, 1) for v in range(n) if not g._adj[v]]
     rows, bits = [], []
     for a, flip in cliques:
         row, line = _clique_line(n, a, flip, masks)
         rows.append(row)
         bits += line
-    points = tuple(_char_vec(s, n) + (-1,) for s in cols)
-    return tuple(rows), cols, points, bits
+    points = tuple(tuple(s >> v & 1 for v in range(n)) + (-1,) for s in masks)
+    return tuple(rows), points, bits
 
 
 def stab_basic_slack(g: BipartiteGraph) -> SlackMatrix:
     """Slack of every stable set against the basic rows (see _basic_slack)."""
-    rows, _, points, bits = _basic_slack(g)
+    rows, points, bits = _basic_slack(g)
     return SlackMatrix(BinaryMatrix(len(rows), len(points), bits), rows, points)
 
 

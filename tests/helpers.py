@@ -10,7 +10,7 @@ from tlc.corrcone import all_points, lift_raw
 from tlc.errors import DimensionMismatch, NonBinaryProduct
 from tlc.geometry import polytope_completion
 from tlc.linalg import vec
-from tlc.stabset import BipartiteGraph, _basic_slack, _bipartite, _edge_list
+from tlc.stabset import BipartiteGraph, _basic_slack, _bipartite, _edge_list, _stable_masks
 
 
 def dot(u, v) -> Fraction:
@@ -98,10 +98,23 @@ def det_history(gens: GeneratorSet) -> tuple[int, ...]:
     return tuple(linalg.lattice_determinant_rect(gens.gens[:k]) for k in range(gens.d, gens.k + 1))
 
 
+def stable_sets(g: BipartiteGraph) -> list[tuple[int, ...]]:
+    """All stable sets, as sorted node tuples, from `stabset._stable_masks`."""
+    return sorted(tuple(v for v in range(g.n) if s >> v & 1) for s in _stable_masks(g))
+
+
+def char_vec(s, n: int) -> tuple[int, ...]:
+    """The 0/1 vector of the node set s on nodes 0..n-1."""
+    members = set(s)
+    return tuple(1 if v in members else 0 for v in range(n))
+
+
 def _tight_sets(g: BipartiteGraph) -> tuple[list[tuple[int, ...]], list[int]]:
     """The stable sets and, for each, the mask of the basic rows tight at its
     point (slack bit 0), isolated nodes' rows x_v <= 1 included."""
-    rows, cols, _, bits = _basic_slack(g)
+    rows, _, bits = _basic_slack(g)
+    # _basic_slack's points follow the sorted stable sets
+    cols = stable_sets(g)
     ncols = len(cols)
     return cols, [sum(1 << i for i in range(len(rows)) if not bits[i * ncols + j]) for j in range(ncols)]
 

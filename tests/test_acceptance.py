@@ -229,7 +229,7 @@ def test_criterion_07_stabset_family():
                 g = stabset.graph_from_mask(n, mask)
             except NotBipartite:
                 continue
-            if min(map(g.degree, range(g.n))) >= 2:
+            if min(sum(v in e for e in g.edges) for v in range(g.n)) >= 2:
                 masks.append((mask, g))
         for mask, g in masks:
             total_graphs += 1

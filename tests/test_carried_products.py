@@ -41,7 +41,7 @@ from tlc.configuration import (
 from tlc.errors import NotAFace, NotBipartite, NotSpanning, TlcError
 from tlc.geometry import polytope_completion, to_binary_integral_configuration
 
-from helpers import NO_BASIS_INSIDE, core_inputs, dot, examples_library
+from helpers import NO_BASIS_INSIDE, char_vec, core_inputs, dot, examples_library, stable_sets
 from test_cli import _weighted_graph_text, run_cli
 
 F = Fraction
@@ -85,7 +85,7 @@ def _stable_set_polytopes():
                 g = stabset.graph_from_mask(n, mask)
             except NotBipartite:
                 continue
-            out.append((g, [stabset._char_vec(s, n) for s in stabset.stable_sets(g)]))
+            out.append((g, [char_vec(s, n) for s in stable_sets(g)]))
     assert len(out) == 1 + 2 + 7 + 41 + 376
     return out
 

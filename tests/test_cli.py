@@ -27,7 +27,7 @@ from tlc.errors import NotSpanning, ParseError
 from tlc.linalg import rank
 from tlc.store import Store
 
-from helpers import matrix_from_rows
+from helpers import matrix_from_rows, stable_sets
 
 
 def run_cli(args, store=None):
@@ -209,7 +209,7 @@ def _path_polytope(tmp_path, n):
     """The vertices of the stable-set polytope of the n-node path, and the
     polytope JSON file that holds them."""
     g = stabset.BipartiteGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-    verts = [[int(v in s) for v in range(n)] for s in stabset.stable_sets(g)]
+    verts = [[int(v in s) for v in range(n)] for s in stable_sets(g)]
     return verts, write(tmp_path, f"path{n}.json", json.dumps({"d": n, "ineqs": [], "verts": verts}))
 
 
@@ -604,6 +604,17 @@ def test_report_refuses_file_that_is_not_a_canonical_form(tmp_path, fmt):
     copy = "\n".join(lines[:1] + lines[:0:-1]) + "\n"
     path = Store(store).put("md/2", copy.encode(), ".mat")
     assert len(list((store / "md" / "2").iterdir())) == 3
+    expected = f"error: StoreConflict: {path} is not a canonical form\n"
+    assert run_cli(["--format", fmt, "report"], store=store) == (3, "", expected)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("payload", [b"\xff\xfe 1\n", b"1 x\n"], ids=["not utf-8", "not a matrix"])
+def test_report_refuses_file_that_is_not_a_matrix(tmp_path, payload, fmt):
+    # a file that does not decode or parse is no canonical form either, and
+    # is refused the same way, naming the file
+    store = tmp_path / "store"
+    path = Store(store).put("md/4", payload, ".mat")
     expected = f"error: StoreConflict: {path} is not a canonical form\n"
     assert run_cli(["--format", fmt, "report"], store=store) == (3, "", expected)
 

@@ -15,6 +15,7 @@ from tlc.configuration import (
     from_slack_matrix,
     maximal_completion,
     normalize_to_binary,
+    parse_matrix,
     slack_matrix,
 )
 from tlc.errors import (
@@ -60,6 +61,10 @@ _REFUSALS = {
         lambda: compress.GeneratorSet(2, ((1, 1), (1, 1), (1, 0))), NotSpanning, "leading generators are not independent"),
     "GeneratorSet fewer than d": (
         lambda: compress.GeneratorSet(2, ((1, 0),)), NotSpanning, "leading generators are not independent"),
+    "parse_matrix header of words": (
+        lambda: parse_matrix("a b\n"), ParseError, "header must be two integers (line 1)"),
+    "weighted_graph_parse header of words": (
+        lambda: compress.weighted_graph_parse("1 x\n1\n1\n1\n"), ParseError, "header must be two integers (line 1)"),
     "weighted_graph_parse dependent generators": (
         lambda: compress.weighted_graph_parse("2 2\n11\n11\n0 0\n0\n0 0\n"),
         NotSpanning, "leading generators are not independent"),
@@ -180,6 +185,8 @@ _RUNS = {
     "check negative shape": (["check", "{file}"], "-1 2\n", 2, "", "parse error: negative shape (line 1)\n"),
     "check missing bit row": (
         ["check", "{file}"], "2 2\n01\n", 2, "", "parse error: expected 2 bit rows, found 1 (line 2)\n"),
+    "check header of words": (
+        ["check", "{file}"], "a b\n", 2, "", "parse error: header must be two integers (line 1)\n"),
     "stab-slack edge endpoint": (
         ["stab-slack", "{file}"], "3\n0 x\n", 2, "", "parse error: edge endpoints must be integers (line 2)\n"),
     "complete degenerate seed": (

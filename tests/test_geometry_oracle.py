@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from tlc import geometry, linalg, stabset
 from tlc.configuration import (
     Configuration,
+    SlackMatrix,
     closure,
     from_slack_matrix,
     maximal_completion,
@@ -39,7 +40,7 @@ from tlc.errors import DimensionMismatch, DimensionTooLarge, NoCore, NonBinarySl
 from tlc.geometry import complete_maximal_pair, polytope_completion
 from tlc.linalg import frac, vec
 
-from helpers import core_inputs, dot, examples_library, mat_vec
+from helpers import char_vec, core_inputs, dot, examples_library, mat_vec, matrix_from_rows, stable_sets
 
 F = Fraction
 _ERRORS = (DimensionMismatch, NonBinarySlack, NotSpanning, ParseError)
@@ -396,7 +397,7 @@ def _stable_set_completions(max_nodes):
                 g = stabset.BipartiteGraph.from_edges(n, edges)
             except NotBipartite:
                 continue
-            out.append(polytope_completion([stabset._char_vec(s, n) for s in stabset.stable_sets(g)]))
+            out.append(polytope_completion([char_vec(s, n) for s in stable_sets(g)]))
     return out
 
 
@@ -421,7 +422,7 @@ def _path_and_edgeless_stable_sets():
     for n in range(2, 7):
         for edges in ([(v, v + 1) for v in range(n - 1)], []):
             g = stabset.BipartiteGraph.from_edges(n, edges)
-            out.append([stabset._char_vec(s, n) for s in stabset.stable_sets(g)])
+            out.append([char_vec(s, n) for s in stable_sets(g)])
     return out
 
 
@@ -432,6 +433,32 @@ def test_core_search_matches_label_rank_search():
         s = slack_matrix(cfg)
         for size in range(1, cfg.d + 1):
             assert geometry.find_triangular_core(s, size) == reference_find_triangular_core(s, size)
+
+
+# rank-4 matrices on which the search at size 4 places a pair that passes
+# the rank test and takes it back: the first then ends in NoCore, the second
+# in a core
+_BACKTRACKING = [
+    [(0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0)],
+    [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0)],
+]
+
+
+def test_core_search_backtracks_like_the_references():
+    ends = []
+    for rows in _BACKTRACKING:
+        # the row labels are the rows, so both references rank the same vectors
+        s = SlackMatrix(matrix_from_rows(rows), tuple(rows), tuple(zip(*rows)))
+        for size in range(1, 5):
+            got = []
+            for search in (geometry.find_triangular_core, reference_find_triangular_core, reference_bit_rank_core):
+                try:
+                    got.append(search(s, size))
+                except NoCore:
+                    got.append(NoCore)
+            assert got[1:] == got[:1] * 2, (rows, size)
+        ends.append(got[0])
+    assert ends == [NoCore, geometry.TriangularCore((4, 3, 1, 0), (0, 1, 3, 2))]
 
 
 def _labelled_stable_set_completions(max_nodes):
@@ -445,7 +472,7 @@ def _labelled_stable_set_completions(max_nodes):
                 g = stabset.BipartiteGraph.from_edges(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
             except NotBipartite:
                 continue
-            out.append(polytope_completion([stabset._char_vec(s, n) for s in stabset.stable_sets(g)]))
+            out.append(polytope_completion([char_vec(s, n) for s in stable_sets(g)]))
     return out
 
 

@@ -14,10 +14,9 @@ from tlc.stabset import (
     graph_from_text,
     stab_basic_slack,
     stab_maximal_slack,
-    stable_sets,
 )
 
-from helpers import reference_bipartite_scan, simple_vertices, zero_vertex_neighbors
+from helpers import char_vec, reference_bipartite_scan, simple_vertices, stable_sets, zero_vertex_neighbors
 
 F = Fraction
 
@@ -184,10 +183,10 @@ def reference_basic_slack(g):
     n = g.n
     rows = [tuple(1 if i == v else 0 for i in range(n)) + (0,) for v in range(n)]
     rows += [tuple(-1 if i in (u, v) else 0 for i in range(n)) + (-1,) for u, v in g.edges]
-    rows += [tuple(-1 if i == v else 0 for i in range(n)) + (-1,) for v in range(n) if g.degree(v) == 0]
-    cols = stable_sets(g)
-    points = tuple(stabset._char_vec(s, n) + (-1,) for s in cols)
-    return tuple(rows), cols, points, configuration.slack_bits(rows, points)
+    rows += [tuple(-1 if i == v else 0 for i in range(n)) + (-1,) for v in range(n)
+             if not any(v in e for e in g.edges)]
+    points = tuple(char_vec(s, n) + (-1,) for s in stable_sets(g))
+    return tuple(rows), points, configuration.slack_bits(rows, points)
 
 
 def test_basic_slack_bit_counts_match_the_products_on_all_small_graphs():
@@ -207,7 +206,8 @@ def test_simple_vertices_match_facet_count_on_all_small_graphs():
 
 def reference_zero_vertex_neighbors(g):
     """The earlier `zero_vertex_neighbors`, on frozensets of tight rows."""
-    rows, cols, _, bits = stabset._basic_slack(g)
+    rows, _, bits = stabset._basic_slack(g)
+    cols = stable_sets(g)
     tight_sets = [
         frozenset(i for i in range(len(rows)) if not bits[i * len(cols) + j])
         for j in range(len(cols))
@@ -437,7 +437,7 @@ def test_maximal_slack_checks_products_once(monkeypatch):
         calls.clear()
         slack = stab_maximal_slack(g)
         assert calls == []
-        cfg = geometry.polytope_completion([stabset._char_vec(s, g.n) for s in stable_sets(g)])
+        cfg = geometry.polytope_completion([char_vec(s, g.n) for s in stable_sets(g)])
         configuration.slack_matrix(cfg)
         assert calls == []
         assert configuration.Configuration(cfg.d, cfg.A, cfg.B)._slack == slack.matrix
@@ -447,7 +447,7 @@ def test_maximal_slack_checks_products_once(monkeypatch):
 def completion_slack(g):
     """The oracle for stab_maximal_slack: the slack matrix of the completion
     of g's stable-set vertices by two closures."""
-    return configuration.slack_matrix(geometry.polytope_completion([stabset._char_vec(s, g.n) for s in stable_sets(g)]))
+    return configuration.slack_matrix(geometry.polytope_completion([char_vec(s, g.n) for s in stable_sets(g)]))
 
 
 def assert_maximal_slack_matches_completion(g):
