@@ -166,7 +166,8 @@ def _facets(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     n = d * (d + 1) // 2
     lifts = _table(d).reduced
     start = [k + 1 for k in linalg.first_independent(lifts[1:], n)]
-    aug, piv_rows, _, det = linalg._bareiss([[*lifts[k], *(int(t == i) for t in range(n))] for i, k in enumerate(start)], n)
+    aug = [[*lifts[k], *(int(t == i) for t in range(n))] for i, k in enumerate(start)]
+    aug, piv_rows, _, det = linalg._bareiss(aug, n)
     rays = []  # (normal, mask of the processed lifts it vanishes on)
     for k, a in zip(start, zip(*(aug[r][n:] for r in piv_rows))):
         g = math.gcd(*a) if det > 0 else -math.gcd(*a)
