@@ -248,10 +248,9 @@ def decompress(cc: CompressedConfig) -> Configuration:
     Every decoded point a' gives the a with G a = a' when there is one (G the
     k x d generator matrix, of full column rank).  One fraction-free
     elimination of [G | A'^T], A' the decoded points as rows, solves them
-    all: a' is consistent exactly when its column is 0 on every non-pivot
-    row, and then a_c = (pivot row's entry) / D on each pivot column c.
-    closure reads the solved points as these numerators over D
-    (_Integral), not by scaling their Fractions back to integers.
+    all (linalg._solve), as integer numerators over D > 0.  closure reads
+    the distinct solved points as these numerators over D (_Integral), not
+    by scaling their Fractions back to integers.
 
     The result carries the products that closure decided, unchecked.  A
     spans, or closure raises NotSpanning.  B spans: each generator g_i has
@@ -261,16 +260,11 @@ def decompress(cc: CompressedConfig) -> Configuration:
     gens = cc.gens
     a_prime = corrcone.certificate_decode(cc.cert)
     d = gens.d
-    aug = [list(g) + [ap[i] for ap in a_prime] for i, g in enumerate(gens.gens)]
-    aug, piv_rows, _, det = linalg._bareiss(aug, d)
-    pivots = set(piv_rows)
-    zero_rows = [row for i, row in enumerate(aug) if i not in pivots]
-    # G has rank d, so pivot row k is the one of column k
-    nums = [tuple(aug[r][p] for r in piv_rows) for p in range(d, d + len(a_prime))
-            if not any(row[p] for row in zero_rows)]
-    # nums is never empty: the zero point lies on every facet, so it is
-    # decoded, and its column is zero, so consistent
-    return _with_closure(d, closure(_Integral._over(nums, det), d))
+    xs, det = linalg._solve([list(g) + [ap[i] for ap in a_prime] for i, g in enumerate(gens.gens)], d)
+    # never empty: the zero point lies on every facet, so it is decoded, and
+    # its column is zero, so consistent
+    nums = sorted(set(xs) - {None})
+    return _with_closure(d, closure(_Integral._of(nums, det), d))
 
 
 def weighted_graph_serialize(cc: CompressedConfig) -> str:

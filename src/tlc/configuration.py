@@ -403,12 +403,12 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
     so the closure is the set of the 2^d solutions of <y, b_k> = s_k whose
     products with every other family vector are 0/1.  The computation is
     over the integers: with the family scaled by its common denominator L to
-    the columns of X, one fraction-free elimination of [X | I] picks the
-    basis (its pivot columns), turns each other column into D times its
-    coordinates w over the basis, and turns I into G with <g_k, L b_j> =
-    D [k = j] (D the last pivot).  Pattern s is kept exactly when
-    sum_{k in s} w_k is 0 or D for every other column, and its y is
-    L sum_{k in s} g_k / D.
+    the columns of X, one fraction-free elimination of [X | I]
+    (linalg._inverse) picks the basis (its pivot columns), turns each other
+    column into D times its coordinates w over the basis, and turns I into
+    G with <g_k, L b_j> = D [k = j] (D > 0, the last pivot up to sign).
+    Pattern s is kept exactly when sum_{k in s} w_k is 0 or D for every
+    other column, and its y is L sum_{k in s} g_k / D.
 
     The result is a tuple of the y, sorted by their integer numerators over
     D > 0, which carries what the filter decided (_Closure).  A family that
@@ -438,18 +438,12 @@ def closure(vectors, d: int) -> tuple[Vec, ...]:
         raise NotSpanning(f"family does not span R^{d}")
     if d > _CLOSURE_RANK_LIMIT:
         raise DimensionTooLarge(f"closure is limited to rank <= {_CLOSURE_RANK_LIMIT}")
-    rows = [list(col) + [0] * d for col in zip(*xs)]
-    for r in range(d):
-        rows[r][m + r] = 1
-    rows, piv_rows, piv_cols, det = linalg._bareiss(rows, m)
-    if len(piv_cols) < d:
+    inverse = linalg._inverse(list(zip(*xs)), m)
+    if inverse is None:
         raise NotSpanning(f"family does not span R^{d}")
-    if det < 0:
-        det = -det
-        rows = [[-x for x in row] for row in rows]
-    pivots = [rows[r] for r in piv_rows]
+    pivots, g, piv_cols, det = inverse
 
-    coords = [_subset_sums([scale * row[m + r] for row in pivots]) for r in range(d)]
+    coords = [_subset_sums([scale * x for x in column]) for column in zip(*g)]
     ys = list(zip(*coords))
     alive, sums = _zero_one_patterns(pivots, piv_cols, det, m)
     alive.sort(key=ys.__getitem__)
@@ -470,15 +464,6 @@ class _Integral(tuple):
         out = cls(linalg.divide_rows(nums, den))
         out.nums, out.den = nums, den
         return out
-
-    @classmethod
-    def _over(cls, nums, den: int):
-        """The distinct vectors nums / den, sorted: den is made positive
-        first, so that the numerators sort as the vectors do."""
-        if den < 0:
-            den = -den
-            nums = [tuple(-x for x in y) for y in nums]
-        return cls._of(sorted(set(nums)), den)
 
 
 class _Closure(_Integral):
@@ -617,15 +602,16 @@ def _rank_factor(lines, basis, cols) -> tuple[tuple, tuple, list]:
     P the lines themselves, P[i][j] = <a_i, c_j>, since line i is
     sum_k a_i[k] R_k.  C and A come sorted, as a Configuration keeps its
     sides, and P is permuted to match: the columns are int vectors, and the
-    coefficients sort as their integer numerators over D once D is made
-    positive, with no Fraction compared.
+    coefficients sort as their integer numerators over D > 0, with no
+    Fraction compared.
 
     The callers have J = cols from their own eliminations: the pivot
     columns of an elimination of all the lines are independent in R too,
     since R's rows span the lines and so have the same column relations.
-    Any independent J gives the same coefficients.  One elimination of
-    [R_J^T | I] gives G = D (R_J^T)^-1 in integers (_bareiss).  Line y's
-    coefficients are then G y_J / D, one division per distinct entry.
+    Any independent J gives the same coefficients.  R_J^T is invertible, so
+    one elimination of [R_J^T | Y], Y the lines at J as columns
+    (linalg._solve), gives each line y its coefficients (R_J^T)^-1 y_J as
+    integer numerators over D, one division per distinct entry.
 
     For a configuration whose slack matrix has these lines, the labels of
     the positions along a line span, so a -> (<a, b_j>)_j is injective and
@@ -635,17 +621,12 @@ def _rank_factor(lines, basis, cols) -> tuple[tuple, tuple, list]:
     that kind is this factorization of the slack bits.
     """
     r = [lines[i] for i in basis]
-    d = len(r)
-    aug = [[x[j] for x in r] + [int(t == i) for t in range(d)] for i, j in enumerate(cols)]
-    aug, inv_rows, _, det = linalg._bareiss(aug, d)
-    sign = -1 if det < 0 else 1
-    g = [[sign * x for x in aug[k][d:]] for k in inv_rows]
-    nums = [tuple(sum(map(mul, gk, [y[j] for j in cols])) for gk in g) for y in lines]
+    nums, det = linalg._solve([[x[j] for x in r] + [y[j] for y in lines] for j in cols], len(r))
     positions = list(zip(*r))
     order = sorted(range(len(positions)), key=positions.__getitem__)
     line_order = sorted(range(len(lines)), key=nums.__getitem__)
     return (tuple(map(positions.__getitem__, order)),
-            linalg.divide_rows([nums[i] for i in line_order], sign * det),
+            linalg.divide_rows([nums[i] for i in line_order], det),
             [[lines[i][j] for j in order] for i in line_order])
 
 
@@ -752,10 +733,13 @@ def configuration_to_json(cfg: Configuration) -> str:
 
 
 def json_with_dim(text: str) -> tuple[dict, int]:
-    """The parsed JSON object and its field "d"; only a JSON integer is accepted."""
+    """The parsed JSON object and its field "d"; only a JSON integer is
+    accepted.  Text json cannot read is a ParseError: malformed text, nesting
+    past the recursion limit, or an integer past Python's digit limit for
+    int(), which json.loads raises as a ValueError (JSONDecodeError is one)."""
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"bad JSON: {e}") from None
     try:
         d = payload["d"]

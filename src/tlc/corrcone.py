@@ -14,9 +14,9 @@ Only d(d+1)/2 of the d^2 + d coordinates are independent on the lifts: the
 block is symmetric and its diagonal equals the tail, because x_i^2 = x_i.
 The cone is kept as its facets in the reduced lift (x_i x_j for i < j, then
 x), which maps the span of the lifts one to one onto R^(d(d+1)/2), and every
-face question is a closure on bitmasks over all_points(d).  The points, their
-sorted order, each point's index and its two lifts are one table per
-dimension (_table), built on first use.  The certificate
+face question is answered by ANDs of the facets' bitmasks over
+all_points(d).  The points, their sorted order, each point's index and its
+two lifts are one table per dimension (_table), built on first use.  The certificate
 entries, their text and the weighted-graph text keep the full d^2 + d
 layout; a certificate whose block is not symmetric, or whose diagonal is
 not its tail, lies outside the span and so outside the cone.
@@ -47,7 +47,8 @@ from .errors import (
 Bit = tuple[int, ...]
 
 # Largest dimension for enumerate_faces.  On 2 cores with Python 3.11.7 the
-# 7,814 faces at d = 4 take 0.3 s; d = 5 has 4,846,510 faces and takes 4 min.
+# 7,814 faces at d = 4 take 30-50 ms, facets included; at d = 5 the set of
+# face masks would hold 4,846,510 masks.
 _FACE_ENUM_LIMIT = 4
 
 # Largest dimension for face_points, is_face, certificate_encode and
@@ -156,9 +157,9 @@ def _facets(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     for every reduced lift z}, whose extreme rays are the normals.  It starts
     from n = d(d+1)/2 independent lifts, each ray orthogonal to all but one,
     and adds the other lifts one at a time.  With L the matrix of the start
-    lifts, column i of D L^-1 (one elimination of [L | I], as closure takes
+    lifts, column i of D L^-1 (D > 0, from linalg._inverse, as closure takes
     its inverses) has product D with the i-th start lift and 0 with the
-    others, so its ray is that column over its gcd, with the sign of D.
+    others, so its ray is that column over its gcd.
     Rays of opposite sign on the new lift combine when adjacent: no third
     ray vanishes on every processed lift where both do (counting
     unprocessed lifts lets redundant rays in).
@@ -166,11 +167,10 @@ def _facets(d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     n = d * (d + 1) // 2
     lifts = _table(d).reduced
     start = [k + 1 for k in linalg.first_independent(lifts[1:], n)]
-    aug = [[*lifts[k], *(int(t == i) for t in range(n))] for i, k in enumerate(start)]
-    aug, piv_rows, _, det = linalg._bareiss(aug, n)
+    inverse = linalg._inverse([lifts[k] for k in start], n)[1]
     rays = []  # (normal, mask of the processed lifts it vanishes on)
-    for k, a in zip(start, zip(*(aug[r][n:] for r in piv_rows))):
-        g = math.gcd(*a) if det > 0 else -math.gcd(*a)
+    for k, a in zip(start, zip(*inverse)):
+        g = math.gcd(*a)
         rays.append(([v // g for v in a], sum(1 << j for j in start if j != k)))
     for k in sorted(set(range(1, len(lifts))) - set(start)):
         vals = [sum(map(mul, a, lifts[k])) for a, _ in rays]
@@ -317,23 +317,22 @@ def certificate_decode(cert: FaceCertificate) -> tuple[Bit, ...]:
 
 
 def enumerate_faces(d: int) -> tuple[tuple[Bit, ...], ...]:
-    """Every face of the correlation cone as a 0/1 point set (small d only).
+    """Every face of the correlation cone as a 0/1 point set (small d only),
+    sorted by size, then by points.
 
-    NextClosure (Ganter 2010) on the point masks visits each closed mask
-    once, in lectic order, starting from the smallest face {0}.
+    Starting from the full mask, each facet mask m (_facets) adds f & m for
+    every face f found so far, so the set ends as the ANDs of all subsets
+    of the facet masks.  These are exactly the faces:
+    - COR_d is a pointed polyhedral cone generated by the lifts, so a face
+      is the cone over the lifts it holds and is fixed by its 0/1 points;
+    - every proper face is the intersection of the facets that contain it,
+      and the whole cone is the empty intersection;
+    - so the face masks are exactly the ANDs of subsets of facet masks.
     """
     if d > _FACE_ENUM_LIMIT:
         raise DimensionTooLarge(f"face enumeration is limited to d <= {_FACE_ENUM_LIMIT}")
     _check_dimension(d)
-    faces = [_close(d, 0)]
-    i = 1 << d
-    while i:
-        i -= 1
-        low = faces[-1] & ((1 << i) - 1)
-        if not (faces[-1] >> i) & 1:
-            mask = _close(d, low | (1 << i))
-            if mask & ((1 << i) - 1) == low:
-                faces.append(mask)
-                i = 1 << d
+    faces = {(1 << (1 << d)) - 1}
+    for _, m in _facets(d):
+        faces |= {f & m for f in faces}
     return tuple(sorted((_points(d, m) for m in faces), key=lambda f: (len(f), f)))
-

@@ -26,7 +26,7 @@ from .canon import CanonicalForm
 from .configuration import BinaryMatrix, _subset_sums, parse_matrix
 from .corrcone import _table, all_points
 from .errors import DimensionMismatch, DimensionTooLarge
-from .linalg import _bareiss, rank
+from .linalg import _inverse, rank
 
 _MAX_DIM = 5
 _ORACLE_DIM_LIMIT = 2
@@ -89,9 +89,10 @@ def _seed_context(d: int):
     """(U_d, closed, missed, ones), built once per d on first use.
 
     A spanning 0/1 seed holds a 0/1 basis M, so its closure lies in U_d, the
-    M^-1 s for s in {0,1}^d (found as integers in D M^-1; sorted as closure
-    sorts).  Each y in U_d is kept as the integer row (q, q y), q the least
-    positive integer that makes q y integral; no Fraction is built.
+    M^-1 s for s in {0,1}^d (found as integers in D M^-1, D > 0, from
+    linalg._inverse; sorted as closure sorts).  Each y in U_d is kept as the
+    integer row (q, q y), q the least positive integer that makes q y
+    integral; no Fraction is built.
     closed[j] masks the y in U_d with <y, x_j> in {0,1}: a seed's
     closure is the AND of its points' masks.  ones[i] masks the points x_j
     with <u_i, x_j> = 1; both come from one table of subset sums.  missed[j] masks
@@ -121,11 +122,11 @@ def _seed_context(d: int):
         mask = sum(1 << j for j in basis)
         if any(image < mask for image in _orbit_images(d, mask)):
             continue
-        rows, piv_rows, _, det = _bareiss([[*points[j], *points[1 << i]] for i, j in enumerate(basis)], d)
-        if len(piv_rows) == d:
-            inverse = [rows[r][d:] for r in piv_rows]
+        solved = _inverse([points[j] for j in basis], d)
+        if solved is not None:
+            _, inverse, _, det = solved
             for y in zip(*map(_subset_sums, inverse)):
-                g = math.gcd(det, *y) if det > 0 else -math.gcd(det, *y)
+                g = math.gcd(det, *y)
                 found.add(tuple(x // g for x in (det, *y)))
             cuts.update(tuple(p != 0 for p in _subset_sums(n)) for n in zip(*inverse))
     sigmas = list(permutations(range(d)))

@@ -7,10 +7,13 @@ to integer rows; rows that are already ``int`` are used as they are.
 ``divide_rows`` turns integer rows over a pivot D into ``Fraction`` rows,
 one ``Fraction`` per distinct numerator.  Elimination runs in one integer
 kernel, ``_bareiss``: fraction-free Gauss-Jordan (Bareiss) with optional
-augmented columns.  ``rank``, ``solve``, ``first_independent`` and
-``inverse_and_det`` are thin wrappers over it, and ``Fraction`` objects are
-built only for the values they return.  The lattice functions work on
-integers throughout, and ``hnf`` gives a Hermite form once, against which
+augmented columns.  Only this module builds an augmented system or reads
+its columns: ``_inverse`` eliminates [M | I] and ``_solve`` eliminates
+[M | Y], each with its last pivot D made positive, so that the rest of the
+package gets integer numerators over D > 0.  ``rank``, ``solve``,
+``first_independent`` and ``inverse_and_det`` are thin wrappers over the
+kernel, and ``Fraction`` objects are built only for the values they
+return.  The lattice functions work on integers throughout, and ``hnf`` gives a Hermite form once, against which
 ``_hnf_coords`` reduces any number of vectors.  The feasibility solver is a
 plain phase-1 simplex over ``Fraction`` with Bland's rule, which terminates
 on every input.  Matrices are lists of rows, and lattices are lists of
@@ -147,12 +150,52 @@ def rank(m) -> int:
     return len(_bareiss(rows, _width(rows))[1])
 
 
+def _inverse(rows, ncols: int) -> Optional[tuple[list[list[int]], list[list[int]], list[int], int]]:
+    """(P, G, cols, D) from one elimination of [M | I] over the first ncols
+    columns, for integer rows M of full row rank, or None when the rows are
+    dependent.
+
+    With the k rows all pivots, in pivot order: P holds their first ncols
+    entries, D on their own pivot column cols[i] and 0 on the other pivot
+    columns, and G their last k entries, so that G M = P.  D > 0: when the
+    last pivot comes out negative, P and G are negated with it.  For square
+    M, G = D M^-1 and P = D I.
+    """
+    k = len(rows)
+    aug = [[*r, *(0,) * i, 1, *(0,) * (k - 1 - i)] for i, r in enumerate(rows)]
+    aug, piv_rows, piv_cols, det = _bareiss(aug, ncols)
+    if len(piv_rows) < k:
+        return None
+    pivots = [aug[r] if det > 0 else [-x for x in aug[r]] for r in piv_rows]
+    return [p[:ncols] for p in pivots], [p[ncols:] for p in pivots], piv_cols, abs(det)
+
+
+def _solve(rows, n: int) -> tuple[list[Optional[tuple[int, ...]]], int]:
+    """(X, D) from one elimination of integer rows [M | Y], M their first n
+    columns: for each column y of Y, the numerators over D > 0 of the x with
+    M x = y whose free coordinates are 0, or None when M x = y has no
+    solution.
+
+    y is consistent exactly when its column is 0 on every non-pivot row; then
+    x_c is the pivot row's entry over D on each pivot column c.  D is the last
+    pivot made positive (1 when there is none), with the numerators' signs.
+    """
+    rows, piv_rows, piv_cols, det = _bareiss(rows, n)
+    sign = 1 if det > 0 else -1
+    zero = [row for i, row in enumerate(rows) if i not in piv_rows]
+    at = dict(zip(piv_cols, piv_rows))
+    src = [rows[at[c]] if c in at else None for c in range(n)]
+    xs = [None if any(row[p] for row in zero) else tuple(sign * row[p] if row is not None else 0 for row in src)
+          for p in range(n, len(rows[0]) if rows else n)]
+    return xs, sign * det
+
+
 def solve(m, y) -> Optional[Vec]:
     """Some x with Mx = y, or None when the system is inconsistent.
 
-    Eliminates the integerized augmented matrix [M | y]; free variables are
-    fixed to zero, so the solution is unique exactly when M has full column
-    rank.
+    One _solve of the integerized augmented matrix [M | y]; free variables
+    are fixed to zero, so the solution is unique exactly when M has full
+    column rank.
     """
     rows = list(m)
     y = list(y)
@@ -161,14 +204,8 @@ def solve(m, y) -> Optional[Vec]:
     n = _width(rows)
     if not rows:
         return ()
-    aug, piv_rows, piv_cols, det = _bareiss(scale_rows((*r, v) for r, v in zip(rows, y))[1], n)
-    pivots = set(piv_rows)
-    if any(row[n] for i, row in enumerate(aug) if i not in pivots):
-        return None
-    x = [ZERO] * n
-    for r, c in zip(piv_rows, piv_cols):
-        x[c] = Fraction(aug[r][n], det)
-    return tuple(x)
+    (x,), det = _solve(scale_rows((*r, v) for r, v in zip(rows, y))[1], n)
+    return None if x is None else tuple(Fraction(v, det) for v in x)
 
 
 def inverse_and_det(rows) -> Optional[tuple[list[list[Fraction]], Fraction]]:

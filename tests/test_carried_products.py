@@ -157,19 +157,19 @@ def _closure_outcome(family, d):
 
 
 def test_closure_reads_integers_over_a_denominator_as_their_fractions():
-    # decompress and the completions hand closure numerators over D; D may
-    # come negative and the numerators repeated or unsorted
+    # decompress hands closure the sorted distinct numerators of its solved
+    # points over D > 0 (linalg._solve); the same vectors as Fractions come
+    # repeated and unsorted
     rng = random.Random(30)
     checked = 0
     for _ in range(300):
         d = rng.randint(1, 4)
-        den = rng.choice([1, 2, 3, 6, -1, -2, -4])
+        den = rng.choice([1, 2, 3, 4, 6])
         nums = [tuple(rng.choice([0, 1, 1, 2, -1, -2, 3]) for _ in range(d)) for _ in range(rng.randint(d, d + 4))]
         nums += [rng.choice(nums) for _ in range(rng.randint(0, 2))]
-        family = configuration._Integral._over(nums, den)
+        family = configuration._Integral._of(sorted(set(nums)), den)
         fractions = linalg.divide_rows(nums, den)
         assert family == tuple(sorted(set(fractions)))
-        assert family.den > 0 and family.nums == sorted(family.nums)
         got, want = _closure_outcome(family, d), _closure_outcome(fractions, d)
         assert got == want
         if isinstance(got, configuration._Closure):

@@ -116,6 +116,22 @@ def test_complete_and_compress_roundtrip(tmp_path):
     assert json.loads(back) == json.loads(completed)
 
 
+def test_compress_normalizes_a_b_side_that_is_not_binary(tmp_path, enum_results):
+    # a class's from_slack_matrix configuration with its sides swapped: its B
+    # side holds the coefficients, so the CLI normalizes it before encoding
+    swapped = next(configuration.Configuration(c.d, c.B, c.A) for c in (
+        configuration.from_slack_matrix(parse_matrix(form.bytes.decode()))
+        for res in enum_results.values() for form in res.classes)
+        if any(x not in (0, 1) for v in c.A for x in v))
+    binary = normalize_to_binary(swapped, "B")
+    cfg = write(tmp_path, "swapped.json", configuration.configuration_to_json(swapped))
+    code, graph, err = run_cli(["compress", cfg], store=tmp_path / "store")
+    assert (code, err) == (0, "")
+    assert graph == compress.weighted_graph_serialize(compress.compress(binary))
+    back = run_cli(["decompress", write(tmp_path, "g.txt", graph)])
+    assert back == (0, configuration.configuration_to_json(binary) + "\n", "")
+
+
 def test_enum_and_report(tmp_path):
     store = tmp_path / "store"
     code, out, _ = run_cli(["enum", "--dim", "2"], store=store)
@@ -872,6 +888,18 @@ def test_stab_slack_maximal_at_the_node_limit(tmp_path):
     proc = run_process(["stab-slack", g, "--maximal"], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n", 1)[0] == "32 32769"
+
+
+def test_main_exits_1_when_stdout_is_closed_before_it_is_written(tmp_path):
+    # the maximal slack matrix of the 15-node edgeless graph is about 1 MB of
+    # text; the read end of the pipe is closed before the child writes any
+    # of it, so its first write meets a broken pipe
+    g = write(tmp_path, "edgeless15.txt", "15\n")
+    proc = subprocess.Popen([sys.executable, "-m", "tlc.cli", "stab-slack", g, "--maximal"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1]
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_check_identity_beyond_closure_rank_limit(tmp_path):

@@ -201,3 +201,98 @@ def test_kernel_adjugate(n):
         inv, got_det = linalg.inverse_and_det(m)
         assert got_det == det
         assert (inv, got_det) == _ref_inverse_and_det(m)
+
+
+def _rank_by_reference(vectors):
+    return max(k for k in range(len(vectors) + 1) if _ref_first_independent(vectors, k) is not None)
+
+
+def _check_inverse(m, ncols):
+    """linalg._inverse(m, ncols) against the Fraction references: None
+    exactly when the rows are dependent; otherwise its pivot columns J are
+    the first independent columns of M, D > 0 is |det M_J|, G / D is the
+    Fraction inverse of M_J and G M = P, which is D I on the columns J."""
+    got = linalg._inverse(m, ncols)
+    k = len(m)
+    columns = [[r[j] for r in m] for j in range(ncols)]
+    cols = _ref_first_independent(columns, k)
+    if cols is None:
+        assert got is None
+        return
+    p, g, piv_cols, den = got
+    assert piv_cols == cols and den > 0
+    inv, det = _ref_inverse_and_det([[r[c] for c in cols] for r in m]) if k else ([], F(1))
+    assert den == abs(det)
+    assert [[F(x, den) for x in row] for row in g] == inv
+    assert [[sum(a * r[j] for a, r in zip(row, m)) for j in range(ncols)] for row in g] == p
+    assert [[row[c] for c in cols] for row in p] == [[den * int(i == j) for j in range(k)] for i in range(k)]
+
+
+def _check_solve(m, ys):
+    """linalg._solve of [M | Y] against the Fraction references: each
+    column y is solved exactly when it lies in the column span of M, by the
+    x with M x = y that is 0 off the first independent columns J of M, as
+    numerators over D = |det| of the pivot submatrix (rows: the first
+    independent rows of M; columns: J), and D > 0."""
+    n = len(m[0])
+    xs, den = linalg._solve([list(r) + [y[i] for y in ys] for i, r in enumerate(m)], n)
+    columns = [[r[j] for r in m] for j in range(n)]
+    rank = _rank_by_reference(columns)
+    cols = _ref_first_independent(columns, rank)
+    rows = _ref_first_independent(m, rank)
+    assert den == (abs(_leibniz_det([[m[i][c] for c in cols] for i in rows])) if rank else 1)
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        if _ref_first_independent(columns + [list(y)], rank + 1) is not None:
+            assert x is None
+            continue
+        assert all(x[c] == 0 for c in range(n) if c not in cols)
+        assert [sum(F(a * v, den) for a, v in zip(r, x)) for r in m] == list(y)
+
+
+def test_inverse_and_solve_make_a_negative_pivot_positive():
+    m = [[1, 2], [3, 4]]
+    # Bareiss ends on the pivot -2 = det M
+    assert linalg._bareiss([[1, 2, 1, 0], [3, 4, 0, 1]], 2)[3] == -2
+    assert linalg._inverse(m, 2) == ([[2, 0], [0, 2]], [[-4, 2], [3, -1]], [0, 1], 2)
+    assert linalg._solve([[1, 2, 1, 5], [3, 4, 0, 6]], 2) == ([(-4, 3), (-8, 9)], 2)
+    _check_inverse(m, 2)
+    _check_solve(m, [(1, 0), (5, 6)])
+
+
+def test_solve_reads_an_inconsistent_column_as_none():
+    assert linalg._solve([[1, 1, 0, 2], [1, 1, 1, 2]], 2) == ([None, (2, 0)], 1)
+    assert linalg._solve([[0, 0, 0, 1]], 2) == ([(0, 0), None], 1)
+    _check_solve([[1, 1], [1, 1]], [(0, 1), (2, 2)])
+    _check_solve([[0, 0]], [(0,), (1,)])
+
+
+def test_solve_sets_the_free_coordinates_of_a_wide_system_to_zero():
+    assert linalg._solve([[1, 1, 0, 2], [0, 0, 1, 3]], 3) == ([(2, 0, 3)], 1)
+    _check_solve([[1, 1, 0], [0, 0, 1]], [(2, 3), (0, 0)])
+    _check_inverse([[1, 1, 0], [0, 0, 1]], 3)
+
+
+def test_inverse_of_no_rows_and_of_dependent_rows():
+    assert linalg._inverse([], 0) == ([], [], [], 1)
+    assert linalg._inverse([[1, 2, 3], [2, 4, 6]], 3) is None
+    _check_inverse([[1, 2, 3], [2, 4, 6]], 3)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (3, 5), (4, 3), (5, 2)])
+def test_inverse_and_solve_match_the_fraction_references(shape):
+    rows_n, cols_n = shape
+    rng = random.Random(rows_n * 10 + cols_n)
+    for trial in range(20):
+        m = [[rng.randint(-3, 3) for _ in range(cols_n)] for _ in range(rows_n)]
+        if trial % 4 == 0 and rows_n > 1:
+            # the last row a combination of the others: dependent rows
+            coeffs = [rng.randint(-2, 2) for _ in range(rows_n - 1)]
+            m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(cols_n)]
+        if rows_n <= cols_n:
+            _check_inverse(m, cols_n)
+        # right-hand sides in the column span and arbitrary ones
+        ys = [tuple(sum(r[j] * w for j, w in enumerate(ws)) for r in m)
+              for ws in ([rng.randint(-2, 2) for _ in range(cols_n)] for _ in range(3))]
+        ys += [tuple(rng.randint(-3, 3) for _ in range(rows_n)) for _ in range(3)]
+        _check_solve(m, ys)

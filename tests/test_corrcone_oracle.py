@@ -5,7 +5,9 @@ earlier corrcone code: every LP runs on the full d^2 + d lift coordinates,
 and the decoder solves one phase-1 LP per nonzero 0/1 point.  They are kept
 here as the oracles for `tlc.corrcone`, which keeps the cone as its facets
 in the d(d+1)/2 independent coordinates and answers every face question by
-a closure on point masks, without any LP.
+a closure on point masks, without any LP.  `next_closure_faces` is the
+earlier face enumeration, NextClosure on the point masks, kept as the oracle
+for `enumerate_faces`, which intersects the facet masks.
 """
 
 import contextlib
@@ -119,6 +121,31 @@ def test_is_face_matches_reference_on_sampled_d4():
     got = [is_face(4, c) for c in cases]
     assert 20 <= sum(got) < len(cases)
     assert got == [reference_is_face(4, c) for c in cases]
+
+
+def next_closure_faces(d):
+    """Every face as a sorted 0/1 point set, sorted by size, then by points:
+    NextClosure (Ganter 2010) on the point masks, with the smallest face
+    holding a mask from corrcone._close, visits each closed mask once, in
+    lectic order, starting from the smallest face {0}."""
+    faces = [corrcone._close(d, 0)]
+    i = 1 << d
+    while i:
+        i -= 1
+        low = faces[-1] & ((1 << i) - 1)
+        if not (faces[-1] >> i) & 1:
+            mask = corrcone._close(d, low | (1 << i))
+            if mask & ((1 << i) - 1) == low:
+                faces.append(mask)
+                i = 1 << d
+    return tuple(sorted((corrcone._points(d, m) for m in faces), key=lambda f: (len(f), f)))
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_enumerate_faces_matches_next_closure(d):
+    faces = corrcone.enumerate_faces(d)
+    assert faces == next_closure_faces(d)
+    assert len(faces) == (1, 2, 8, 106, 7814)[d]
 
 
 def reference_certificate_encode(d, points):

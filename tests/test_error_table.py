@@ -12,6 +12,7 @@ from tlc.configuration import (
     BinaryMatrix,
     SlackMatrix,
     closure,
+    configuration_from_json,
     from_slack_matrix,
     maximal_completion,
     normalize_to_binary,
@@ -39,6 +40,12 @@ from test_cli import run_cli, write
 _UNIT = compress.GeneratorSet(1, ((1,),))
 # the origin, e_1..e_15 and e_1 + e_2: 17 points of R^16 on the hyperplane x_16 = 0
 _FLAT_16 = [(0,) * 16, *(tuple(int(i == k) for i in range(16)) for k in range(15)), (1, 1) + (0,) * 14]
+
+# a JSON integer of 5,001 digits, past the interpreter's default limit of
+# 4,300 digits for int(): json.loads refuses it with a ValueError
+_HUGE_JSON = '{"d": 1, "B": [[1' + "0" * 5000 + "]]}\n"
+_DIGIT_LIMIT = ("bad JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits; "
+                "use sys.set_int_max_str_digits() to increase the limit")
 
 _REFUSALS = {
     "BinaryMatrix negative shape": (lambda: BinaryMatrix(-1, 2, ()), DimensionMismatch, "negative shape"),
@@ -148,6 +155,10 @@ _REFUSALS = {
         lambda: compress.GeneratorSet(1, (5,)), NonBinaryProduct, "generators must be 0/1 vectors"),
     "FaceCertificate entries 5": (
         lambda: corrcone.FaceCertificate(1, 5), NotInCone, "certificate entries must be integers"),
+    "configuration_from_json integer past the digit limit": (
+        lambda: configuration_from_json(_HUGE_JSON), ParseError, _DIGIT_LIMIT),
+    "polytope_from_json integer past the digit limit": (
+        lambda: geometry.polytope_from_json(_HUGE_JSON), ParseError, _DIGIT_LIMIT),
     "lp_feasible sign flags": (
         lambda: linalg.lp_feasible([[1, 0]], [1], [True]), DimensionMismatch, "1 sign flags for 2 variables"),
 }
@@ -192,6 +203,11 @@ _RUNS = {
     "complete degenerate seed": (
         ["complete", "{file}"], '{"d": 1, "B": [[1], [2]]}\n', 3, "",
         "error: DegenerateSeed: closure of the seed does not span R^1\n"),
+    "complete integer past the digit limit": (
+        ["complete", "{file}"], _HUGE_JSON, 2, "", f"parse error: {_DIGIT_LIMIT}\n"),
+    "compress integer past the digit limit": (
+        ["compress", "{file}"], _HUGE_JSON, 2, "", f"parse error: {_DIGIT_LIMIT}\n"),
+    "core integer past the digit limit": (["core", "{file}"], _HUGE_JSON, 2, "", f"parse error: {_DIGIT_LIMIT}\n"),
     "enum json": (
         ["--format", "json", "enum", "--dim", "2"], None, 0,
         '{"classes": 2, "classes_mod_transpose": 1, "degenerate_seeds": 0, "dim": 2, "seeds_spanning": 8}\n', ""),
